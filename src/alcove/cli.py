@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / verified, 2 parse error, 3 domain precondition
-violated, 4 mathematical verdict mismatch, 5 invalid certificate.
+violated, 4 mathematical verdict mismatch, 5 invalid certificate.  Output
+cut short by a reader that closes the pipe early still exits 0, quietly.
 """
 
 from __future__ import annotations
@@ -387,7 +388,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: send what is still buffered to devnull,
+        # so that the interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (InvalidLieTypeError, CliParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

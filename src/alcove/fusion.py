@@ -8,6 +8,11 @@ Products are computed exactly (tensor decomposition by the Klimyk rule
 followed by reflection into the level alcove, i.e. the Kac-Walton
 composition); the numeric evaluation is retained purely as a second,
 independent check and never decides a value.
+
+The dominant weights of V_mu come from a downward search from mu that
+subtracts positive roots; Freudenthal multiplicities and Weyl dimensions
+are computed in integer arithmetic (the Gram matrix scaled to integers,
+exact divisibility asserted) and cached per type and weight.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 from typing import Mapping, Sequence
 
 from .affine import dominantize, dominantize_walls, weight_wall_value
@@ -205,6 +211,7 @@ class LevelRepElt:
 
 _MULT_CACHE: dict[tuple, dict[Weight, int]] = {}
 _FULL_MULT_CACHE: dict[tuple, dict[Weight, int]] = {}
+_DIM_CACHE: dict[tuple, int] = {}
 
 
 def _dominant_rep(data: LieData, w: Sequence) -> Weight:
@@ -220,21 +227,25 @@ def _dominant_rep(data: LieData, w: Sequence) -> Weight:
 
 def _dominant_weights_below(data: LieData, mu: Weight) -> list[Weight]:
     """Dominant weights lam with mu - lam a nonnegative root-lattice vector,
-    together with the root-lattice coordinates of the difference."""
-    n = data.rank
-    bounds = []
-    for j in range(n):
-        b = sum(Fraction(mu[i]) * data.cartan_inv[j][i] for i in range(n))
-        bounds.append(int(b))
-    out = []
-    for c in iter_product(*(range(b + 1) for b in bounds)):
-        lam = tuple(
-            mu[r] - sum(data.cartan[r][j] * c[j] for j in range(n)) for r in range(n)
-        )
-        if all(x >= 0 for x in lam):
-            out.append((sum(c), lam))
-    out.sort()
-    return [lam for _, lam in out]
+    ordered by the height of mu - lam, then by lam.
+
+    A downward search from mu: subtract each positive root and keep the
+    dominant results.  It reaches every dominant lam <= mu, because any two
+    dominant weights lam < mu are joined by a chain of dominant weights
+    whose steps are positive roots (Stembridge, "The partial order of
+    dominant weights", Adv. Math. 136, 1998)."""
+    height = {mu: 0}
+    frontier = [mu]
+    while frontier:
+        below = []
+        for lam in frontier:
+            for root in data.positive_roots:
+                nxt = tuple(x - r for x, r in zip(lam, root.weight))
+                if nxt not in height and all(x >= 0 for x in nxt):
+                    height[nxt] = height[lam] + sum(root.coeffs)
+                    below.append(nxt)
+        frontier = below
+    return sorted(height, key=lambda lam: (height[lam], lam))
 
 
 def weyl_dimension(data: LieData, mu: Sequence[int]) -> int:
@@ -242,19 +253,25 @@ def weyl_dimension(data: LieData, mu: Sequence[int]) -> int:
     mu = _check_weight(data, mu)
     if not is_dominant(data, mu):
         raise ValueError(f"{mu} is not dominant")
-    num = den = Fraction(1)
-    mu_rho = tuple(x + 1 for x in mu)
-    for root in data.positive_roots:
-        num *= sum(Fraction(a * b) for a, b in zip(mu_rho, root.coroot))
-        den *= sum(Fraction(b) for b in root.coroot)
-    dim = num / den
-    assert dim.denominator == 1 and dim > 0
-    return int(dim)
+    key = (data.lie_type, mu)
+    dim = _DIM_CACHE.get(key)
+    if dim is None:
+        num = den = 1
+        for root in data.positive_roots:
+            num *= sum((a + 1) * b for a, b in zip(mu, root.coroot))
+            den *= sum(root.coroot)
+        dim, rem = divmod(num, den)
+        assert rem == 0 and dim > 0
+        _DIM_CACHE[key] = dim
+    return dim
 
 
 def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Weight, int]:
     """Multiplicities of the dominant weights of V_mu, by the Freudenthal
-    recursion, cross-checked against the Weyl dimension formula."""
+    recursion, cross-checked against the Weyl dimension formula.
+
+    Inner products are taken with the integer-scaled Gram matrix; the scale
+    cancels in the recursion and in the norm cut-off."""
     mu = _check_weight(data, mu)
     if not is_dominant(data, mu):
         raise ValueError(f"{mu} is not dominant")
@@ -263,15 +280,15 @@ def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Wei
     if cached is not None:
         return cached
 
-    gram = data.gram_weight
+    # the Gram matrix on the fundamental weights, scaled to integers
+    scale = lcm(*(x.denominator for row in data.gram_weight for x in row))
+    gram = [[int(x * scale) for x in row] for row in data.gram_weight]
 
-    def ip(a: Sequence, b: Sequence) -> Fraction:
-        return sum(
-            Fraction(a[i]) * gram[i][j] * b[j]
-            for i in range(data.rank)
-            for j in range(data.rank)
-        )
+    def ip(a: Sequence[int], b: Sequence[int]) -> int:
+        return sum(x * sum(g * y for g, y in zip(row, b)) for x, row in zip(a, gram))
 
+    # each positive root with its scaled squared length
+    roots = [(root.weight, ip(root.weight, root.weight)) for root in data.positive_roots]
     mu_rho = tuple(x + 1 for x in mu)
     top_norm = ip(mu_rho, mu_rho)
     mu_norm = ip(mu, mu)
@@ -280,24 +297,25 @@ def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Wei
         if lam == mu:
             mults[lam] = 1
             continue
-        total = Fraction(0)
-        for root in data.positive_roots:
+        lam_norm = ip(lam, lam)
+        total = 0
+        for beta, beta_norm in roots:
+            lam_beta = ip(lam, beta)
             j = 1
-            while True:
-                tau = tuple(x + j * r for x, r in zip(lam, root.weight))
-                if ip(tau, tau) > mu_norm:
-                    break
+            # tau = lam + j*beta; ip(tau, tau) and ip(tau, beta) by expansion
+            while lam_norm + j * (2 * lam_beta + j * beta_norm) <= mu_norm:
+                tau = tuple(x + j * r for x, r in zip(lam, beta))
                 m_tau = mults.get(_dominant_rep(data, tau), 0)
                 if m_tau:
-                    total += m_tau * ip(tau, root.weight)
+                    total += m_tau * (lam_beta + j * beta_norm)
                 j += 1
         lam_rho = tuple(x + 1 for x in lam)
         denom = top_norm - ip(lam_rho, lam_rho)
         assert denom > 0
-        val = 2 * total / denom
-        assert val.denominator == 1 and val >= 0, (mu, lam, val)
+        val, rem = divmod(2 * total, denom)
+        assert rem == 0 and val >= 0, (mu, lam, 2 * total, denom)
         if val:
-            mults[lam] = int(val)
+            mults[lam] = val
     assert (
         sum(m * weyl_orbit_size(data, lam) for lam, m in mults.items())
         == weyl_dimension(data, mu)

@@ -395,6 +395,8 @@ def verify_certificate(text: str) -> dict:
         data = build_lie_data(LieType.parse(doc["group"]))
         J = tuple(int(j) for j in doc["J"])
         degree = int(doc["degree"])
+        if not 0 < degree < data.rank:
+            raise ValueError(f"degree {degree} is not strictly between 0 and {data.rank}")
         cycle = chain_from_json(J, degree, doc["cycle"])
         bounding = chain_from_json(J, degree + 1, doc["bounding"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from alcove.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -102,6 +110,38 @@ def test_verify_cert_detects_tampering(tmp_path, capsys):
 def test_verify_cert_missing_file(capsys):
     code, _, _ = run(capsys, "verify-cert", "/nonexistent/cert.json")
     assert code == 5
+
+
+def test_verify_cert_degree_out_of_range(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(
+        {"group": "A2", "J": [0, 1, 2], "degree": 7, "cycle": [], "bounding": []}
+    ))
+    code, out, err = run(capsys, "verify-cert", str(cert))
+    assert code == 5
+    assert "certificate ok" not in out
+    assert "degree 7" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "A2", "-J", "0,1,2", "-N", "8"],  # fails inside the command
+    ["fusion", "A1", "-k", "1", "1", "1"],  # buffered until the final flush
+])
+def test_closed_pipe_exits_quietly(argv):
+    # the reader is gone before the command starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "alcove.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+    assert proc.returncode == 0
 
 
 def test_prequant_rows(capsys):

@@ -8,6 +8,7 @@ from alcove.fusion import (
     CharacterElt,
     FusionElt,
     LevelRepElt,
+    _dominant_weights_below,
     character_value,
     dominant_weight_multiplicities,
     fusion_character_value,
@@ -86,6 +87,51 @@ def test_known_dimensions():
 def test_multiplicities_nondominant_rejected():
     with pytest.raises(ValueError):
         dominant_weight_multiplicities(build_lie_data("A1"), (-1,))
+
+
+def box_walk_dominant_weights_below(data, mu):
+    """Oracle: every nonnegative root-lattice vector c in the box bounded by
+    the root coordinates of mu, keeping the dominant mu - c, ordered by
+    height, then weight."""
+    n = data.rank
+    bounds = [int(sum(F(mu[i]) * data.cartan_inv[j][i] for i in range(n))) for j in range(n)]
+    out = []
+    for c in itertools.product(*(range(b + 1) for b in bounds)):
+        lam = tuple(mu[r] - sum(data.cartan[r][j] * c[j] for j in range(n)) for r in range(n))
+        if all(x >= 0 for x in lam):
+            out.append((sum(c), lam))
+    out.sort()
+    return [lam for _, lam in out]
+
+
+def fraction_weyl_dimension(data, mu):
+    """Oracle: the Weyl dimension formula as a product of Fractions."""
+    num = den = F(1)
+    for root in data.positive_roots:
+        num *= sum(F((a + 1) * b) for a, b in zip(mu, root.coroot))
+        den *= sum(F(b) for b in root.coroot)
+    dim = num / den
+    assert dim.denominator == 1
+    return int(dim)
+
+
+SMALL_DOMINANT = [
+    ("A1", 8), ("A2", 6), ("A3", 3), ("A4", 3), ("B2", 5), ("B3", 3),
+    ("C2", 5), ("C3", 3), ("D4", 2), ("G2", 4), ("F4", 2), ("E6", 1),
+]
+
+
+@pytest.mark.parametrize("name,top", SMALL_DOMINANT)
+def test_downward_search_matches_box_walk(name, top):
+    """Every dominant mu with coordinate sum <= top: the downward root
+    search lists the same weights in the same order as the box walk, and
+    the integer Weyl dimension equals the Fraction product formula."""
+    d = build_lie_data(name)
+    for mu in itertools.product(range(top + 1), repeat=d.rank):
+        if sum(mu) > top:
+            continue
+        assert _dominant_weights_below(d, mu) == box_walk_dominant_weights_below(d, mu), mu
+        assert weyl_dimension(d, mu) == fraction_weyl_dimension(d, mu), mu
 
 
 # -- tensor products -----------------------------------------------------------------
@@ -187,6 +233,23 @@ def test_fusion_k0_is_trivial_ring():
         assert level_weights(d, 0) == [(0,) * d.rank]
         u = fusion_unit(d, 0)
         assert fusion_product(u, u) == u
+
+
+def test_e8_level_two_is_ising():
+    e8 = build_lie_data("E8")
+    zero, w8, w1 = (0,) * 8, (0,) * 7 + (1,), (1,) + (0,) * 7
+    assert level_weights(e8, 2) == [zero, w8, w1]
+    assert weyl_dimension(e8, w8) == 248
+    assert weyl_dimension(e8, w1) == 3875
+    assert fusion_table(e8, 2) == [
+        (zero, zero, zero, 1),
+        (zero, w8, w8, 1),
+        (zero, w1, w1, 1),
+        (w8, w8, zero, 1),
+        (w8, w8, w1, 1),
+        (w8, w1, w8, 1),
+        (w1, w1, zero, 1),
+    ]
 
 
 # -- special points and numeric values -------------------------------------------------

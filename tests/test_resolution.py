@@ -311,6 +311,17 @@ def test_certificate_tamper_detected():
         verify_certificate(_json.dumps(doc))
 
 
+@pytest.mark.parametrize("degree", [-1, 0, 2, 7])
+def test_certificate_degree_out_of_range_rejected(degree):
+    import json as _json
+
+    doc = {"group": "A2", "J": [0, 1, 2], "degree": degree, "cycle": [], "bounding": []}
+    with pytest.raises(ValueError, match="degree"):
+        verify_certificate(_json.dumps(doc))
+    doc["degree"] = 1
+    assert verify_certificate(_json.dumps(doc))["ok"]
+
+
 def test_chain_json_roundtrip():
     oc = OrbitComplex(build_lie_data("A1"), (0, 1))
     c = oc.element((0, 1), (F(-1, 4),), 3)
