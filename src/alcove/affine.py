@@ -10,6 +10,13 @@ The group is generated by the simple affine reflections indexed by the nodes
 and on Cartan points (standard action on t)
 
     xi -> xi - (<alpha_i, xi> + delta_{i,0}) * alpha_i_vee.
+
+The cone test and the reductions into a cone or the alcove scale a point to
+integer numerators X over one common denominator D.  A wall value is then the
+integer sum root * X (plus D at node 0), a reflection is X -> X - c * coroot
+with that integer c, and D never changes; Fractions are rebuilt only for the
+returned point.  One greedy loop, parametrized by the list of walls, serves
+both reductions.
 """
 
 from __future__ import annotations
@@ -127,15 +134,53 @@ def reflect_point(data: LieData, i: int, xi: Sequence) -> CartanPoint:
     return tuple(Fraction(x) - c * g for x, g in zip(xi, coroot))
 
 
+def _scaled(data: LieData, xi: Sequence) -> tuple[list[int], int]:
+    """Integer numerators X and one common denominator D > 0 with xi = X / D."""
+    if len(xi) != data.rank:
+        raise ValueError("rank mismatch")
+    coords = [Fraction(x) for x in xi]
+    D = math.lcm(*(c.denominator for c in coords))
+    return [c.numerator * (D // c.denominator) for c in coords], D
+
+
+def _scaled_wall_value(data: LieData, i: int, X: Sequence[int], D: int) -> int:
+    """D times the wall value at X / D: sum root * X, plus D at node 0."""
+    value = sum(a * x for a, x in zip(data.node_root[i], X))
+    return value + D if i == 0 else value
+
+
+def _reduce_scaled(
+    data: LieData, X: list[int], D: int, walls: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Greedy reflection of X / D at the lowest violated listed wall until no
+    listed wall value is negative.  Returns (image numerators, word).
+
+    The scaled wall value c is an integer, and the reflection
+    xi -> xi - (c / D) * coroot is X -> X - c * coroot on numerators, so the
+    denominator D never changes.
+    """
+    word: list[int] = []
+    while True:
+        for i in walls:
+            c = _scaled_wall_value(data, i, X, D)
+            if c < 0:
+                X = [x - c * g for x, g in zip(X, data.node_coroot[i])]
+                word.append(i)
+                break
+        else:
+            return X, word
+
+
 def cone_position(data: LieData, xi: Sequence, I: Sequence[int]) -> str:
     """Position of a point against the cone cut out by the walls outside I:
     'interior', 'boundary', or 'outside'."""
     I = _check_face_index(data, I)
+    X, D = _scaled(data, xi)
     on_wall = False
     for i in range(data.rank + 1):
         if i in I:
             continue
-        v = wall_value(data, i, xi)
+        v = _scaled_wall_value(data, i, X, D)
         if v < 0:
             return "outside"
         if v == 0:
@@ -154,37 +199,18 @@ def reduce_point_to_cone(
     """
     I = _check_face_index(data, I)
     walls = [i for i in range(data.rank + 1) if i not in I]
-    out = tuple(Fraction(x) for x in xi)
-    word: list[int] = []
-    while True:
-        violated = None
-        for i in walls:
-            if wall_value(data, i, out) < 0:
-                violated = i
-                break
-        if violated is None:
-            break
-        out = reflect_point(data, violated, out)
-        word.append(violated)
-    return tuple(word), out, (-1) ** len(word)
+    X, D = _scaled(data, xi)
+    X, word = _reduce_scaled(data, X, D, walls)
+    return tuple(word), tuple(Fraction(x, D) for x in X), (-1) ** len(word)
 
 
 def reduce_point_to_alcove(data: LieData, xi: Sequence) -> tuple[tuple[int, ...], CartanPoint]:
     """Move a point into the closed fundamental alcove by greedy reflection
     at the lowest violated wall; the word length equals the number of
     separating hyperplanes crossed."""
-    out = tuple(Fraction(x) for x in xi)
-    word: list[int] = []
-    while True:
-        violated = None
-        for i in range(data.rank + 1):
-            if wall_value(data, i, out) < 0:
-                violated = i
-                break
-        if violated is None:
-            return tuple(word), out
-        out = reflect_point(data, violated, out)
-        word.append(violated)
+    X, D = _scaled(data, xi)
+    X, word = _reduce_scaled(data, X, D, range(data.rank + 1))
+    return tuple(word), tuple(Fraction(x, D) for x in X)
 
 
 class OrbitContext:

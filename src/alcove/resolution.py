@@ -16,6 +16,14 @@ normal form.
 
 All of this is independent of a level: the complex only sees the orbit
 combinatorics of V.
+
+The homology path does no repeated work.  Each length truncation is built
+once per complex and shared.  d o d = 0 is checked on every entry by an exact
+sparse product: each column of d_p is sent through the nonzero columns of
+d_{p-1}.  Each boundary matrix gets one Smith reduction, whose nonzero
+invariant factors give both its rank and its torsion.  The H0 augmentation
+check computes the sign (-1)^length once per row of d_1 and tests every
+column against it.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from .affine import (
     reduce_point_to_alcove,
     reduce_point_to_cone,
 )
-from .intlinalg import invariant_factors, kernel_basis, rank
+from .intlinalg import invariant_factors, kernel_basis
 from .lie import CartanPoint, FaceIndex, LieData, _check_face_index, _frac_str
 
 ChainKey = tuple[FaceIndex, CartanPoint]
@@ -114,6 +122,7 @@ class OrbitComplex:
         self.ctx = OrbitContext(data, self.J, base)
         self.full_face = tuple(range(data.rank + 1))
         self._explored = 0
+        self._truncations: dict[int, TruncatedComplex] = {}
 
     # -- lengths ------------------------------------------------------------
 
@@ -246,7 +255,14 @@ class OrbitComplex:
 
     def truncated(self, n: int) -> TruncatedComplex:
         """Bases and boundary matrices of the subcomplex of keys with length
-        <= n; asserts that consecutive matrices compose to zero."""
+        <= n; checks that consecutive matrices compose to zero.
+
+        The result is built once per n and shared by later calls, so callers
+        must not mutate its bases or matrices.
+        """
+        cached = self._truncations.get(n)
+        if cached is not None:
+            return cached
         l = self.data.rank
         bases = [self.basis_elements(p, n) for p in range(l + 1)]
         index = [{key: idx for idx, key in enumerate(b)} for b in bases]
@@ -261,13 +277,10 @@ class OrbitComplex:
                     M[index[p - 1][key]][col] = coeff
             matrices[p] = M
         for p in range(2, l + 1):
-            prod_nonzero = any(
-                sum(matrices[p - 1][i][t] * matrices[p][t][j] for t in range(len(bases[p - 1])))
-                for i in range(len(bases[p - 2]))
-                for j in range(len(bases[p]))
-            )
-            assert not prod_nonzero, f"d composed with d is nonzero at degree {p}"
-        return TruncatedComplex(self.J, n, bases, matrices)
+            check_d_squared_zero(matrices[p - 1], matrices[p], p)
+        tc = TruncatedComplex(self.J, n, bases, matrices)
+        self._truncations[n] = tc
+        return tc
 
     def random_cycle(self, p: int, n: int, rng, max_terms: int = 4) -> ChainElt:
         """A random integer cycle in degree p of the length-n truncation."""
@@ -299,29 +312,27 @@ class OrbitComplex:
         l = self.data.rank
         tc = self.truncated(n)
         dims = [len(b) for b in tc.bases]
-        ranks = {p: rank(tc.matrices[p], dims[p]) for p in range(1, l + 1)}
+        # one Smith reduction per matrix: the nonzero invariant factors give
+        # both the rank (their number) and the torsion (those above 1)
+        factors = {p: invariant_factors(tc.matrices[p], dims[p]) for p in range(1, l + 1)}
+        ranks = {p: len(f) for p, f in factors.items()}
         degrees = []
         all_ok = True
         for p in range(l + 1):
             rank_p = ranks.get(p, 0)
             rank_above = ranks.get(p + 1, 0)
             rank_ker = dims[p] - rank_p if p >= 1 else dims[p]
-            torsion = (
-                [f for f in invariant_factors(tc.matrices[p + 1], dims[p + 1]) if f > 1]
-                if p + 1 <= l
-                else []
-            )
+            torsion = [f for f in factors.get(p + 1, []) if f > 1]
             if p == l:
                 ok = rank_ker == 0 if l >= 1 else True
                 verdict = "injective" if ok else "kernel"
             elif p == 0:
                 if self.J == self.full_face:
+                    # the augmentation kills every column of d_1; its sign
+                    # on a basis point depends on the row only
+                    eps = [(-1) ** self.length_of(x) for _, x in tc.bases[0]]
                     eps_on_boundaries = all(
-                        sum(
-                            tc.matrices[1][row][col] * (-1) ** self.length_of(tc.bases[0][row][1])
-                            for row in range(dims[0])
-                        )
-                        == 0
+                        sum(tc.matrices[1][row][col] * eps[row] for row in range(dims[0])) == 0
                         for col in range(dims[1])
                     ) if l >= 1 else True
                     ok = (dims[0] - rank_above == 1) and not torsion and eps_on_boundaries
@@ -351,6 +362,38 @@ class OrbitComplex:
             "H0": "Z" if self.J == self.full_face else "0",
             "all_ok": all_ok,
         }
+
+
+def check_d_squared_zero(
+    lower: Sequence[Sequence[int]], upper: Sequence[Sequence[int]], p: int
+) -> None:
+    """Raise AssertionError unless the product d_{p-1} d_p of the integer
+    matrices lower = d_{p-1} and upper = d_p is zero in every entry.
+
+    Column j of the product is the sum of the columns t of lower weighted by
+    upper[t][j]; only nonzero entries are visited, and every entry of every
+    such sum is tested.
+    """
+    lower_columns: list[list[tuple[int, int]]] = [[] for _ in upper]
+    for i, row in enumerate(lower):
+        for t, a in enumerate(row):
+            if a:
+                lower_columns[t].append((i, a))
+    upper_columns: list[list[tuple[int, int]]] = [[] for _ in (upper[0] if upper else ())]
+    for t, row in enumerate(upper):
+        for j, b in enumerate(row):
+            if b:
+                upper_columns[j].append((t, b))
+    for j, column in enumerate(upper_columns):
+        total: dict[int, int] = {}
+        for t, b in column:
+            for i, a in lower_columns[t]:
+                total[i] = total.get(i, 0) + a * b
+        for i, v in total.items():
+            if v:
+                raise AssertionError(
+                    f"d composed with d is nonzero at degree {p}: entry ({i}, {j}) is {v}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +437,8 @@ def verify_certificate(text: str) -> dict:
         doc = json.loads(text)
         data = build_lie_data(LieType.parse(doc["group"]))
         J = tuple(int(j) for j in doc["J"])
+        if len(set(J)) != len(J):
+            raise ValueError(f"face {list(J)} repeats a node")
         degree = int(doc["degree"])
         if not 0 < degree < data.rank:
             raise ValueError(f"degree {degree} is not strictly between 0 and {data.rank}")
@@ -414,4 +459,4 @@ def verify_certificate(text: str) -> dict:
         raise ValueError("certificate cycle is not a cycle")
     if complex_.boundary(bounding) != cycle:
         raise ValueError("certificate bounding chain does not bound the cycle")
-    return {"group": doc["group"], "J": list(J), "degree": degree, "ok": True}
+    return {"group": doc["group"], "J": list(complex_.J), "degree": degree, "ok": True}

@@ -13,10 +13,12 @@ from alcove.affine import (
     level_action,
     linear_weyl_action,
     orbit_up_to_length,
+    reduce_point_to_alcove,
     reduce_point_to_cone,
+    reflect_point,
     weight_wall_value,
 )
-from alcove.lie import build_lie_data, face_data
+from alcove.lie import build_lie_data, face_data, wall_value
 
 RANK_LE_2 = ["A1", "A2", "B2", "C2", "G2"]
 
@@ -255,3 +257,77 @@ def test_reduce_to_cone_length_strict_unless_fixed():
             _, image, _ = ctx.reduce_to_cone(p, I)
             if image.point != p.point:
                 assert image.length < p.length
+
+
+# -- integer cone reductions against the Fraction versions ----------------------
+
+def fraction_cone_position(data, xi, I):
+    """Oracle: the Fraction wall-value test of a point against the cone of I."""
+    on_wall = False
+    for i in range(data.rank + 1):
+        if i in I:
+            continue
+        v = wall_value(data, i, xi)
+        if v < 0:
+            return "outside"
+        if v == 0:
+            on_wall = True
+    return "boundary" if on_wall else "interior"
+
+
+def fraction_reduce(data, xi, walls):
+    """Oracle: greedy Fraction reflection at the lowest violated listed wall."""
+    out = tuple(F(x) for x in xi)
+    word = []
+    while True:
+        violated = next((i for i in walls if wall_value(data, i, out) < 0), None)
+        if violated is None:
+            return tuple(word), out
+        out = reflect_point(data, violated, out)
+        word.append(violated)
+
+
+def assert_cone_reductions_agree(data, xi):
+    nodes = range(data.rank + 1)
+    word, image = reduce_point_to_alcove(data, xi)
+    assert (word, image) == fraction_reduce(data, xi, nodes)
+    assert all(type(v) is F for v in image)
+    for size in range(1, data.rank + 2):
+        for I in itertools.combinations(nodes, size):
+            assert cone_position(data, xi, I) == fraction_cone_position(data, xi, I)
+            walls = [i for i in nodes if i not in I]
+            word, image, parity = reduce_point_to_cone(data, xi, I)
+            assert (word, image) == fraction_reduce(data, xi, walls)
+            assert parity == (-1) ** len(word)
+            assert all(type(v) is F for v in image)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_integer_cone_reductions_match_fraction_oracle_on_orbits(name):
+    d = build_lie_data(name)
+    for size in range(1, d.rank + 2):
+        for J in itertools.combinations(range(d.rank + 1), size):
+            for p in orbit_up_to_length(d, J, 4):
+                assert_cone_reductions_agree(d, p.point)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"])
+def test_integer_cone_reductions_match_fraction_oracle_on_random_points(name):
+    d = build_lie_data(name)
+    rng = random.Random(2024)
+    for _ in range(60):
+        xi = tuple(F(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(d.rank))
+        assert_cone_reductions_agree(d, xi)
+    # integer and mixed inputs are read as exact rationals
+    assert_cone_reductions_agree(d, tuple(range(-1, d.rank - 1)))
+
+
+def test_cone_reductions_reject_rank_mismatch():
+    d = build_lie_data("A2")
+    for call in (
+        lambda: cone_position(d, (F(1, 3),), (0,)),
+        lambda: reduce_point_to_cone(d, (F(1, 3),), (0,)),
+        lambda: reduce_point_to_alcove(d, (F(1, 3), F(0), F(0))),
+    ):
+        with pytest.raises(ValueError):
+            call()

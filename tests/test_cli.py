@@ -123,6 +123,27 @@ def test_verify_cert_degree_out_of_range(tmp_path, capsys):
     assert "degree 7" in err
 
 
+def test_verify_cert_repeated_face_node(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(
+        {"group": "A2", "J": [0, 0, 1], "degree": 1, "cycle": [], "bounding": []}
+    ))
+    code, out, err = run(capsys, "verify-cert", str(cert))
+    assert code == 5
+    assert "certificate ok" not in out
+    assert "repeats a node" in err
+
+
+def test_verify_cert_echoes_canonical_face(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(
+        {"group": "A2", "J": [2, 1], "degree": 1, "cycle": [], "bounding": []}
+    ))
+    code, out, _ = run(capsys, "verify-cert", str(cert))
+    assert code == 0
+    assert out.strip() == "certificate ok: A2 J=[1, 2] degree 1"
+
+
 @pytest.mark.parametrize("argv", [
     ["orbit", "A2", "-J", "0,1,2", "-N", "8"],  # fails inside the command
     ["fusion", "A1", "-k", "1", "1", "1"],  # buffered until the final flush

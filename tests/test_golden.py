@@ -1,0 +1,39 @@
+"""Golden CLI outputs: SHA-256 digests of the stdout of fixed invocations.
+
+The digests pin the exact bytes that the orbit, resolution and contraction
+commands print (JSON, certificates and text verdicts).  A change that alters
+any of them on purpose must say so and why, and record the new digests.
+"""
+
+import hashlib
+
+import pytest
+
+from alcove.cli import main
+
+GOLDEN = {
+    "orbit A2 -J 0,1,2 -N 3 --format json":
+        "5ec5798e41f0c62f7dcfba94467fefec9a0d45948165e773eb22031e25b24067",
+    "orbit C2 -J 0,1 -N 4 --format json":
+        "da11d64f844e7a279c01229ec023464f7e10c142086ebc882e78a2acc165db2d",
+    "resolution A2 -J 0,1,2 -N 3":
+        "613f93430a05ec43fbd30dede7e7f3927e1869d99e9eb23311e3cc4376d6acee",
+    "resolution A2 -J 0,1,2 -N 3 --format json":
+        "0e42a1a90efc2a2e2a88ba3ea54aa86b3a289e068e095c7b885b28e70f511067",
+    "resolution C2 -J 0,1 -N 4 --format json":
+        "430f7510599302149e84a0293d59d2243b6f8ba29b254d7744599dae7469e358",
+    "resolution G2 -J 0,1,2 -N 3 --format json":
+        "01137bd4f1edfe99e6ba8c33a9cab134f107308211d10c38a80097b2b14a8101",
+    "contract A2 -J 0,1,2 -N 3 --seed 5":
+        "500fc47bffdeec2384a613441e03374a41900f16b57a576bb4945ffb6f66a655",
+    "contract A3 -J 0,1,2,3 -N 2 -p 2 --seed 1":
+        "3672f9cd5da18196305958698a2222c9d2b340d535e9caf1fa25044cbbbc1060",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_output(capsys, command):
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from alcove.resolution import (
     certificate_json,
     chain_from_json,
     chain_to_json,
+    check_d_squared_zero,
     verify_certificate,
 )
 
@@ -387,3 +389,149 @@ def test_homology_larger_truncations():
         assert rep["all_ok"], (name, J, rep)
         dims = [d["dim"] for d in rep["degrees"]]
         assert sum((-1) ** i * d for i, d in enumerate(dims)) == euler
+
+
+@pytest.mark.parametrize("J", [[0, 0, 1], [1, 1], [0, 1, 2, 2]])
+def test_certificate_repeated_face_node_rejected(J):
+    import json as _json
+
+    doc = {"group": "A2", "J": J, "degree": 1, "cycle": [], "bounding": []}
+    with pytest.raises(ValueError, match="repeats a node"):
+        verify_certificate(_json.dumps(doc))
+
+
+def test_certificate_echoes_canonical_face():
+    import json as _json
+
+    doc = {"group": "A2", "J": [2, 1], "degree": 1, "cycle": [], "bounding": []}
+    assert verify_certificate(_json.dumps(doc))["J"] == [1, 2]
+    rng = random.Random(11)
+    oc = OrbitComplex(build_lie_data("A2"), (2, 0, 1))
+    c = oc.random_cycle(1, 3, rng)
+    doc = _json.loads(certificate_json(oc, c, oc.contract_cycle(c)))
+    doc["J"] = [2, 0, 1]
+    assert verify_certificate(_json.dumps(doc))["J"] == [0, 1, 2]
+
+
+# -- sparse d o d check, truncation cache, one reduction per matrix ------------------
+
+def dense_product(A, B):
+    """Oracle: the dense integer matrix product."""
+    return [[sum(A[i][t] * B[t][j] for t in range(len(B))) for j in range(len(B[0]) if B else 0)]
+            for i in range(len(A))]
+
+
+def random_matrix(rng, rows, cols):
+    return [[rng.choice((0, 0, 0, -2, -1, 1, 2)) for _ in range(cols)] for _ in range(rows)]
+
+
+def zero_product_pair(rng, m, k1, k2, n):
+    """A = [A1 | 0] and B = [0 ; B2] with random blocks, so A B = 0."""
+    A = [row + [0] * k2 for row in random_matrix(rng, m, k1)]
+    B = [[0] * n for _ in range(k1)] + random_matrix(rng, k2, n)
+    return A, B
+
+
+def with_one_entry(rng, A, B, i, j):
+    """Insert an inner index t joining row i of A to column j of B, so that
+    the product gains exactly one nonzero entry, at (i, j)."""
+    t = rng.randrange(len(B) + 1)
+    a, b = rng.choice((-2, -1, 1, 3)), rng.choice((-1, 1, 2))
+    A = [row[:t] + [a if r == i else 0] + row[t:] for r, row in enumerate(A)]
+    B = B[:t] + [[b if c == j else 0 for c in range(len(B[0]))]] + B[t:]
+    return A, B
+
+
+def test_d_squared_check_matches_dense_oracle():
+    rng = random.Random(31)
+    for trial in range(300):
+        m, k, n = rng.randint(1, 6), rng.randint(0, 6), rng.randint(1, 6)
+        if trial % 2:
+            k1 = rng.randint(0, k)
+            A, B = zero_product_pair(rng, m, k1, k - k1, n)
+        else:
+            A, B = random_matrix(rng, m, k), random_matrix(rng, k, n)
+        if not B:
+            continue
+        product = dense_product(A, B)
+        nonzero = any(v for row in product for v in row)
+        if not nonzero:
+            check_d_squared_zero(A, B, 2)
+            continue
+        with pytest.raises(AssertionError) as info:
+            check_d_squared_zero(A, B, 2)
+        i, j, v = map(int, re.search(r"entry \((\d+), (\d+)\) is (-?\d+)", str(info.value)).groups())
+        assert product[i][j] == v != 0
+
+
+def test_d_squared_check_finds_a_single_nonzero_entry():
+    rng = random.Random(32)
+    tc = OrbitComplex(build_lie_data("A2"), (0, 1, 2)).truncated(3)
+    pairs = [(tc.matrices[1], tc.matrices[2])]
+    pairs += [zero_product_pair(rng, rng.randint(1, 8), 3, 4, rng.randint(1, 8)) for _ in range(20)]
+    for A, B in pairs:
+        check_d_squared_zero(A, B, 2)
+        for _ in range(10):
+            i, j = rng.randrange(len(A)), rng.randrange(len(B[0]))
+            A1, B1 = with_one_entry(rng, A, B, i, j)
+            product = dense_product(A1, B1)
+            assert [(r, c) for r, row in enumerate(product) for c, v in enumerate(row) if v] == [(i, j)]
+            with pytest.raises(AssertionError, match=rf"entry \({i}, {j}\)"):
+                check_d_squared_zero(A1, B1, 2)
+
+
+def test_truncated_is_cached():
+    oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
+    assert oc.truncated(2) is oc.truncated(2)
+    assert oc.truncated(3) is not oc.truncated(2)
+
+
+@pytest.mark.parametrize("name, J, n, p", [("A2", (0, 1, 2), 3, 1), ("C2", (0, 1), 3, 1),
+                                           ("A3", (0, 1, 2, 3), 2, 2)])
+def test_cached_truncation_not_mutated(name, J, n, p):
+    data = build_lie_data(name)
+    oc = OrbitComplex(data, J)
+    oc.homology_report(n)
+    rng = random.Random(5)
+    for _ in range(3):
+        oc.random_cycle(p, n, rng)
+    cached, fresh = oc.truncated(n), OrbitComplex(data, J).truncated(n)
+    assert cached.bases == fresh.bases
+    assert cached.matrices == fresh.matrices
+
+
+def test_homology_report_reduces_each_matrix_once(monkeypatch):
+    from alcove import intlinalg
+
+    reductions = []
+    original = intlinalg.column_reduce
+
+    def counting(A, ncols):
+        reductions.append(len(A) * ncols)
+        return original(A, ncols)
+
+    monkeypatch.setattr(intlinalg, "column_reduce", counting)
+    for name, J, n in [("A2", (0, 1, 2), 3), ("C2", (0, 1), 4), ("A3", (0, 1, 2, 3), 2)]:
+        oc = OrbitComplex(build_lie_data(name), J)
+        tc = oc.truncated(n)
+        nonempty = [M for M in tc.matrices.values() if M and M[0]]
+        reductions.clear()
+        oc.homology_report(n)
+        assert reductions == [len(M) * len(M[0]) for M in nonempty]
+
+
+def test_homology_report_computes_each_row_sign_once(monkeypatch):
+    from alcove import resolution
+
+    calls = []
+    original = resolution.crossing_length
+
+    def counting(data, x):
+        calls.append(x)
+        return original(data, x)
+
+    monkeypatch.setattr(resolution, "crossing_length", counting)
+    oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
+    rep = oc.homology_report(4)
+    assert rep["degrees"][0]["verdict"] == "H0=Z"
+    assert calls == [x for _, x in oc.truncated(4).bases[0]]
