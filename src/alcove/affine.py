@@ -11,19 +11,22 @@ and on Cartan points (standard action on t)
 
     xi -> xi - (<alpha_i, xi> + delta_{i,0}) * alpha_i_vee.
 
-The cone test and the reductions into a cone or the alcove scale a point to
-integer numerators X over one common denominator D.  A wall value is then the
-integer sum root * X (plus D at node 0), a reflection is X -> X - c * coroot
-with that integer c, and D never changes; Fractions are rebuilt only for the
-returned point.  One greedy loop, parametrized by the list of walls, serves
-both reductions.
+Two greedy loops ("reflect at the lowest violated listed wall") do every
+reduction.  On weights, dominantize_walls reads the wall value at node i >= 1
+off the coordinate nu[i-1]; dominantize_terms applies it term by term, with
+an optional rho shift, for every weight-side map of the library.  On Cartan
+points, _reduce_scaled works on integer numerators X over one common
+denominator D: a wall value is the integer sum root * X (plus D at node 0),
+a reflection is X -> X - c * coroot, and D never changes.  It stays a
+separate loop because its wall values are dot products at every node, which
+the weight loop avoids.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .lie import (
     CartanPoint,
@@ -69,49 +72,54 @@ def affine_reflect_weight(data: LieData, i: int, nu: Sequence[int], m: int) -> W
     return tuple(x - c * r for x, r in zip(nu, root))
 
 
-def level_action(data: LieData, word: Iterable[int], nu: Sequence[int], m: int) -> Weight:
-    """Apply a word of simple affine reflections (leftmost letter last)."""
-    out = tuple(nu)
-    for i in reversed(tuple(word)):
-        out = affine_reflect_weight(data, i, out, m)
-    return out
-
-
-def linear_weyl_action(data: LieData, word: Iterable[int], nu: Sequence) -> tuple:
-    """Apply the linear parts only (reflection in alpha_i through the origin
-    for every letter, including i = 0)."""
-    out = tuple(Fraction(x) for x in nu)
-    for i in reversed(tuple(word)):
-        c = pairing(out, data.node_coroot[i])
-        out = tuple(x - c * r for x, r in zip(out, data.node_root[i]))
-    return out
-
-
 def dominantize_walls(
-    data: LieData, nu: Sequence[int], m: int, walls: Sequence[int]
+    data: LieData, nu: Sequence[int], m: int, walls: Iterable[int]
 ) -> SignedWeight:
     """Reduce a weight into the region where the listed wall values are >= 0,
     by greedy reflection at the lowest violated wall.
 
-    Sign is 0 if the result lies on one of the listed walls, otherwise the
-    parity of the number of reflections performed.
+    In fundamental-weight coordinates alpha_i_vee pairs with nu as the
+    coordinate nu[i-1] for i >= 1; only node 0 needs the comarks, with wall
+    value m - <nu, theta_vee>.  Sign is 0 if the result lies on one of the
+    listed walls (a zero wall value in the final pass), otherwise the parity
+    of the number of reflections performed.
     """
-    walls = tuple(sorted(walls))
-    out = tuple(nu)
+    walls = sorted(walls)
+    comarks, node_root = data.comarks, data.node_root
+    out = list(nu)
     count = 0
     while True:
-        violated = None
+        on_wall = False
         for i in walls:
-            if weight_wall_value(data, out, i, m) < 0:
-                violated = i
+            c = out[i - 1] if i else m - sum(a * x for a, x in zip(comarks, out))
+            if c < 0:
+                out = [x - c * r for x, r in zip(out, node_root[i])]
+                count += 1
                 break
-        if violated is None:
-            break
-        out = affine_reflect_weight(data, violated, out, m)
-        count += 1
-    on_wall = any(weight_wall_value(data, out, i, m) == 0 for i in walls)
-    sign = 0 if on_wall else (-1) ** count
-    return SignedWeight(out, sign, count)
+            if c == 0:
+                on_wall = True
+        else:
+            return SignedWeight(tuple(out), 0 if on_wall else (-1) ** count, count)
+
+
+def dominantize_terms(
+    data: LieData, terms: Mapping[Weight, int], m: int, walls: Iterable[int], shift: int
+) -> dict[Weight, int]:
+    """Sum of sign * c at rep - shift over the terms c * nu, where (rep, sign)
+    reduces nu + shift * rho into the cone of the listed walls at level m;
+    terms landing on a wall drop out.  shift is 1 for the rho-shifted action
+    (quotient map, induction, Klimyk) and 0 for the level-m action.  All l+1
+    walls bound a fundamental domain only at level m >= 1."""
+    walls = sorted(walls)
+    if m < 1 and len(walls) > data.rank:
+        raise ValueError("level must be >= 1")
+    out: dict[Weight, int] = {}
+    for nu, c in terms.items():
+        rep, sign, _ = dominantize_walls(data, [x + shift for x in nu], m, walls)
+        if sign:
+            key = tuple(x - shift for x in rep)
+            out[key] = out.get(key, 0) + sign * c
+    return {w: c for w, c in out.items() if c}
 
 
 def dominantize(data: LieData, nu: Sequence[int], m: int) -> SignedWeight:
@@ -264,22 +272,6 @@ class OrbitContext:
             return self._length[point]
         except KeyError:
             raise ValueError(f"{point} not in the orbit within length {search_up_to}")
-
-    def orbit_point(self, point: Sequence, search_up_to: int) -> OrbitPoint:
-        point = tuple(Fraction(x) for x in point)
-        return OrbitPoint(point, self.length_of(point, search_up_to))
-
-    def reduce_to_cone(
-        self, x: OrbitPoint, I: Sequence[int]
-    ) -> tuple[tuple[int, ...], OrbitPoint, int]:
-        """reduce_point_to_cone on an orbit point, with the image's length.
-
-        The image never has larger length than x, so the search is bounded.
-        """
-        word, image, parity = reduce_point_to_cone(self.data, x.point, I)
-        img = self.orbit_point(image, x.length)
-        assert img.length <= x.length
-        return word, img, parity
 
 
 def orbit_up_to_length(data: LieData, J: Sequence[int], n: int) -> list[OrbitPoint]:

@@ -12,7 +12,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fusion import (
@@ -44,35 +43,6 @@ EXIT_CERT = 5
 
 class CliParseError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the computational subcommands."""
-
-    group: str
-    k: int = 0
-    trunc: int = 0
-    face: tuple[int, ...] = ()
-    fmt: str = "text"
-    seed: int = 7
-    samples: int = 4
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        cfg = cls(
-            group=args.group,
-            k=getattr(args, "level", 0) or 0,
-            trunc=getattr(args, "trunc", 0) or 0,
-            face=_parse_face(args.face) if getattr(args, "face", None) else (),
-            fmt=getattr(args, "format", "text"),
-            seed=getattr(args, "seed", 7),
-            samples=getattr(args, "samples", 4),
-        )
-        data = build_lie_data(LieType.parse(cfg.group))
-        if cfg.face and (cfg.face[0] < 0 or cfg.face[-1] > data.rank):
-            raise ValueError(f"face {list(cfg.face)} out of range 0..{data.rank}")
-        return cfg
 
 
 def _parse_face(text: str) -> tuple[int, ...]:
@@ -203,16 +173,15 @@ def cmd_fusion_table(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    cfg = RunConfig.from_args(args)
-    data = build_lie_data(LieType.parse(cfg.group))
-    J = cfg.face
-    points = orbit_up_to_length(data, J, cfg.trunc)
-    if cfg.fmt == "json":
+    data = build_lie_data(LieType.parse(args.group))
+    J = _parse_face(args.face)
+    points = orbit_up_to_length(data, J, args.trunc)
+    if args.format == "json":
         _emit(args, json.dumps(
-            {"group": str(data.lie_type), "J": list(J), "N": cfg.trunc,
+            {"group": str(data.lie_type), "J": list(J), "N": args.trunc,
              "points": orbit_to_json(points)}, indent=2))
     else:
-        lines = [f"{len(points)} orbit points with length <= {cfg.trunc}"]
+        lines = [f"{len(points)} orbit points with length <= {args.trunc}"]
         for op in points:
             lines.append(f"  ({', '.join(_frac_str(x) for x in op.point)})  l={op.length}")
         _emit(args, "\n".join(lines))
@@ -220,12 +189,12 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_resolution(args) -> int:
-    cfg = RunConfig.from_args(args)
-    data = build_lie_data(LieType.parse(cfg.group))
-    if cfg.trunc < 1:
+    data = build_lie_data(LieType.parse(args.group))
+    face = _parse_face(args.face)
+    if args.trunc < 1:
         print("error: truncation must be >= 1", file=sys.stderr)
         return EXIT_DOMAIN
-    report = OrbitComplex(data, cfg.face).homology_report(cfg.trunc)
+    report = OrbitComplex(data, face).homology_report(args.trunc)
     if args.format == "json":
         _emit(args, json.dumps(report, indent=2))
     else:
@@ -244,17 +213,17 @@ def cmd_resolution(args) -> int:
 
 
 def cmd_contract(args) -> int:
-    cfg = RunConfig.from_args(args)
-    data = build_lie_data(LieType.parse(cfg.group))
+    data = build_lie_data(LieType.parse(args.group))
+    face = _parse_face(args.face)
     if not 0 < args.degree < data.rank:
         print(
             f"error: degree must be strictly between 0 and {data.rank}",
             file=sys.stderr,
         )
         return EXIT_DOMAIN
-    oc = OrbitComplex(data, cfg.face)
-    rng = random.Random(cfg.seed)
-    cycle = oc.random_cycle(args.degree, cfg.trunc, rng, max_terms=cfg.samples)
+    oc = OrbitComplex(data, face)
+    rng = random.Random(args.seed)
+    cycle = oc.random_cycle(args.degree, args.trunc, rng, max_terms=args.samples)
     bounding = oc.contract_cycle(cycle)
     _emit(args, certificate_json(oc, cycle, bounding))
     return EXIT_OK

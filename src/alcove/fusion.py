@@ -7,7 +7,10 @@ independent numeric oracle through character values at the special points
 Products are computed exactly (tensor decomposition by the Klimyk rule
 followed by reflection into the level alcove, i.e. the Kac-Walton
 composition); the numeric evaluation is retained purely as a second,
-independent check and never decides a value.
+independent check and never decides a value.  The Klimyk rule, the quotient
+map, induction and the projection to the fusion ring are one operation,
+affine.dominantize_terms, at different walls and levels; the element classes
+are alcove.sparse.SparseElt subclasses.
 
 The dominant weights of V_mu come from a downward search from mu that
 subtracts positive roots; Freudenthal multiplicities and Weyl dimensions
@@ -23,17 +26,16 @@ from itertools import product as iter_product
 from math import lcm
 from typing import Mapping, Sequence
 
-from .affine import dominantize, dominantize_walls, weight_wall_value
+from .affine import dominantize_terms, dominantize_walls, weight_wall_value
 from .lie import (
     CartanPoint,
     LieData,
     Weight,
     _check_face_index,
-    apply_weight,
     b_sharp,
     pairing,
-    weyl_elements,
 )
+from .sparse import SparseElt
 
 VANISH_TOL = 1e-8
 
@@ -66,51 +68,22 @@ def level_weights(data: LieData, k: int) -> list[Weight]:
     return sorted(out)
 
 
-class CharacterElt:
+class CharacterElt(SparseElt):
     """A virtual character: finitely supported integer map on dominant weights."""
 
-    __slots__ = ("data", "terms")
+    __slots__ = _fields = ("data",)
 
     def __init__(self, data: LieData, terms: Mapping[Weight, int] | None = None):
         self.data = data
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
-        for w in self.terms:
-            if not is_dominant(data, w):
-                raise ValueError(f"{w} is not dominant")
+        super().__init__(terms)
+
+    def _validate(self, w: Weight) -> None:
+        if not is_dominant(self.data, w):
+            raise ValueError(f"{w} is not dominant")
 
     @classmethod
     def chi(cls, data: LieData, w: Sequence[int], coeff: int = 1) -> "CharacterElt":
         return cls(data, {_check_weight(data, w): coeff})
-
-    def _check(self, other: "CharacterElt"):
-        if self.data.lie_type != other.data.lie_type:
-            raise ValueError("type mismatch")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CharacterElt)
-            and self.data.lie_type == other.data.lie_type
-            and self.terms == other.terms
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return CharacterElt(self.data, out)
-
-    def __neg__(self):
-        return CharacterElt(self.data, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar: int):
-        return CharacterElt(self.data, {w: scalar * c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -122,88 +95,39 @@ class CharacterElt:
                 out = out + (cl * cm) * tensor_decompose(self.data, l, m)
         return out
 
-    def __repr__(self):
-        body = " + ".join(f"{c}*chi{list(w)}" for w, c in sorted(self.terms.items()))
-        return f"CharacterElt({body or '0'})"
 
-
-class FusionElt:
+class FusionElt(SparseElt):
     """An element of the level-k fusion ring, over the level-k weight basis."""
 
-    __slots__ = ("data", "k", "terms")
+    __slots__ = _fields = ("data", "k")
 
     def __init__(self, data: LieData, k: int, terms: Mapping[Weight, int] | None = None):
         self.data = data
         self.k = k
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
-        for w in self.terms:
-            if not in_level(data, w, k):
-                raise ValueError(f"{w} is not a level-{k} weight")
+        super().__init__(terms)
 
-    def _check(self, other: "FusionElt"):
-        if self.data.lie_type != other.data.lie_type or self.k != other.k:
-            raise ValueError("fusion context mismatch")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FusionElt)
-            and self.data.lie_type == other.data.lie_type
-            and self.k == other.k
-            and self.terms == other.terms
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return FusionElt(self.data, self.k, out)
-
-    def __neg__(self):
-        return FusionElt(self.data, self.k, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar: int):
-        return FusionElt(self.data, self.k, {w: scalar * c for w, c in self.terms.items()})
-
-    def __repr__(self):
-        body = " + ".join(f"{c}*[{list(w)}]" for w, c in sorted(self.terms.items()))
-        return f"FusionElt(k={self.k}: {body or '0'})"
+    def _validate(self, w: Weight) -> None:
+        if not in_level(self.data, w, self.k):
+            raise ValueError(f"{w} is not a level-{self.k} weight")
 
 
-class LevelRepElt:
+class LevelRepElt(SparseElt):
     """A virtual level-k representation of the central extension attached to
     a face I: integer map on the weights nu with
     <nu, alpha_i_vee> + k delta_{i,0} >= 0 for i outside I."""
 
-    __slots__ = ("data", "I", "k", "terms")
+    __slots__ = _fields = ("data", "I", "k")
 
     def __init__(self, data: LieData, I: Sequence[int], k: int, terms: Mapping[Weight, int] | None = None):
         self.data = data
         self.I = _check_face_index(data, I)
         self.k = k
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
-        for w in self.terms:
-            for i in range(data.rank + 1):
-                if i not in self.I and weight_wall_value(data, w, i, k) < 0:
-                    raise ValueError(f"{w} is not in the level-{k} cone of {self.I}")
+        super().__init__(terms)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LevelRepElt)
-            and self.data.lie_type == other.data.lie_type
-            and (self.I, self.k) == (other.I, other.k)
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        body = " + ".join(f"{c}*chi{list(w)}" for w, c in sorted(self.terms.items()))
-        return f"LevelRepElt(I={self.I}, k={self.k}: {body or '0'})"
+    def _validate(self, w: Weight) -> None:
+        for i in range(self.data.rank + 1):
+            if i not in self.I and weight_wall_value(self.data, w, i, self.k) < 0:
+                raise ValueError(f"{w} is not in the level-{self.k} cone of {self.I}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +136,6 @@ class LevelRepElt:
 _MULT_CACHE: dict[tuple, dict[Weight, int]] = {}
 _FULL_MULT_CACHE: dict[tuple, dict[Weight, int]] = {}
 _DIM_CACHE: dict[tuple, int] = {}
-
-
-def _dominant_rep(data: LieData, w: Sequence) -> Weight:
-    out = tuple(w)
-    while True:
-        neg = next((j for j, x in enumerate(out) if x < 0), None)
-        if neg is None:
-            return tuple(int(x) for x in out)
-        c = out[neg]
-        root = data.node_root[neg + 1]
-        out = tuple(x - c * r for x, r in zip(out, root))
 
 
 def _dominant_weights_below(data: LieData, mu: Weight) -> list[Weight]:
@@ -292,6 +205,7 @@ def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Wei
     mu_rho = tuple(x + 1 for x in mu)
     top_norm = ip(mu_rho, mu_rho)
     mu_norm = ip(mu, mu)
+    walls = range(1, data.rank + 1)
     mults: dict[Weight, int] = {}
     for lam in _dominant_weights_below(data, mu):
         if lam == mu:
@@ -305,7 +219,7 @@ def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Wei
             # tau = lam + j*beta; ip(tau, tau) and ip(tau, beta) by expansion
             while lam_norm + j * (2 * lam_beta + j * beta_norm) <= mu_norm:
                 tau = tuple(x + j * r for x, r in zip(lam, beta))
-                m_tau = mults.get(_dominant_rep(data, tau), 0)
+                m_tau = mults.get(dominantize_walls(data, tau, 0, walls).weight, 0)
                 if m_tau:
                     total += m_tau * (lam_beta + j * beta_norm)
                 j += 1
@@ -316,10 +230,6 @@ def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Wei
         assert rem == 0 and val >= 0, (mu, lam, 2 * total, denom)
         if val:
             mults[lam] = val
-    assert (
-        sum(m * weyl_orbit_size(data, lam) for lam, m in mults.items())
-        == weyl_dimension(data, mu)
-    ), f"Freudenthal/Weyl dimension mismatch for {mu}"
     _MULT_CACHE[key] = mults
     return mults
 
@@ -341,12 +251,10 @@ def weyl_orbit(data: LieData, lam: Weight) -> list[Weight]:
     return sorted(seen)
 
 
-def weyl_orbit_size(data: LieData, lam: Weight) -> int:
-    return len(weyl_orbit(data, lam))
-
-
 def weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Weight, int]:
-    """Multiplicities of all weights of V_mu."""
+    """Multiplicities of all weights of V_mu, cross-checked against the Weyl
+    dimension formula: the Freudenthal multiplicities spread over the Weyl
+    orbits of the dominant weights must add up to dim V_mu."""
     mu = _check_weight(data, mu)
     key = (data.lie_type, mu)
     cached = _FULL_MULT_CACHE.get(key)
@@ -356,29 +264,15 @@ def weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Weight, int]
     for lam, m in dominant_weight_multiplicities(data, mu).items():
         for w in weyl_orbit(data, lam):
             out[w] = m
+    assert sum(out.values()) == weyl_dimension(data, mu), (
+        f"Freudenthal/Weyl dimension mismatch for {mu}"
+    )
     _FULL_MULT_CACHE[key] = out
     return out
 
 
 # ---------------------------------------------------------------------------
 # tensor products and the quotient map
-
-
-def _dominantize_linear_strict(data: LieData, v: Sequence[int]) -> tuple[Weight, int]:
-    """Reduce by the classical Weyl action; sign 0 on a chamber wall."""
-    out = tuple(v)
-    sign = 1
-    while True:
-        neg = next((j for j, x in enumerate(out) if x < 0), None)
-        if neg is None:
-            break
-        c = out[neg]
-        root = data.node_root[neg + 1]
-        out = tuple(x - c * r for x, r in zip(out, root))
-        sign = -sign
-    if any(x == 0 for x in out):
-        return out, 0
-    return out, sign
 
 
 _TENSOR_CACHE: dict[tuple, dict[Weight, int]] = {}
@@ -395,15 +289,13 @@ def tensor_decompose(data: LieData, lam: Sequence[int], mu: Sequence[int]) -> Ch
         return CharacterElt(data, cached)
     if weyl_dimension(data, mu) > weyl_dimension(data, lam):
         lam, mu = mu, lam
-    out: dict[Weight, int] = {}
-    for tau, m in weight_multiplicities(data, mu).items():
-        v = tuple(a + b + 1 for a, b in zip(lam, tau))
-        dom, sign = _dominantize_linear_strict(data, v)
-        if sign == 0:
-            continue
-        key = tuple(x - 1 for x in dom)
-        out[key] = out.get(key, 0) + sign * m
-    out = {w: c for w, c in out.items() if c}
+    # V_lam (x) V_mu = sum over the weights tau of V_mu of chi(lam + tau),
+    # each reduced by the classical Weyl group in the rho-shifted action
+    weights = {
+        tuple(a + b for a, b in zip(lam, tau)): m
+        for tau, m in weight_multiplicities(data, mu).items()
+    }
+    out = dominantize_terms(data, weights, 0, range(1, data.rank + 1), 1)
     assert all(c > 0 for c in out.values()), "Klimyk produced a negative multiplicity"
     dim_check = sum(c * weyl_dimension(data, w) for w, c in out.items())
     assert dim_check == weyl_dimension(data, lam) * weyl_dimension(data, mu)
@@ -418,15 +310,7 @@ def quotient_map(chi: CharacterElt, k: int) -> FusionElt:
         raise ValueError("level must be >= 0")
     data = chi.data
     m = k + data.dual_coxeter
-    out: dict[Weight, int] = {}
-    for mu, c in chi.terms.items():
-        shifted = tuple(x + 1 for x in mu)
-        rep, sign, _ = dominantize(data, shifted, m)
-        if sign == 0:
-            continue
-        key = tuple(x - 1 for x in rep)
-        out[key] = out.get(key, 0) + sign * c
-    return FusionElt(data, k, out)
+    return FusionElt(data, k, dominantize_terms(data, chi.terms, m, range(data.rank + 1), 1))
 
 
 _FUSION_CACHE: dict[tuple, dict[Weight, int]] = {}
@@ -436,7 +320,7 @@ def fusion_product(a: FusionElt, b: FusionElt) -> FusionElt:
     """Product in the fusion ring (tensor product followed by the quotient)."""
     a._check(b)
     data, k = a.data, a.k
-    out = FusionElt(data, k)
+    out = a._new({})
     for l, cl in a.terms.items():
         for m, cm in b.terms.items():
             key = (data.lie_type, k) + tuple(sorted((l, m)))
@@ -445,7 +329,7 @@ def fusion_product(a: FusionElt, b: FusionElt) -> FusionElt:
                 terms = quotient_map(tensor_decompose(data, l, m), k).terms
                 assert all(c > 0 for c in terms.values()), "negative fusion coefficient"
                 _FUSION_CACHE[key] = terms
-            out = out + (cl * cm) * FusionElt(data, k, terms)
+            out = out + (cl * cm) * a._new(terms)
     return out
 
 
@@ -483,17 +367,6 @@ def character_value(chi: CharacterElt, xi: Sequence) -> complex:
         c * irreducible_character_value(chi.data, mu, xi)
         for mu, c in chi.terms.items()
     )
-
-
-def weyl_character_value(data: LieData, mu: Weight, xi: Sequence) -> complex:
-    """Second numeric oracle: the Weyl character formula quotient at a
-    regular point."""
-    elts = weyl_elements(data, (0,))
-    mu_rho = tuple(x + 1 for x in mu)
-    rho = data.rho
-    num = sum(e.sign * _exp2pi(pairing(apply_weight(e, mu_rho, 0), xi)) for e in elts)
-    den = sum(e.sign * _exp2pi(pairing(apply_weight(e, rho, 0), xi)) for e in elts)
-    return num / den
 
 
 def fusion_character_value(phi: FusionElt, nu: Weight) -> complex:
@@ -537,42 +410,8 @@ def holomorphic_induction(phi: LevelRepElt, J: Sequence[int]) -> LevelRepElt:
     J = _check_face_index(data, J)
     if not set(J) <= set(phi.I):
         raise ValueError(f"{J} is not a subset of {phi.I}")
-    m = phi.k + data.dual_coxeter
     walls = [i for i in range(data.rank + 1) if i not in J]
-    out: dict[Weight, int] = {}
-    for mu, c in phi.terms.items():
-        shifted = tuple(x + 1 for x in mu)
-        rep, sign, _ = dominantize_walls(data, shifted, m, walls)
-        if sign == 0:
-            continue
-        key = tuple(x - 1 for x in rep)
-        out[key] = out.get(key, 0) + sign * c
-    return LevelRepElt(data, J, phi.k, out)
-
-
-def holomorphic_induction_bruteforce(phi: LevelRepElt, J: Sequence[int]) -> LevelRepElt:
-    """Oracle implementation: search W_J exhaustively for the unique element
-    carrying the shifted weight into the strict cone."""
-    data = phi.data
-    J = _check_face_index(data, J)
-    if not set(J) <= set(phi.I):
-        raise ValueError(f"{J} is not a subset of {phi.I}")
-    m = phi.k + data.dual_coxeter
-    walls = [i for i in range(data.rank + 1) if i not in J]
-    out: dict[Weight, int] = {}
-    for mu, c in phi.terms.items():
-        shifted = tuple(x + 1 for x in mu)
-        hits = []
-        for e in weyl_elements(data, J):
-            img = apply_weight(e, shifted, m)
-            if all(weight_wall_value(data, img, i, m) >= 1 for i in walls):
-                hits.append((img, e.sign))
-        assert len(hits) <= 1, "strict cone representative is not unique"
-        if not hits:
-            continue
-        img, sign = hits[0]
-        key = tuple(x - 1 for x in img)
-        out[key] = out.get(key, 0) + sign * c
+    out = dominantize_terms(data, phi.terms, phi.k + data.dual_coxeter, walls, 1)
     return LevelRepElt(data, J, phi.k, out)
 
 
@@ -583,14 +422,7 @@ def project_to_fusion(phi: LevelRepElt) -> FusionElt:
         raise ValueError("projection to the fusion ring needs a singleton face")
     data = phi.data
     m = phi.k + data.dual_coxeter
-    out: dict[Weight, int] = {}
-    for mu, c in phi.terms.items():
-        rep, sign, _ = dominantize(data, tuple(x + 1 for x in mu), m)
-        if sign == 0:
-            continue
-        key = tuple(x - 1 for x in rep)
-        out[key] = out.get(key, 0) + sign * c
-    return FusionElt(data, phi.k, out)
+    return FusionElt(data, phi.k, dominantize_terms(data, phi.terms, m, range(data.rank + 1), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 """Sparse integer group-ring elements over the weight lattice, and
 anti-invariants for the finite groups W_I under the shifted-level action.
 
-Elements carry their level context m (the shifted level at which
-anti-invariance is measured); mixing levels or ranks in a binary operation
-is a hard error.  Anti-invariants are stored by their regular cone
-representatives, never by full expansion.
+Both element classes are alcove.sparse.SparseElt subclasses and carry
+their level context m (the shifted level at which anti-invariance is
+measured); mixing levels or ranks in a binary operation raises
+LevelMismatchError.  Anti-invariants are stored by their regular cone
+representatives, never by full expansion, and re-skewed between faces by
+affine.dominantize_terms.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .affine import affine_reflect_weight, dominantize_walls, weight_wall_value
+from .affine import affine_reflect_weight, dominantize_terms, weight_wall_value
 from .lie import (
     LieData,
     Weight,
@@ -19,6 +21,7 @@ from .lie import (
     apply_weight,
     weyl_elements,
 )
+from .sparse import SparseElt
 
 
 class LevelMismatchError(ValueError):
@@ -33,22 +36,20 @@ class NotAntiInvariantError(ValueError):
         super().__init__(f"element is not anti-invariant: generator {generator} fails")
 
 
-def _clean(terms: Mapping[Weight, int]) -> dict[Weight, int]:
-    return {w: c for w, c in terms.items() if c}
-
-
-class GroupRingElt:
+class GroupRingElt(SparseElt):
     """A finitely supported integer map on the weight lattice."""
 
-    __slots__ = ("data", "level", "terms")
+    __slots__ = _fields = ("data", "level")
+    _mismatch = LevelMismatchError
 
     def __init__(self, data: LieData, level: int, terms: Mapping[Weight, int] | None = None):
         self.data = data
         self.level = level
-        self.terms = _clean(terms or {})
-        for w in self.terms:
-            if len(w) != data.rank:
-                raise ValueError(f"weight {w} has wrong rank")
+        super().__init__(terms)
+
+    def _validate(self, w: Weight) -> None:
+        if len(w) != self.data.rank:
+            raise ValueError(f"weight {w} has wrong rank")
 
     @classmethod
     def delta(cls, data: LieData, level: int, weight: Sequence[int], coeff: int = 1) -> "GroupRingElt":
@@ -57,45 +58,6 @@ class GroupRingElt:
     @classmethod
     def unit(cls, data: LieData, level: int) -> "GroupRingElt":
         return cls.delta(data, level, (0,) * data.rank)
-
-    def _check(self, other: "GroupRingElt") -> None:
-        if self.data.lie_type != other.data.lie_type or self.level != other.level:
-            raise LevelMismatchError(
-                f"context mismatch: {self.data.lie_type}@{self.level} vs "
-                f"{other.data.lie_type}@{other.level}"
-            )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupRingElt)
-            and self.data.lie_type == other.data.lie_type
-            and self.level == other.level
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.data.lie_type, self.level, frozenset(self.terms.items())))
-
-    def __add__(self, other: "GroupRingElt") -> "GroupRingElt":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return GroupRingElt(self.data, self.level, out)
-
-    def __neg__(self) -> "GroupRingElt":
-        return GroupRingElt(self.data, self.level, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "GroupRingElt") -> "GroupRingElt":
-        return self + (-other)
-
-    def __rmul__(self, scalar: int) -> "GroupRingElt":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return GroupRingElt(self.data, self.level, {w: scalar * c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         """Convolution product (the group-ring multiplication)."""
@@ -117,14 +79,6 @@ class GroupRingElt:
             out[key] = out.get(key, 0) + c
         return GroupRingElt(self.data, self.level, out)
 
-    def __repr__(self):
-        body = " + ".join(f"{c}*e{list(w)}" for w, c in sorted(self.terms.items()))
-        return f"GroupRingElt({self.data.lie_type}@{self.level}: {body or '0'})"
-
-
-def gr_multiply(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
-    return a * b
-
 
 def skew_symmetrize(phi: GroupRingElt, I: Sequence[int]) -> GroupRingElt:
     """Alternating sum of phi over W_I at the element's level (Sk over the
@@ -137,7 +91,7 @@ def skew_symmetrize(phi: GroupRingElt, I: Sequence[int]) -> GroupRingElt:
     return out
 
 
-class AntiInvariant:
+class AntiInvariant(SparseElt):
     """A W_I-anti-invariant stored by its regular cone representatives.
 
     Keys are weights nu in the strict cone (<nu, alpha_i_vee> + m delta_{i,0}
@@ -145,46 +99,19 @@ class AntiInvariant:
     Sk_I(nu) over the stored terms.
     """
 
-    __slots__ = ("data", "level", "I", "terms")
+    __slots__ = _fields = ("data", "level", "I")
+    _mismatch = LevelMismatchError
 
     def __init__(self, data: LieData, level: int, I: Sequence[int], terms: Mapping[Weight, int] | None = None):
         self.data = data
         self.level = level
         self.I = _check_face_index(data, I)
-        self.terms = _clean(terms or {})
-        walls = [i for i in range(data.rank + 1) if i not in self.I]
-        for nu in self.terms:
-            for i in walls:
-                if weight_wall_value(data, nu, i, level) < 1:
-                    raise ValueError(f"representative {nu} is not regular for wall {i}")
+        super().__init__(terms)
 
-    def _check(self, other: "AntiInvariant") -> None:
-        if (
-            self.data.lie_type != other.data.lie_type
-            or self.level != other.level
-            or self.I != other.I
-        ):
-            raise LevelMismatchError("anti-invariant context mismatch")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AntiInvariant)
-            and self.data.lie_type == other.data.lie_type
-            and self.level == other.level
-            and self.I == other.I
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "AntiInvariant") -> "AntiInvariant":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return AntiInvariant(self.data, self.level, self.I, out)
-
-    def __repr__(self):
-        body = " + ".join(f"{c}*[{list(w)}]" for w, c in sorted(self.terms.items()))
-        return f"AntiInvariant(I={self.I}, m={self.level}: {body or '0'})"
+    def _validate(self, nu: Weight) -> None:
+        for i in range(self.data.rank + 1):
+            if i not in self.I and weight_wall_value(self.data, nu, i, self.level) < 1:
+                raise ValueError(f"representative {nu} is not regular for wall {i}")
 
 
 def check_anti_invariant(phi: GroupRingElt, I: Sequence[int]) -> None:
@@ -197,7 +124,7 @@ def check_anti_invariant(phi: GroupRingElt, I: Sequence[int]) -> None:
         for w, c in phi.terms.items():
             key = affine_reflect_weight(phi.data, i, w, phi.level)
             moved[key] = moved.get(key, 0) + c
-        if _clean(moved) != _clean({w: -c for w, c in phi.terms.items()}):
+        if GroupRingElt(phi.data, phi.level, moved) != -phi:
             raise NotAntiInvariantError(i)
 
 
@@ -237,12 +164,7 @@ def reskew_to(anti: AntiInvariant, J: Sequence[int]) -> AntiInvariant:
     if not set(J) <= set(anti.I):
         raise ValueError(f"{J} is not a subset of {anti.I}")
     walls = [i for i in range(anti.data.rank + 1) if i not in J]
-    out: dict[Weight, int] = {}
-    for nu, c in anti.terms.items():
-        rep, sign, _ = dominantize_walls(anti.data, nu, anti.level, walls)
-        if sign == 0:
-            continue
-        out[rep] = out.get(rep, 0) + sign * c
+    out = dominantize_terms(anti.data, anti.terms, anti.level, walls, 0)
     return AntiInvariant(anti.data, anti.level, J, out)
 
 
@@ -254,7 +176,7 @@ def check_w_invariant(chi: GroupRingElt) -> None:
         for w, c in chi.terms.items():
             key = affine_reflect_weight(chi.data, i, w, 0)  # linear for i >= 1
             moved[key] = moved.get(key, 0) + c
-        if _clean(moved) != chi.terms:
+        if GroupRingElt(chi.data, chi.level, moved) != chi:
             raise ValueError(f"element is not W-invariant: reflection {i} fails")
 
 
@@ -266,18 +188,3 @@ def act_invariant(chi: GroupRingElt, anti: AntiInvariant) -> AntiInvariant:
     check_w_invariant(chi)
     product = chi * expand(anti)
     return to_cone_basis(product, anti.I)
-
-
-def groupring_to_json(phi: GroupRingElt) -> dict:
-    return {
-        "type": str(phi.data.lie_type),
-        "level": phi.level,
-        "terms": [
-            {"weight": list(w), "coeff": c} for w, c in sorted(phi.terms.items())
-        ],
-    }
-
-
-def groupring_from_json(data: LieData, doc: dict) -> GroupRingElt:
-    terms = {tuple(t["weight"]): int(t["coeff"]) for t in doc["terms"]}
-    return GroupRingElt(data, int(doc["level"]), terms)

@@ -29,7 +29,6 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -653,7 +652,3 @@ def lie_data_to_json(data: LieData) -> dict:
         "gram_weight": [[_frac_str(x) for x in row] for row in data.gram_weight],
         "alcove_vertices": [[_frac_str(x) for x in v] for v in data.alcove_vertices],
     }
-
-
-def lie_data_json(data: LieData) -> str:
-    return json.dumps(lie_data_to_json(data), indent=2)

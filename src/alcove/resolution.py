@@ -15,7 +15,9 @@ them, and exact homology of length-truncated subcomplexes via integer Smith
 normal form.
 
 All of this is independent of a level: the complex only sees the orbit
-combinatorics of V.
+combinatorics of V.  Chains are alcove.sparse.SparseElt elements, so their
+sums and multiples never re-normalize keys; a certificate must list each
+key's nodes strictly increasing.
 
 The homology path does no repeated work.  Each length truncation is built
 once per complex and shared.  d o d = 0 is checked on every entry by an exact
@@ -43,64 +45,32 @@ from .affine import (
 )
 from .intlinalg import invariant_factors, kernel_basis
 from .lie import CartanPoint, FaceIndex, LieData, _check_face_index, _frac_str
+from .sparse import SparseElt
 
 ChainKey = tuple[FaceIndex, CartanPoint]
 
 
-class ChainElt:
-    """A finitely supported integer combination of basis pairs (I, x)."""
+class ChainElt(SparseElt):
+    """A finitely supported integer combination of basis pairs (I, x).
 
-    __slots__ = ("J", "degree", "terms")
+    The constructor sorts each node set I and merges keys that agree after
+    sorting."""
+
+    __slots__ = _fields = ("J", "degree")
 
     def __init__(self, J: FaceIndex, degree: int, terms: Mapping[ChainKey, int] | None = None):
         self.J = J
         self.degree = degree
-        self.terms = {}
+        merged: dict[ChainKey, int] = {}
         for (I, x), c in (terms or {}).items():
-            I = tuple(sorted(set(I)))
-            if len(I) != degree + 1:
-                raise ValueError(f"key {I} has wrong size for degree {degree}")
-            key = (I, x)
-            self.terms[key] = self.terms.get(key, 0) + c
-        self.terms = {k: c for k, c in self.terms.items() if c}
+            key = (tuple(sorted(set(I))), x)
+            merged[key] = merged.get(key, 0) + c
+        super().__init__(merged)
 
-    def _check(self, other: "ChainElt"):
-        if self.J != other.J or self.degree != other.degree:
-            raise ValueError("chain context mismatch")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChainElt)
-            and self.J == other.J
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return ChainElt(self.J, self.degree, out)
-
-    def __neg__(self):
-        return ChainElt(self.J, self.degree, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar: int):
-        return ChainElt(self.J, self.degree, {k: scalar * c for k, c in self.terms.items()})
-
-    def __repr__(self):
-        body = " + ".join(
-            f"{c}*b[{list(I)}]({tuple(str(v) for v in x)})"
-            for (I, x), c in sorted(self.terms.items())
-        )
-        return f"ChainElt(J={self.J}, p={self.degree}: {body or '0'})"
+    def _validate(self, key: ChainKey) -> None:
+        I = key[0]
+        if len(I) != self.degree + 1:
+            raise ValueError(f"key {I} has wrong size for degree {self.degree}")
 
 
 @dataclass
@@ -408,9 +378,13 @@ def chain_to_json(c: ChainElt) -> list[dict]:
 
 
 def chain_from_json(J: FaceIndex, degree: int, doc: Iterable[Mapping]) -> ChainElt:
+    """Read chain terms; each key I must list its nodes strictly increasing,
+    as chain_to_json writes them."""
     terms: dict[ChainKey, int] = {}
     for item in doc:
         I = tuple(int(i) for i in item["I"])
+        if any(a >= b for a, b in zip(I, I[1:])):
+            raise ValueError(f"chain key {list(I)} is not strictly increasing")
         x = tuple(Fraction(v) for v in item["x"])
         terms[(I, x)] = terms.get((I, x), 0) + int(item["coeff"])
     return ChainElt(J, degree, terms)

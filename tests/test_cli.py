@@ -134,6 +134,20 @@ def test_verify_cert_repeated_face_node(tmp_path, capsys):
     assert "repeats a node" in err
 
 
+def test_verify_cert_unsorted_chain_key(tmp_path, capsys):
+    code, text, _ = run(capsys, "contract", "A2", "-J", "0,1,2", "-N", "3", "--seed", "5")
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["cycle"][0]["I"] == [0, 1]
+    doc["cycle"][0]["I"] = [1, 0, 0]
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-cert", str(cert))
+    assert code == 5
+    assert "certificate ok" not in out
+    assert "not strictly increasing" in err
+
+
 def test_verify_cert_echoes_canonical_face(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(

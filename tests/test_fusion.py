@@ -15,8 +15,8 @@ from alcove.fusion import (
     fusion_product,
     fusion_table,
     fusion_unit,
+    _exp2pi,
     holomorphic_induction,
-    holomorphic_induction_bruteforce,
     ideal_membership,
     irreducible_character_value,
     level_weights,
@@ -25,14 +25,61 @@ from alcove.fusion import (
     special_point,
     tensor_decompose,
     weight_multiplicities,
-    weyl_character_value,
     weyl_dimension,
 )
 from alcove.affine import weight_wall_value
 from alcove.groupring import AntiInvariant, reskew_to
-from alcove.lie import alcove_face_of, build_lie_data
+from alcove.lie import (
+    _check_face_index,
+    alcove_face_of,
+    apply_weight,
+    build_lie_data,
+    pairing,
+    weyl_elements,
+)
 
 RANK_LE_2 = ["A1", "A2", "B2", "C2", "G2"]
+
+
+# Two oracles used only by these tests, moved here from alcove.fusion with
+# their bodies unchanged: the Weyl character formula and exhaustive induction.
+
+
+def weyl_character_value(data, mu, xi):
+    """Second numeric oracle: the Weyl character formula quotient at a
+    regular point."""
+    elts = weyl_elements(data, (0,))
+    mu_rho = tuple(x + 1 for x in mu)
+    rho = data.rho
+    num = sum(e.sign * _exp2pi(pairing(apply_weight(e, mu_rho, 0), xi)) for e in elts)
+    den = sum(e.sign * _exp2pi(pairing(apply_weight(e, rho, 0), xi)) for e in elts)
+    return num / den
+
+
+def holomorphic_induction_bruteforce(phi, J):
+    """Oracle implementation: search W_J exhaustively for the unique element
+    carrying the shifted weight into the strict cone."""
+    data = phi.data
+    J = _check_face_index(data, J)
+    if not set(J) <= set(phi.I):
+        raise ValueError(f"{J} is not a subset of {phi.I}")
+    m = phi.k + data.dual_coxeter
+    walls = [i for i in range(data.rank + 1) if i not in J]
+    out = {}
+    for mu, c in phi.terms.items():
+        shifted = tuple(x + 1 for x in mu)
+        hits = []
+        for e in weyl_elements(data, J):
+            img = apply_weight(e, shifted, m)
+            if all(weight_wall_value(data, img, i, m) >= 1 for i in walls):
+                hits.append((img, e.sign))
+        assert len(hits) <= 1, "strict cone representative is not unique"
+        if not hits:
+            continue
+        img, sign = hits[0]
+        key = tuple(x - 1 for x in img)
+        out[key] = out.get(key, 0) + sign * c
+    return LevelRepElt(data, J, phi.k, out)
 
 
 def su2_closed_form(k, a, b, c):

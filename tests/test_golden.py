@@ -1,7 +1,9 @@
 """Golden CLI outputs: SHA-256 digests of the stdout of fixed invocations.
 
 The digests pin the exact bytes that the orbit, resolution and contraction
-commands print (JSON, certificates and text verdicts).  A change that alters
+commands print (JSON, certificates and text verdicts), and those of the
+fusion-side commands: fusion tables, single fusion products, the
+pre-quantization catalog and the root data.  A change that alters
 any of them on purpose must say so and why, and record the new digests.
 """
 
@@ -28,6 +30,18 @@ GOLDEN = {
         "500fc47bffdeec2384a613441e03374a41900f16b57a576bb4945ffb6f66a655",
     "contract A3 -J 0,1,2,3 -N 2 -p 2 --seed 1":
         "3672f9cd5da18196305958698a2222c9d2b340d535e9caf1fa25044cbbbc1060",
+    "fusion-table A2 -k 3 --format json":
+        "99148141d5a7f7ff22e23d09d383e7c5dead4e03b01b85bce93a19319f80e277",
+    "fusion-table G2 -k 2 --format csv":
+        "f54ccfecca3779d491a933099bcdbc64452c5e1140ce23192cacacf3a6bc273d",
+    "fusion-table B3 -k 1":
+        "954a04de7c9cb13188a37d0ce79dfc31d1a02e8e41126d0b35326f05ae33a69b",
+    "fusion B2 -k 2 1,0 0,1 --format json":
+        "d7dcfdad9d3d0f66dbfe9ae77d4d3f8970de69ee1d8f78f9d4d4aefa182ae0c0",
+    "prequant C2 -k 2 --format json":
+        "c0ad425575cb278eb6fb1181b3304975ff6879e1a8c706efa78d6ad6c244faaf",
+    "lie-info G2 --format json":
+        "393251cd2d7798ede379f89f2b9ce7e2b9e60ead879634db957fa6cf6e079f33",
 }
 
 

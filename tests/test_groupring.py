@@ -9,14 +9,33 @@ from alcove.groupring import (
     NotAntiInvariantError,
     act_invariant,
     expand,
-    gr_multiply,
-    groupring_from_json,
-    groupring_to_json,
     reskew_to,
     skew_symmetrize,
     to_cone_basis,
 )
 from alcove.lie import build_lie_data, face_data, weyl_elements
+
+
+# Used only here; moved from alcove.groupring with their bodies unchanged.
+
+
+def gr_multiply(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
+    return a * b
+
+
+def groupring_to_json(phi: GroupRingElt) -> dict:
+    return {
+        "type": str(phi.data.lie_type),
+        "level": phi.level,
+        "terms": [
+            {"weight": list(w), "coeff": c} for w, c in sorted(phi.terms.items())
+        ],
+    }
+
+
+def groupring_from_json(data, doc: dict) -> GroupRingElt:
+    terms = {tuple(t["weight"]): int(t["coeff"]) for t in doc["terms"]}
+    return GroupRingElt(data, int(doc["level"]), terms)
 
 
 def elt(data, level, *pairs):

@@ -413,6 +413,33 @@ def test_certificate_echoes_canonical_face():
     assert verify_certificate(_json.dumps(doc))["J"] == [0, 1, 2]
 
 
+def contract_certificate_a2():
+    """The certificate that `contract A2 -J 0,1,2 -N 3 --seed 5` prints."""
+    oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
+    cycle = oc.random_cycle(1, 3, random.Random(5), max_terms=4)
+    return certificate_json(oc, cycle, oc.contract_cycle(cycle))
+
+
+@pytest.mark.parametrize("I", [[1, 0, 0], [1, 0], [0, 0]])
+def test_certificate_non_canonical_chain_key_rejected(I):
+    import json as _json
+
+    text = contract_certificate_a2()
+    assert verify_certificate(text)["ok"]
+    doc = _json.loads(text)
+    assert doc["cycle"][0]["I"] == [0, 1]
+    doc["cycle"][0]["I"] = I
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        verify_certificate(_json.dumps(doc))
+
+
+@pytest.mark.parametrize("I", [[1, 0], [0, 0, 1], [2, 2]])
+def test_chain_from_json_rejects_unsorted_or_repeated_key(I):
+    doc = [{"I": I, "x": ["1/3", "1/3"], "coeff": 1}]
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        chain_from_json((0, 1, 2), 1, doc)
+
+
 # -- sparse d o d check, truncation cache, one reduction per matrix ------------------
 
 def dense_product(A, B):
