@@ -12,7 +12,8 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from math import lcm
+from typing import Callable, Iterable, Sequence
 
 from .affine import weight_wall_value
 from .fusion import (
@@ -32,6 +33,7 @@ from .lie import (
     LieData,
     alcove_face_of,
     b_sharp,
+    basic_pairing,
     build_lie_data,
     face_data,
     pairing,
@@ -57,9 +59,9 @@ RANK_LE_8 = (
 )
 
 
-def nonempty_faces(data: LieData):
-    nodes = range(data.rank + 1)
-    for size in range(1, data.rank + 2):
+def nonempty_faces(nodes: Sequence[int]):
+    """The nonempty subsets of ``nodes``, by size, each in lexicographic order."""
+    for size in range(1, len(nodes) + 1):
         yield from itertools.combinations(nodes, size)
 
 
@@ -154,14 +156,10 @@ def criterion_4_quotient_ring_hom(seed: int) -> str:
     return f"{pairs} random pairs"
 
 
-RESOLUTION_CONFIGS = (
-    [("A1", J, 4) for J in [(0,), (1,), (0, 1)]]
-    + [("A2", J, 4) for J in list(itertools.chain.from_iterable(
-        itertools.combinations((0, 1, 2), s) for s in (1, 2, 3)))]
-    + [("C2", J, 4) for J in list(itertools.chain.from_iterable(
-        itertools.combinations((0, 1, 2), s) for s in (1, 2, 3)))]
-    + [("G2", (0, 1, 2), 3), ("G2", (0,), 3)]
-)
+RESOLUTION_CONFIGS = [
+    (name, J, 4) for name, rank in [("A1", 1), ("A2", 2), ("C2", 2)]
+    for J in nonempty_faces(range(rank + 1))
+] + [("G2", (0, 1, 2), 3), ("G2", (0,), 3)]
 
 
 def criterion_5_resolution_exactness(seed: int) -> str:
@@ -212,37 +210,32 @@ def criterion_7_induction_coherence(seed: int) -> str:
     nodes = (0, 1, 2)
     grid = list(itertools.product(range(-2, 4), repeat=2))
     chains = 0
-    for I in nonempty_faces(d):
-        for sj in range(1, len(I) + 1):
-            for J in itertools.combinations(I, sj):
-                for sk_ in range(1, len(J) + 1):
-                    for K in itertools.combinations(J, sk_):
-                        for mu in grid:
-                            try:
-                                phi = LevelRepElt(d, I, k, {mu: 1})
-                            except ValueError:
-                                continue
-                            via = holomorphic_induction(
-                                holomorphic_induction(phi, J), K
-                            )
-                            assert via == holomorphic_induction(phi, K)
-                        chains += 1
-    matched = 0
-    for I in nonempty_faces(d):
-        for sj in range(1, len(I) + 1):
-            for J in itertools.combinations(I, sj):
+    for I in nonempty_faces(nodes):
+        for J in nonempty_faces(I):
+            for K in nonempty_faces(J):
                 for mu in grid:
                     try:
                         phi = LevelRepElt(d, I, k, {mu: 1})
-                        anti = AntiInvariant(d, m, I, {tuple(x + 1 for x in mu): 1})
                     except ValueError:
                         continue
-                    ind = holomorphic_induction(phi, J)
-                    res = reskew_to(anti, J)
-                    assert {
-                        tuple(x - 1 for x in w): c for w, c in res.terms.items()
-                    } == ind.terms
-                    matched += 1
+                    via = holomorphic_induction(holomorphic_induction(phi, J), K)
+                    assert via == holomorphic_induction(phi, K)
+                chains += 1
+    matched = 0
+    for I in nonempty_faces(nodes):
+        for J in nonempty_faces(I):
+            for mu in grid:
+                try:
+                    phi = LevelRepElt(d, I, k, {mu: 1})
+                    anti = AntiInvariant(d, m, I, {tuple(x + 1 for x in mu): 1})
+                except ValueError:
+                    continue
+                ind = holomorphic_induction(phi, J)
+                res = reskew_to(anti, J)
+                assert {
+                    tuple(x - 1 for x in w): c for w, c in res.terms.items()
+                } == ind.terms
+                matched += 1
     return f"{chains} chains, {matched} rho-shift agreements"
 
 
@@ -281,7 +274,7 @@ def criterion_9_phase_identities(seed: int) -> str:
     faces = 0
     for name in RANK_LE_4:
         d = build_lie_data(name)
-        for I in nonempty_faces(d):
+        for I in nonempty_faces(range(d.rank + 1)):
             f = face_data(d, I)
             diff = tuple(Fraction(r) - ri for r, ri in zip(d.rho, f.rho_I))
             for lam in f.coroot_lattice_basis:
@@ -295,12 +288,7 @@ def criterion_9_phase_identities(seed: int) -> str:
 
 def _min_coroot_norm(data: LieData, bound: int) -> Fraction:
     # integer-scaled Gram keeps the sweep in int arithmetic
-    from math import gcd
-
-    denom = 1
-    for row in data.gram_coroot:
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for row in data.gram_coroot for x in row))
     G = [[int(x * denom) for x in row] for row in data.gram_coroot]
     best = None
     for lam in itertools.product(range(-bound, bound + 1), repeat=data.rank):
@@ -326,13 +314,11 @@ def criterion_10_lie_structural(seed: int) -> str:
         # every simple coroot is checked exactly at any rank
         bound = 3 if d.rank <= 4 else (2 if d.rank <= 6 else 1)
         assert _min_coroot_norm(d, bound) == 2, name
-        from .lie import basic_pairing
-
         for root in d.positive_roots:
             norm = basic_pairing(d, root.coroot, root.coroot)
             assert norm >= 2 and norm == 2 / root.half_norm
         if d.rank <= 4:
-            for I in nonempty_faces(d):
+            for I in nonempty_faces(range(d.rank + 1)):
                 f = face_data(d, I)
                 assert alcove_face_of(d, f.nu_I_sharp) == I
         else:
@@ -343,7 +329,7 @@ def criterion_10_lie_structural(seed: int) -> str:
         d = build_lie_data(name)
         for k in range(0, 5):
             m = k + d.dual_coxeter
-            for I in nonempty_faces(d):
+            for I in nonempty_faces(range(d.rank + 1)):
                 walls = [i for i in range(d.rank + 1) if i not in I]
                 for mu in itertools.product(range(-2, 3), repeat=d.rank):
                     in_cone = all(weight_wall_value(d, mu, i, k) >= 0 for i in walls)
@@ -377,18 +363,33 @@ CRITERIA: list[tuple[str, Callable[[int], str]]] = [
 ]
 
 
+class UnknownCriteriaError(ValueError):
+    pass
+
+
+def select_criteria(names: Iterable[str] | None = None) -> list[tuple[str, Callable[[int], str]]]:
+    """The criteria selected by full name or by number, in suite order; all
+    of them when ``names`` is None.  A name that selects none raises
+    UnknownCriteriaError."""
+    if names is None:
+        return list(CRITERIA)
+    names = list(names)
+    known = {n for name, _ in CRITERIA for n in (name, name.split("-")[0])}
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        raise UnknownCriteriaError(f"unknown criteria: {', '.join(unknown)}")
+    return [(name, func) for name, func in CRITERIA if {name, name.split("-")[0]} & set(names)]
+
+
 def run_criteria(
     names: Iterable[str] | None = None,
     seed: int = 7,
     budget: float | None = None,
     emit: Callable[[str], None] | None = None,
 ) -> list[CriterionResult]:
-    selected = set(names) if names is not None else None
     results = []
     start = time.monotonic()
-    for name, func in CRITERIA:
-        if selected is not None and name not in selected and name.split("-")[0] not in selected:
-            continue
+    for name, func in select_criteria(names):
         if budget is not None and time.monotonic() - start > budget:
             if emit:
                 emit(f"SKIP {name}: time budget exceeded")

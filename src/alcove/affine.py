@@ -302,12 +302,3 @@ def crossing_length(data: LieData, x: Sequence) -> int:
             count -= 1
         total += max(count, 0)
     return total
-
-
-def orbit_to_json(points: Iterable[OrbitPoint]) -> list[dict]:
-    from .lie import _frac_str
-
-    return [
-        {"coords": [_frac_str(c) for c in op.point], "length": op.length}
-        for op in points
-    ]

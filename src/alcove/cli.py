@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Each command builds one JSON document, and ``_output`` prints it in the
+chosen format: indented JSON, a CSV of one list of rows in the document, or
+the command's text lines rendered from the same document.  Domain errors are
+raised as ValueError and reported by ``main``.
+
 Exit codes: 0 success / verified, 2 parse error, 3 domain precondition
 violated, 4 mathematical verdict mismatch, 5 invalid certificate.  Output
 cut short by a reader that closes the pipe early still exits 0, quietly.
@@ -8,30 +13,23 @@ cut short by a reader that closes the pipe early still exits 0, quietly.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
 import sys
-from fractions import Fraction
+from typing import Callable, Iterable
 
-from .fusion import (
-    FusionElt,
-    fusion_product,
-    fusion_table_csv,
-    fusion_table_json,
-    in_level,
-)
+from .fusion import FusionElt, fusion_product, fusion_table_json, in_level
 from .lie import (
     InvalidLieTypeError,
-    LieType,
-    OutsideAlcoveError,
     _frac_str,
     build_lie_data,
     face_data,
     lie_data_to_json,
 )
-from .affine import orbit_to_json, orbit_up_to_length
-from .prequant import prequant_catalog, prequant_catalog_csv
+from .affine import orbit_up_to_length
+from .prequant import prequant_catalog
 from .resolution import OrbitComplex, certificate_json, verify_certificate
 
 EXIT_OK = 0
@@ -62,165 +60,157 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
         raise CliParseError(f"cannot parse weight {text!r}") from exc
 
 
-def _parse_point(text: str, rank: int) -> tuple[Fraction, ...]:
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    if len(parts) != rank:
-        raise CliParseError(f"point {text!r} needs {rank} coordinates")
-    try:
-        return tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliParseError(f"cannot parse point {text!r}") from exc
-
-
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
 
 
-def cmd_lie_info(args) -> int:
-    data = build_lie_data(LieType.parse(args.group))
+def _csv_cell(value) -> str:
+    return ";".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def _output(
+    args, doc: dict, text: Callable[[dict], Iterable[str]], rows: str | None = None
+) -> None:
+    """Print a command's document in the format the user chose: as indented
+    JSON, as a CSV of the list ``doc[rows]`` (the header is the keys of its
+    first row, list fields are joined by ``;``), or as the lines ``text(doc)``.
+    """
     if args.format == "json":
-        doc = lie_data_to_json(data)
-        doc["nu_table"] = [
-            {
-                "I": list(I),
-                "nu_I": [_frac_str(x) for x in face_data(data, I).nu_I],
-                "nu_I_sharp": [_frac_str(x) for x in face_data(data, I).nu_I_sharp],
-                "weyl_order": face_data(data, I).weyl_order,
-            }
-            for I in _small_faces(data)
-        ]
         _emit(args, json.dumps(doc, indent=2))
-        return EXIT_OK
-    lines = [f"{data.lie_type}: rank {data.rank}, dual Coxeter number h_vee = {data.dual_coxeter}"]
-    lines.append("cartan matrix:")
-    for row in data.cartan:
-        lines.append("  " + " ".join(f"{x:3d}" for x in row))
-    lines.append(f"positive roots ({len(data.positive_roots)}):")
-    for r in data.positive_roots:
-        lines.append(f"  {list(r.weight)}")
-    lines.append(f"rho = {list(data.rho)}")
-    lines.append("alcove vertices:")
-    for i, v in enumerate(data.alcove_vertices):
-        lines.append(f"  v{i} = ({', '.join(_frac_str(x) for x in v)})")
-    lines.append("faces with |I| <= 2 (face: nu_I, nu_I_sharp, |W_I|):")
-    for I in _small_faces(data):
-        f = face_data(data, I)
-        lines.append(
-            f"  {list(I)}: nu_I=({', '.join(_frac_str(x) for x in f.nu_I)}), "
-            f"nu_I#=({', '.join(_frac_str(x) for x in f.nu_I_sharp)}), |W_I|={f.weyl_order}"
-        )
-    _emit(args, "\n".join(lines))
+    elif args.format == "csv":
+        table = doc[rows]
+        lines = [",".join(table[0])]
+        lines += [",".join(_csv_cell(v) for v in row.values()) for row in table]
+        _emit(args, "\n".join(lines) + "\n")
+    else:
+        _emit(args, "\n".join(text(doc)))
+
+
+def _tuple_str(values) -> str:
+    return f"({', '.join(values)})"
+
+
+def cmd_lie_info(args) -> int:
+    data = build_lie_data(args.group)
+    doc = lie_data_to_json(data)
+    doc["nu_table"] = []
+    for size in (1, 2):
+        for I in itertools.combinations(range(data.rank + 1), size):
+            f = face_data(data, I)
+            doc["nu_table"].append({
+                "I": list(I),
+                "nu_I": [_frac_str(x) for x in f.nu_I],
+                "nu_I_sharp": [_frac_str(x) for x in f.nu_I_sharp],
+                "weyl_order": f.weyl_order,
+            })
+
+    def text(doc):
+        yield f"{doc['type']}: rank {doc['rank']}, dual Coxeter number h_vee = {doc['dual_coxeter']}"
+        yield "cartan matrix:"
+        for row in doc["cartan_matrix"]:
+            yield "  " + " ".join(f"{x:3d}" for x in row)
+        yield f"positive roots ({len(doc['positive_roots'])}):"
+        for r in doc["positive_roots"]:
+            yield f"  {r}"
+        yield f"rho = {doc['rho']}"
+        yield "alcove vertices:"
+        for i, v in enumerate(doc["alcove_vertices"]):
+            yield f"  v{i} = {_tuple_str(v)}"
+        yield "faces with |I| <= 2 (face: nu_I, nu_I_sharp, |W_I|):"
+        for f in doc["nu_table"]:
+            yield (
+                f"  {f['I']}: nu_I={_tuple_str(f['nu_I'])}, "
+                f"nu_I#={_tuple_str(f['nu_I_sharp'])}, |W_I|={f['weyl_order']}"
+            )
+
+    _output(args, doc, text)
     return EXIT_OK
 
 
-def _small_faces(data):
-    import itertools
-
-    nodes = range(data.rank + 1)
-    return [
-        I
-        for size in (1, 2)
-        for I in itertools.combinations(nodes, size)
-    ]
-
-
 def cmd_fusion(args) -> int:
-    data = build_lie_data(LieType.parse(args.group))
+    data = build_lie_data(args.group)
     lam = _parse_weight(args.lam, data.rank)
     mu = _parse_weight(args.mu, data.rank)
     for w in (lam, mu):
         if not in_level(data, w, args.level):
-            print(f"error: {','.join(map(str, w))} is not a level-{args.level} weight", file=sys.stderr)
-            return EXIT_DOMAIN
+            raise ValueError(f"{','.join(map(str, w))} is not a level-{args.level} weight")
     prod = fusion_product(
         FusionElt(data, args.level, {lam: 1}), FusionElt(data, args.level, {mu: 1})
     )
-    if args.format == "json":
-        _emit(args, json.dumps(
-            {"type": str(data.lie_type), "k": args.level,
-             "a": list(lam), "b": list(mu),
-             "terms": [{"c": list(c), "N": n} for c, n in sorted(prod.terms.items())]},
-            indent=2,
-        ))
-    else:
-        _emit(args, "\n".join(f"{','.join(map(str, c))}: {n}" for c, n in sorted(prod.terms.items())) or "0")
+    doc = {"type": str(data.lie_type), "k": args.level, "a": list(lam), "b": list(mu),
+           "terms": [{"c": list(c), "N": n} for c, n in sorted(prod.terms.items())]}
+
+    def text(doc):
+        return [f"{','.join(map(str, t['c']))}: {t['N']}" for t in doc["terms"]] or ["0"]
+
+    _output(args, doc, text)
     return EXIT_OK
 
 
 def cmd_fusion_table(args) -> int:
-    data = build_lie_data(LieType.parse(args.group))
+    data = build_lie_data(args.group)
     if args.level < 0:
-        print("error: level must be >= 0", file=sys.stderr)
-        return EXIT_DOMAIN
-    if args.format == "json":
-        _emit(args, json.dumps(fusion_table_json(data, args.level), indent=2))
-    elif args.format == "csv":
-        _emit(args, fusion_table_csv(data, args.level))
-    else:
-        doc = fusion_table_json(data, args.level)
-        lines = [f"{data.lie_type} level {args.level}: {len(doc['basis'])} generators"]
+        raise ValueError("level must be >= 0")
+
+    def text(doc):
+        yield f"{doc['type']} level {doc['k']}: {len(doc['basis'])} generators"
         for row in doc["constants"]:
-            lines.append(
+            yield (
                 f"  [{','.join(map(str, row['a']))}] * [{','.join(map(str, row['b']))}]"
                 f" -> [{','.join(map(str, row['c']))}] : {row['N']}"
             )
-        _emit(args, "\n".join(lines))
+
+    _output(args, fusion_table_json(data, args.level), text, rows="constants")
     return EXIT_OK
 
 
 def cmd_orbit(args) -> int:
-    data = build_lie_data(LieType.parse(args.group))
+    data = build_lie_data(args.group)
     J = _parse_face(args.face)
-    points = orbit_up_to_length(data, J, args.trunc)
-    if args.format == "json":
-        _emit(args, json.dumps(
-            {"group": str(data.lie_type), "J": list(J), "N": args.trunc,
-             "points": orbit_to_json(points)}, indent=2))
-    else:
-        lines = [f"{len(points)} orbit points with length <= {args.trunc}"]
-        for op in points:
-            lines.append(f"  ({', '.join(_frac_str(x) for x in op.point)})  l={op.length}")
-        _emit(args, "\n".join(lines))
+    doc = {"group": str(data.lie_type), "J": list(J), "N": args.trunc, "points": [
+        {"coords": [_frac_str(c) for c in op.point], "length": op.length}
+        for op in orbit_up_to_length(data, J, args.trunc)
+    ]}
+
+    def text(doc):
+        yield f"{len(doc['points'])} orbit points with length <= {doc['N']}"
+        for p in doc["points"]:
+            yield f"  {_tuple_str(p['coords'])}  l={p['length']}"
+
+    _output(args, doc, text)
     return EXIT_OK
 
 
 def cmd_resolution(args) -> int:
-    data = build_lie_data(LieType.parse(args.group))
+    data = build_lie_data(args.group)
     face = _parse_face(args.face)
     if args.trunc < 1:
-        print("error: truncation must be >= 1", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise ValueError("truncation must be >= 1")
     report = OrbitComplex(data, face).homology_report(args.trunc)
-    if args.format == "json":
-        _emit(args, json.dumps(report, indent=2))
-    else:
-        lines = [
-            f"{report['group']} J={report['J']} N={report['N']}: expected H0 = {report['H0']}"
-        ]
-        for deg in report["degrees"]:
-            lines.append(
+
+    def text(doc):
+        yield f"{doc['group']} J={doc['J']} N={doc['N']}: expected H0 = {doc['H0']}"
+        for deg in doc["degrees"]:
+            yield (
                 f"  p={deg['p']}: dim={deg['dim']} rank_ker={deg['rank_ker']} "
                 f"rank_im_above={deg['rank_im_above']} torsion={deg['torsion']} "
                 f"verdict={deg['verdict']}"
             )
-        lines.append("verified" if report["all_ok"] else "VERDICT MISMATCH")
-        _emit(args, "\n".join(lines))
+        yield "verified" if doc["all_ok"] else "VERDICT MISMATCH"
+
+    _output(args, report, text)
     return EXIT_OK if report["all_ok"] else EXIT_VERDICT
 
 
 def cmd_contract(args) -> int:
-    data = build_lie_data(LieType.parse(args.group))
+    data = build_lie_data(args.group)
     face = _parse_face(args.face)
     if not 0 < args.degree < data.rank:
-        print(
-            f"error: degree must be strictly between 0 and {data.rank}",
-            file=sys.stderr,
-        )
-        return EXIT_DOMAIN
+        raise ValueError(f"degree must be strictly between 0 and {data.rank}")
     oc = OrbitComplex(data, face)
     rng = random.Random(args.seed)
     cycle = oc.random_cycle(args.degree, args.trunc, rng, max_terms=args.samples)
@@ -242,39 +232,33 @@ def cmd_verify_cert(args) -> int:
 
 
 def cmd_prequant(args) -> int:
-    data = build_lie_data(LieType.parse(args.group))
+    data = build_lie_data(args.group)
     if args.level < 1:
-        print("error: pre-quantization enumeration needs level >= 1", file=sys.stderr)
-        return EXIT_DOMAIN
-    if args.format == "json":
-        _emit(args, json.dumps(
-            {"type": str(data.lie_type), "k": args.level,
-             "classes": prequant_catalog(data, args.level)}, indent=2))
-    elif args.format == "csv":
-        _emit(args, prequant_catalog_csv(data, args.level))
-    else:
-        rows = prequant_catalog(data, args.level)
-        lines = [f"{len(rows)} pre-quantized classes at level {args.level}"]
-        for row in rows:
-            lines.append(
-                f"  xi=({', '.join(row['xi'])}) face={row['face']} mu={row['mu']} "
-                f"|W_I|={row['weyl_order']} phases=({', '.join(row['phases'])})"
+        raise ValueError("pre-quantization enumeration needs level >= 1")
+
+    def text(doc):
+        yield f"{len(doc['classes'])} pre-quantized classes at level {doc['k']}"
+        for row in doc["classes"]:
+            yield (
+                f"  xi={_tuple_str(row['xi'])} face={row['face']} mu={row['mu']} "
+                f"|W_I|={row['weyl_order']} phases={_tuple_str(row['phases'])}"
             )
-        _emit(args, "\n".join(lines))
+
+    doc = {"type": str(data.lie_type), "k": args.level,
+           "classes": prequant_catalog(data, args.level)}
+    _output(args, doc, text, rows="classes")
     return EXIT_OK
 
 
 def cmd_selftest(args) -> int:
-    from .acceptance import CRITERIA, run_criteria
+    from .acceptance import UnknownCriteriaError, run_criteria
 
     names = args.criteria.split(",") if args.criteria else None
-    if names is not None:
-        known = {n for n, _ in CRITERIA} | {n.split("-")[0] for n, _ in CRITERIA}
-        unknown = [n for n in names if n not in known]
-        if unknown:
-            print(f"unknown criteria: {', '.join(unknown)}", file=sys.stderr)
-            return EXIT_PARSE
-    results = run_criteria(names=names, seed=args.seed, budget=args.budget, emit=print)
+    try:
+        results = run_criteria(names=names, seed=args.seed, budget=args.budget, emit=print)
+    except UnknownCriteriaError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_PARSE
     return EXIT_OK if all(r.ok for r in results) else EXIT_VERDICT
 
 
@@ -286,69 +270,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, func, help, group=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if group:
+            p.add_argument("group")
+        return p
+
     def add_common(p, formats=("text", "json")):
         p.add_argument("--format", choices=formats, default=default_format if default_format in formats else "text")
         p.add_argument("--out", metavar="FILE", default=None)
 
-    p = sub.add_parser("lie-info", help="root system, alcove and face data")
-    p.add_argument("group")
+    p = command("lie-info", cmd_lie_info, "root system, alcove and face data")
     add_common(p)
-    p.set_defaults(func=cmd_lie_info)
 
-    p = sub.add_parser("fusion", help="fusion product of two level-k weights")
-    p.add_argument("group")
+    p = command("fusion", cmd_fusion, "fusion product of two level-k weights")
     p.add_argument("--level", "-k", type=int, required=True)
     p.add_argument("lam", metavar="LAMBDA", help="comma-separated weight coordinates")
     p.add_argument("mu", metavar="MU")
     add_common(p)
-    p.set_defaults(func=cmd_fusion)
 
-    p = sub.add_parser("fusion-table", help="all structure constants at level k")
-    p.add_argument("group")
+    p = command("fusion-table", cmd_fusion_table, "all structure constants at level k")
     p.add_argument("--level", "-k", type=int, required=True)
     add_common(p, formats=("text", "json", "csv"))
-    p.set_defaults(func=cmd_fusion_table)
 
-    p = sub.add_parser("orbit", help="affine Weyl orbit points up to a length bound")
-    p.add_argument("group")
+    p = command("orbit", cmd_orbit, "affine Weyl orbit points up to a length bound")
     p.add_argument("--face", "-J", required=True, help="comma-separated node indices")
     p.add_argument("--trunc", "-N", type=int, required=True)
     add_common(p)
-    p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("resolution", help="homology verdicts of the truncated complex")
-    p.add_argument("group")
+    p = command("resolution", cmd_resolution, "homology verdicts of the truncated complex")
     p.add_argument("--face", "-J", required=True)
     p.add_argument("--trunc", "-N", type=int, required=True)
     p.add_argument("--level", "-k", type=int, default=0, help="accepted for symmetry; the complex does not depend on it")
     add_common(p)
-    p.set_defaults(func=cmd_resolution)
 
-    p = sub.add_parser("contract", help="emit a certified cycle-contraction certificate")
-    p.add_argument("group")
+    p = command("contract", cmd_contract, "emit a certified cycle-contraction certificate")
     p.add_argument("--face", "-J", required=True)
     p.add_argument("--trunc", "-N", type=int, required=True)
     p.add_argument("--degree", "-p", type=int, default=1)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--samples", type=int, default=4, help="kernel vectors mixed into the cycle")
     p.add_argument("--out", metavar="FILE", default=None)
-    p.set_defaults(func=cmd_contract)
 
-    p = sub.add_parser("verify-cert", help="re-check a contraction certificate")
+    p = command("verify-cert", cmd_verify_cert, "re-check a contraction certificate", group=False)
     p.add_argument("file")
-    p.set_defaults(func=cmd_verify_cert)
 
-    p = sub.add_parser("prequant", help="catalog of pre-quantized conjugacy classes")
-    p.add_argument("group")
+    p = command("prequant", cmd_prequant, "catalog of pre-quantized conjugacy classes")
     p.add_argument("--level", "-k", type=int, required=True)
     add_common(p, formats=("text", "json", "csv"))
-    p.set_defaults(func=cmd_prequant)
 
-    p = sub.add_parser("selftest", help="run the acceptance criteria")
+    p = command("selftest", cmd_selftest, "run the acceptance criteria", group=False)
     p.add_argument("--criteria", default=None, help="comma-separated criterion names or numbers")
     p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
     p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
@@ -370,9 +345,6 @@ def main(argv=None) -> int:
     except (InvalidLieTypeError, CliParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OutsideAlcoveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

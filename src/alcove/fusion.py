@@ -162,20 +162,22 @@ def _dominant_weights_below(data: LieData, mu: Weight) -> list[Weight]:
 
 
 def weyl_dimension(data: LieData, mu: Sequence[int]) -> int:
-    """Dimension of the irreducible representation by the Weyl formula."""
-    mu = _check_weight(data, mu)
-    if not is_dominant(data, mu):
-        raise ValueError(f"{mu} is not dominant")
-    key = (data.lie_type, mu)
-    dim = _DIM_CACHE.get(key)
+    """Dimension of the irreducible representation by the Weyl formula.
+
+    The cache holds only checked weights, so a hit needs no check."""
+    mu = tuple(mu)
+    dim = _DIM_CACHE.get((data.lie_type, mu))
     if dim is None:
+        mu = _check_weight(data, mu)
+        if not is_dominant(data, mu):
+            raise ValueError(f"{mu} is not dominant")
         num = den = 1
         for root in data.positive_roots:
             num *= sum((a + 1) * b for a, b in zip(mu, root.coroot))
             den *= sum(root.coroot)
         dim, rem = divmod(num, den)
         assert rem == 0 and dim > 0
-        _DIM_CACHE[key] = dim
+        _DIM_CACHE[(data.lie_type, mu)] = dim
     return dim
 
 
@@ -453,17 +455,3 @@ def fusion_table_json(data: LieData, k: int) -> dict:
             for a, b, c, n in fusion_table(data, k)
         ],
     }
-
-
-def fusion_table_csv(data: LieData, k: int) -> str:
-    lines = ["a,b,c,N"]
-    for a, b, c, n in fusion_table(data, k):
-        lines.append(
-            ";".join(str(x) for x in a)
-            + ","
-            + ";".join(str(x) for x in b)
-            + ","
-            + ";".join(str(x) for x in c)
-            + f",{n}"
-        )
-    return "\n".join(lines) + "\n"

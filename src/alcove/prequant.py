@@ -155,18 +155,3 @@ def prequant_catalog(data: LieData, k: int) -> list[dict]:
             }
         )
     return rows
-
-
-def prequant_catalog_csv(data: LieData, k: int) -> str:
-    lines = ["xi,face,mu,weyl_order,phases"]
-    for row in prequant_catalog(data, k):
-        lines.append(
-            ";".join(row["xi"])
-            + ","
-            + ";".join(str(i) for i in row["face"])
-            + ","
-            + ";".join(str(x) for x in row["mu"])
-            + f",{row['weyl_order']},"
-            + ";".join(row["phases"])
-        )
-    return "\n".join(lines) + "\n"

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from alcove.acceptance import CRITERIA
+from alcove.acceptance import CRITERIA, UnknownCriteriaError, select_criteria
 
 SEED = 7
 
@@ -22,3 +22,15 @@ def test_criterion(name, func):
         print(f"FAIL {name}: {exc}")
         raise
     print(f"PASS {name} ({time.monotonic() - t0:.2f}s): {detail}")
+
+
+def test_select_by_name_or_number_in_suite_order():
+    picked = select_criteria(["10-lie-structural", "3", "1"])
+    assert [name for name, _ in picked] == ["1-su2-closed-form", "3-ring-axioms", "10-lie-structural"]
+    assert select_criteria(None) == CRITERIA
+    assert select_criteria(["3", "3-ring-axioms"]) == [CRITERIA[2]]
+
+
+def test_select_unknown_names_raise_in_given_order():
+    with pytest.raises(UnknownCriteriaError, match=r"^unknown criteria: 99, ring, $"):
+        select_criteria(["99", "1", "ring", ""])

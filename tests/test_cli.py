@@ -210,6 +210,49 @@ def test_selftest_unknown_selection(capsys):
     assert code == 2
 
 
+def test_selftest_unknown_names_listed_and_nothing_run(capsys):
+    code, out, err = run(capsys, "selftest", "--criteria", "1,99,foo")
+    assert code == 2
+    assert out == ""
+    assert err == "unknown criteria: 99, foo\n"
+
+
+def test_format_env_selects_json(capsys, monkeypatch):
+    monkeypatch.setenv("ALCOVE_FORMAT", "json")
+    code, out, _ = run(capsys, "fusion", "A1", "-k", "1", "1", "1")
+    assert code == 0
+    assert json.loads(out) == {"type": "A1", "k": 1, "a": [1], "b": [1],
+                               "terms": [{"c": [0], "N": 1}]}
+
+
+def test_format_env_csv_falls_back_to_text(capsys, monkeypatch):
+    monkeypatch.delenv("ALCOVE_FORMAT", raising=False)
+    code, text, _ = run(capsys, "orbit", "A2", "-J", "0,1,2", "-N", "2")
+    monkeypatch.setenv("ALCOVE_FORMAT", "csv")
+    code_env, out, _ = run(capsys, "orbit", "A2", "-J", "0,1,2", "-N", "2")
+    assert code == code_env == 0
+    assert out == text
+    assert out.startswith("10 orbit points with length <= 2\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fusion-table", "G2", "-k", "1", "--format", "json"],
+    ["prequant", "C2", "-k", "2", "--format", "csv"],
+    ["lie-info", "A2"],
+])
+def test_out_file_matches_stdout(tmp_path, capsys, argv):
+    target = tmp_path / "out"
+    code, stdout, _ = run(capsys, *argv)
+    code_file, printed, _ = run(capsys, *argv, "--out", str(target))
+    assert code == code_file == 0
+    assert printed == ""
+    # print() ends every document with one newline; the file gets it only
+    # when the document lacks one, so CSV (already newline-terminated)
+    # prints one more blank line than it writes
+    expect = stdout[:-1] if stdout.endswith("\n\n") else stdout
+    assert target.read_bytes() == expect.encode()
+
+
 def test_deterministic_output(capsys):
     code1, out1, _ = run(capsys, "fusion-table", "G2", "-k", "1", "--format", "json")
     code2, out2, _ = run(capsys, "fusion-table", "G2", "-k", "1", "--format", "json")

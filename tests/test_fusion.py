@@ -136,6 +136,33 @@ def test_multiplicities_nondominant_rejected():
         dominant_weight_multiplicities(build_lie_data("A1"), (-1,))
 
 
+def test_weyl_dimension_checks_survive_a_warm_cache():
+    """A cache hit skips the argument checks, so a bad weight must never hit:
+    with other weights of the same type cached, a non-dominant and a
+    wrong-rank weight still raise, also on a second call."""
+    a2 = build_lie_data("A2")
+    for mu in itertools.product(range(3), repeat=2):
+        weyl_dimension(a2, mu)
+    for bad in [(-1, 0), (2, -1), (1,), (1, 1, 0), ()]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                weyl_dimension(a2, bad)
+    with pytest.raises(ValueError):
+        weyl_dimension(build_lie_data("A1"), (1, 1))
+    assert weyl_dimension(a2, [1, 1]) == weyl_dimension(a2, iter((1, 1))) == 8
+
+
+def test_weyl_dimension_hit_skips_checks(monkeypatch):
+    from alcove import fusion
+
+    a2 = build_lie_data("A2")
+    assert weyl_dimension(a2, (2, 1)) == 15
+    calls = []
+    monkeypatch.setattr(fusion, "_check_weight", lambda *a: calls.append(a))
+    assert weyl_dimension(a2, (2, 1)) == 15
+    assert calls == []
+
+
 def box_walk_dominant_weights_below(data, mu):
     """Oracle: every nonnegative root-lattice vector c in the box bounded by
     the root coordinates of mu, keeping the dominant mu - c, ordered by

@@ -3,7 +3,8 @@
 The digests pin the exact bytes that the orbit, resolution and contraction
 commands print (JSON, certificates and text verdicts), and those of the
 fusion-side commands: fusion tables, single fusion products, the
-pre-quantization catalog and the root data.  A change that alters
+pre-quantization catalog and the root data, in every output format each
+command accepts (text, JSON and CSV).  A change that alters
 any of them on purpose must say so and why, and record the new digests.
 """
 
@@ -42,6 +43,18 @@ GOLDEN = {
         "c0ad425575cb278eb6fb1181b3304975ff6879e1a8c706efa78d6ad6c244faaf",
     "lie-info G2 --format json":
         "393251cd2d7798ede379f89f2b9ce7e2b9e60ead879634db957fa6cf6e079f33",
+    "lie-info G2":
+        "521e4d198ae005758ccfe25a3073c78aa7514f7f57ebbef26e50c16d58877aaa",
+    "fusion B2 -k 2 1,0 0,1":
+        "73d4d5549c8fa7a400638ec7337f308df301aaabb1968cb8253a7ce0a6741883",
+    "orbit A2 -J 0,1,2 -N 3":
+        "1ed3b890a0b81554ce548398788c115d3a1d9628ac3704a0faec61f5b66ded65",
+    "prequant C2 -k 2":
+        "70596348a61c57dcd7268590966596239a2583eb54a01662b848ced8f5f27c9b",
+    "prequant C2 -k 2 --format csv":
+        "f19752ccd9fd7acadc7ebf740da98c615bc21761f02522634d06df2ca065917c",
+    "fusion-table A2 -k 0 --format csv":
+        "0c3f6bf7d1b639c12609baa99b1ccbd33e0c5caff5e50633aeb804e22042dfa5",
 }
 
 
