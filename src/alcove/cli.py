@@ -61,9 +61,10 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
 
 
 def _emit(args, text: str) -> None:
+    """Print text with one newline, to stdout or to the --out file."""
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text + "\n")
     else:
         print(text)
 
@@ -85,7 +86,7 @@ def _output(
         table = doc[rows]
         lines = [",".join(table[0])]
         lines += [",".join(_csv_cell(v) for v in row.values()) for row in table]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines))
     else:
         _emit(args, "\n".join(text(doc)))
 

@@ -20,12 +20,15 @@ sums and multiples never re-normalize keys; a certificate must list each
 key's nodes strictly increasing.
 
 The homology path does no repeated work.  Each length truncation is built
-once per complex and shared.  d o d = 0 is checked on every entry by an exact
-sparse product: each column of d_p is sent through the nonzero columns of
-d_{p-1}.  Each boundary matrix gets one Smith reduction, whose nonzero
-invariant factors give both its rank and its torsion.  The H0 augmentation
-check computes the sign (-1)^length once per row of d_1 and tests every
-column against it.
+once per complex and shared, and stores each boundary map d_p as sparse
+columns: one list of (row, coeff) pairs per basis element of degree p.
+d o d = 0 is checked on every entry by an exact sparse product: each column
+of d_p is sent through the columns of d_{p-1} it meets.  Each nonzero
+boundary matrix gets one invariant_factors call, which eliminates +-1 pivots
+(each an invariant factor 1) and reduces only what is left densely; the
+factors give both the rank (their number) and the torsion (those above 1).
+The H0 augmentation check reads the sign (-1)^length of each row of d_1 from
+the orbit's length table and tests every column against it.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .affine import (
     reduce_point_to_alcove,
     reduce_point_to_cone,
 )
-from .intlinalg import invariant_factors, kernel_basis
+from .intlinalg import invariant_factors, kernel_basis, to_dense
 from .lie import CartanPoint, FaceIndex, LieData, _check_face_index, _frac_str
 from .sparse import SparseElt
 
@@ -80,7 +83,9 @@ class TruncatedComplex:
     J: FaceIndex
     N: int
     bases: list[list[ChainKey]]
-    matrices: dict[int, list[list[int]]]  # degree p -> matrix of d_p
+    # degree p -> d_p as sparse columns: for each basis element of degree p,
+    # the (row, coeff) pairs of its boundary, sorted by row, coeff nonzero
+    matrices: dict[int, list[list[tuple[int, int]]]]
 
 
 class OrbitComplex:
@@ -97,6 +102,9 @@ class OrbitComplex:
     # -- lengths ------------------------------------------------------------
 
     def length_of(self, x: CartanPoint) -> int:
+        known = self.ctx._length.get(tuple(x))
+        if known is not None:
+            return known
         # the hyperplane-crossing count bounds the search depth exactly
         hint = max(self._explored, crossing_length(self.data, x))
         return self.ctx.length_of(x, hint)
@@ -236,16 +244,14 @@ class OrbitComplex:
         l = self.data.rank
         bases = [self.basis_elements(p, n) for p in range(l + 1)]
         index = [{key: idx for idx, key in enumerate(b)} for b in bases]
-        matrices: dict[int, list[list[int]]] = {}
+        matrices: dict[int, list[list[tuple[int, int]]]] = {}
         for p in range(1, l + 1):
-            rows, cols = len(bases[p - 1]), len(bases[p])
-            M = [[0] * cols for _ in range(rows)]
-            for col, (I, x) in enumerate(bases[p]):
-                image = self.boundary(ChainElt(self.J, p, {(I, x): 1}))
-                for key, coeff in image.terms.items():
-                    # the boundary never raises lengths, so keys stay inside
-                    M[index[p - 1][key]][col] = coeff
-            matrices[p] = M
+            # the boundary never raises lengths, so keys stay inside
+            matrices[p] = [
+                sorted((index[p - 1][key], coeff) for key, coeff in
+                       self.boundary(ChainElt(self.J, p, {key: 1})).terms.items())
+                for key in bases[p]
+            ]
         for p in range(2, l + 1):
             check_d_squared_zero(matrices[p - 1], matrices[p], p)
         tc = TruncatedComplex(self.J, n, bases, matrices)
@@ -255,9 +261,13 @@ class OrbitComplex:
     def random_cycle(self, p: int, n: int, rng, max_terms: int = 4) -> ChainElt:
         """A random integer cycle in degree p of the length-n truncation."""
         tc = self.truncated(n)
+        if p < 1:
+            return ChainElt(self.J, p)
         basis = tc.bases[p]
-        ker = kernel_basis(tc.matrices[p], len(basis)) if p >= 1 else None
-        if ker is None or not ker:
+        # the kernel basis is computed densely, as the sampled cycles (and
+        # so the certificates) depend on its exact vectors
+        ker = kernel_basis(to_dense(tc.matrices[p], len(tc.bases[p - 1])), len(basis))
+        if not ker:
             return ChainElt(self.J, p)
         terms: dict[ChainKey, int] = {}
         for vec in rng.sample(ker, min(max_terms, len(ker))):
@@ -282,9 +292,9 @@ class OrbitComplex:
         l = self.data.rank
         tc = self.truncated(n)
         dims = [len(b) for b in tc.bases]
-        # one Smith reduction per matrix: the nonzero invariant factors give
-        # both the rank (their number) and the torsion (those above 1)
-        factors = {p: invariant_factors(tc.matrices[p], dims[p]) for p in range(1, l + 1)}
+        # one reduction per nonzero matrix: the nonzero invariant factors
+        # give both the rank (their number) and the torsion (those above 1)
+        factors = {p: invariant_factors(M) if any(M) else [] for p, M in tc.matrices.items()}
         ranks = {p: len(f) for p, f in factors.items()}
         degrees = []
         all_ok = True
@@ -302,9 +312,9 @@ class OrbitComplex:
                     # on a basis point depends on the row only
                     eps = [(-1) ** self.length_of(x) for _, x in tc.bases[0]]
                     eps_on_boundaries = all(
-                        sum(tc.matrices[1][row][col] * eps[row] for row in range(dims[0])) == 0
-                        for col in range(dims[1])
-                    ) if l >= 1 else True
+                        sum(coeff * eps[row] for row, coeff in column) == 0
+                        for column in tc.matrices.get(1, [])
+                    )
                     ok = (dims[0] - rank_above == 1) and not torsion and eps_on_boundaries
                     verdict = "H0=Z" if ok else "H0!=Z"
                 else:
@@ -335,29 +345,20 @@ class OrbitComplex:
 
 
 def check_d_squared_zero(
-    lower: Sequence[Sequence[int]], upper: Sequence[Sequence[int]], p: int
+    lower: Sequence[Sequence[tuple[int, int]]],
+    upper: Sequence[Sequence[tuple[int, int]]],
+    p: int,
 ) -> None:
-    """Raise AssertionError unless the product d_{p-1} d_p of the integer
-    matrices lower = d_{p-1} and upper = d_p is zero in every entry.
+    """Raise AssertionError unless the product d_{p-1} d_p of the sparse
+    column matrices lower = d_{p-1} and upper = d_p is zero in every entry.
 
     Column j of the product is the sum of the columns t of lower weighted by
-    upper[t][j]; only nonzero entries are visited, and every entry of every
-    such sum is tested.
+    the entries (t, b) of upper[j]; every entry of every such sum is tested.
     """
-    lower_columns: list[list[tuple[int, int]]] = [[] for _ in upper]
-    for i, row in enumerate(lower):
-        for t, a in enumerate(row):
-            if a:
-                lower_columns[t].append((i, a))
-    upper_columns: list[list[tuple[int, int]]] = [[] for _ in (upper[0] if upper else ())]
-    for t, row in enumerate(upper):
-        for j, b in enumerate(row):
-            if b:
-                upper_columns[j].append((t, b))
-    for j, column in enumerate(upper_columns):
+    for j, column in enumerate(upper):
         total: dict[int, int] = {}
         for t, b in column:
-            for i, a in lower_columns[t]:
+            for i, a in lower[t]:
                 total[i] = total.get(i, 0) + a * b
         for i, v in total.items():
             if v:

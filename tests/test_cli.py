@@ -246,11 +246,9 @@ def test_out_file_matches_stdout(tmp_path, capsys, argv):
     code_file, printed, _ = run(capsys, *argv, "--out", str(target))
     assert code == code_file == 0
     assert printed == ""
-    # print() ends every document with one newline; the file gets it only
-    # when the document lacks one, so CSV (already newline-terminated)
-    # prints one more blank line than it writes
-    expect = stdout[:-1] if stdout.endswith("\n\n") else stdout
-    assert target.read_bytes() == expect.encode()
+    # both end the document with exactly one newline, CSV included
+    assert stdout.endswith("\n") and not stdout.endswith("\n\n")
+    assert target.read_bytes() == stdout.encode()
 
 
 def test_deterministic_output(capsys):

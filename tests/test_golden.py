@@ -6,6 +6,7 @@ fusion-side commands: fusion tables, single fusion products, the
 pre-quantization catalog and the root data, in every output format each
 command accepts (text, JSON and CSV).  A change that alters
 any of them on purpose must say so and why, and record the new digests.
+Every output, CSV included, ends in exactly one newline.
 """
 
 import hashlib
@@ -34,7 +35,7 @@ GOLDEN = {
     "fusion-table A2 -k 3 --format json":
         "99148141d5a7f7ff22e23d09d383e7c5dead4e03b01b85bce93a19319f80e277",
     "fusion-table G2 -k 2 --format csv":
-        "f54ccfecca3779d491a933099bcdbc64452c5e1140ce23192cacacf3a6bc273d",
+        "d306ed9146975bba777eada8d2d57b3a128e278a89c491ff58014654d3e015c3",
     "fusion-table B3 -k 1":
         "954a04de7c9cb13188a37d0ce79dfc31d1a02e8e41126d0b35326f05ae33a69b",
     "fusion B2 -k 2 1,0 0,1 --format json":
@@ -52,9 +53,9 @@ GOLDEN = {
     "prequant C2 -k 2":
         "70596348a61c57dcd7268590966596239a2583eb54a01662b848ced8f5f27c9b",
     "prequant C2 -k 2 --format csv":
-        "f19752ccd9fd7acadc7ebf740da98c615bc21761f02522634d06df2ca065917c",
+        "a3de06afcc0cc1218f7a7c916bed42993cd1d91bd4052c6a10b46c1a45caa0cd",
     "fusion-table A2 -k 0 --format csv":
-        "0c3f6bf7d1b639c12609baa99b1ccbd33e0c5caff5e50633aeb804e22042dfa5",
+        "e8e2e3d6267071c46c9a89982bb6754747585e98789eb16752f94ccfdba4333e",
 }
 
 

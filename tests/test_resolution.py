@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from alcove.fusion import LevelRepElt, level_weights, project_to_fusion
+from alcove.intlinalg import to_dense
 from alcove.lie import b_flat, b_sharp, build_lie_data
 from alcove.resolution import (
     ChainElt,
@@ -213,7 +214,9 @@ def test_contract_kernel_cycles():
 def test_truncated_matrix_example():
     oc = OrbitComplex(build_lie_data("A1"), (0, 1))
     tc = oc.truncated(0)
-    assert tc.matrices[1] == [[-1], [1]]
+    # one column per degree-1 basis element, as (row, coeff) pairs: the
+    # dense matrix [[-1], [1]]
+    assert tc.matrices[1] == [[(0, -1), (1, 1)]]
 
 
 def test_truncated_basis_sizes_match_enumeration():
@@ -448,6 +451,12 @@ def dense_product(A, B):
             for i in range(len(A))]
 
 
+def columns(A, ncols=None):
+    """The sparse column form of a dense integer matrix."""
+    ncols = len(A[0]) if ncols is None else ncols
+    return [[(i, row[j]) for i, row in enumerate(A) if row[j]] for j in range(ncols)]
+
+
 def random_matrix(rng, rows, cols):
     return [[rng.choice((0, 0, 0, -2, -1, 1, 2)) for _ in range(cols)] for _ in range(rows)]
 
@@ -482,11 +491,12 @@ def test_d_squared_check_matches_dense_oracle():
             continue
         product = dense_product(A, B)
         nonzero = any(v for row in product for v in row)
+        lower, upper = columns(A, k), columns(B, n)
         if not nonzero:
-            check_d_squared_zero(A, B, 2)
+            check_d_squared_zero(lower, upper, 2)
             continue
         with pytest.raises(AssertionError) as info:
-            check_d_squared_zero(A, B, 2)
+            check_d_squared_zero(lower, upper, 2)
         i, j, v = map(int, re.search(r"entry \((\d+), (\d+)\) is (-?\d+)", str(info.value)).groups())
         assert product[i][j] == v != 0
 
@@ -494,17 +504,17 @@ def test_d_squared_check_matches_dense_oracle():
 def test_d_squared_check_finds_a_single_nonzero_entry():
     rng = random.Random(32)
     tc = OrbitComplex(build_lie_data("A2"), (0, 1, 2)).truncated(3)
-    pairs = [(tc.matrices[1], tc.matrices[2])]
+    pairs = [tuple(to_dense(tc.matrices[p], len(tc.bases[p - 1])) for p in (1, 2))]
     pairs += [zero_product_pair(rng, rng.randint(1, 8), 3, 4, rng.randint(1, 8)) for _ in range(20)]
     for A, B in pairs:
-        check_d_squared_zero(A, B, 2)
+        check_d_squared_zero(columns(A), columns(B), 2)
         for _ in range(10):
             i, j = rng.randrange(len(A)), rng.randrange(len(B[0]))
             A1, B1 = with_one_entry(rng, A, B, i, j)
             product = dense_product(A1, B1)
             assert [(r, c) for r, row in enumerate(product) for c, v in enumerate(row) if v] == [(i, j)]
             with pytest.raises(AssertionError, match=rf"entry \({i}, {j}\)"):
-                check_d_squared_zero(A1, B1, 2)
+                check_d_squared_zero(columns(A1), columns(B1), 2)
 
 
 def test_truncated_is_cached():
@@ -528,23 +538,26 @@ def test_cached_truncation_not_mutated(name, J, n, p):
 
 
 def test_homology_report_reduces_each_matrix_once(monkeypatch):
-    from alcove import intlinalg
+    from alcove import intlinalg, resolution
 
-    reductions = []
-    original = intlinalg.column_reduce
+    calls, reductions = [], []
+    original = intlinalg.invariant_factors
 
-    def counting(A, ncols):
-        reductions.append(len(A) * ncols)
-        return original(A, ncols)
+    def counting(M):
+        calls.append(M)
+        return original(M)
 
-    monkeypatch.setattr(intlinalg, "column_reduce", counting)
+    monkeypatch.setattr(resolution, "invariant_factors", counting)
+    monkeypatch.setattr(intlinalg, "column_reduce", lambda *args: reductions.append(args))
     for name, J, n in [("A2", (0, 1, 2), 3), ("C2", (0, 1), 4), ("A3", (0, 1, 2, 3), 2)]:
         oc = OrbitComplex(build_lie_data(name), J)
         tc = oc.truncated(n)
-        nonempty = [M for M in tc.matrices.values() if M and M[0]]
-        reductions.clear()
-        oc.homology_report(n)
-        assert reductions == [len(M) * len(M[0]) for M in nonempty]
+        nonempty = [M for M in tc.matrices.values() if any(M)]
+        calls.clear()
+        assert oc.homology_report(n)["all_ok"]
+        assert len(calls) == len(nonempty) and all(a is b for a, b in zip(calls, nonempty))
+    # unit pivots leave nothing for the dense reduction on these complexes
+    assert reductions == []
 
 
 def test_homology_report_computes_each_row_sign_once(monkeypatch):
@@ -561,4 +574,22 @@ def test_homology_report_computes_each_row_sign_once(monkeypatch):
     oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
     rep = oc.homology_report(4)
     assert rep["degrees"][0]["verdict"] == "H0=Z"
-    assert calls == [x for _, x in oc.truncated(4).bases[0]]
+    # every row sign is read from the length table of the orbit search
+    assert calls == []
+    assert all(oc.length_of(x) == original(oc.data, x) for _, x in oc.truncated(4).bases[0])
+
+
+def test_h0_check_sees_every_row_sign(monkeypatch):
+    # flipping the augmentation sign of any row met by d_1 breaks H0=Z
+    oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
+    tc = oc.truncated(3)
+    met = sorted({row for column in tc.matrices[1] for row, _ in column})
+    assert met == list(range(len(tc.bases[0])))
+    original = oc.length_of
+    for row in met:
+        flipped = tc.bases[0][row][1]
+        monkeypatch.setattr(oc, "length_of", lambda x: original(x) + (x == flipped))
+        rep = oc.homology_report(3)
+        assert rep["degrees"][0]["verdict"] == "H0!=Z" and not rep["all_ok"]
+    monkeypatch.undo()
+    assert oc.homology_report(3)["all_ok"]
