@@ -20,12 +20,22 @@ denominator D: a wall value is the integer sum root * X (plus D at node 0),
 a reflection is X -> X - c * coroot, and D never changes.  It stays a
 separate loop because its wall values are dot products at every node, which
 the weight loop avoids.
+
+Orbits live entirely in these integers.  An OrbitContext fixes D as the lcm
+of the base point's denominators, and every point of the orbit lies in
+(1/D) Z^l, so its BFS layers and length table hold numerator tuples.  The
+cone test (_scaled_position) and the length as a count of crossed
+hyperplanes (_scaled_crossing_length) read numerators too.  Fraction
+appears only at the edges: orbit_up_to_length returns Fraction points, and
+cone_position, reduce_point_to_cone, reduce_point_to_alcove and
+crossing_length are thin wrappers that scale a Fraction point once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .lie import (
@@ -34,8 +44,6 @@ from .lie import (
     Weight,
     _check_face_index,
     face_data,
-    pairing,
-    wall_value,
 )
 
 
@@ -52,7 +60,11 @@ class SignedWeight(NamedTuple):
 
 
 class OrbitPoint(NamedTuple):
-    point: CartanPoint
+    """An orbit point and its length.  OrbitContext gives the point as
+    integer numerators over its denominator D; orbit_up_to_length gives
+    Fraction coordinates."""
+
+    point: tuple
     length: int
 
 
@@ -133,15 +145,6 @@ def dominantize(data: LieData, nu: Sequence[int], m: int) -> SignedWeight:
 # standard affine action on t, cones, orbit enumeration
 
 
-def reflect_point(data: LieData, i: int, xi: Sequence) -> CartanPoint:
-    """Simple affine reflection at wall i, standard action on t."""
-    if not 0 <= i <= data.rank:
-        raise ValueError(f"wall index {i} out of range")
-    c = wall_value(data, i, xi)
-    coroot = data.node_coroot[i]
-    return tuple(Fraction(x) - c * g for x, g in zip(xi, coroot))
-
-
 def _scaled(data: LieData, xi: Sequence) -> tuple[list[int], int]:
     """Integer numerators X and one common denominator D > 0 with xi = X / D."""
     if len(xi) != data.rank:
@@ -151,32 +154,67 @@ def _scaled(data: LieData, xi: Sequence) -> tuple[list[int], int]:
     return [c.numerator * (D // c.denominator) for c in coords], D
 
 
-def _scaled_wall_value(data: LieData, i: int, X: Sequence[int], D: int) -> int:
-    """D times the wall value at X / D: sum root * X, plus D at node 0."""
-    value = sum(a * x for a, x in zip(data.node_root[i], X))
-    return value + D if i == 0 else value
-
-
 def _reduce_scaled(
-    data: LieData, X: list[int], D: int, walls: Sequence[int]
-) -> tuple[list[int], list[int]]:
+    data: LieData, X: Sequence[int], D: int, walls: Sequence[int]
+) -> tuple[tuple[int, ...], list[int]]:
     """Greedy reflection of X / D at the lowest violated listed wall until no
     listed wall value is negative.  Returns (image numerators, word).
 
-    The scaled wall value c is an integer, and the reflection
+    The scaled wall value c = D times the wall value at X / D is the integer
+    sum root * X, plus D at node 0.  The reflection
     xi -> xi - (c / D) * coroot is X -> X - c * coroot on numerators, so the
     denominator D never changes.
     """
+    node_root, node_coroot = data.node_root, data.node_coroot
     word: list[int] = []
     while True:
         for i in walls:
-            c = _scaled_wall_value(data, i, X, D)
+            c = sum(map(mul, node_root[i], X))
+            if i == 0:
+                c += D
             if c < 0:
-                X = [x - c * g for x, g in zip(X, data.node_coroot[i])]
+                X = [x - c * g for x, g in zip(X, node_coroot[i])]
                 word.append(i)
                 break
         else:
-            return X, word
+            return tuple(X), word
+
+
+def _scaled_position(data: LieData, X: Sequence[int], D: int, walls: Iterable[int]) -> str:
+    """Position of X / D against the cone cut out by the listed walls:
+    'interior', 'boundary', or 'outside'."""
+    node_root = data.node_root
+    on_wall = False
+    for i in walls:
+        v = sum(map(mul, node_root[i], X))
+        if i == 0:
+            v += D
+        if v < 0:
+            return "outside"
+        if v == 0:
+            on_wall = True
+    return "boundary" if on_wall else "interior"
+
+
+def _scaled_crossing_length(data: LieData, X: Sequence[int], D: int) -> int:
+    """The number of affine root hyperplanes <beta, .> = n (beta positive, n
+    integer) strictly separating X / D from the interior of the fundamental
+    alcove, which equals the length of X / D in its orbit.
+
+    On the open alcove every positive root takes a value strictly between 0
+    and 1.  So with b = <beta, X>, the crossed hyperplanes are n = 1 ..
+    ceil(b / D) - 1 when b > 0, and n = floor(b / D) + 1 .. 0 when b <= 0;
+    hyperplanes through the point itself are not crossed.
+    """
+    total = 0
+    for root in data.positive_roots:
+        b = sum(map(mul, root.weight, X))
+        total += -(-b // D) - 1 if b > 0 else -(b // D)
+    return total
+
+
+def _walls_outside(data: LieData, I: Sequence[int]) -> tuple[int, ...]:
+    return tuple(i for i in range(data.rank + 1) if i not in I)
 
 
 def cone_position(data: LieData, xi: Sequence, I: Sequence[int]) -> str:
@@ -184,16 +222,7 @@ def cone_position(data: LieData, xi: Sequence, I: Sequence[int]) -> str:
     'interior', 'boundary', or 'outside'."""
     I = _check_face_index(data, I)
     X, D = _scaled(data, xi)
-    on_wall = False
-    for i in range(data.rank + 1):
-        if i in I:
-            continue
-        v = _scaled_wall_value(data, i, X, D)
-        if v < 0:
-            return "outside"
-        if v == 0:
-            on_wall = True
-    return "boundary" if on_wall else "interior"
+    return _scaled_position(data, X, D, _walls_outside(data, I))
 
 
 def reduce_point_to_cone(
@@ -206,9 +235,8 @@ def reduce_point_to_cone(
     the W_I-orbit in the closed cone, and parity = (-1)^len(word).
     """
     I = _check_face_index(data, I)
-    walls = [i for i in range(data.rank + 1) if i not in I]
     X, D = _scaled(data, xi)
-    X, word = _reduce_scaled(data, X, D, walls)
+    X, word = _reduce_scaled(data, X, D, _walls_outside(data, I))
     return tuple(word), tuple(Fraction(x, D) for x in X), (-1) ** len(word)
 
 
@@ -221,12 +249,23 @@ def reduce_point_to_alcove(data: LieData, xi: Sequence) -> tuple[tuple[int, ...]
     return tuple(word), tuple(Fraction(x, D) for x in X)
 
 
+def crossing_length(data: LieData, x: Sequence) -> int:
+    """Length of a point in its orbit, as the number of affine root
+    hyperplanes strictly separating it from the interior of the fundamental
+    alcove."""
+    return _scaled_crossing_length(data, *_scaled(data, x))
+
+
 class OrbitContext:
     """Breadth-first enumeration of the affine Weyl orbit V of the base point
     of a face, with the word-length function.
 
     The default base point for face J is nu_J_sharp; any point in the
-    relative interior of Delta_J gives the same combinatorics.
+    relative interior of Delta_J gives the same combinatorics.  Every orbit
+    point is kept as integer numerators X over the one denominator D of the
+    base point: a reflection sends X to X - (sum root * X + D delta_{i,0})
+    coroot, which stays integral.  ``base``, the layers and the length table
+    all hold numerator tuples.
     """
 
     def __init__(self, data: LieData, J: Sequence[int], base: Sequence | None = None):
@@ -240,33 +279,46 @@ class OrbitContext:
 
             if alcove_face_of(data, base) != self.J:
                 raise ValueError("base point is not interior to the face")
-        self.base: CartanPoint = tuple(base)
-        self._layers: list[list[CartanPoint]] = [[self.base]]
-        self._length: dict[CartanPoint, int] = {self.base: 0}
+        X, self.D = _scaled(data, base)
+        self.base: tuple[int, ...] = tuple(X)
+        self._layers: list[list[tuple[int, ...]]] = [[self.base]]
+        self._length: dict[tuple[int, ...], int] = {self.base: 0}
 
     def ensure_length(self, n: int) -> None:
+        D, length = self.D, self._length
+        walls = [
+            (root, coroot, D if i == 0 else 0)
+            for i, (root, coroot) in enumerate(zip(self.data.node_root, self.data.node_coroot))
+        ]
         while len(self._layers) <= n:
-            frontier = self._layers[-1]
-            new: list[CartanPoint] = []
-            for x in frontier:
-                for i in range(self.data.rank + 1):
-                    y = reflect_point(self.data, i, x)
-                    if y not in self._length:
-                        self._length[y] = len(self._layers)
-                        new.append(y)
+            depth = len(self._layers)
+            new: list[tuple[int, ...]] = []
+            for X in self._layers[-1]:
+                for root, coroot, shift in walls:
+                    c = sum(map(mul, root, X)) + shift
+                    if not c:
+                        continue  # X lies on this wall
+                    Y = tuple([x - c * g for x, g in zip(X, coroot)])
+                    if Y not in length:
+                        length[Y] = depth
+                        new.append(Y)
             if not new:
                 break
+            # D > 0, so numerator order is coordinate order
             self._layers.append(sorted(new))
 
     def points_up_to(self, n: int) -> list[OrbitPoint]:
+        """Orbit points of length <= n as numerators over D, by length and
+        then by coordinates."""
         self.ensure_length(n)
         out = []
         for length, layer in enumerate(self._layers[: n + 1]):
             out.extend(OrbitPoint(x, length) for x in layer)
         return out
 
-    def length_of(self, point: Sequence, search_up_to: int) -> int:
-        point = tuple(Fraction(x) for x in point)
+    def length_of(self, point: Sequence[int], search_up_to: int) -> int:
+        """Length of the point with numerators ``point`` over D."""
+        point = tuple(point)
         self.ensure_length(search_up_to)
         try:
             return self._length[point]
@@ -275,30 +327,12 @@ class OrbitContext:
 
 
 def orbit_up_to_length(data: LieData, J: Sequence[int], n: int) -> list[OrbitPoint]:
-    """All orbit points of length <= n, ordered lexicographically by
-    coordinates."""
+    """All orbit points of length <= n, with Fraction coordinates, ordered
+    lexicographically by coordinates."""
     if n < 0:
         raise ValueError("length bound must be >= 0")
     ctx = OrbitContext(data, J)
-    return sorted(ctx.points_up_to(n), key=lambda op: op.point)
-
-
-def crossing_length(data: LieData, x: Sequence) -> int:
-    """Independent length oracle: the number of affine root hyperplanes
-    <beta, .> = n (beta positive, n integer) strictly separating x from the
-    interior of the fundamental alcove."""
-    probe = face_data(data, tuple(range(data.rank + 1))).nu_I_sharp
-    total = 0
-    for root in data.positive_roots:
-        a = pairing(root.weight, probe)
-        b = pairing(root.weight, x)
-        lo, hi = min(a, b), max(a, b)
-        # integers strictly between lo and hi; hyperplanes through x itself
-        # are excluded by strictness
-        count = math.floor(hi) - math.ceil(lo) + 1
-        if hi == math.floor(hi):
-            count -= 1
-        if lo == math.ceil(lo):
-            count -= 1
-        total += max(count, 0)
-    return total
+    return [
+        OrbitPoint(tuple(Fraction(x, ctx.D) for x in op.point), op.length)
+        for op in sorted(ctx.points_up_to(n))
+    ]

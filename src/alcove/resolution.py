@@ -19,6 +19,17 @@ combinatorics of V.  Chains are alcove.sparse.SparseElt elements, so their
 sums and multiples never re-normalize keys; a certificate must list each
 key's nodes strictly increasing.
 
+Points are integers throughout.  A chain key is (I, X) with X the integer
+numerators of the orbit point over the one denominator D of the orbit
+context (OrbitComplex.D); D > 0, so numerator order is coordinate order and
+the basis order is that of the points.  The boundary and the cone tests run
+affine._reduce_scaled and the integer wall values on X directly, and the
+faces of each key's boundary are computed once per complex.  Fraction
+appears only at the edges: element() takes a rational point, and
+chain_to_json / chain_from_json write and read 'p/q' coordinates X / D.
+verify_certificate scales every point by D once; a point off (1/D) Z^l is
+not on the orbit and is rejected with ValueError.
+
 The homology path does no repeated work.  Each length truncation is built
 once per complex and shared, and stores each boundary map d_p as sparse
 columns: one list of (row, coeff) pairs per basis element of degree p.
@@ -28,12 +39,14 @@ boundary matrix gets one invariant_factors call, which eliminates +-1 pivots
 (each an invariant factor 1) and reduces only what is left densely; the
 factors give both the rank (their number) and the torsion (those above 1).
 The H0 augmentation check reads the sign (-1)^length of each row of d_1 from
-the orbit's length table and tests every column against it.
+the orbit's length table and tests every column against it.  random_cycle
+computes the dense kernel basis of each d_p of a truncation once.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -41,20 +54,23 @@ from typing import Iterable, Mapping, Sequence
 
 from .affine import (
     OrbitContext,
-    cone_position,
-    crossing_length,
-    reduce_point_to_alcove,
-    reduce_point_to_cone,
+    _reduce_scaled,
+    _scaled_crossing_length,
+    _scaled_position,
+    _walls_outside,
 )
 from .intlinalg import invariant_factors, kernel_basis, to_dense
-from .lie import CartanPoint, FaceIndex, LieData, _check_face_index, _frac_str
+from .lie import FaceIndex, LieData, _check_face_index
 from .sparse import SparseElt
 
-ChainKey = tuple[FaceIndex, CartanPoint]
+# (I, X): a node set and the numerators of an orbit point over the D of the
+# complex's orbit context
+ChainKey = tuple[FaceIndex, tuple[int, ...]]
 
 
 class ChainElt(SparseElt):
-    """A finitely supported integer combination of basis pairs (I, x).
+    """A finitely supported integer combination of basis pairs (I, X), X the
+    numerators of an orbit point over the denominator D of its complex.
 
     The constructor sorts each node set I and merges keys that agree after
     sorting."""
@@ -95,18 +111,31 @@ class OrbitComplex:
         self.data = data
         self.J = _check_face_index(data, J)
         self.ctx = OrbitContext(data, self.J, base)
-        self.full_face = tuple(range(data.rank + 1))
+        self.D = self.ctx.D
+        nodes = range(data.rank + 1)
+        self.full_face = tuple(nodes)
+        # the walls outside I, for every nonempty node set I
+        self._walls = {
+            I: _walls_outside(data, I)
+            for size in range(1, data.rank + 2)
+            for I in combinations(nodes, size)
+        }
         self._explored = 0
         self._truncations: dict[int, TruncatedComplex] = {}
+        self._kernels: dict[tuple[int, int], list[list[int]]] = {}
+        self._faces: dict[ChainKey, list[tuple[ChainKey, int]]] = {}
 
     # -- lengths ------------------------------------------------------------
 
-    def length_of(self, x: CartanPoint) -> int:
-        known = self.ctx._length.get(tuple(x))
+    def length_of(self, x: Sequence[int]) -> int:
+        """Length of the orbit point with numerators x; ValueError if x is
+        not on the orbit."""
+        x = tuple(x)
+        known = self.ctx._length.get(x)
         if known is not None:
             return known
         # the hyperplane-crossing count bounds the search depth exactly
-        hint = max(self._explored, crossing_length(self.data, x))
+        hint = max(self._explored, _scaled_crossing_length(self.data, x, self.D))
         return self.ctx.length_of(x, hint)
 
     def _ensure(self, n: int) -> None:
@@ -116,27 +145,33 @@ class OrbitComplex:
     # -- bases ----------------------------------------------------------------
 
     def basis_elements(self, p: int, n: int) -> list[ChainKey]:
-        """Basis pairs (I, x) in degree p with length(x) <= n, ordered by I
-        then by coordinates."""
+        """Basis pairs (I, X) in degree p with length(X) <= n, X numerators
+        over D, ordered by I then by coordinates."""
         if n < 0:
             raise ValueError("length bound must be >= 0")
         if p < 0 or p > self.data.rank:
             return []
         self._ensure(n)
+        data, D = self.data, self.D
+        points = [op.point for op in self.ctx.points_up_to(n)]
         out: list[ChainKey] = []
-        for I in combinations(range(self.data.rank + 1), p + 1):
-            for op in self.ctx.points_up_to(n):
-                if cone_position(self.data, op.point, I) == "interior":
-                    out.append((I, op.point))
-        out.sort(key=lambda key: (key[0], key[1]))
+        for I in combinations(range(data.rank + 1), p + 1):
+            walls = self._walls[I]
+            out.extend((I, x) for x in points if _scaled_position(data, x, D, walls) == "interior")
+        # D > 0, so numerator order is coordinate order
+        out.sort()
         return out
 
     def element(self, I: Sequence[int], x: Sequence, coeff: int = 1) -> ChainElt:
+        """The chain coeff * beta_I(x) for a rational point x interior to the
+        cone of I; x must lie in (1/D) Z^l, as every orbit point does."""
         I = _check_face_index(self.data, I)
-        x = tuple(Fraction(v) for v in x)
-        if cone_position(self.data, x, I) != "interior":
-            raise ValueError(f"{x} is not interior to the cone of {I}")
-        return ChainElt(self.J, len(I) - 1, {(I, x): coeff})
+        if len(x) != self.data.rank:
+            raise ValueError(f"point has {len(x)} coordinates, not {self.data.rank}")
+        X = _numerators(x, self.D)
+        if _scaled_position(self.data, X, self.D, self._walls[I]) != "interior":
+            raise ValueError(f"{tuple(x)} is not interior to the cone of {I}")
+        return ChainElt(self.J, len(I) - 1, {(I, X): coeff})
 
     # -- boundary and augmentation ---------------------------------------------
 
@@ -144,16 +179,28 @@ class OrbitComplex:
         if c.degree < 1:
             raise ValueError("boundary needs degree >= 1")
         out: dict[ChainKey, int] = {}
-        for (I, x), coeff in c.terms.items():
-            for r in range(len(I)):
-                sub = I[:r] + I[r + 1 :]
-                _, image, parity = reduce_point_to_cone(self.data, x, sub)
-                if cone_position(self.data, image, sub) != "interior":
-                    continue
-                sign = (-1) ** r * parity
-                key = (sub, image)
-                out[key] = out.get(key, 0) + sign * coeff
+        for key, coeff in c.terms.items():
+            for face, sign in self._faces_of(key):
+                out[face] = out.get(face, 0) + sign * coeff
         return ChainElt(c.J, c.degree - 1, out)
+
+    def _faces_of(self, key: ChainKey) -> list[tuple[ChainKey, int]]:
+        """The terms (face, sign) of d beta_I(x), computed once per key; the
+        faces are distinct, one per dropped node at most."""
+        faces = self._faces.get(key)
+        if faces is not None:
+            return faces
+        data, D = self.data, self.D
+        I, x = key
+        faces = []
+        for r in range(len(I)):
+            sub = I[:r] + I[r + 1 :]
+            walls = self._walls[sub]
+            image, word = _reduce_scaled(data, x, D, walls)
+            if _scaled_position(data, image, D, walls) == "interior":
+                faces.append(((sub, image), (-1) ** (r + len(word))))
+        self._faces[key] = faces
+        return faces
 
     def augmentation(self, c: ChainElt) -> int:
         """The degree-0 augmentation: beta_i(x) -> (-1)^length(x) when J is
@@ -213,9 +260,14 @@ class OrbitComplex:
         bounding = ChainElt(c.J, c.degree + 1)
         current = c
         passes = 0
-        limit = max(
-            (crossing_length(self.data, x) for _, x in c.terms), default=0
-        ) + 2
+        # the longest key of c bounds the passes: its length is read from the
+        # length table or, on a miss, counted as crossed hyperplanes (equal)
+        lengths = self.ctx._length
+        limit = 2 + max(
+            (lengths[x] if x in lengths else _scaled_crossing_length(self.data, x, self.D)
+             for _, x in c.terms),
+            default=0,
+        )
         while current:
             if passes > limit:
                 raise RuntimeError("contraction failed to terminate")
@@ -248,8 +300,7 @@ class OrbitComplex:
         for p in range(1, l + 1):
             # the boundary never raises lengths, so keys stay inside
             matrices[p] = [
-                sorted((index[p - 1][key], coeff) for key, coeff in
-                       self.boundary(ChainElt(self.J, p, {key: 1})).terms.items())
+                sorted((index[p - 1][face], sign) for face, sign in self._faces_of(key))
                 for key in bases[p]
             ]
         for p in range(2, l + 1):
@@ -264,9 +315,13 @@ class OrbitComplex:
         if p < 1:
             return ChainElt(self.J, p)
         basis = tc.bases[p]
-        # the kernel basis is computed densely, as the sampled cycles (and
-        # so the certificates) depend on its exact vectors
-        ker = kernel_basis(to_dense(tc.matrices[p], len(tc.bases[p - 1])), len(basis))
+        ker = self._kernels.get((n, p))
+        if ker is None:
+            # the kernel basis is computed densely, as the sampled cycles (and
+            # so the certificates) depend on its exact vectors; callers must
+            # not mutate it
+            ker = kernel_basis(to_dense(tc.matrices[p], len(tc.bases[p - 1])), len(basis))
+            self._kernels[(n, p)] = ker
         if not ker:
             return ChainElt(self.J, p)
         terms: dict[ChainKey, int] = {}
@@ -371,22 +426,45 @@ def check_d_squared_zero(
 # certificates
 
 
-def chain_to_json(c: ChainElt) -> list[dict]:
+def _ratio_str(v: int, D: int) -> str:
+    """v / D in lowest terms, as _frac_str writes it: 'p/q', or 'p' when the
+    denominator is 1."""
+    g = math.gcd(v, D)
+    return str(v // g) if g == D else f"{v // g}/{D // g}"
+
+
+def chain_to_json(c: ChainElt, D: int) -> list[dict]:
+    """Chain terms with their points written as 'p/q' coordinates X / D."""
     return [
-        {"I": list(I), "x": [_frac_str(v) for v in x], "coeff": coeff}
+        {"I": list(I), "x": [_ratio_str(v, D) for v in x], "coeff": coeff}
         for (I, x), coeff in sorted(c.terms.items())
     ]
 
 
-def chain_from_json(J: FaceIndex, degree: int, doc: Iterable[Mapping]) -> ChainElt:
-    """Read chain terms; each key I must list its nodes strictly increasing,
-    as chain_to_json writes them."""
+def _numerators(x: Iterable, D: int) -> tuple[int, ...]:
+    """Numerators over D of a rational point.  Every orbit point of a
+    complex lies in (1/D) Z^l, so a point off it raises ValueError."""
+    out = []
+    for v in x:
+        v = Fraction(v)
+        if D % v.denominator:
+            raise ValueError(
+                f"point ({', '.join(map(str, x))}) is off the lattice (1/{D}) Z^l of the orbit"
+            )
+        out.append(v.numerator * (D // v.denominator))
+    return tuple(out)
+
+
+def chain_from_json(J: FaceIndex, degree: int, doc: Iterable[Mapping], D: int) -> ChainElt:
+    """Read chain terms, keying each point by its numerators over D; each
+    key I must list its nodes strictly increasing, as chain_to_json writes
+    them."""
     terms: dict[ChainKey, int] = {}
     for item in doc:
         I = tuple(int(i) for i in item["I"])
         if any(a >= b for a, b in zip(I, I[1:])):
             raise ValueError(f"chain key {list(I)} is not strictly increasing")
-        x = tuple(Fraction(v) for v in item["x"])
+        x = _numerators(item["x"], D)
         terms[(I, x)] = terms.get((I, x), 0) + int(item["coeff"])
     return ChainElt(J, degree, terms)
 
@@ -397,8 +475,8 @@ def certificate_json(complex_: OrbitComplex, cycle: ChainElt, bounding: ChainElt
             "group": str(complex_.data.lie_type),
             "J": list(complex_.J),
             "degree": cycle.degree,
-            "cycle": chain_to_json(cycle),
-            "bounding": chain_to_json(bounding),
+            "cycle": chain_to_json(cycle, complex_.D),
+            "bounding": chain_to_json(bounding, complex_.D),
         },
         indent=2,
     )
@@ -417,19 +495,29 @@ def verify_certificate(text: str) -> dict:
         degree = int(doc["degree"])
         if not 0 < degree < data.rank:
             raise ValueError(f"degree {degree} is not strictly between 0 and {data.rank}")
-        cycle = chain_from_json(J, degree, doc["cycle"])
-        bounding = chain_from_json(J, degree + 1, doc["bounding"])
+        complex_ = OrbitComplex(data, J)
+        # each point is scaled by D once; one off (1/D) Z^l is not on the orbit
+        cycle = chain_from_json(J, degree, doc["cycle"], complex_.D)
+        bounding = chain_from_json(J, degree + 1, doc["bounding"], complex_.D)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed certificate: {exc}") from exc
-    complex_ = OrbitComplex(data, J)
+    l, D = data.rank, complex_.D
+
+    def shown(x):
+        return f"({', '.join(_ratio_str(v, D) for v in x)})"
+
     # keys must be genuine basis pairs: interior to their cone and on the orbit
     for c in (cycle, bounding):
         for I, x in c.terms:
-            if cone_position(data, x, I) != "interior":
-                raise ValueError(f"certificate key {I}, {x} is not a basis pair")
-            _, reduced = reduce_point_to_alcove(data, x)
+            if len(x) != l:
+                raise ValueError(f"certificate point {shown(x)} has {len(x)} coordinates, not {l}")
+            if I[0] < 0 or I[-1] > l:
+                raise ValueError(f"certificate key {list(I)} has a node outside 0..{l}")
+            if _scaled_position(data, x, D, complex_._walls[I]) != "interior":
+                raise ValueError(f"certificate key {I}, {shown(x)} is not a basis pair")
+            reduced, _ = _reduce_scaled(data, x, D, complex_.full_face)
             if reduced != complex_.ctx.base:
-                raise ValueError(f"certificate point {x} is not on the orbit of {J}")
+                raise ValueError(f"certificate point {shown(x)} is not on the orbit of {J}")
     if complex_.boundary(cycle):
         raise ValueError("certificate cycle is not a cycle")
     if complex_.boundary(bounding) != cycle:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,6 +9,9 @@ from alcove.affine import (
     OrbitContext,
     OrbitPoint,
     SignedWeight,
+    _scaled_crossing_length,
+    _scaled_position,
+    _walls_outside,
     affine_reflect_weight,
     cone_position,
     crossing_length,
@@ -17,7 +21,6 @@ from alcove.affine import (
     orbit_up_to_length,
     reduce_point_to_alcove,
     reduce_point_to_cone,
-    reflect_point,
     weight_wall_value,
 )
 from alcove.lie import build_lie_data, face_data, pairing, wall_value
@@ -286,20 +289,72 @@ def linear_weyl_action(data, word, nu):
     return out
 
 
+def reflect_point(data, i, xi):
+    """Oracle: the simple affine reflection at wall i, standard action on t,
+    in Fraction arithmetic."""
+    if not 0 <= i <= data.rank:
+        raise ValueError(f"wall index {i} out of range")
+    c = wall_value(data, i, xi)
+    coroot = data.node_coroot[i]
+    return tuple(F(x) - c * g for x, g in zip(xi, coroot))
+
+
+def fraction_crossing_length(data, x):
+    """Oracle: the number of affine root hyperplanes <beta, .> = n strictly
+    separating x from an interior point of the fundamental alcove, counted
+    in Fraction arithmetic."""
+    probe = face_data(data, tuple(range(data.rank + 1))).nu_I_sharp
+    total = 0
+    for root in data.positive_roots:
+        a = pairing(root.weight, probe)
+        b = pairing(root.weight, x)
+        lo, hi = min(a, b), max(a, b)
+        count = math.floor(hi) - math.ceil(lo) + 1
+        if hi == math.floor(hi):
+            count -= 1
+        if lo == math.ceil(lo):
+            count -= 1
+        total += max(count, 0)
+    return total
+
+
+def fraction_orbit(data, J, n):
+    """Oracle: breadth-first search of the orbit of nu_J_sharp in Fraction
+    arithmetic; the layers of lengths 0..n, each sorted."""
+    base = face_data(data, J).nu_I_sharp
+    seen = {base}
+    layers = [[base]]
+    for _ in range(n):
+        new = []
+        for x in layers[-1]:
+            for i in range(data.rank + 1):
+                y = reflect_point(data, i, x)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        layers.append(sorted(new))
+    return layers
+
+
+def unscaled(X, D):
+    return tuple(F(x, D) for x in X)
+
+
 class OracleOrbitContext(OrbitContext):
     """OrbitContext with the orbit-point lookup and cone reduction."""
 
     def orbit_point(self, point, search_up_to):
-        point = tuple(F(x) for x in point)
-        return OrbitPoint(point, self.length_of(point, search_up_to))
+        return OrbitPoint(tuple(point), self.length_of(point, search_up_to))
 
     def reduce_to_cone(self, x, I):
-        """reduce_point_to_cone on an orbit point, with the image's length.
+        """reduce_point_to_cone on an orbit point (numerators over D), with
+        the image's length.
 
         The image never has larger length than x, so the search is bounded.
         """
-        word, image, parity = reduce_point_to_cone(self.data, x.point, I)
-        img = self.orbit_point(image, x.length)
+        word, image, parity = reduce_point_to_cone(self.data, unscaled(x.point, self.D), I)
+        assert all((v * self.D).denominator == 1 for v in image)
+        img = self.orbit_point(tuple(int(v * self.D) for v in image), x.length)
         assert img.length <= x.length
         return word, img, parity
 
@@ -358,8 +413,6 @@ def test_orbit_a1_examples():
 
 
 def test_orbit_closed_under_generators():
-    from alcove.affine import reflect_point
-
     for name in ["A1", "A2", "C2"]:
         d = build_lie_data(name)
         for J in [(0,), tuple(range(d.rank + 1))]:
@@ -386,7 +439,8 @@ def test_length_equals_hyperplane_crossings(name):
 def test_orbit_base_point_override():
     d = build_lie_data("A1")
     ctx = OrbitContext(d, (0, 1), base=(F(1, 6),))
-    assert ctx.points_up_to(1)[0].point == (F(1, 6),)
+    assert ctx.D == 6
+    assert ctx.points_up_to(1)[0].point == (1,)
     with pytest.raises(ValueError):
         OrbitContext(d, (0, 1), base=(F(1, 2),))  # on a wall, face is {1}
 
@@ -420,11 +474,12 @@ def test_reduce_to_cone_unique_and_idempotent():
             for size in (1, 2):
                 for I in itertools.combinations(range(d.rank + 1), size):
                     word, image, parity = ctx.reduce_to_cone(p, I)
-                    assert cone_position(d, image.point, I) in ("interior", "boundary")
+                    position = cone_position(d, unscaled(image.point, ctx.D), I)
+                    assert position in ("interior", "boundary")
                     assert image.length <= p.length
                     word2, image2, parity2 = ctx.reduce_to_cone(image, I)
                     assert word2 == () and image2 == image and parity2 == 1
-                    if image == p.point:
+                    if image.point == p.point:
                         assert word == ()
 
 
@@ -510,3 +565,71 @@ def test_cone_reductions_reject_rank_mismatch():
     ):
         with pytest.raises(ValueError):
             call()
+
+
+# -- the integer orbit against the Fraction oracles -------------------------------
+
+ORACLE_TYPES = ["A1", "A2", "B2", "C2", "G2", "A3", "B3"]
+
+
+def all_faces(data):
+    nodes = range(data.rank + 1)
+    for size in range(1, data.rank + 2):
+        yield from itertools.combinations(nodes, size)
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_integer_orbit_matches_fraction_bfs(name):
+    d = build_lie_data(name)
+    for J in all_faces(d):
+        ctx = OrbitContext(d, J)
+        assert unscaled(ctx.base, ctx.D) == face_data(d, J).nu_I_sharp
+        assert ctx.D == math.lcm(*(v.denominator for v in face_data(d, J).nu_I_sharp))
+        got = ctx.points_up_to(4)
+        assert all(type(v) is int for op in got for v in op.point)
+        layers = fraction_orbit(d, J, 4)
+        # same points, same lengths, and the same order within each layer
+        assert [(unscaled(op.point, ctx.D), op.length) for op in got] == [
+            (x, length) for length, layer in enumerate(layers) for x in layer
+        ]
+        for op in got:
+            x = unscaled(op.point, ctx.D)
+            assert _scaled_crossing_length(d, op.point, ctx.D) == op.length
+            assert fraction_crossing_length(d, x) == op.length
+            assert crossing_length(d, x) == op.length
+        assert orbit_up_to_length(d, J, 4) == sorted(
+            (OrbitPoint(x, length) for length, layer in enumerate(layers) for x in layer),
+            key=lambda op: op.point,
+        )
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_integer_interior_test_matches_cone_position(name):
+    d = build_lie_data(name)
+    rng = random.Random(707)
+    for J in all_faces(d):
+        ctx = OrbitContext(d, J)
+        D = ctx.D
+        on_orbit = [op.point for op in ctx.points_up_to(2)]
+        # lattice points of (1/D) Z^l, most of them off the orbit
+        lattice = [tuple(rng.randint(-4 * D, 4 * D) for _ in range(d.rank)) for _ in range(12)]
+        for X in on_orbit + lattice:
+            x = unscaled(X, D)
+            for I in all_faces(d):
+                expect = fraction_cone_position(d, x, I)
+                assert _scaled_position(d, X, D, _walls_outside(d, I)) == expect
+                assert cone_position(d, x, I) == expect
+    # rational points with unrelated denominators
+    for _ in range(40):
+        x = tuple(F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(d.rank))
+        for I in all_faces(d):
+            assert cone_position(d, x, I) == fraction_cone_position(d, x, I)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "C2", "G2", "B3"])
+def test_crossing_length_matches_fraction_oracle_off_the_orbit(name):
+    d = build_lie_data(name)
+    rng = random.Random(708)
+    for _ in range(80):
+        x = tuple(F(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(d.rank))
+        assert crossing_length(d, x) == fraction_crossing_length(d, x)

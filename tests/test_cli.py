@@ -148,6 +148,25 @@ def test_verify_cert_unsorted_chain_key(tmp_path, capsys):
     assert "not strictly increasing" in err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["cycle"][0]["x"].__setitem__(0, "1/7"),  # off (1/3) Z^2
+    lambda doc: doc["cycle"][0]["x"].__setitem__(1, "1/0"),
+    lambda doc: doc["cycle"][0]["x"].append("0"),
+    lambda doc: doc["cycle"][0].__setitem__("I", [0, 3]),
+], ids=["off-lattice", "zero-denominator", "coordinate-count", "node-out-of-range"])
+def test_verify_cert_rejects_malformed_points(tmp_path, capsys, edit):
+    code, text, _ = run(capsys, "contract", "A2", "-J", "0,1,2", "-N", "3", "--seed", "5")
+    assert code == 0
+    doc = json.loads(text)
+    edit(doc)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-cert", str(cert))
+    assert code == 5
+    assert "certificate ok" not in out
+    assert err.startswith("certificate invalid:") and "Traceback" not in err
+
+
 def test_verify_cert_echoes_canonical_face(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(

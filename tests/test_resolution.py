@@ -27,10 +27,16 @@ def all_faces(data):
 
 # -- bases ---------------------------------------------------------------------
 
+def unscaled(X, D):
+    return tuple(F(x, D) for x in X)
+
+
 def test_basis_examples():
     oc = OrbitComplex(build_lie_data("A1"), (0, 1))
-    assert oc.basis_elements(1, 0) == [((0, 1), (F(1, 4),))]
-    assert oc.basis_elements(0, 0) == [((0,), (F(1, 4),)), ((1,), (F(1, 4),))]
+    # keys hold numerators over D: the point 1/4 is (1,) over D = 4
+    assert oc.D == 4
+    assert oc.basis_elements(1, 0) == [((0, 1), (1,))]
+    assert oc.basis_elements(0, 0) == [((0,), (1,)), ((1,), (1,))]
     assert oc.basis_elements(2, 4) == []
     assert oc.basis_elements(-1, 4) == []
 
@@ -45,10 +51,11 @@ def test_element_rejects_non_interior():
 
 def test_boundary_examples():
     oc = OrbitComplex(build_lie_data("A1"), (0, 1))
+    assert oc.D == 4
     d = oc.boundary(oc.element((0, 1), (F(1, 4),)))
-    assert d.terms == {((1,), (F(1, 4),)): 1, ((0,), (F(1, 4),)): -1}
+    assert d.terms == {((1,), (1,)): 1, ((0,), (1,)): -1}
     d = oc.boundary(oc.element((0, 1), (F(-1, 4),)))
-    assert d.terms == {((1,), (F(-1, 4),)): 1, ((0,), (F(1, 4),)): 1}
+    assert d.terms == {((1,), (-1,)): 1, ((0,), (1,)): 1}
 
 
 def test_boundary_squared_zero():
@@ -98,8 +105,10 @@ def test_augmentation_zero_map_off_full_face():
 def test_homotopy_examples():
     oc = OrbitComplex(build_lie_data("A1"), (0, 1))
     x = (F(1, 4),)
-    assert oc.homotopy(1, oc.element((0,), x)).terms == {((0, 1), x): -1}
-    assert oc.homotopy(0, oc.element((1,), x)).terms == {((0, 1), x): 1}
+    X = (1,)  # numerators of x over D = 4
+    assert oc.D == 4
+    assert oc.homotopy(1, oc.element((0,), x)).terms == {((0, 1), X): -1}
+    assert oc.homotopy(0, oc.element((1,), x)).terms == {((0, 1), X): 1}
     assert not oc.homotopy(0, oc.element((0,), x))
 
 
@@ -154,7 +163,7 @@ def test_deform_case_split():
                 sub = tuple(j for j in I if j != i)
                 if not sub:
                     continue
-                if cone_position(data, x, sub) == "interior":
+                if cone_position(data, unscaled(x, oc.D), sub) == "interior":
                     continue
                 c = ChainElt(oc.J, p, {(I, x): 1})
                 diff = oc.deform(i, c) - c
@@ -273,7 +282,7 @@ def test_augmentation_matches_fusion_projection():
             base = tuple(x / m for x in b_sharp(data, shifted))
             oc = OrbitComplex(data, full, base=base)
             for I, x in oc.basis_elements(0, 3):
-                nu = tuple(m * v for v in b_flat(data, x))
+                nu = tuple(m * v for v in b_flat(data, unscaled(x, oc.D)))
                 assert all(v.denominator == 1 for v in nu)
                 nu = tuple(int(v) for v in nu)
                 phi = LevelRepElt(data, I, k, {tuple(a - 1 for a in nu): 1})
@@ -330,8 +339,9 @@ def test_certificate_degree_out_of_range_rejected(degree):
 def test_chain_json_roundtrip():
     oc = OrbitComplex(build_lie_data("A1"), (0, 1))
     c = oc.element((0, 1), (F(-1, 4),), 3)
-    doc = chain_to_json(c)
-    back = chain_from_json(oc.J, 1, doc)
+    doc = chain_to_json(c, oc.D)
+    assert doc == [{"I": [0, 1], "x": ["-1/4"], "coeff": 3}]
+    back = chain_from_json(oc.J, 1, doc, oc.D)
     assert back == c
 
 
@@ -440,7 +450,7 @@ def test_certificate_non_canonical_chain_key_rejected(I):
 def test_chain_from_json_rejects_unsorted_or_repeated_key(I):
     doc = [{"I": I, "x": ["1/3", "1/3"], "coeff": 1}]
     with pytest.raises(ValueError, match="not strictly increasing"):
-        chain_from_json((0, 1, 2), 1, doc)
+        chain_from_json((0, 1, 2), 1, doc, 3)
 
 
 # -- sparse d o d check, truncation cache, one reduction per matrix ------------------
@@ -562,21 +572,28 @@ def test_homology_report_reduces_each_matrix_once(monkeypatch):
 
 def test_homology_report_computes_each_row_sign_once(monkeypatch):
     from alcove import resolution
+    from alcove.affine import OrbitContext, crossing_length
 
     calls = []
-    original = resolution.crossing_length
+    original = resolution._scaled_crossing_length
 
-    def counting(data, x):
+    def counting(data, x, D):
         calls.append(x)
-        return original(data, x)
+        return original(data, x, D)
 
-    monkeypatch.setattr(resolution, "crossing_length", counting)
+    monkeypatch.setattr(resolution, "_scaled_crossing_length", counting)
     oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
     rep = oc.homology_report(4)
     assert rep["degrees"][0]["verdict"] == "H0=Z"
     # every row sign is read from the length table of the orbit search
     assert calls == []
-    assert all(oc.length_of(x) == original(oc.data, x) for _, x in oc.truncated(4).bases[0])
+    assert all(
+        oc.length_of(x) == crossing_length(oc.data, unscaled(x, oc.D))
+        for _, x in oc.truncated(4).bases[0]
+    )
+    # a point beyond the table is what reaches the patched crossing count
+    far = next(op.point for op in OrbitContext(oc.data, oc.J).points_up_to(5) if op.length == 5)
+    assert oc.length_of(far) == 5 and calls == [far]
 
 
 def test_h0_check_sees_every_row_sign(monkeypatch):
@@ -593,3 +610,113 @@ def test_h0_check_sees_every_row_sign(monkeypatch):
         assert rep["degrees"][0]["verdict"] == "H0!=Z" and not rep["all_ok"]
     monkeypatch.undo()
     assert oc.homology_report(3)["all_ok"]
+
+
+def test_random_cycle_computes_each_kernel_once(monkeypatch):
+    # one kernel_basis call per (n, p) however often random_cycle asks, and
+    # the same cycles as a fresh complex, whose kernels are all uncached
+    from alcove import resolution
+
+    calls = []
+    original = resolution.kernel_basis
+
+    def counting(M, ncols):
+        calls.append(ncols)
+        return original(M, ncols)
+
+    data = build_lie_data("A3")
+    J = (0, 1, 2, 3)
+    oc = OrbitComplex(data, J)
+    requests = [(1, 2), (2, 2), (1, 2), (1, 3), (2, 2), (1, 3), (1, 2), (2, 3), (2, 3)]
+    rng, oracle_rng = random.Random(41), random.Random(41)
+    for p, n in requests:
+        monkeypatch.setattr(resolution, "kernel_basis", counting)
+        got = oc.random_cycle(p, n, rng)
+        monkeypatch.setattr(resolution, "kernel_basis", original)
+        assert got == OrbitComplex(data, J).random_cycle(p, n, oracle_rng)
+        assert not oc.boundary(got)
+    assert len(calls) == len(set(requests)) == 4
+
+
+def a2_certificate_doc():
+    import json as _json
+
+    doc = _json.loads(contract_certificate_a2())
+    assert doc["cycle"] and len(doc["cycle"][0]["x"]) == 2
+    return doc
+
+
+def edit_off_lattice(doc):
+    doc["cycle"][0]["x"][0] = "1/7"  # the A2 full-face orbit lies in (1/3) Z^2
+
+
+def edit_zero_denominator(doc):
+    doc["cycle"][0]["x"][1] = "1/0"
+
+
+def edit_extra_coordinate(doc):
+    doc["cycle"][0]["x"].append("0")
+
+
+def edit_missing_coordinate(doc):
+    doc["bounding"][0]["x"].pop()
+
+
+def edit_node_out_of_range(doc):
+    doc["cycle"][0]["I"] = [0, 3]
+
+
+def edit_negative_node(doc):
+    doc["bounding"][0]["I"] = [-1, 0, 1]
+
+
+CERTIFICATE_EDITS = [edit_off_lattice, edit_zero_denominator, edit_extra_coordinate,
+                     edit_missing_coordinate, edit_node_out_of_range, edit_negative_node]
+
+
+@pytest.mark.parametrize("edit", CERTIFICATE_EDITS, ids=lambda f: f.__name__)
+def test_verify_certificate_rejects_malformed_points_with_value_error(edit):
+    import json as _json
+
+    doc = a2_certificate_doc()
+    edit(doc)
+    # anything but ValueError escapes pytest.raises and fails the test
+    with pytest.raises(ValueError):
+        verify_certificate(_json.dumps(doc))
+
+
+def test_off_lattice_point_is_not_on_the_orbit():
+    import json as _json
+
+    oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
+    assert oc.D == 3
+    doc = a2_certificate_doc()
+    edit_off_lattice(doc)
+    with pytest.raises(ValueError, match=r"off the lattice \(1/3\) Z\^l of the orbit"):
+        verify_certificate(_json.dumps(doc))
+    with pytest.raises(ValueError, match="off the lattice"):
+        oc.element((0, 1), (F(1, 7), F(1, 3)))
+    with pytest.raises(ValueError, match="coordinates"):
+        oc.element((0, 1), (F(1, 3),))
+
+
+def test_certificate_lattice_point_off_the_orbit_rejected():
+    # (1, 1) lies in (1/3) Z^2 and inside the cone of {0, 1}, but it is a
+    # coroot-lattice point, on the orbit of the origin, not of (1/3, 1/3)
+    import json as _json
+
+    doc = a2_certificate_doc()
+    doc["cycle"][0]["I"], doc["cycle"][0]["x"] = [0, 1], ["1", "1"]
+    with pytest.raises(ValueError, match=r"point \(1, 1\) is not on the orbit"):
+        verify_certificate(_json.dumps(doc))
+
+
+def test_certificate_points_scale_by_the_orbit_denominator():
+    # the written 'p/q' coordinates are the key numerators over D
+    oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
+    c = oc.random_cycle(1, 3, random.Random(5), max_terms=4)
+    doc = chain_to_json(c, oc.D)
+    assert [tuple(F(v) for v in item["x"]) for item in doc] == [
+        unscaled(x, oc.D) for _, x in sorted(c.terms)
+    ]
+    assert chain_from_json(oc.J, 1, doc, oc.D) == c
