@@ -4,18 +4,23 @@ independent numeric oracle through character values at the special points
 
     t_nu = B_sharp(nu + rho) / (k + h_vee),   nu a level-k weight.
 
-Products are computed exactly (tensor decomposition by the Klimyk rule
-followed by reflection into the level alcove, i.e. the Kac-Walton
-composition); the numeric evaluation is retained purely as a second,
-independent check and never decides a value.  The Klimyk rule, the quotient
-map, induction and the projection to the fusion ring are one operation,
+Products are computed exactly by the Kac-Walton formula: each weight of
+the smaller factor is added to the other factor and reflected, rho-shifted,
+into the level alcove at level k + h_vee in one reduction.  The Klimyk rule
+followed by the quotient map computes the same constants in two passes; it
+serves CharacterElt products and the ring-homomorphism checks.  The numeric
+evaluation is retained purely as a second, independent check and never
+decides a value.  Kac-Walton, the Klimyk rule, the quotient map, induction
+and the projection to the fusion ring are one operation,
 affine.dominantize_terms, at different walls and levels; the element classes
 are alcove.sparse.SparseElt subclasses.
 
 The dominant weights of V_mu come from a downward search from mu that
 subtracts positive roots; Freudenthal multiplicities and Weyl dimensions
 are computed in integer arithmetic (the Gram matrix scaled to integers,
-exact divisibility asserted) and cached per type and weight.
+exact divisibility asserted) and cached per type and weight.  The Weyl
+orbit of each dominant weight is a downward walk that reads the wall values
+off the coordinates.
 """
 
 from __future__ import annotations
@@ -237,18 +242,28 @@ def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Wei
 
 
 def weyl_orbit(data: LieData, lam: Weight) -> list[Weight]:
-    """The classical Weyl orbit of a weight."""
-    seen = {tuple(lam)}
-    frontier = [tuple(lam)]
+    """The classical Weyl orbit of a dominant weight, by a downward walk.
+
+    In fundamental-weight coordinates <w, alpha_i_vee> is the coordinate
+    w[i-1], so the walk reflects at node i only where w[i-1] > 0, lowering w
+    by a positive multiple of alpha_i.  Every orbit point is reached: a point
+    other than lam has a negative coordinate at some i, and reflecting there
+    raises it, so a downward chain leads to it from the dominant lam."""
+    lam = tuple(lam)
+    if not is_dominant(data, lam):
+        raise ValueError(f"{lam} is not dominant")
+    node_root = data.node_root
+    seen = {lam}
+    frontier = [lam]
     while frontier:
         new = []
         for w in frontier:
-            for i in range(1, data.rank + 1):
-                c = sum(a * b for a, b in zip(w, data.node_coroot[i]))
-                img = tuple(x - c * r for x, r in zip(w, data.node_root[i]))
-                if img not in seen:
-                    seen.add(img)
-                    new.append(img)
+            for i, c in enumerate(w, 1):
+                if c > 0:
+                    img = tuple(x - c * r for x, r in zip(w, node_root[i]))
+                    if img not in seen:
+                        seen.add(img)
+                        new.append(img)
         frontier = new
     return sorted(seen)
 
@@ -280,6 +295,18 @@ def weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Weight, int]
 _TENSOR_CACHE: dict[tuple, dict[Weight, int]] = {}
 
 
+def _factor_weights(data: LieData, lam: Weight, mu: Weight) -> dict[Weight, int]:
+    """lam + tau with the multiplicity of tau, over the weights tau of V_mu,
+    after swapping the factors so that V_mu has the smaller dimension: the
+    terms that the Klimyk rule and the Kac-Walton formula reflect."""
+    if weyl_dimension(data, mu) > weyl_dimension(data, lam):
+        lam, mu = mu, lam
+    return {
+        tuple(a + b for a, b in zip(lam, tau)): m
+        for tau, m in weight_multiplicities(data, mu).items()
+    }
+
+
 def tensor_decompose(data: LieData, lam: Sequence[int], mu: Sequence[int]) -> CharacterElt:
     """Decomposition of V_lam (x) V_mu by the Klimyk rule."""
     lam, mu = _check_weight(data, lam), _check_weight(data, mu)
@@ -289,15 +316,9 @@ def tensor_decompose(data: LieData, lam: Sequence[int], mu: Sequence[int]) -> Ch
     cached = _TENSOR_CACHE.get(cache_key)
     if cached is not None:
         return CharacterElt(data, cached)
-    if weyl_dimension(data, mu) > weyl_dimension(data, lam):
-        lam, mu = mu, lam
     # V_lam (x) V_mu = sum over the weights tau of V_mu of chi(lam + tau),
     # each reduced by the classical Weyl group in the rho-shifted action
-    weights = {
-        tuple(a + b for a, b in zip(lam, tau)): m
-        for tau, m in weight_multiplicities(data, mu).items()
-    }
-    out = dominantize_terms(data, weights, 0, range(1, data.rank + 1), 1)
+    out = dominantize_terms(data, _factor_weights(data, lam, mu), 0, range(1, data.rank + 1), 1)
     assert all(c > 0 for c in out.values()), "Klimyk produced a negative multiplicity"
     dim_check = sum(c * weyl_dimension(data, w) for w, c in out.items())
     assert dim_check == weyl_dimension(data, lam) * weyl_dimension(data, mu)
@@ -319,16 +340,23 @@ _FUSION_CACHE: dict[tuple, dict[Weight, int]] = {}
 
 
 def fusion_product(a: FusionElt, b: FusionElt) -> FusionElt:
-    """Product in the fusion ring (tensor product followed by the quotient)."""
+    """Product in the fusion ring, by the Kac-Walton formula.
+
+    N_lm^c is the signed count of the weights tau of V_m, with multiplicity,
+    for which l + tau + rho reduces to c + rho under the affine Weyl group at
+    level k + h_vee.  That is the Klimyk rule followed by quotient_map in one
+    reduction: the finite Weyl group lies in the affine one and the sign is
+    multiplicative."""
     a._check(b)
     data, k = a.data, a.k
+    level, walls = k + data.dual_coxeter, range(data.rank + 1)
     out = a._new({})
     for l, cl in a.terms.items():
         for m, cm in b.terms.items():
             key = (data.lie_type, k) + tuple(sorted((l, m)))
             terms = _FUSION_CACHE.get(key)
             if terms is None:
-                terms = quotient_map(tensor_decompose(data, l, m), k).terms
+                terms = dominantize_terms(data, _factor_weights(data, l, m), level, walls, 1)
                 assert all(c > 0 for c in terms.values()), "negative fusion coefficient"
                 _FUSION_CACHE[key] = terms
             out = out + (cl * cm) * a._new(terms)

@@ -443,10 +443,14 @@ def chain_to_json(c: ChainElt, D: int) -> list[dict]:
 
 def _numerators(x: Iterable, D: int) -> tuple[int, ...]:
     """Numerators over D of a rational point.  Every orbit point of a
-    complex lies in (1/D) Z^l, so a point off it raises ValueError."""
+    complex lies in (1/D) Z^l, so a point off it raises ValueError, as does
+    a coordinate with a zero denominator."""
     out = []
     for v in x:
-        v = Fraction(v)
+        try:
+            v = Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"coordinate {v!r} has a zero denominator") from None
         if D % v.denominator:
             raise ValueError(
                 f"point ({', '.join(map(str, x))}) is off the lattice (1/{D}) Z^l of the orbit"
@@ -464,7 +468,10 @@ def chain_from_json(J: FaceIndex, degree: int, doc: Iterable[Mapping], D: int) -
         I = tuple(int(i) for i in item["I"])
         if any(a >= b for a, b in zip(I, I[1:])):
             raise ValueError(f"chain key {list(I)} is not strictly increasing")
-        x = _numerators(item["x"], D)
+        try:
+            x = _numerators(item["x"], D)
+        except ValueError as exc:
+            raise ValueError(f"chain key {list(I)}: {exc}") from None
         terms[(I, x)] = terms.get((I, x), 0) + int(item["coeff"])
     return ChainElt(J, degree, terms)
 

@@ -167,6 +167,23 @@ def test_verify_cert_rejects_malformed_points(tmp_path, capsys, edit):
     assert err.startswith("certificate invalid:") and "Traceback" not in err
 
 
+def test_verify_cert_zero_denominator_message(tmp_path, capsys):
+    code, text, _ = run(capsys, "contract", "A2", "-J", "0,1,2", "-N", "3", "--seed", "5")
+    assert code == 0
+    doc = json.loads(text)
+    doc["cycle"][0]["x"][1] = "1/0"
+    assert doc["cycle"][0]["I"] == [0, 1] and doc["cycle"][0]["x"] == ["-1/3", "1/0"]
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-cert", str(cert))
+    assert code == 5
+    assert out == ""
+    assert err == (
+        "certificate invalid: malformed certificate: "
+        "chain key [0, 1]: coordinate '1/0' has a zero denominator\n"
+    )
+
+
 def test_verify_cert_echoes_canonical_face(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(

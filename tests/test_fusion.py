@@ -26,6 +26,7 @@ from alcove.fusion import (
     tensor_decompose,
     weight_multiplicities,
     weyl_dimension,
+    weyl_orbit,
 )
 from alcove.affine import weight_wall_value
 from alcove.groupring import AntiInvariant, reskew_to
@@ -208,6 +209,45 @@ def test_downward_search_matches_box_walk(name, top):
         assert weyl_dimension(d, mu) == fraction_weyl_dimension(d, mu), mu
 
 
+def bfs_weyl_orbit(data, lam):
+    """Oracle: breadth-first search over every simple reflection, each wall
+    value a dot product with the simple coroot; any start weight."""
+    seen = {tuple(lam)}
+    frontier = [tuple(lam)]
+    while frontier:
+        new = []
+        for w in frontier:
+            for i in range(1, data.rank + 1):
+                c = sum(a * b for a, b in zip(w, data.node_coroot[i]))
+                img = tuple(x - c * r for x, r in zip(w, data.node_root[i]))
+                if img not in seen:
+                    seen.add(img)
+                    new.append(img)
+        frontier = new
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("name,top", SMALL_DOMINANT)
+def test_weyl_orbit_walk_matches_bfs(name, top):
+    """Every dominant weight with coordinate sum <= top: the downward walk
+    lists the same orbit as the breadth-first search, of size |W|/|W_lam|."""
+    d = build_lie_data(name)
+    for lam in itertools.product(range(top + 1), repeat=d.rank):
+        if sum(lam) > top:
+            continue
+        assert weyl_orbit(d, lam) == bfs_weyl_orbit(d, lam), lam
+
+
+def test_weyl_orbit_rejects_non_dominant():
+    # the downward walk from (-1, 2) would miss half of its orbit
+    a2 = build_lie_data("A2")
+    assert len(bfs_weyl_orbit(a2, (-1, 2))) == 6
+    for bad in [(-1, 2), (0, -1), [2, -3]]:
+        with pytest.raises(ValueError, match="not dominant"):
+            weyl_orbit(a2, bad)
+    assert weyl_orbit(a2, [1, 0]) == [(-1, 1), (0, -1), (1, 0)]
+
+
 # -- tensor products -----------------------------------------------------------------
 
 def test_tensor_examples():
@@ -286,6 +326,42 @@ def test_fusion_su2_closed_form():
             prod = fusion_product(FusionElt(a1, k, {(a,): 1}), FusionElt(a1, k, {(b,): 1}))
             for (c,) in basis:
                 assert prod.terms.get((c,), 0) == su2_closed_form(k, a, b, c)
+
+
+# every type up to E6 at the levels that keep the run short: 1,400 pairs
+KAC_WALTON_CASES = [
+    ("A1", 8), ("A2", 5), ("B2", 4), ("C2", 4), ("G2", 4),
+    ("A3", 2), ("B3", 2), ("C3", 2), ("D4", 2), ("F4", 2), ("E6", 2),
+]
+
+
+@pytest.mark.parametrize("name,top", KAC_WALTON_CASES)
+def test_fusion_product_matches_klimyk_then_quotient(name, top):
+    """Kac-Walton in one affine reduction equals the Klimyk decomposition
+    followed by the quotient map, on every unordered pair of level weights
+    for k <= top."""
+    d = build_lie_data(name)
+    for k in range(top + 1):
+        basis = level_weights(d, k)
+        for i, a in enumerate(basis):
+            for b in basis[i:]:
+                prod = fusion_product(FusionElt(d, k, {a: 1}), FusionElt(d, k, {b: 1}))
+                assert prod == quotient_map(tensor_decompose(d, a, b), k), (k, a, b)
+
+
+def test_fusion_product_miss_skips_klimyk_and_quotient(monkeypatch):
+    from alcove import fusion
+
+    def forbidden(*args):
+        raise AssertionError("a fusion_product miss must not call this")
+
+    monkeypatch.setattr(fusion, "_FUSION_CACHE", {})
+    monkeypatch.setattr(fusion, "tensor_decompose", forbidden)
+    monkeypatch.setattr(fusion, "quotient_map", forbidden)
+    a2 = build_lie_data("A2")
+    box = FusionElt(a2, 2, {(1, 0): 1})
+    assert fusion_product(box, box).terms == {(2, 0): 1, (0, 1): 1}
+    assert len(fusion._FUSION_CACHE) == 1
 
 
 def test_fusion_level_mismatch():

@@ -685,6 +685,19 @@ def test_verify_certificate_rejects_malformed_points_with_value_error(edit):
         verify_certificate(_json.dumps(doc))
 
 
+def test_certificate_zero_denominator_names_key_and_coordinate():
+    import json as _json
+
+    doc = a2_certificate_doc()
+    edit_zero_denominator(doc)
+    assert doc["cycle"][0]["I"] == [0, 1] and doc["cycle"][0]["x"] == ["-1/3", "1/0"]
+    with pytest.raises(
+        ValueError,
+        match=r"^malformed certificate: chain key \[0, 1\]: coordinate '1/0' has a zero denominator$",
+    ):
+        verify_certificate(_json.dumps(doc))
+
+
 def test_off_lattice_point_is_not_on_the_orbit():
     import json as _json
 
