@@ -230,7 +230,7 @@ def bfs_weyl_orbit(data, lam):
 @pytest.mark.parametrize("name,top", SMALL_DOMINANT)
 def test_weyl_orbit_walk_matches_bfs(name, top):
     """Every dominant weight with coordinate sum <= top: the downward walk
-    lists the same orbit as the breadth-first search, of size |W|/|W_lam|."""
+    lists the same orbit as the breadth-first search."""
     d = build_lie_data(name)
     for lam in itertools.product(range(top + 1), repeat=d.rank):
         if sum(lam) > top:
