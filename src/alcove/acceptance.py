@@ -12,7 +12,6 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .affine import weight_wall_value
@@ -288,8 +287,7 @@ def criterion_9_phase_identities(seed: int) -> str:
 
 def _min_coroot_norm(data: LieData, bound: int) -> Fraction:
     # integer-scaled Gram keeps the sweep in int arithmetic
-    denom = lcm(*(x.denominator for row in data.gram_coroot for x in row))
-    G = [[int(x * denom) for x in row] for row in data.gram_coroot]
+    G, denom = data.gram_coroot_scaled
     best = None
     for lam in itertools.product(range(-bound, bound + 1), repeat=data.rank):
         if all(x == 0 for x in lam):

@@ -12,14 +12,17 @@ and on Cartan points (standard action on t)
     xi -> xi - (<alpha_i, xi> + delta_{i,0}) * alpha_i_vee.
 
 Two greedy loops ("reflect at the lowest violated listed wall") do every
-reduction.  On weights, dominantize_walls reads the wall value at node i >= 1
-off the coordinate nu[i-1]; dominantize_terms applies it term by term, with
-an optional rho shift, for every weight-side map of the library.  On Cartan
-points, _reduce_scaled works on integer numerators X over one common
-denominator D: a wall value is the integer sum root * X (plus D at node 0),
-a reflection is X -> X - c * coroot, and D never changes.  It stays a
-separate loop because its wall values are dot products at every node, which
-the weight loop avoids.
+reduction.  On weights, the walk _walk reads the wall value at node i >= 1
+off the coordinate nu[i-1] and keeps the node-0 wall value m - <nu, theta_vee>
+up to date, moving it by c <alpha_i, theta_vee> (LieData.theta_pairing) on
+each reflection instead of recomputing a dot product.  dominantize_terms
+sorts its walls once and walks every term, with an optional rho shift, for
+every weight-side map of the library; dominantize_walls is the same walk for
+one weight.  On Cartan points, _reduce_scaled works on integer numerators X
+over one common denominator D: a wall value is the integer sum root * X
+(plus D at node 0), a reflection is X -> X - c * coroot, and D never
+changes.  It stays a separate loop because its wall values are dot products
+at every node, which the weight walk avoids.
 
 Orbits live entirely in these integers.  An OrbitContext fixes D as the lcm
 of the base point's denominators, and every point of the orbit lies in
@@ -84,34 +87,62 @@ def affine_reflect_weight(data: LieData, i: int, nu: Sequence[int], m: int) -> W
     return tuple(x - c * r for x, r in zip(nu, root))
 
 
-def dominantize_walls(
-    data: LieData, nu: Sequence[int], m: int, walls: Iterable[int]
+def _walk(
+    data: LieData, out: list[int], m: int, node0: bool, nodes: Sequence[int]
 ) -> SignedWeight:
-    """Reduce a weight into the region where the listed wall values are >= 0,
-    by greedy reflection at the lowest violated wall.
+    """The greedy weight reduction, at the walls given as node0 (whether
+    node 0 is listed) and the sorted listed nodes i >= 1.
 
     In fundamental-weight coordinates alpha_i_vee pairs with nu as the
-    coordinate nu[i-1] for i >= 1; only node 0 needs the comarks, with wall
-    value m - <nu, theta_vee>.  Sign is 0 if the result lies on one of the
-    listed walls (a zero wall value in the final pass), otherwise the parity
-    of the number of reflections performed.
+    coordinate nu[i-1] for i >= 1, so those wall values are read off the
+    coordinates.  Only node 0 needs the comarks: its wall value
+    c0 = m - <nu, theta_vee> is computed once, and a reflection
+    nu -> nu - c alpha_i moves it by c <alpha_i, theta_vee>.  Each pass
+    reflects at the lowest violated listed wall.  Sign is 0 if the result
+    lies on a listed wall (a zero wall value in the final pass), otherwise
+    the parity of the number of reflections performed.
     """
-    walls = sorted(walls)
-    comarks, node_root = data.comarks, data.node_root
-    out = list(nu)
+    node_root = data.node_root
+    if node0:
+        theta, c0 = data.theta_pairing, m - sum(map(mul, data.comarks, out))
+    else:
+        theta, c0 = (0,) * len(node_root), 0  # c0 stays 0, node 0 unread
     count = 0
     while True:
-        on_wall = False
-        for i in walls:
-            c = out[i - 1] if i else m - sum(a * x for a, x in zip(comarks, out))
+        if c0 < 0:
+            out = [x - c0 * r for x, r in zip(out, node_root[0])]
+            c0 += c0 * theta[0]
+            count += 1
+            continue
+        on_wall = node0 and not c0
+        for i in nodes:
+            c = out[i - 1]
             if c < 0:
                 out = [x - c * r for x, r in zip(out, node_root[i])]
+                c0 += c * theta[i]
                 count += 1
                 break
             if c == 0:
                 on_wall = True
         else:
             return SignedWeight(tuple(out), 0 if on_wall else (-1) ** count, count)
+
+
+def _split_walls(walls: list[int]) -> tuple[bool, list[int]]:
+    """A sorted wall list as (node 0 listed, the listed nodes i >= 1)."""
+    return walls[:1] == [0], [i for i in walls if i]
+
+
+def dominantize_walls(
+    data: LieData, nu: Sequence[int], m: int, walls: Iterable[int]
+) -> SignedWeight:
+    """Reduce a weight into the region where the listed wall values are >= 0,
+    by greedy reflection at the lowest violated wall.
+
+    Sign is 0 if the result lies on one of the listed walls, otherwise the
+    parity of the number of reflections performed.
+    """
+    return _walk(data, list(nu), m, *_split_walls(sorted(walls)))
 
 
 def dominantize_terms(
@@ -125,11 +156,12 @@ def dominantize_terms(
     walls = sorted(walls)
     if m < 1 and len(walls) > data.rank:
         raise ValueError("level must be >= 1")
+    node0, nodes = _split_walls(walls)
     out: dict[Weight, int] = {}
     for nu, c in terms.items():
-        rep, sign, _ = dominantize_walls(data, [x + shift for x in nu], m, walls)
+        rep, sign, _ = _walk(data, [x + shift for x in nu], m, node0, nodes)
         if sign:
-            key = tuple(x - shift for x in rep)
+            key = tuple([x - shift for x in rep]) if shift else rep
             out[key] = out.get(key, 0) + sign * c
     return {w: c for w, c in out.items() if c}
 

@@ -234,8 +234,6 @@ def cmd_verify_cert(args) -> int:
 
 def cmd_prequant(args) -> int:
     data = build_lie_data(args.group)
-    if args.level < 1:
-        raise ValueError("pre-quantization enumeration needs level >= 1")
 
     def text(doc):
         yield f"{len(doc['classes'])} pre-quantized classes at level {doc['k']}"

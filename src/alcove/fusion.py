@@ -17,10 +17,15 @@ are alcove.sparse.SparseElt subclasses.
 
 The dominant weights of V_mu come from a downward search from mu that
 subtracts positive roots; Freudenthal multiplicities and Weyl dimensions
-are computed in integer arithmetic (the Gram matrix scaled to integers,
-exact divisibility asserted) and cached per type and weight.  The Weyl
-orbit of each dominant weight is a downward walk that reads the wall values
-off the coordinates.
+are computed in integer arithmetic (the Gram matrix of LieData scaled to
+integers, exact divisibility asserted) and cached per type and weight.  The
+Weyl orbit of each dominant weight is a downward walk that reads the wall
+values off the coordinates.
+
+The numeric oracle works on integer numerators too.  A special point is
+X / D with X = N_w (nu + rho) and D = D_w (k + h_vee), where gram_weight =
+N_w / D_w; the phase of a weight tau there is <tau, X> mod D, exact, and
+only that residue is divided in floating point.
 """
 
 from __future__ import annotations
@@ -28,17 +33,15 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from itertools import product as iter_product
-from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
-from .affine import dominantize_terms, dominantize_walls, weight_wall_value
+from .affine import _scaled, dominantize_terms, dominantize_walls, weight_wall_value
 from .lie import (
     CartanPoint,
     LieData,
     Weight,
     _check_face_index,
-    b_sharp,
-    pairing,
 )
 from .sparse import SparseElt
 
@@ -201,8 +204,7 @@ def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Wei
         return cached
 
     # the Gram matrix on the fundamental weights, scaled to integers
-    scale = lcm(*(x.denominator for row in data.gram_weight for x in row))
-    gram = [[int(x * scale) for x in row] for row in data.gram_weight]
+    gram, _ = data.gram_weight_scaled
 
     def ip(a: Sequence[int], b: Sequence[int]) -> int:
         return sum(x * sum(g * y for g, y in zip(row, b)) for x, row in zip(a, gram))
@@ -373,39 +375,48 @@ def fusion_unit(data: LieData, k: int) -> FusionElt:
 
 def special_point(data: LieData, nu: Sequence[int], k: int) -> CartanPoint:
     """t_nu = B_sharp(nu + rho)/(k + h_vee), interior to the alcove."""
+    X, D = _special_scaled(data, nu, k)
+    return tuple(Fraction(x, D) for x in X)
+
+
+def _special_scaled(data: LieData, nu: Sequence[int], k: int) -> tuple[list[int], int]:
+    """t_nu as integer numerators X over one denominator D: with
+    gram_weight = N_w / D_w, X = N_w (nu + rho) and D = D_w (k + h_vee)."""
     nu = _check_weight(data, nu)
     if not in_level(data, nu, k):
         raise ValueError(f"{nu} is not a level-{k} weight")
-    m = k + data.dual_coxeter
-    return tuple(x / m for x in b_sharp(data, tuple(a + 1 for a in nu)))
+    gram, den = data.gram_weight_scaled
+    nu_rho = [a + 1 for a in nu]
+    return [sum(map(mul, row, nu_rho)) for row in gram], den * (k + data.dual_coxeter)
 
 
-def _exp2pi(t: Fraction) -> complex:
-    return cmath.exp(2j * cmath.pi * float(t))
+def _irreducible_value_scaled(data: LieData, mu: Weight, X: Sequence[int], D: int) -> complex:
+    """chi_mu(exp(X / D)): the multiplicities of the weights tau of V_mu are
+    summed by the exact phase <tau, X> mod D, and each phase is turned into a
+    float by one division."""
+    by_phase: dict[int, int] = {}
+    for tau, m in weight_multiplicities(data, mu).items():
+        p = sum(map(mul, tau, X)) % D
+        by_phase[p] = by_phase.get(p, 0) + m
+    return sum(m * cmath.exp(2j * cmath.pi * (p / D)) for p, m in by_phase.items())
+
+
+def _value_scaled(data: LieData, terms: Mapping[Weight, int], X: Sequence[int], D: int) -> complex:
+    return sum(c * _irreducible_value_scaled(data, mu, X, D) for mu, c in terms.items())
 
 
 def irreducible_character_value(data: LieData, mu: Weight, xi: Sequence) -> complex:
     """chi_mu(exp xi) as a sum over the weights of V_mu."""
-    return sum(
-        m * _exp2pi(pairing(tau, xi))
-        for tau, m in weight_multiplicities(data, mu).items()
-    )
+    return _irreducible_value_scaled(data, mu, *_scaled(data, xi))
 
 
 def character_value(chi: CharacterElt, xi: Sequence) -> complex:
-    return sum(
-        c * irreducible_character_value(chi.data, mu, xi)
-        for mu, c in chi.terms.items()
-    )
+    return _value_scaled(chi.data, chi.terms, *_scaled(chi.data, xi))
 
 
 def fusion_character_value(phi: FusionElt, nu: Weight) -> complex:
     """Numeric value of a fusion element at the special point t_nu."""
-    xi = special_point(phi.data, nu, phi.k)
-    return sum(
-        c * irreducible_character_value(phi.data, mu, xi)
-        for mu, c in phi.terms.items()
-    )
+    return _value_scaled(phi.data, phi.terms, *_special_scaled(phi.data, nu, phi.k))
 
 
 def ideal_membership(chi: CharacterElt, k: int) -> bool:
@@ -417,7 +428,7 @@ def ideal_membership(chi: CharacterElt, k: int) -> bool:
     data = chi.data
     exact = not quotient_map(chi, k)
     numeric = all(
-        abs(character_value(chi, special_point(data, nu, k))) < VANISH_TOL
+        abs(_value_scaled(data, chi.terms, *_special_scaled(data, nu, k))) < VANISH_TOL
         for nu in level_weights(data, k)
     )
     if exact != numeric:

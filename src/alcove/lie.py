@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .intlinalg import det, fmat, identity, mat_inv, mat_mul, mat_vec
@@ -194,6 +194,16 @@ class Root(NamedTuple):
     half_norm: Fraction
 
 
+ScaledMatrix = tuple[tuple[tuple[int, ...], ...], int]
+
+
+def _scaled_matrix(M: Sequence[Sequence[Fraction]]) -> ScaledMatrix:
+    """A rational matrix as (numerators, den) with M = numerators / den, den
+    the lcm of the entries' denominators."""
+    den = lcm(*(x.denominator for row in M for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in M), den
+
+
 def _weyl_order_of_cartan(A: Sequence[Sequence[int]]) -> int:
     """Order of the Weyl group of a finite-type Cartan matrix.
 
@@ -244,9 +254,13 @@ class LieData:
       dual_coxeter    h_vee = 1 + <theta, rho_sharp>
       gram_coroot     Gram matrix of B on the simple coroots
       gram_weight     Gram matrix of B-dual on the fundamental weights
+      gram_coroot_scaled, gram_weight_scaled
+                      the same two matrices as (integer numerators,
+                      denominator) pairs
       node_root       weight coordinates of alpha_i for nodes i = 0..l
       node_coroot     coroot coordinates of alpha_i_vee for nodes i = 0..l
       node_d          (alpha_i, alpha_i)/2 for nodes i = 0..l
+      theta_pairing   <alpha_i, theta_vee> for nodes i = 0..l
       alcove_vertices vertex i of the fundamental alcove, i = 0..l
     """
 
@@ -263,9 +277,12 @@ class LieData:
     dual_coxeter: int
     gram_coroot: tuple[tuple[Fraction, ...], ...]
     gram_weight: tuple[tuple[Fraction, ...], ...]
+    gram_coroot_scaled: ScaledMatrix
+    gram_weight_scaled: ScaledMatrix
     node_root: tuple[Weight, ...]
     node_coroot: tuple[tuple[int, ...], ...]
     node_d: tuple[Fraction, ...]
+    theta_pairing: tuple[int, ...]
     alcove_vertices: tuple[CartanPoint, ...]
     _face_cache: dict = field(default_factory=dict, compare=False, repr=False)
     _weyl_cache: dict = field(default_factory=dict, compare=False, repr=False)
@@ -353,9 +370,12 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
         dual_coxeter=h_vee,
         gram_coroot=gram_coroot,
         gram_weight=gram_weight,
+        gram_coroot_scaled=_scaled_matrix(gram_coroot),
+        gram_weight_scaled=_scaled_matrix(gram_weight),
         node_root=node_root,
         node_coroot=node_coroot,
         node_d=node_d,
+        theta_pairing=tuple(sum(c * r for c, r in zip(comarks, root)) for root in node_root),
         alcove_vertices=tuple(vertices),
     )
     _DATA_CACHE[lie_type] = data

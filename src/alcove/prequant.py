@@ -5,22 +5,37 @@ A conjugacy class is the class of exp(xi) for a unique xi in the closed
 fundamental alcove.  Central extensions enter only through their phase
 homomorphisms on the integral lattice, represented as exact rationals
 modulo 1; no extension groups are ever constructed.
+
+The pre-quantization test, quantize and the catalog run on integer
+numerators over one denominator, xi = X / D, with the Gram matrices of
+LieData scaled to integers (gram_coroot = N_c / D_c, gram_weight =
+N_w / D_w).  A wall value is the integer root * X (plus D at node 0), and
+b_flat(xi) = N_c X / (D_c D), so b_flat(k xi) is a weight exactly when
+D_c D divides k N_c X.  The catalog builds the class of a level-k weight mu
+as X = N_w mu over D = D_w k, and its phases on the lattice basis are
+(N_c X mod D_c D) / (D_c D).  Fraction appears only at the edges: input
+points are scaled once by affine._scaled, and output points and phases are
+printed from numerators.  extension_power_trivial and the phase functions
+keep their own Fraction computation, so the acceptance suite compares two
+routes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
+from .affine import _scaled
 from .fusion import in_level, level_weights
 from .lie import (
     CartanPoint,
     FaceIndex,
     LieData,
+    OutsideAlcoveError,
     Weight,
+    _frac_str,
     alcove_face_of,
-    b_flat,
-    b_sharp,
     basic_pairing,
     face_data,
     pairing,
@@ -54,37 +69,67 @@ def _check_integral(data: LieData, lam: Sequence) -> tuple[int, ...]:
     return tuple(int(x) for x in lam)
 
 
+def _prequant_scaled(
+    data: LieData, X: Sequence[int], D: int, k: int
+) -> tuple[FaceIndex, list[int], Weight | None]:
+    """(face, flat, label) for xi = X / D: the face of xi, the numerators of
+    b_flat(xi) = flat / (D_c D), and the level-k label b_flat(k xi) if it is
+    a weight, else None.  Raises OutsideAlcoveError if xi is outside the
+    closed alcove, ValueError if k < 0."""
+    face = []
+    for i, root in enumerate(data.node_root):
+        v = sum(map(mul, root, X)) + (D if i == 0 else 0)
+        if v < 0:
+            raise OutsideAlcoveError(i, Fraction(v, D))
+        if v:
+            face.append(i)
+    if k < 0:
+        raise ValueError("level must be >= 0")
+    gram, den = data.gram_coroot_scaled
+    den *= D
+    flat = [sum(map(mul, row, X)) for row in gram]
+    scaled = [k * x for x in flat]
+    if any(x % den for x in scaled):
+        return tuple(face), flat, None
+    label = tuple(x // den for x in scaled)
+    assert in_level(data, label, k)
+    return tuple(face), flat, label
+
+
 def prequantizable(data: LieData, xi: Sequence, k: int) -> bool:
     """Whether the class of exp(xi) admits a level-k pre-quantization:
     b_flat(k xi) must be a weight."""
-    xi = tuple(Fraction(x) for x in xi)
-    alcove_face_of(data, xi)  # raises if outside the closed alcove
-    if k < 0:
-        raise ValueError("level must be >= 0")
-    return all((k * x).denominator == 1 for x in b_flat(data, xi))
+    return _prequant_scaled(data, *_scaled(data, xi), k)[2] is not None
 
 
 def quantize(data: LieData, xi: Sequence, k: int) -> Weight:
     """The level-k weight labeling the quantization of the class of exp(xi)."""
     if k < 1:
         raise ValueError("quantization needs level >= 1")
-    if not prequantizable(data, xi, k):
+    mu = _prequant_scaled(data, *_scaled(data, xi), k)[2]
+    if mu is None:
         raise ValueError(f"class at {tuple(xi)} is not pre-quantizable at level {k}")
-    mu = tuple(int(k * x) for x in b_flat(data, xi))
-    assert in_level(data, mu, k)
     return mu
+
+
+def _level_points(data: LieData, k: int) -> tuple[list[tuple[Weight, list[int]]], int]:
+    """The level-k weights mu with the numerators X of xi = B_sharp(mu) / k,
+    over their one denominator D."""
+    if k < 1:
+        raise ValueError("pre-quantized classes need level >= 1")
+    gram, den = data.gram_weight_scaled
+    points = [(mu, [sum(map(mul, row, mu)) for row in gram]) for mu in level_weights(data, k)]
+    return points, den * k
 
 
 def enumerate_prequantized(data: LieData, k: int) -> list[ConjClass]:
     """All level-k pre-quantized conjugacy classes; quantize maps them
     bijectively onto the level-k weights, in order."""
-    if k < 1:
-        raise ValueError("level must be >= 1")
-    out = []
-    for mu in level_weights(data, k):
-        xi = tuple(x / k for x in b_sharp(data, mu))
-        out.append(conjugacy_class(data, xi))
-    return out
+    points, D = _level_points(data, k)
+    return [
+        ConjClass(tuple(Fraction(x, D) for x in X), _prequant_scaled(data, X, D, k)[0])
+        for _, X in points
+    ]
 
 
 def central_phase(data: LieData, xi: Sequence, lam: Sequence) -> Fraction:
@@ -135,23 +180,19 @@ def coxeter_power_identity_check(data: LieData, I: Sequence[int]) -> bool:
 def prequant_catalog(data: LieData, k: int) -> list[dict]:
     """One row per pre-quantized class: alcove point, face, label weight,
     Weyl order of the face, and the phase table on the lattice basis."""
-    from .lie import _frac_str
-
+    points, D = _level_points(data, k)
+    den = data.gram_coroot_scaled[1] * D
     rows = []
-    for cc in enumerate_prequantized(data, k):
-        mu = quantize(data, cc.xi, k)
-        f = face_data(data, cc.face)
-        phases = [
-            _frac_str(central_phase(data, cc.xi, data.node_coroot[i + 1]))
-            for i in range(data.rank)
-        ]
+    for mu, X in points:
+        face, flat, label = _prequant_scaled(data, X, D, k)
+        assert label == mu, (mu, k)
         rows.append(
             {
-                "xi": [_frac_str(x) for x in cc.xi],
-                "face": list(cc.face),
-                "mu": list(mu),
-                "weyl_order": f.weyl_order,
-                "phases": phases,
+                "xi": [_frac_str(Fraction(x, D)) for x in X],
+                "face": list(face),
+                "mu": list(label),
+                "weyl_order": face_data(data, face).weyl_order,
+                "phases": [_frac_str(Fraction(x % den, den)) for x in flat],
             }
         )
     return rows

@@ -226,6 +226,11 @@ def test_prequant_rejects_level_zero(capsys):
     assert code == 3
 
 
+def test_prequant_level_zero_message(capsys):
+    code, out, err = run(capsys, "prequant", "A1", "-k", "0")
+    assert (code, out, err) == (3, "", "error: pre-quantized classes need level >= 1\n")
+
+
 def test_prequant_csv_header_and_rows(capsys):
     code, out, _ = run(capsys, "prequant", "C2", "-k", "1", "--format", "csv")
     assert code == 0

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import random
 from fractions import Fraction as F
@@ -15,7 +16,6 @@ from alcove.fusion import (
     fusion_product,
     fusion_table,
     fusion_unit,
-    _exp2pi,
     holomorphic_induction,
     ideal_membership,
     irreducible_character_value,
@@ -34,6 +34,7 @@ from alcove.lie import (
     _check_face_index,
     alcove_face_of,
     apply_weight,
+    b_sharp,
     build_lie_data,
     pairing,
     weyl_elements,
@@ -42,8 +43,27 @@ from alcove.lie import (
 RANK_LE_2 = ["A1", "A2", "B2", "C2", "G2"]
 
 
-# Two oracles used only by these tests, moved here from alcove.fusion with
-# their bodies unchanged: the Weyl character formula and exhaustive induction.
+# Oracles used only by these tests, moved here from alcove.fusion with their
+# bodies unchanged: the Weyl character formula, exhaustive induction, and the
+# character value with Fraction phases.
+
+
+def _exp2pi(t):
+    return cmath.exp(2j * cmath.pi * float(t))
+
+
+def fraction_character_value(data, mu, xi):
+    """chi_mu(exp xi) as a sum over the weights of V_mu, each phase a
+    Fraction pairing."""
+    return sum(
+        m * _exp2pi(pairing(tau, xi))
+        for tau, m in weight_multiplicities(data, mu).items()
+    )
+
+
+def fraction_special_point(data, nu, k):
+    m = k + data.dual_coxeter
+    return tuple(x / m for x in b_sharp(data, tuple(a + 1 for a in nu)))
 
 
 def weyl_character_value(data, mu, xi):
@@ -419,6 +439,27 @@ def test_special_points_interior():
             for nu in level_weights(d, k):
                 xi = special_point(d, nu, k)
                 assert alcove_face_of(d, xi) == tuple(range(d.rank + 1))
+
+
+RING_TYPES = ["A1", "A2", "B2", "C2", "G2", "A3", "B3"]
+
+
+@pytest.mark.parametrize("name", RING_TYPES)
+def test_integer_phases_match_fraction_oracle(name):
+    """At every level-k special point, k <= 3, the special point equals the
+    Fraction formula and every level-k character value agrees with the
+    Fraction-phase sum to 1e-12."""
+    d = build_lie_data(name)
+    for k in (1, 2, 3):
+        basis = level_weights(d, k)
+        for nu in basis:
+            xi = special_point(d, nu, k)
+            assert xi == fraction_special_point(d, nu, k)
+            for mu in basis:
+                expected = fraction_character_value(d, mu, xi)
+                assert abs(irreducible_character_value(d, mu, xi) - expected) < 1e-12
+                phi = FusionElt(d, k, {mu: 1})
+                assert abs(fusion_character_value(phi, nu) - expected) < 1e-12
 
 
 def test_character_value_examples():

@@ -1,12 +1,26 @@
+import inspect
 import itertools
+import json
 from fractions import Fraction as F
 
 import pytest
 
-from alcove.fusion import level_weights
-from alcove.lie import OutsideAlcoveError, alcove_face_of, b_sharp, build_lie_data
+from alcove import prequant
+from alcove.acceptance import run_criteria
+from alcove.fusion import in_level, level_weights
+from alcove.lie import (
+    OutsideAlcoveError,
+    _frac_str,
+    alcove_face_of,
+    b_flat,
+    b_sharp,
+    build_lie_data,
+    face_data,
+)
 from alcove.prequant import (
+    ConjClass,
     central_phase,
+    conjugacy_class,
     coxeter_power_identity_check,
     enumerate_prequantized,
     extension_power_trivial,
@@ -161,3 +175,157 @@ def test_catalog_rows():
     assert rows[1]["mu"] == [1]
     assert rows[1]["xi"] == ["1/4"]
     assert rows[1]["phases"] == ["1/2"]
+
+
+# -- the integer route against the Fraction route it replaced --------------------
+
+# Oracles, bodies as they stood before pre-quantization moved onto integer
+# numerators: the Fraction test, quantization, enumeration and catalog.
+
+
+def fraction_prequantizable(data, xi, k):
+    xi = tuple(F(x) for x in xi)
+    alcove_face_of(data, xi)  # raises if outside the closed alcove
+    if k < 0:
+        raise ValueError("level must be >= 0")
+    return all((k * x).denominator == 1 for x in b_flat(data, xi))
+
+
+def fraction_quantize(data, xi, k):
+    if k < 1:
+        raise ValueError("quantization needs level >= 1")
+    if not fraction_prequantizable(data, xi, k):
+        raise ValueError(f"class at {tuple(xi)} is not pre-quantizable at level {k}")
+    mu = tuple(int(k * x) for x in b_flat(data, xi))
+    assert in_level(data, mu, k)
+    return mu
+
+
+def fraction_enumerate(data, k):
+    if k < 1:
+        raise ValueError("level must be >= 1")
+    out = []
+    for mu in level_weights(data, k):
+        xi = tuple(x / k for x in b_sharp(data, mu))
+        out.append(conjugacy_class(data, xi))
+    return out
+
+
+def fraction_catalog(data, k):
+    rows = []
+    for cc in fraction_enumerate(data, k):
+        mu = fraction_quantize(data, cc.xi, k)
+        f = face_data(data, cc.face)
+        phases = [
+            _frac_str(central_phase(data, cc.xi, data.node_coroot[i + 1]))
+            for i in range(data.rank)
+        ]
+        rows.append(
+            {
+                "xi": [_frac_str(x) for x in cc.xi],
+                "face": list(cc.face),
+                "mu": list(mu),
+                "weyl_order": f.weyl_order,
+                "phases": phases,
+            }
+        )
+    return rows
+
+
+CATALOG_CASES = [
+    (name, k)
+    for names, top in [
+        (["A1"], 8),
+        (["A2"], 6),
+        (["B2", "C2", "G2"], 5),
+        (["A3", "B3"], 4),
+        (["C3", "D4"], 3),
+        (["F4", "E6", "A4", "B4"], 2),
+    ]
+    for name in names
+    for k in range(1, top + 1)
+]
+
+
+@pytest.mark.parametrize("name,k", CATALOG_CASES)
+def test_catalog_matches_fraction_route(name, k):
+    d = build_lie_data(name)
+    rows = prequant_catalog(d, k)
+    assert json.dumps(rows, indent=2) == json.dumps(fraction_catalog(d, k), indent=2)
+    classes = enumerate_prequantized(d, k)
+    assert classes == fraction_enumerate(d, k)
+    assert all(isinstance(c, ConjClass) for c in classes)
+    for row in rows:
+        xi = [F(x) for x in row["xi"]]
+        assert quantize(d, xi, k) == fraction_quantize(d, xi, k) == tuple(row["mu"])
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+QUANTIZE_TYPES = ["A1", "A2", "B2", "G2", "A3"]
+
+
+@pytest.mark.parametrize("name", QUANTIZE_TYPES)
+def test_quantize_errors_match_fraction_route(name):
+    """Same value or same exception type as the Fraction route, on a rank
+    mismatch, a point outside the alcove, an unquantizable point and k < 1,
+    and on a grid of points and levels around them."""
+    d = build_lie_data(name)
+    inside = [c.xi for c in fraction_enumerate(d, 3)]
+    cases = [
+        inside[0] + (F(0),),  # rank mismatch
+        inside[-1][:-1],
+        (F(-1, 2),) + inside[0][1:],  # outside: wall i >= 1
+        tuple(F(2) for _ in range(d.rank)),  # outside: wall 0
+        tuple(F(1, 7) * x for x in inside[-1]),  # pre-quantizable only at some levels
+    ] + inside
+    for xi in cases:
+        for k in (-1, 0, 1, 2, 3, 5, 7):
+            expected = outcome(fraction_quantize, d, xi, k)
+            assert outcome(quantize, d, xi, k) == expected, (xi, k)
+            assert outcome(prequantizable, d, xi, k) == outcome(
+                fraction_prequantizable, d, xi, k
+            ), (xi, k)
+    with pytest.raises(ValueError):
+        quantize(d, inside[0] + (F(0),), 1)
+    with pytest.raises(OutsideAlcoveError):
+        quantize(d, tuple(F(2) for _ in range(d.rank)), 1)
+
+
+def test_outside_alcove_error_carries_the_fraction_wall_value():
+    d = build_lie_data("A2")
+    xi = (F(5, 6), F(1, 2))
+    with pytest.raises(OutsideAlcoveError) as new:
+        quantize(d, xi, 2)
+    with pytest.raises(OutsideAlcoveError) as old:
+        fraction_quantize(d, xi, 2)
+    assert (new.value.wall, new.value.value, str(new.value)) == (
+        old.value.wall, old.value.value, str(old.value))
+
+
+def test_criterion_8_catches_an_off_by_one_divisibility_check(monkeypatch):
+    """Criterion 8 compares prequantizable, which runs the integer helper,
+    with extension_power_trivial, which runs its own Fraction phases; a
+    divisibility check that tests against one more than the denominator
+    must fail it."""
+    assert run_criteria(names=["8"])[0].ok
+    source = inspect.getsource(prequant._prequant_scaled)
+    assert source.count("x % den") == 1
+    namespace = dict(vars(prequant))
+    exec(source.replace("x % den", "x % (den + 1)"), namespace)
+    monkeypatch.setattr(prequant, "_prequant_scaled", namespace["_prequant_scaled"])
+    (result,) = run_criteria(names=["8"])
+    assert not result.ok
+    # the second route alone tells the mutant apart on the criterion's grid
+    d = build_lie_data("A2")
+    assert any(
+        prequant.prequantizable(d, xi, k) != extension_power_trivial(d, xi, alcove_face_of(d, xi), k)
+        for xi in alcove_grid(d, 6)
+        for k in (1, 2, 3, 4)
+    )
