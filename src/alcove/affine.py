@@ -1,6 +1,6 @@
 """The affine Weyl group: level-m action on weights, dominantization with
-sign, the standard affine action on the Cartan subalgebra, and orbit
-enumeration with the length function.
+sign, signed orbits of the finite groups W_I, the standard affine action on
+the Cartan subalgebra, and orbit enumeration with the length function.
 
 The group is generated by the simple affine reflections indexed by the nodes
 0..l of the extended Dynkin diagram.  On weights at level m the reflection is
@@ -23,6 +23,11 @@ over one common denominator D: a wall value is the integer sum root * X
 (plus D at node 0), a reflection is X -> X - c * coroot, and D never
 changes.  It stays a separate loop because its wall values are dot products
 at every node, which the weight walk avoids.
+
+weyl_orbit walks the other way: from a weight in the closed cone of the
+listed walls (at most l of them, so the group is finite) it reflects only
+at walls with a positive value, and signs each point by its depth.  Every
+alternating sum over a W_I is this walk, so no group element is ever listed.
 
 Orbits live entirely in these integers.  An OrbitContext fixes D as the lcm
 of the base point's denominators, and every point of the orbit lies in
@@ -164,6 +169,47 @@ def dominantize_terms(
             key = tuple([x - shift for x in rep]) if shift else rep
             out[key] = out.get(key, 0) + sign * c
     return {w: c for w, c in out.items() if c}
+
+
+def weyl_orbit(
+    data: LieData, nu: Sequence[int], m: int, walls: Iterable[int]
+) -> dict[Weight, int]:
+    """The orbit of a weight in the closed cone of the listed walls under the
+    finite group those walls generate at level m, each point with its sign.
+
+    The walk goes down from nu: it reflects at a listed wall only where the
+    wall value c is positive, moving the point by -c alpha_i.  At a node
+    i >= 1 the wall value is the coordinate w[i-1], as in _walk.  Every
+    orbit point is reached, because a point outside the cone has a negative
+    wall value and reflecting there leads back towards nu.  Every path to a
+    point has the same length, the length of the shortest element carrying
+    nu there, so its sign (-1)^depth is well defined; on a free orbit it is
+    sign(w).  Keys are in walk order, by depth.  Raises ValueError if nu is
+    outside the closed cone, or if all l+1 walls are listed (that group is
+    infinite).
+    """
+    walls = sorted(set(walls))
+    if len(walls) > data.rank:
+        raise ValueError("all l+1 walls generate an infinite group")
+    nu = tuple(nu)
+    if any(weight_wall_value(data, nu, i, m) < 0 for i in walls):
+        raise ValueError(f"{nu} is outside the closed cone of walls {walls}")
+    node_root, comarks = data.node_root, data.comarks
+    orbit = {nu: 1}
+    frontier, sign = [nu], 1
+    while frontier:
+        sign = -sign
+        new = []
+        for w in frontier:
+            for i in walls:
+                c = w[i - 1] if i else m - sum(map(mul, comarks, w))
+                if c > 0:
+                    img = tuple([x - c * r for x, r in zip(w, node_root[i])])
+                    if img not in orbit:
+                        orbit[img] = sign
+                        new.append(img)
+        frontier = new
+    return orbit
 
 
 def dominantize(data: LieData, nu: Sequence[int], m: int) -> SignedWeight:

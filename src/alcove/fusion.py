@@ -19,8 +19,8 @@ The dominant weights of V_mu come from a downward search from mu that
 subtracts positive roots; Freudenthal multiplicities and Weyl dimensions
 are computed in integer arithmetic (the Gram matrix of LieData scaled to
 integers, exact divisibility asserted) and cached per type and weight.  The
-Weyl orbit of each dominant weight is a downward walk that reads the wall
-values off the coordinates.
+Weyl orbit of each dominant weight is affine.weyl_orbit at the walls 1..l
+and level 0, a downward walk that reads the wall values off the coordinates.
 
 The numeric oracle works on integer numerators too.  A special point is
 X / D with X = N_w (nu + rho) and D = D_w (k + h_vee), where gram_weight =
@@ -36,7 +36,7 @@ from itertools import product as iter_product
 from operator import mul
 from typing import Mapping, Sequence
 
-from .affine import _scaled, dominantize_terms, dominantize_walls, weight_wall_value
+from .affine import _scaled, dominantize_terms, dominantize_walls, weight_wall_value, weyl_orbit
 from .lie import (
     CartanPoint,
     LieData,
@@ -243,33 +243,6 @@ def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Wei
     return mults
 
 
-def weyl_orbit(data: LieData, lam: Weight) -> list[Weight]:
-    """The classical Weyl orbit of a dominant weight, by a downward walk.
-
-    In fundamental-weight coordinates <w, alpha_i_vee> is the coordinate
-    w[i-1], so the walk reflects at node i only where w[i-1] > 0, lowering w
-    by a positive multiple of alpha_i.  Every orbit point is reached: a point
-    other than lam has a negative coordinate at some i, and reflecting there
-    raises it, so a downward chain leads to it from the dominant lam."""
-    lam = tuple(lam)
-    if not is_dominant(data, lam):
-        raise ValueError(f"{lam} is not dominant")
-    node_root = data.node_root
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        new = []
-        for w in frontier:
-            for i, c in enumerate(w, 1):
-                if c > 0:
-                    img = tuple(x - c * r for x, r in zip(w, node_root[i]))
-                    if img not in seen:
-                        seen.add(img)
-                        new.append(img)
-        frontier = new
-    return sorted(seen)
-
-
 def weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Weight, int]:
     """Multiplicities of all weights of V_mu, cross-checked against the Weyl
     dimension formula: the Freudenthal multiplicities spread over the Weyl
@@ -279,9 +252,10 @@ def weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Weight, int]
     cached = _FULL_MULT_CACHE.get(key)
     if cached is not None:
         return cached
+    walls = range(1, data.rank + 1)
     out: dict[Weight, int] = {}
     for lam, m in dominant_weight_multiplicities(data, mu).items():
-        for w in weyl_orbit(data, lam):
+        for w in sorted(weyl_orbit(data, lam, 0, walls)):
             out[w] = m
     assert sum(out.values()) == weyl_dimension(data, mu), (
         f"Freudenthal/Weyl dimension mismatch for {mu}"

@@ -7,20 +7,25 @@ measured); mixing levels or ranks in a binary operation raises
 LevelMismatchError.  Anti-invariants are stored by their regular cone
 representatives, never by full expansion, and re-skewed between faces by
 affine.dominantize_terms.
+
+No element of W_I is ever listed.  Skew-symmetrization reduces each term
+into the cone with its sign, and a term on a wall drops out, because its
+stabilizer contains a reflection; expansion sums the signed orbit walk
+affine.weyl_orbit of each regular representative.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .affine import affine_reflect_weight, dominantize_terms, weight_wall_value
-from .lie import (
-    LieData,
-    Weight,
-    _check_face_index,
-    apply_weight,
-    weyl_elements,
+from .affine import (
+    _walls_outside,
+    affine_reflect_weight,
+    dominantize_terms,
+    weight_wall_value,
+    weyl_orbit,
 )
+from .lie import LieData, Weight, _bounded_weyl_order, _check_face_index
 from .sparse import SparseElt
 
 
@@ -71,24 +76,15 @@ class GroupRingElt(SparseElt):
                 out[key] = out.get(key, 0) + c1 * c2
         return GroupRingElt(self.data, self.level, out)
 
-    def apply(self, elt) -> "GroupRingElt":
-        """Push forward along the level-m action of one Weyl element."""
-        out: dict[Weight, int] = {}
-        for w, c in self.terms.items():
-            key = apply_weight(elt, w, self.level)
-            out[key] = out.get(key, 0) + c
-        return GroupRingElt(self.data, self.level, out)
-
 
 def skew_symmetrize(phi: GroupRingElt, I: Sequence[int]) -> GroupRingElt:
     """Alternating sum of phi over W_I at the element's level (Sk over the
-    face I).  Requires enumerating W_I, so keep to small groups."""
+    face I): each term is reduced into the cone with its sign, terms on a
+    wall drop out, and the cone representatives are expanded."""
     I = _check_face_index(phi.data, I)
-    out = GroupRingElt(phi.data, phi.level)
-    for elt in weyl_elements(phi.data, I):
-        moved = phi.apply(elt)
-        out = out + (elt.sign * moved)
-    return out
+    walls = _walls_outside(phi.data, I)
+    reps = dominantize_terms(phi.data, phi.terms, phi.level, walls, 0)
+    return expand(AntiInvariant(phi.data, phi.level, I, reps))
 
 
 class AntiInvariant(SparseElt):
@@ -114,17 +110,20 @@ class AntiInvariant(SparseElt):
                 raise ValueError(f"representative {nu} is not regular for wall {i}")
 
 
+def _reflect(phi: GroupRingElt, i: int) -> GroupRingElt:
+    """phi pushed forward along the reflection at wall i, at its level."""
+    moved: dict[Weight, int] = {}
+    for w, c in phi.terms.items():
+        key = affine_reflect_weight(phi.data, i, w, phi.level)
+        moved[key] = moved.get(key, 0) + c
+    return GroupRingElt(phi.data, phi.level, moved)
+
+
 def check_anti_invariant(phi: GroupRingElt, I: Sequence[int]) -> None:
     """Verify that each generator of W_I negates phi under the level action."""
     I = _check_face_index(phi.data, I)
     for i in range(phi.data.rank + 1):
-        if i in I:
-            continue
-        moved: dict[Weight, int] = {}
-        for w, c in phi.terms.items():
-            key = affine_reflect_weight(phi.data, i, w, phi.level)
-            moved[key] = moved.get(key, 0) + c
-        if GroupRingElt(phi.data, phi.level, moved) != -phi:
+        if i not in I and _reflect(phi, i) != -phi:
             raise NotAntiInvariantError(i)
 
 
@@ -136,7 +135,7 @@ def to_cone_basis(phi: GroupRingElt, I: Sequence[int]) -> AntiInvariant:
     """
     I = _check_face_index(phi.data, I)
     check_anti_invariant(phi, I)
-    walls = [i for i in range(phi.data.rank + 1) if i not in I]
+    walls = _walls_outside(phi.data, I)
     reps: dict[Weight, int] = {}
     for nu, c in phi.terms.items():
         if all(weight_wall_value(phi.data, nu, i, phi.level) >= 1 for i in walls):
@@ -145,11 +144,19 @@ def to_cone_basis(phi: GroupRingElt, I: Sequence[int]) -> AntiInvariant:
 
 
 def expand(anti: AntiInvariant) -> GroupRingElt:
-    """Expand cone representatives back to the full group-ring element."""
-    out = GroupRingElt(anti.data, anti.level)
+    """Expand cone representatives back to the full group-ring element: the
+    signed W_I-orbit of each regular representative, summed.
+
+    The orbit of a regular representative is free, so the walk visits
+    |W_I| points; a W_I beyond lie._WEYL_ENUMERATION_LIMIT elements is
+    refused with ValueError before any walk, whatever the terms."""
+    _bounded_weyl_order(anti.data, anti.I)
+    walls = _walls_outside(anti.data, anti.I)
+    out: dict[Weight, int] = {}
     for nu, c in anti.terms.items():
-        out = out + (c * skew_symmetrize(GroupRingElt.delta(anti.data, anti.level, nu), anti.I))
-    return out
+        for w, sign in weyl_orbit(anti.data, nu, anti.level, walls).items():
+            out[w] = out.get(w, 0) + sign * c
+    return GroupRingElt(anti.data, anti.level, out)
 
 
 def reskew_to(anti: AntiInvariant, J: Sequence[int]) -> AntiInvariant:
@@ -163,20 +170,15 @@ def reskew_to(anti: AntiInvariant, J: Sequence[int]) -> AntiInvariant:
     J = _check_face_index(anti.data, J)
     if not set(J) <= set(anti.I):
         raise ValueError(f"{J} is not a subset of {anti.I}")
-    walls = [i for i in range(anti.data.rank + 1) if i not in J]
+    walls = _walls_outside(anti.data, J)
     out = dominantize_terms(anti.data, anti.terms, anti.level, walls, 0)
     return AntiInvariant(anti.data, anti.level, J, out)
 
 
 def check_w_invariant(chi: GroupRingElt) -> None:
     """Verify invariance under the classical (linear) Weyl group action."""
-    n = chi.data.rank
-    for i in range(1, n + 1):
-        moved: dict[Weight, int] = {}
-        for w, c in chi.terms.items():
-            key = affine_reflect_weight(chi.data, i, w, 0)  # linear for i >= 1
-            moved[key] = moved.get(key, 0) + c
-        if GroupRingElt(chi.data, chi.level, moved) != chi:
+    for i in range(1, chi.data.rank + 1):  # linear reflections, any level
+        if _reflect(chi, i) != chi:
             raise ValueError(f"element is not W-invariant: reflection {i} fails")
 
 

@@ -37,13 +37,6 @@ def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> FracMatrix:
     )
 
 
-def identity(n: int) -> FracMatrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-
-
 def mat_inv(M: Sequence[Sequence]) -> FracMatrix:
     """Invert a square rational matrix by Gauss-Jordan elimination."""
     n = len(M)
@@ -64,26 +57,6 @@ def mat_inv(M: Sequence[Sequence]) -> FracMatrix:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def det(M: Sequence[Sequence]) -> Fraction:
-    n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            A[col], A[pivot] = A[pivot], A[col]
-            result = -result
-        result *= A[col][col]
-        inv = 1 / A[col][col]
-        for r in range(col + 1, n):
-            if A[r][col] != 0:
-                f = A[r][col] * inv
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-    return result
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -25,17 +25,22 @@ Conventions, fixed once and used everywhere:
   corresponds to the simple root alpha_i (fundamental coweight over its mark).
   The face Delta_I spanned by the vertices in I is cut out by vanishing of
   exactly the walls outside I.
+
+weyl_elements lists a W_I as integer affine maps on weights.  No library
+path calls it: alternating sums over W_I walk signed orbits
+(affine.weyl_orbit), and the enumeration stays as the tests' reference.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .intlinalg import det, fmat, identity, mat_inv, mat_mul, mat_vec
+from .intlinalg import fmat, mat_inv, mat_mul, mat_vec
 
 Weight = tuple[int, ...]
 RationalWeight = tuple[Fraction, ...]
@@ -204,37 +209,20 @@ def _scaled_matrix(M: Sequence[Sequence[Fraction]]) -> ScaledMatrix:
     return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in M), den
 
 
-def _weyl_order_of_cartan(A: Sequence[Sequence[int]]) -> int:
-    """Order of the Weyl group of a finite-type Cartan matrix.
+def _weyl_order(roots: Iterable[Sequence[int]]) -> int:
+    """Order of the Weyl group of a root system from its positive roots, as
+    coefficient vectors over the simple roots.
 
-    Uses |W| = prod over connected components of n! * (product of marks of
-    the highest root) * det(Cartan), which needs no classification tables.
+    |W| is the product of e + 1 over the exponents e, and exactly as many
+    exponents are >= h as there are positive roots of height h (Kostant,
+    Amer. J. Math. 81, 1959).  Both hold component by component, so the
+    height counts of a reducible system give its order too, and no
+    classification table is needed.
     """
-    n = len(A)
-    if n == 0:
-        return 1
-    unseen = set(range(n))
+    count = Counter(sum(b) for b in roots)
     order = 1
-    while unseen:
-        comp = [unseen.pop()]
-        queue = list(comp)
-        while queue:
-            i = queue.pop()
-            for j in list(unseen):
-                if A[i][j] != 0:
-                    unseen.discard(j)
-                    comp.append(j)
-                    queue.append(j)
-        comp.sort()
-        sub = [[A[i][j] for j in comp] for i in comp]
-        roots = positive_roots_of_cartan(sub)
-        marks = roots[-1]
-        prod = 1
-        for m in marks:
-            prod *= m
-        comp_det = det(sub)
-        assert comp_det.denominator == 1 and comp_det > 0
-        order *= factorial(len(comp)) * prod * int(comp_det)
+    for h, n in count.items():
+        order *= (h + 1) ** (n - count.get(h + 1, 0))
     return order
 
 
@@ -245,7 +233,6 @@ class LieData:
     Field summary (l = rank):
       cartan          l x l integer matrix, [i][j] = <alpha_j, alpha_i_vee>
       cartan_inv      exact inverse of cartan
-      d               symmetrizer, d_i = (alpha_i, alpha_i)/2, long = 1
       positive_roots  all positive roots, by height; last one is the highest
       marks           coefficients of the highest root over the simple roots
       comarks         coroot coordinates of the coroot of the highest root
@@ -259,7 +246,6 @@ class LieData:
                       denominator) pairs
       node_root       weight coordinates of alpha_i for nodes i = 0..l
       node_coroot     coroot coordinates of alpha_i_vee for nodes i = 0..l
-      node_d          (alpha_i, alpha_i)/2 for nodes i = 0..l
       theta_pairing   <alpha_i, theta_vee> for nodes i = 0..l
       alcove_vertices vertex i of the fundamental alcove, i = 0..l
     """
@@ -268,7 +254,6 @@ class LieData:
     rank: int
     cartan: tuple[tuple[int, ...], ...]
     cartan_inv: tuple[tuple[Fraction, ...], ...]
-    d: tuple[Fraction, ...]
     positive_roots: tuple[Root, ...]
     marks: tuple[int, ...]
     comarks: tuple[int, ...]
@@ -281,7 +266,6 @@ class LieData:
     gram_weight_scaled: ScaledMatrix
     node_root: tuple[Weight, ...]
     node_coroot: tuple[tuple[int, ...], ...]
-    node_d: tuple[Fraction, ...]
     theta_pairing: tuple[int, ...]
     alcove_vertices: tuple[CartanPoint, ...]
     _face_cache: dict = field(default_factory=dict, compare=False, repr=False)
@@ -350,7 +334,6 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
     node_coroot = (tuple(-c for c in comarks),) + tuple(
         tuple(1 if j == s else 0 for j in range(n)) for s in range(n)
     )
-    node_d = (Fraction(1),) + d
 
     vertices = [tuple(Fraction(0) for _ in range(n))]
     for s in range(n):
@@ -361,7 +344,6 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
         rank=n,
         cartan=A,
         cartan_inv=A_inv,
-        d=d,
         positive_roots=roots,
         marks=marks,
         comarks=comarks,
@@ -374,7 +356,6 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
         gram_weight_scaled=_scaled_matrix(gram_weight),
         node_root=node_root,
         node_coroot=node_coroot,
-        node_d=node_d,
         theta_pairing=tuple(sum(c * r for c, r in zip(comarks, root)) for root in node_root),
         alcove_vertices=tuple(vertices),
     )
@@ -458,13 +439,12 @@ def _check_face_index(data: LieData, I: Sequence[int]) -> FaceIndex:
 class FaceData:
     """Data attached to the alcove face Delta_I.
 
-    ``nodes_complement`` lists the nodes outside I; their roots form the
-    simple system of the centralizer subgroup attached to the face, and the
-    reflections in those walls generate the finite group W_I.
+    The roots of the nodes outside I form the simple system of the
+    centralizer subgroup attached to the face, and the reflections in those
+    walls generate the finite group W_I.
     """
 
     I: FaceIndex
-    nodes_complement: tuple[int, ...]
     rho_I: RationalWeight
     nu_I: RationalWeight
     nu_I_sharp: CartanPoint
@@ -488,13 +468,13 @@ def face_data(data: LieData, I: Sequence[int]) -> FaceData:
         ]
         for a in comp
     ]
+    sub_roots = positive_roots_of_cartan(sub)
     half_sum = [Fraction(0)] * n
-    if comp:
-        for coeffs in positive_roots_of_cartan(sub):
-            for a, c in enumerate(coeffs):
-                if c:
-                    for r in range(n):
-                        half_sum[r] += Fraction(c, 2) * data.node_root[comp[a]][r]
+    for coeffs in sub_roots:
+        for a, c in enumerate(coeffs):
+            if c:
+                for r in range(n):
+                    half_sum[r] += Fraction(c, 2) * data.node_root[comp[a]][r]
     rho_I = tuple(half_sum)
     nu_I = tuple((Fraction(r) - ri) / data.dual_coxeter for r, ri in zip(data.rho, rho_I))
     nu_sharp = b_sharp(data, nu_I)
@@ -509,100 +489,94 @@ def face_data(data: LieData, I: Sequence[int]) -> FaceData:
 
     face = FaceData(
         I=I,
-        nodes_complement=comp,
         rho_I=rho_I,
         nu_I=nu_I,
         nu_I_sharp=nu_sharp,
         coroot_lattice_basis=basis,
-        weyl_order=_weyl_order_of_cartan(sub),
+        weyl_order=_weyl_order(sub_roots),
     )
     data._face_cache[I] = face
     return face
 
 
 # ---------------------------------------------------------------------------
-# the finite reflection groups W_I as explicit affine maps
+# the finite reflection groups W_I as explicit affine maps on weights
 
 
 class WeylElt(NamedTuple):
-    """An element of a W_I, stored as affine maps in both pictures.
-
-    ``lin``/``trans`` act on Cartan points (standard affine action on t);
-    ``wlin``/``wtrans`` act on weights, where the translation scales with
-    the level: the level-m action is nu -> wlin @ nu + m * wtrans.
-    """
+    """An element of a W_I as an integer affine map on weights: the level-m
+    action is nu -> lin @ nu + m * trans."""
 
     word: tuple[int, ...]
     sign: int
-    lin: tuple[tuple[Fraction, ...], ...]
-    trans: CartanPoint
-    wlin: tuple[tuple[Fraction, ...], ...]
-    wtrans: Weight
+    lin: tuple[tuple[int, ...], ...]
+    trans: Weight
 
     @property
     def length(self) -> int:
         return len(self.word)
 
 
-def _generator_maps(data: LieData, i: int):
+def _generator_map(data: LieData, i: int):
     n = data.rank
     a = data.node_root[i]   # weight coordinates of alpha_i
     g = data.node_coroot[i]  # coroot coordinates of alpha_i_vee
     lin = tuple(
-        tuple(Fraction(1 if r == c else 0) - Fraction(g[r]) * a[c] for c in range(n))
+        tuple(int(r == c) - a[r] * g[c] for c in range(n))
         for r in range(n)
     )
-    trans = tuple(Fraction(-g[r]) if i == 0 else Fraction(0) for r in range(n))
-    wlin = tuple(
-        tuple(Fraction(1 if r == c else 0) - Fraction(a[r]) * g[c] for c in range(n))
-        for r in range(n)
-    )
-    wtrans = tuple((-a[r]) if i == 0 else 0 for r in range(n))
-    return lin, trans, wlin, wtrans
+    trans = tuple(-a[r] if i == 0 else 0 for r in range(n))
+    return lin, trans
 
 
 _WEYL_ENUMERATION_LIMIT = 2_000_000
 
 
-def weyl_elements(data: LieData, I: Sequence[int]) -> tuple[WeylElt, ...]:
-    """All elements of W_I by breadth-first closure over its generators.
-
-    W_I is generated by the reflections in the walls outside I; it is finite
-    for nonempty I but its order grows quickly with the rank, so this is
-    computed lazily and cached.  Orders beyond a couple of million elements
-    are refused rather than silently consuming hours and gigabytes.
-    """
-    I = _check_face_index(data, I)
-    cached = data._weyl_cache.get(I)
-    if cached is not None:
-        return cached
+def _bounded_weyl_order(data: LieData, I: FaceIndex) -> int:
+    """|W_I|, refused beyond _WEYL_ENUMERATION_LIMIT: listing or walking a
+    couple of million elements or more would take hours and gigabytes."""
     order = face_data(data, I).weyl_order
     if order > _WEYL_ENUMERATION_LIMIT:
         raise ValueError(
             f"W_{list(I)} of {data.lie_type} has {order} elements; "
             "explicit enumeration is not supported at this size"
         )
+    return order
+
+
+def weyl_elements(data: LieData, I: Sequence[int]) -> tuple[WeylElt, ...]:
+    """All elements of W_I by breadth-first closure over its generators.
+
+    No library path calls this: alternating sums over W_I walk signed
+    orbits (affine.weyl_orbit).  It stays as an independent reference for
+    tests.  W_I is generated by the reflections in the walls outside I; it
+    is finite for nonempty I but its order grows quickly with the rank, so
+    this is computed lazily, cached, and refused beyond the size limit.
+    """
+    I = _check_face_index(data, I)
+    cached = data._weyl_cache.get(I)
+    if cached is not None:
+        return cached
+    order = _bounded_weyl_order(data, I)
 
     n = data.rank
     gens = {
-        i: _generator_maps(data, i)
+        i: _generator_map(data, i)
         for i in range(n + 1)
         if i not in I
     }
     ident = WeylElt(
         word=(),
         sign=1,
-        lin=identity(n),
-        trans=tuple(Fraction(0) for _ in range(n)),
-        wlin=identity(n),
-        wtrans=(0,) * n,
+        lin=tuple(tuple(int(r == c) for c in range(n)) for r in range(n)),
+        trans=(0,) * n,
     )
     seen = {(ident.lin, ident.trans): ident}
     frontier = [ident]
     while frontier:
         new = []
         for elt in frontier:
-            for i, (lin, trans, wlin, wtrans) in gens.items():
+            for i, (lin, trans) in gens.items():
                 nlin = mat_mul(lin, elt.lin)
                 ntrans = tuple(
                     x + y for x, y in zip(mat_vec(lin, elt.trans), trans)
@@ -610,41 +584,24 @@ def weyl_elements(data: LieData, I: Sequence[int]) -> tuple[WeylElt, ...]:
                 key = (nlin, ntrans)
                 if key in seen:
                     continue
-                nwlin = mat_mul(wlin, elt.wlin)
-                nwtrans_f = tuple(
-                    x + y for x, y in zip(mat_vec(wlin, elt.wtrans), wtrans)
-                )
-                assert all(Fraction(x).denominator == 1 for x in nwtrans_f)
                 cand = WeylElt(
                     word=(i,) + elt.word,
                     sign=-elt.sign,
                     lin=nlin,
                     trans=ntrans,
-                    wlin=nwlin,
-                    wtrans=tuple(int(x) for x in nwtrans_f),
                 )
                 seen[key] = cand
                 new.append(cand)
         frontier = new
     elements = tuple(sorted(seen.values(), key=lambda e: (e.length, e.word)))
-    face = face_data(data, I)
-    assert len(elements) == face.weyl_order, (data.lie_type, I)
+    assert len(elements) == order, (data.lie_type, I)
     data._weyl_cache[I] = elements
     return elements
 
 
-def apply_point(elt: WeylElt, xi: Sequence) -> CartanPoint:
-    """Standard affine action of a Weyl element on a Cartan point."""
-    moved = mat_vec(elt.lin, tuple(Fraction(x) for x in xi))
-    return tuple(a + b for a, b in zip(moved, elt.trans))
-
-
 def apply_weight(elt: WeylElt, nu: Sequence[int], m: int) -> Weight:
     """Level-m action of a Weyl element on a weight."""
-    moved = mat_vec(elt.wlin, nu)
-    out = tuple(a + m * b for a, b in zip(moved, elt.wtrans))
-    assert all(Fraction(x).denominator == 1 for x in out)
-    return tuple(int(x) for x in out)
+    return tuple(x + m * t for x, t in zip(mat_vec(elt.lin, nu), elt.trans))
 
 
 # ---------------------------------------------------------------------------

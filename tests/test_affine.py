@@ -22,8 +22,16 @@ from alcove.affine import (
     reduce_point_to_alcove,
     reduce_point_to_cone,
     weight_wall_value,
+    weyl_orbit,
 )
-from alcove.lie import build_lie_data, face_data, pairing, wall_value
+from alcove.lie import (
+    apply_weight,
+    build_lie_data,
+    face_data,
+    pairing,
+    wall_value,
+    weyl_elements,
+)
 
 RANK_LE_2 = ["A1", "A2", "B2", "C2", "G2"]
 
@@ -327,6 +335,44 @@ def test_dominantize_terms_needs_positive_level_on_all_walls():
         dominantize_terms(d, {(1, 0): 1}, 0, range(3), 1)
     # a proper wall subset at level 0 is the finite linear action
     assert dominantize_terms(d, {(1, 0): 1}, 0, (1, 2), 1) == {(1, 0): 1}
+
+
+# -- the signed orbit walk against enumerated W_I -------------------------------
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3"])
+def test_weyl_orbit_matches_enumeration(name):
+    """Every face, seeded cone points (regular and on walls) at levels in
+    [-2, 6]: the walk lists the orbit of the enumerated W_I, each point with
+    the sign of the shortest element carrying nu there."""
+    rng = random.Random(1011)
+    d = build_lie_data(name)
+    for r in range(1, d.rank + 2):
+        for I in itertools.combinations(range(d.rank + 1), r):
+            walls = _walls_outside(d, I)
+            elements = weyl_elements(d, I)  # by length, then word
+            for _ in range(8):
+                m = rng.randint(-2, 6)
+                raw = tuple(rng.randint(-4, 5) for _ in range(d.rank))
+                nu = dominantize_walls(d, raw, m, walls).weight
+                expected = {}
+                for w in elements:
+                    expected.setdefault(apply_weight(w, nu, m), w.sign)
+                assert weyl_orbit(d, nu, m, walls) == expected, (I, nu, m)
+
+
+def test_weyl_orbit_rejections():
+    d = build_lie_data("A2")
+    with pytest.raises(ValueError, match="infinite"):
+        weyl_orbit(d, (0, 0), 3, range(3))
+    with pytest.raises(ValueError, match="outside the closed cone"):
+        weyl_orbit(d, (2, 2), 3, (0, 1))  # node 0 value 3 - 4 < 0
+    # regular at level 3: a free orbit of |W_I| = 6 points
+    assert weyl_orbit(d, (1, 1), 3, (0, 1)) == {
+        (1, 1): 1, (-1, 2): -1, (2, 2): -1, (1, 4): 1, (-2, 4): 1, (-1, 5): -1,
+    }
+    # on wall 0: half the points, signs by depth
+    assert weyl_orbit(d, (1, 2), 3, (0, 1)) == {(1, 2): 1, (-1, 3): -1, (0, 4): 1}
 
 
 # -- level action --------------------------------------------------------------

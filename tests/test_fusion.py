@@ -26,9 +26,8 @@ from alcove.fusion import (
     tensor_decompose,
     weight_multiplicities,
     weyl_dimension,
-    weyl_orbit,
 )
-from alcove.affine import weight_wall_value
+from alcove.affine import weight_wall_value, weyl_orbit
 from alcove.groupring import AntiInvariant, reskew_to
 from alcove.lie import (
     _check_face_index,
@@ -250,12 +249,14 @@ def bfs_weyl_orbit(data, lam):
 @pytest.mark.parametrize("name,top", SMALL_DOMINANT)
 def test_weyl_orbit_walk_matches_bfs(name, top):
     """Every dominant weight with coordinate sum <= top: the downward walk
-    lists the same orbit as the breadth-first search."""
+    of affine.weyl_orbit at walls 1..l and level 0, the classical Weyl
+    orbit, lists the same orbit as the breadth-first search."""
     d = build_lie_data(name)
+    walls = range(1, d.rank + 1)
     for lam in itertools.product(range(top + 1), repeat=d.rank):
         if sum(lam) > top:
             continue
-        assert weyl_orbit(d, lam) == bfs_weyl_orbit(d, lam), lam
+        assert sorted(weyl_orbit(d, lam, 0, walls)) == bfs_weyl_orbit(d, lam), lam
 
 
 def test_weyl_orbit_rejects_non_dominant():
@@ -263,9 +264,9 @@ def test_weyl_orbit_rejects_non_dominant():
     a2 = build_lie_data("A2")
     assert len(bfs_weyl_orbit(a2, (-1, 2))) == 6
     for bad in [(-1, 2), (0, -1), [2, -3]]:
-        with pytest.raises(ValueError, match="not dominant"):
-            weyl_orbit(a2, bad)
-    assert weyl_orbit(a2, [1, 0]) == [(-1, 1), (0, -1), (1, 0)]
+        with pytest.raises(ValueError, match="outside the closed cone"):
+            weyl_orbit(a2, bad, 0, (1, 2))
+    assert weyl_orbit(a2, [1, 0], 0, (1, 2)) == {(1, 0): 1, (-1, 1): -1, (0, -1): 1}
 
 
 # -- tensor products -----------------------------------------------------------------

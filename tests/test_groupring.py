@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from alcove.groupring import (
     skew_symmetrize,
     to_cone_basis,
 )
-from alcove.lie import build_lie_data, face_data, weyl_elements
+from alcove.lie import apply_weight, build_lie_data, face_data, weyl_elements
 
 
 # Used only here; moved from alcove.groupring with their bodies unchanged.
@@ -106,8 +107,51 @@ def test_skew_equivariance():
                 nu = tuple(rng.randint(-3, 4) for _ in range(d.rank))
                 base = skew_symmetrize(GroupRingElt.delta(d, m, nu), I)
                 w = rng.choice(elts)
-                moved = skew_symmetrize(GroupRingElt.delta(d, m, nu).apply(w), I)
+                moved = skew_symmetrize(GroupRingElt.delta(d, m, apply_weight(w, nu, m)), I)
                 assert moved == (w.sign * base)
+
+
+def enumerated_skew(data, nu, m, I):
+    """Oracle: the alternating sum of delta at w . nu over the enumerated
+    elements w of W_I, at level m."""
+    out = {}
+    for w in weyl_elements(data, I):
+        key = apply_weight(w, nu, m)
+        out[key] = out.get(key, 0) + w.sign
+    return GroupRingElt(data, m, out)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3"])
+def test_skew_matches_enumerated_alternating_sum(name):
+    """Every face, seeded weights in [-4, 5]^l and levels in [-2, 6]: the
+    alternating sum over W_I equals the one over its enumerated elements."""
+    rng = random.Random(1010)
+    d = build_lie_data(name)
+    faces = [
+        I
+        for r in range(1, d.rank + 2)
+        for I in itertools.combinations(range(d.rank + 1), r)
+    ]
+    for I in faces:
+        for _ in range(12):
+            m = rng.randint(-2, 6)
+            nu = tuple(rng.randint(-4, 5) for _ in range(d.rank))
+            got = skew_symmetrize(GroupRingElt.delta(d, m, nu), I)
+            assert got == enumerated_skew(d, nu, m, I), (I, nu, m)
+
+
+def test_skew_and_expand_refuse_huge_groups():
+    # W_(0) of E8 has 696,729,600 elements: refused before any walk
+    d = build_lie_data("E8")
+    assert face_data(d, (0,)).weyl_order == 696729600
+    rho = (1,) * 8
+    with pytest.raises(ValueError, match="not supported"):
+        skew_symmetrize(GroupRingElt.delta(d, 1, rho), (0,))
+    with pytest.raises(ValueError, match="not supported"):
+        expand(AntiInvariant(d, 1, (0,), {rho: 1}))
+    # a wall-fixed term is refused too: the order is checked before the terms
+    with pytest.raises(ValueError, match="not supported"):
+        skew_symmetrize(GroupRingElt.delta(d, 1, (0,) * 8), (0,))
 
 
 def test_skew_result_is_anti_invariant():
@@ -251,6 +295,15 @@ def test_invariant_action_rejects_noninvariant():
         act_invariant(GroupRingElt.delta(d, 3, (1,)), a)
 
 
+def test_invariant_action_names_failing_reflection():
+    d = build_lie_data("A2")
+    a = AntiInvariant(d, 5, (0,), {(1, 1): 1})
+    # reflection 1 moves (1, 0); it fixes (0, 1), which reflection 2 moves
+    for w, i in [((1, 0), 1), ((0, 1), 2)]:
+        with pytest.raises(ValueError, match=f"element is not W-invariant: reflection {i} fails"):
+            act_invariant(GroupRingElt.delta(d, 5, w), a)
+
+
 def test_invariant_action_associative():
     rng = random.Random(8)
     d = build_lie_data("A1")
@@ -277,8 +330,6 @@ def test_invariant_action_commutes_with_reskew():
     # W-orbit sum of a weight: invariant by construction
     orbit = {}
     for e in weyl_elements(d, (0,)):
-        from alcove.lie import apply_weight
-
         key = apply_weight(e, w1, 0)
         orbit[key] = 1
     chi = GroupRingElt(d, m, orbit)

@@ -1,14 +1,18 @@
+import ast
 import json
+import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import alcove
 from alcove.lie import (
     InvalidLieTypeError,
     LieType,
     OutsideAlcoveError,
     alcove_face_of,
-    apply_point,
+    apply_weight,
     b_flat,
     b_sharp,
     basic_pairing,
@@ -16,6 +20,7 @@ from alcove.lie import (
     face_data,
     lie_data_to_json,
     pairing,
+    positive_roots_of_cartan,
     wall_value,
     weyl_elements,
 )
@@ -217,6 +222,91 @@ def test_weyl_order_matches_enumeration(name):
         assert len(weyl_elements(d, I)) == f.weyl_order
 
 
+# The component formula for |W| and the determinant it needs, used only
+# here; moved from alcove.lie and alcove.intlinalg with their bodies unchanged.
+
+
+def det(M):
+    n = len(M)
+    A = [[F(x) for x in row] for row in M]
+    result = F(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if A[r][col] != 0), None)
+        if pivot is None:
+            return F(0)
+        if pivot != col:
+            A[col], A[pivot] = A[pivot], A[col]
+            result = -result
+        result *= A[col][col]
+        inv = 1 / A[col][col]
+        for r in range(col + 1, n):
+            if A[r][col] != 0:
+                f = A[r][col] * inv
+                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
+    return result
+
+
+def _weyl_order_of_cartan(A):
+    """Order of the Weyl group of a finite-type Cartan matrix.
+
+    Uses |W| = prod over connected components of n! * (product of marks of
+    the highest root) * det(Cartan), which needs no classification tables.
+    """
+    n = len(A)
+    if n == 0:
+        return 1
+    unseen = set(range(n))
+    order = 1
+    while unseen:
+        comp = [unseen.pop()]
+        queue = list(comp)
+        while queue:
+            i = queue.pop()
+            for j in list(unseen):
+                if A[i][j] != 0:
+                    unseen.discard(j)
+                    comp.append(j)
+                    queue.append(j)
+        comp.sort()
+        sub = [[A[i][j] for j in comp] for i in comp]
+        roots = positive_roots_of_cartan(sub)
+        marks = roots[-1]
+        prod = 1
+        for m in marks:
+            prod *= m
+        comp_det = det(sub)
+        assert comp_det.denominator == 1 and comp_det > 0
+        order *= math.factorial(len(comp)) * prod * int(comp_det)
+    return order
+
+
+@pytest.mark.parametrize("name", ["A4", "A5", "B4", "C4", "D4", "D5", "E6", "F4"])
+def test_weyl_order_matches_component_formula(name):
+    """Every face: the order read off the root heights equals the product
+    over components of n! * (product of marks) * det(Cartan)."""
+    d = build_lie_data(name)
+    for I in nonempty_faces(d):
+        comp = [i for i in range(d.rank + 1) if i not in I]
+        sub = [[pairing(d.node_root[b], d.node_coroot[a]) for b in comp] for a in comp]
+        assert face_data(d, I).weyl_order == _weyl_order_of_cartan(sub), I
+
+
+@pytest.mark.parametrize("name", ALL_RANK_LE_8)
+def test_full_weyl_order_classical(name):
+    d = build_lie_data(name)
+    series, l = d.lie_type.series, d.rank
+    expected = {
+        "A": math.factorial(l + 1),
+        "B": 2**l * math.factorial(l),
+        "C": 2**l * math.factorial(l),
+        "D": 2 ** (l - 1) * math.factorial(l),
+        "E": {6: 51840, 7: 2903040, 8: 696729600}.get(l),
+        "F": 1152,
+        "G": 12,
+    }[series]
+    assert face_data(d, (0,)).weyl_order == expected
+
+
 def test_weyl_orders_known():
     d = build_lie_data("G2")
     assert face_data(d, (0,)).weyl_order == 12
@@ -234,16 +324,19 @@ def test_weyl_orders_known():
 
 @pytest.mark.parametrize("name", RANK_LE_2)
 def test_weyl_generators_fix_face_pointwise(name):
+    # in the weight picture: a point xi of t is the weight m * b_flat(xi) at
+    # level m, for any m that makes it integral
     d = build_lie_data(name)
     for I in nonempty_faces(d):
         f = face_data(d, I)
+        points = [b_flat(d, d.alcove_vertices[i]) for i in I] + [f.nu_I]
         for elt in weyl_elements(d, I):
             if elt.length != 1:
                 continue
-            for i in I:
-                v = d.alcove_vertices[i]
-                assert apply_point(elt, v) == v
-            assert apply_point(elt, f.nu_I_sharp) == f.nu_I_sharp
+            for mu in points:
+                m = math.lcm(*(x.denominator for x in mu))
+                nu = tuple(int(m * x) for x in mu)
+                assert apply_weight(elt, nu, m) == nu
 
 
 # -- alcove membership -------------------------------------------------------
@@ -304,3 +397,23 @@ def test_weyl_enumeration_size_guard():
     from alcove.lie import face_data as fd
 
     assert fd(e8, (0,)).weyl_order == 696729600
+
+
+def test_only_lie_names_the_enumerated_weyl_group():
+    """The library computes alternating sums by signed orbit walks: no
+    module but lie imports or reads weyl_elements, WeylElt or apply_weight,
+    which stay as the tests' reference."""
+    names = {"weyl_elements", "WeylElt", "apply_weight"}
+    offenders = []
+    for path in sorted(Path(alcove.__file__).parent.glob("*.py")):
+        if path.stem == "lie":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                used = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                used = {node.attr}
+            else:
+                continue
+            offenders += [(path.name, node.lineno, n) for n in sorted(used & names)]
+    assert offenders == []
