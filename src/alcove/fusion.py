@@ -15,6 +15,16 @@ and the projection to the fusion ring are one operation,
 affine.dominantize_terms, at different walls and levels; the element classes
 are alcove.sparse.SparseElt subclasses.
 
+fusion_table folds the table by the centre Z(G), which acts on the level-k
+weights by the simple currents, one per node j with mark 1:
+
+    sigma_j(lam) = rep - rho,  rep the alcove representative at level
+    k + h_vee of lam + rho + (k + h_vee) omega_j,
+
+and N_{sigma a, tau b}^{sigma tau c} = N_ab^c.  So it runs one Kac-Walton
+product per orbit of pairs under Z x Z and carries its terms to the rest of
+the orbit; fusion_product itself stays per pair.
+
 The dominant weights of V_mu come from a downward search from mu that
 subtracts positive roots; Freudenthal multiplicities and Weyl dimensions
 are computed in integer arithmetic (the Gram matrix of LieData scaled to
@@ -444,18 +454,79 @@ def project_to_fusion(phi: LevelRepElt) -> FusionElt:
 # fusion tables and serialization
 
 
+def _simple_current(data: LieData, basis: list[Weight], k: int, j: int) -> tuple[int, ...]:
+    """The simple current sigma_j of node j (see fusion_table) as the images
+    of the level-k basis, by index; sigma_0 is the identity."""
+    m, walls = k + data.dual_coxeter, range(data.rank + 1)
+    index = {w: i for i, w in enumerate(basis)}
+    images = []
+    for lam in basis:
+        nu = [x + 1 for x in lam]
+        if j:
+            nu[j - 1] += m
+        rep = dominantize_walls(data, nu, m, walls).weight
+        images.append(index[tuple([x - 1 for x in rep])])
+    return tuple(images)
+
+
+def _centre(data: LieData, basis: list[Weight], k: int) -> list[tuple[int, ...]]:
+    """The centre Z(G) acting on the level-k basis: the distinct simple
+    currents of the nodes with mark 1, node 0 (the identity) first.  There
+    is one element of Z(G) per special node of the alcove, so these are
+    closed under composition; that is asserted.  At k = 0 all are the
+    identity."""
+    special = [0] + [j for j, mark in enumerate(data.marks, 1) if mark == 1]
+    centre = list(dict.fromkeys(_simple_current(data, basis, k, j) for j in special))
+    members = set(centre)
+    assert all(
+        tuple([s[i] for i in t]) in members for s in centre for t in centre
+    ), "the simple currents are not a group"
+    return centre
+
+
 def fusion_table(data: LieData, k: int) -> list[tuple[Weight, Weight, Weight, int]]:
-    """All nonzero structure constants (a, b, c, N) at level k, with a <= b."""
+    """All nonzero structure constants (a, b, c, N) at level k, with a <= b,
+    by row pair and then by c.
+
+    The table is folded by the centre Z(G).  It acts on level-k weights by
+    the simple currents of the nodes j with mark 1,
+
+        sigma_j(lam) = rep - rho,  rep the alcove representative at level
+        k + h_vee of lam + rho + (k + h_vee) omega_j,
+
+    a weight walk with no fusion product, and N_{sa, tb}^{stc} = N_ab^c for
+    s, t in Z(G) (Schellekens-Yankielowicz 1990; Fuchs 1991).  So
+    fusion_product runs once per orbit of pairs {a, b} under Z x Z, on the
+    pair whose smaller factor has the least Weyl dimension, and its terms
+    are carried to the rest of the orbit; pairs an orbit reaches twice must
+    get the same terms.  A trivial centre leaves one pair per orbit."""
     basis = level_weights(data, k)
-    rows = []
-    for i, a in enumerate(basis):
-        for b in basis[i:]:
+    n = len(basis)
+    centre = _centre(data, basis, k)
+    index = {w: i for i, w in enumerate(basis)}
+    dims = [weyl_dimension(data, w) for w in basis]
+    products: dict[tuple[int, int], dict[int, int]] = {}
+    for a in range(n):
+        for b in range(a, n):
+            if (a, b) in products:
+                continue
+            orbit = {tuple(sorted((s[a], t[b]))) for s in centre for t in centre}
+            r, q = min(orbit, key=lambda p: (min(dims[p[0]], dims[p[1]]), p))
             prod = fusion_product(
-                FusionElt(data, k, {a: 1}), FusionElt(data, k, {b: 1})
+                FusionElt(data, k, {basis[r]: 1}), FusionElt(data, k, {basis[q]: 1})
             )
-            for c, n in sorted(prod.terms.items()):
-                rows.append((a, b, c, n))
-    return rows
+            rep_terms = [(index[c], N) for c, N in prod.terms.items()]
+            for s in centre:
+                for t in centre:
+                    terms = {s[t[c]]: N for c, N in rep_terms}
+                    key = tuple(sorted((s[r], t[q])))
+                    assert products.setdefault(key, terms) == terms, "centre symmetry broken"
+    return [
+        (basis[a], basis[b], basis[c], N)
+        for a in range(n)
+        for b in range(a, n)
+        for c, N in sorted(products[a, b].items())
+    ]
 
 
 def fusion_table_json(data: LieData, k: int) -> dict:

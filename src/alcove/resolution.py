@@ -28,7 +28,8 @@ faces of each key's boundary are computed once per complex.  Fraction
 appears only at the edges: element() takes a rational point, and
 chain_to_json / chain_from_json write and read 'p/q' coordinates X / D.
 verify_certificate scales every point by D once; a point off (1/D) Z^l is
-not on the orbit and is rejected with ValueError.
+not on the orbit and is rejected with ValueError, and so is a key longer
+than CERT_MAX_LENGTH, before any point is reduced.
 
 The homology path does no repeated work.  Each length truncation is built
 once per complex and shared, and stores each boundary map d_p as sparse
@@ -66,6 +67,11 @@ from .sparse import SparseElt
 # (I, X): a node set and the numerators of an orbit point over the D of the
 # complex's orbit context
 ChainKey = tuple[FaceIndex, tuple[int, ...]]
+
+# The longest orbit point a certificate key may have, as a count of crossed
+# affine root hyperplanes.  verify_certificate refuses a longer key before
+# any reduction runs, because a reduction takes one reflection per crossing.
+CERT_MAX_LENGTH = 10_000
 
 
 class ChainElt(SparseElt):
@@ -513,18 +519,31 @@ def verify_certificate(text: str) -> dict:
     def shown(x):
         return f"({', '.join(_ratio_str(v, D) for v in x)})"
 
+    keys = list(cycle.terms) + list(bounding.terms)
+    # bound every point before any reduction: counting the crossed hyperplanes
+    # costs the same at any coordinate size, reducing a point does not.  A
+    # point that several keys share is bounded and reduced once.
+    points: dict[tuple[int, ...], int] = {}
+    for I, x in keys:
+        if len(x) != l:
+            raise ValueError(f"certificate point {shown(x)} has {len(x)} coordinates, not {l}")
+        if I[0] < 0 or I[-1] > l:
+            raise ValueError(f"certificate key {list(I)} has a node outside 0..{l}")
+        if x not in points:
+            points[x] = length = _scaled_crossing_length(data, x, D)
+            if length > CERT_MAX_LENGTH:
+                raise ValueError(
+                    f"certificate key {list(I)}, {shown(x)} has length {length}, "
+                    f"above the limit {CERT_MAX_LENGTH}"
+                )
     # keys must be genuine basis pairs: interior to their cone and on the orbit
-    for c in (cycle, bounding):
-        for I, x in c.terms:
-            if len(x) != l:
-                raise ValueError(f"certificate point {shown(x)} has {len(x)} coordinates, not {l}")
-            if I[0] < 0 or I[-1] > l:
-                raise ValueError(f"certificate key {list(I)} has a node outside 0..{l}")
-            if _scaled_position(data, x, D, complex_._walls[I]) != "interior":
-                raise ValueError(f"certificate key {I}, {shown(x)} is not a basis pair")
-            reduced, _ = _reduce_scaled(data, x, D, complex_.full_face)
-            if reduced != complex_.ctx.base:
-                raise ValueError(f"certificate point {shown(x)} is not on the orbit of {J}")
+    for I, x in keys:
+        if _scaled_position(data, x, D, complex_._walls[I]) != "interior":
+            raise ValueError(f"certificate key {I}, {shown(x)} is not a basis pair")
+    for x in points:
+        reduced, _ = _reduce_scaled(data, x, D, complex_.full_face)
+        if reduced != complex_.ctx.base:
+            raise ValueError(f"certificate point {shown(x)} is not on the orbit of {J}")
     if complex_.boundary(cycle):
         raise ValueError("certificate cycle is not a cycle")
     if complex_.boundary(bounding) != cycle:

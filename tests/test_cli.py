@@ -167,6 +167,21 @@ def test_verify_cert_rejects_malformed_points(tmp_path, capsys, edit):
     assert err.startswith("certificate invalid:") and "Traceback" not in err
 
 
+def test_verify_cert_far_point_exits_5(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({
+        "group": "A2", "J": [0, 1, 2], "degree": 1, "bounding": [],
+        "cycle": [{"I": [0, 1], "x": ["1/3", "300000001/3"], "coeff": 1}],
+    }))
+    code, out, err = run(capsys, "verify-cert", str(cert))
+    assert code == 5
+    assert out == ""
+    assert err == (
+        "certificate invalid: certificate key [0, 1], (1/3, 300000001/3) "
+        "has length 400000000, above the limit 10000\n"
+    )
+
+
 def test_verify_cert_zero_denominator_message(tmp_path, capsys):
     code, text, _ = run(capsys, "contract", "A2", "-J", "0,1,2", "-N", "3", "--seed", "5")
     assert code == 0

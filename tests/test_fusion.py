@@ -9,7 +9,9 @@ from alcove.fusion import (
     CharacterElt,
     FusionElt,
     LevelRepElt,
+    _centre,
     _dominant_weights_below,
+    _simple_current,
     character_value,
     dominant_weight_multiplicities,
     fusion_character_value,
@@ -421,6 +423,87 @@ def test_e8_level_two_is_ising():
         (w8, w1, w8, 1),
         (w1, w1, zero, 1),
     ]
+
+
+# every type of rank <= 4 with a nontrivial centre, plus A5, D5-D7, E6 and E7
+CENTRE_CASES = [
+    ("A1", 6), ("A2", 5), ("A3", 4), ("A4", 3), ("A5", 2),
+    ("B2", 4), ("B3", 3), ("B4", 2), ("C2", 4), ("C3", 3), ("C4", 2),
+    ("D4", 3), ("D5", 2), ("D6", 2), ("D7", 1), ("E6", 2), ("E7", 2),
+]
+
+
+def special_nodes(d):
+    return [0] + [j for j, mark in enumerate(d.marks, 1) if mark == 1]
+
+
+def per_pair_fusion_table(d, k):
+    """The fusion table by one Kac-Walton product per pair a <= b."""
+    basis = level_weights(d, k)
+    rows = []
+    for i, a in enumerate(basis):
+        for b in basis[i:]:
+            prod = fusion_product(FusionElt(d, k, {a: 1}), FusionElt(d, k, {b: 1}))
+            rows.extend((a, b, c, n) for c, n in sorted(prod.terms.items()))
+    return rows
+
+
+@pytest.mark.parametrize("name,top", CENTRE_CASES)
+def test_simple_current_is_fusion_with_k_omega_j(name, top):
+    """The geometric sigma_j(lam) is the single term, with coefficient 1, of
+    k omega_j * lam, for every level weight lam and every node j with mark 1;
+    node 0 is the identity, and at k >= 1 the special nodes give distinct
+    currents, so the centre has one element per special node."""
+    d = build_lie_data(name)
+    for k in range(top + 1):
+        basis = level_weights(d, k)
+        for j in special_nodes(d):
+            k_omega = tuple(k if i == j else 0 for i in range(1, d.rank + 1))
+            images = _simple_current(d, basis, k, j)
+            for lam, img in zip(basis, images):
+                prod = fusion_product(FusionElt(d, k, {k_omega: 1}), FusionElt(d, k, {lam: 1}))
+                assert prod.terms == {basis[img]: 1}, (k, j, lam)
+        centre = _centre(d, basis, k)
+        assert centre[0] == tuple(range(len(basis)))
+        assert len(centre) == (len(special_nodes(d)) if k else 1)
+
+
+@pytest.mark.parametrize("name,top", CENTRE_CASES + [("G2", 4), ("F4", 2), ("E8", 2)])
+def test_folded_fusion_table_matches_per_pair(name, top):
+    d = build_lie_data(name)
+    for k in range(top + 1):
+        assert fusion_table(d, k) == per_pair_fusion_table(d, k), k
+
+
+@pytest.mark.parametrize("name,k", [("A1", 3), ("A2", 3), ("B3", 2), ("C3", 2),
+                                    ("D4", 2), ("D5", 2), ("E6", 2), ("E7", 2)])
+@pytest.mark.parametrize("partner", ["own-image", "next-weight"])
+def test_folded_table_rejects_a_current_outside_the_centre(monkeypatch, name, k, partner):
+    """Swapping two images of one sigma_j gives a permutation outside Z(G):
+    the folded table then fails, by an internal assertion or by differing
+    from the per-pair table.  The swap exchanges the images of the unit and
+    of its own image, or of the unit and the next basis weight."""
+    from alcove import fusion
+
+    d = build_lie_data(name)
+    j = special_nodes(d)[1]
+    honest = fusion._simple_current
+
+    def swapped(data, basis, level, node):
+        images = list(honest(data, basis, level, node))
+        if node == j:
+            other = images[0] if partner == "own-image" else 1
+            images[0], images[other] = images[other], images[0]
+        return tuple(images)
+
+    expected = per_pair_fusion_table(d, k)
+    monkeypatch.setattr(fusion, "_simple_current", swapped)
+    try:
+        folded = fusion_table(d, k)
+    except AssertionError as exc:
+        assert "simple currents are not a group" in str(exc) or "centre symmetry" in str(exc)
+    else:
+        assert folded != expected
 
 
 # -- special points and numeric values -------------------------------------------------

@@ -56,6 +56,11 @@ GOLDEN = {
         "a3de06afcc0cc1218f7a7c916bed42993cd1d91bd4052c6a10b46c1a45caa0cd",
     "fusion-table A2 -k 0 --format csv":
         "e8e2e3d6267071c46c9a89982bb6754747585e98789eb16752f94ccfdba4333e",
+    # centres Z2 x Z2 and Z4, which fold the fusion table into orbits of pairs
+    "fusion-table D4 -k 2 --format json":
+        "0a6863e0a71a9d53ceeebb7ffdf0b4b739f6349775e66cd094abbe3ec8d4f5d8",
+    "fusion-table D5 -k 2 --format json":
+        "1b7e9d3e9e6a6ae5890eefe329e71d0c1c0982c9830d3ff257d8699f357fd3ec",
 }
 
 

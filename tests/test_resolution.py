@@ -8,7 +8,9 @@ import pytest
 from alcove.fusion import LevelRepElt, level_weights, project_to_fusion
 from alcove.intlinalg import to_dense
 from alcove.lie import b_flat, b_sharp, build_lie_data
+from alcove.affine import _scaled_crossing_length
 from alcove.resolution import (
+    CERT_MAX_LENGTH,
     ChainElt,
     OrbitComplex,
     certificate_json,
@@ -722,6 +724,41 @@ def test_certificate_lattice_point_off_the_orbit_rejected():
     doc["cycle"][0]["I"], doc["cycle"][0]["x"] = [0, 1], ["1", "1"]
     with pytest.raises(ValueError, match=r"point \(1, 1\) is not on the orbit"):
         verify_certificate(_json.dumps(doc))
+
+
+def far_a2_certificate(n):
+    """An A2 certificate whose one cycle key (0, 1) sits at (1/3, (3n+1)/3)."""
+    import json as _json
+
+    return _json.dumps({"group": "A2", "J": [0, 1, 2], "degree": 1, "bounding": [],
+                        "cycle": [{"I": [0, 1], "x": ["1/3", f"{3 * n + 1}/3"], "coeff": 1}]})
+
+
+def test_certificate_far_point_rejected_before_any_reduction():
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=(
+        r"^certificate key \[0, 1\], \(1/3, 300000001/3\) has length 400000000, "
+        r"above the limit 10000$"
+    )):
+        verify_certificate(far_a2_certificate(10**8))
+    # a reduction would take one reflection per crossing, 4 * 10**8 of them
+    assert time.perf_counter() - start < 0.1
+
+
+def test_certificate_length_limit_is_inclusive():
+    # the point (1/3, (3n+1)/3) crosses 4n hyperplanes
+    data = build_lie_data("A2")
+    for n in (2500, 2501):
+        assert _scaled_crossing_length(data, (1, 3 * n + 1), 3) == 4 * n
+    assert CERT_MAX_LENGTH == 10_000
+    # at the limit the key is reduced and passes the orbit check; the single
+    # term is no cycle
+    with pytest.raises(ValueError, match="^certificate cycle is not a cycle$"):
+        verify_certificate(far_a2_certificate(2500))
+    with pytest.raises(ValueError, match="has length 10004, above the limit 10000$"):
+        verify_certificate(far_a2_certificate(2501))
 
 
 def test_certificate_points_scale_by_the_orbit_denominator():
