@@ -394,15 +394,6 @@ class OrbitContext:
             out.extend(OrbitPoint(x, length) for x in layer)
         return out
 
-    def length_of(self, point: Sequence[int], search_up_to: int) -> int:
-        """Length of the point with numerators ``point`` over D."""
-        point = tuple(point)
-        self.ensure_length(search_up_to)
-        try:
-            return self._length[point]
-        except KeyError:
-            raise ValueError(f"{point} not in the orbit within length {search_up_to}")
-
 
 def orbit_up_to_length(data: LieData, J: Sequence[int], n: int) -> list[OrbitPoint]:
     """All orbit points of length <= n, with Fraction coordinates, ordered

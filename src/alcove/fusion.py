@@ -13,7 +13,10 @@ evaluation is retained purely as a second, independent check and never
 decides a value.  Kac-Walton, the Klimyk rule, the quotient map, induction
 and the projection to the fusion ring are one operation,
 affine.dominantize_terms, at different walls and levels; the element classes
-are alcove.sparse.SparseElt subclasses.
+are alcove.sparse.SparseElt subclasses.  The quotient map and the projection
+share one quotient table per Lie type and level, weight -> image, filled on
+a miss; a fresh import empties it.  Results are built trusted, never over a
+cached dict itself.
 
 fusion_table folds the table by the centre Z(G), which acts on the level-k
 weights by the simple currents, one per node j with mark 1:
@@ -53,7 +56,7 @@ from .lie import (
     Weight,
     _check_face_index,
 )
-from .sparse import SparseElt
+from .sparse import SparseElt, combine
 
 VANISH_TOL = 1e-8
 
@@ -107,11 +110,10 @@ class CharacterElt(SparseElt):
         if isinstance(other, int):
             return self.__rmul__(other)
         self._check(other)
-        out = CharacterElt(self.data)
-        for l, cl in self.terms.items():
-            for m, cm in other.terms.items():
-                out = out + (cl * cm) * tensor_decompose(self.data, l, m)
-        return out
+        return self._new(combine(
+            (cl * cm, tensor_decompose(self.data, l, m).terms)
+            for l, cl in self.terms.items() for m, cm in other.terms.items()
+        ))
 
 
 class FusionElt(SparseElt):
@@ -299,17 +301,29 @@ def tensor_decompose(data: LieData, lam: Sequence[int], mu: Sequence[int]) -> Ch
     if not (is_dominant(data, lam) and is_dominant(data, mu)):
         raise ValueError("tensor factors must be dominant")
     cache_key = (data.lie_type,) + tuple(sorted((lam, mu)))
-    cached = _TENSOR_CACHE.get(cache_key)
-    if cached is not None:
-        return CharacterElt(data, cached)
-    # V_lam (x) V_mu = sum over the weights tau of V_mu of chi(lam + tau),
-    # each reduced by the classical Weyl group in the rho-shifted action
-    out = dominantize_terms(data, _factor_weights(data, lam, mu), 0, range(1, data.rank + 1), 1)
-    assert all(c > 0 for c in out.values()), "Klimyk produced a negative multiplicity"
-    dim_check = sum(c * weyl_dimension(data, w) for w, c in out.items())
-    assert dim_check == weyl_dimension(data, lam) * weyl_dimension(data, mu)
-    _TENSOR_CACHE[cache_key] = out
-    return CharacterElt(data, out)
+    out = _TENSOR_CACHE.get(cache_key)
+    if out is None:
+        # V_lam (x) V_mu = sum over the weights tau of V_mu of chi(lam + tau),
+        # each reduced by the classical Weyl group in the rho-shifted action
+        out = dominantize_terms(data, _factor_weights(data, lam, mu), 0, range(1, data.rank + 1), 1)
+        assert all(c > 0 for c in out.values()), "Klimyk produced a negative multiplicity"
+        dim_check = sum(c * weyl_dimension(data, w) for w, c in out.items())
+        assert dim_check == weyl_dimension(data, lam) * weyl_dimension(data, mu)
+        _TENSOR_CACHE[cache_key] = out
+    return CharacterElt._trusted(dict(out), data)  # a copy: the cache stays intact
+
+
+# (lie type, k) -> weight -> its image {rep - rho: sign} at level k, or {}
+_QUOTIENT_CACHE: dict[tuple, dict[Weight, dict[Weight, int]]] = {}
+
+
+def _to_level(data: LieData, terms: Mapping[Weight, int], k: int) -> FusionElt:
+    """The terms reflected, rho-shifted, into the alcove at level k + h_vee
+    with their signs, one weight at a time through the quotient table."""
+    table = _QUOTIENT_CACHE.setdefault((data.lie_type, k), {})
+    for w in terms.keys() - table.keys():
+        table[w] = dominantize_terms(data, {w: 1}, k + data.dual_coxeter, range(data.rank + 1), 1)
+    return FusionElt._trusted(combine((c, table[w]) for w, c in terms.items()), data, k)
 
 
 def quotient_map(chi: CharacterElt, k: int) -> FusionElt:
@@ -317,9 +331,7 @@ def quotient_map(chi: CharacterElt, k: int) -> FusionElt:
     ring: reflect the rho-shifted weight into the shifted-level alcove."""
     if k < 0:
         raise ValueError("level must be >= 0")
-    data = chi.data
-    m = k + data.dual_coxeter
-    return FusionElt(data, k, dominantize_terms(data, chi.terms, m, range(data.rank + 1), 1))
+    return _to_level(chi.data, chi.terms, k)
 
 
 _FUSION_CACHE: dict[tuple, dict[Weight, int]] = {}
@@ -336,7 +348,7 @@ def fusion_product(a: FusionElt, b: FusionElt) -> FusionElt:
     a._check(b)
     data, k = a.data, a.k
     level, walls = k + data.dual_coxeter, range(data.rank + 1)
-    out = a._new({})
+    parts = []
     for l, cl in a.terms.items():
         for m, cm in b.terms.items():
             key = (data.lie_type, k) + tuple(sorted((l, m)))
@@ -345,8 +357,8 @@ def fusion_product(a: FusionElt, b: FusionElt) -> FusionElt:
                 terms = dominantize_terms(data, _factor_weights(data, l, m), level, walls, 1)
                 assert all(c > 0 for c in terms.values()), "negative fusion coefficient"
                 _FUSION_CACHE[key] = terms
-            out = out + (cl * cm) * a._new(terms)
-    return out
+            parts.append((cl * cm, terms))
+    return a._new(combine(parts))
 
 
 def fusion_unit(data: LieData, k: int) -> FusionElt:
@@ -437,7 +449,7 @@ def holomorphic_induction(phi: LevelRepElt, J: Sequence[int]) -> LevelRepElt:
         raise ValueError(f"{J} is not a subset of {phi.I}")
     walls = [i for i in range(data.rank + 1) if i not in J]
     out = dominantize_terms(data, phi.terms, phi.k + data.dual_coxeter, walls, 1)
-    return LevelRepElt(data, J, phi.k, out)
+    return LevelRepElt._trusted(out, data, J, phi.k)
 
 
 def project_to_fusion(phi: LevelRepElt) -> FusionElt:
@@ -445,9 +457,7 @@ def project_to_fusion(phi: LevelRepElt) -> FusionElt:
     skew-symmetrization on basis characters)."""
     if len(phi.I) != 1:
         raise ValueError("projection to the fusion ring needs a singleton face")
-    data = phi.data
-    m = phi.k + data.dual_coxeter
-    return FusionElt(data, phi.k, dominantize_terms(data, phi.terms, m, range(data.rank + 1), 1))
+    return _to_level(phi.data, phi.terms, phi.k)
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def reskew_to(anti: AntiInvariant, J: Sequence[int]) -> AntiInvariant:
         raise ValueError(f"{J} is not a subset of {anti.I}")
     walls = _walls_outside(anti.data, J)
     out = dominantize_terms(anti.data, anti.terms, anti.level, walls, 0)
-    return AntiInvariant(anti.data, anti.level, J, out)
+    return AntiInvariant._trusted(out, anti.data, anti.level, J)
 
 
 def check_w_invariant(chi: GroupRingElt) -> None:

@@ -135,14 +135,17 @@ class OrbitComplex:
 
     def length_of(self, x: Sequence[int]) -> int:
         """Length of the orbit point with numerators x; ValueError if x is
-        not on the orbit."""
+        not on the orbit.  Off the length table, x is on the orbit if it
+        reduces to the base point, as in verify_certificate, and its length
+        is its count of crossed hyperplanes; nothing is enumerated."""
         x = tuple(x)
         known = self.ctx._length.get(x)
         if known is not None:
             return known
-        # the hyperplane-crossing count bounds the search depth exactly
-        hint = max(self._explored, _scaled_crossing_length(self.data, x, self.D))
-        return self.ctx.length_of(x, hint)
+        if (len(x) != self.data.rank
+                or _reduce_scaled(self.data, x, self.D, self.full_face)[0] != self.ctx.base):
+            raise ValueError(f"{x} is not on the orbit of {self.J}")
+        return _scaled_crossing_length(self.data, x, self.D)
 
     def _ensure(self, n: int) -> None:
         self._explored = max(self._explored, n)

@@ -3,15 +3,28 @@
 A subclass names its context slots in ``_fields`` (a Lie datum, a level, a
 face, a degree) and checks one key against that context in ``_validate``.
 The public constructor validates every key it is given and drops zero
-coefficients.  Sums, negatives and integer multiples only reuse keys that
-were already checked, so ``_new`` builds them from trusted terms without
-checking again.  Two elements meet only with the same class and context; a
-Lie datum compares by its Lie type.
+coefficients.  The one trusted constructor, ``_trusted(terms, *context)``,
+takes its terms unchecked and uncopied.  Only library code calls it, on keys
+in the basis by construction with no zero coefficient: sums, negatives and
+multiples (through ``_new``, with an element's own context) and results a
+weight walk has reduced into the basis, never a cached dict itself.  Two
+elements meet only with the same class and context; a Lie datum compares by
+its Lie type.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping
+from typing import Hashable, Iterable, Mapping
+
+
+def combine(parts: Iterable[tuple[int, Mapping]]) -> dict:
+    """The sum of scale * terms over the (scale, terms) parts, as a new dict
+    without zero coefficients."""
+    out: dict = {}
+    for scale, terms in parts:
+        for key, c in terms.items():
+            out[key] = out.get(key, 0) + scale * c
+    return {key: c for key, c in out.items() if c}
 
 
 class SparseElt:
@@ -30,14 +43,17 @@ class SparseElt:
     def _validate(self, key) -> None:
         """Raise ValueError unless key is a basis key in this context."""
 
-    def _new(self, terms: dict) -> "SparseElt":
-        """An element with this context over trusted terms (validated keys,
-        no zero coefficients)."""
-        out = object.__new__(type(self))
-        for name in self._fields:
-            setattr(out, name, getattr(self, name))
+    @classmethod
+    def _trusted(cls, terms: dict, *context) -> "SparseElt":
+        """An element over trusted terms, with the context in ``_fields`` order."""
+        out = object.__new__(cls)
+        for name, value in zip(cls._fields, context):
+            setattr(out, name, value)
         out.terms = terms
         return out
+
+    def _new(self, terms: dict) -> "SparseElt":
+        return self._trusted(terms, *[getattr(self, name) for name in self._fields])
 
     def _context(self) -> tuple:
         values = (getattr(self, name) for name in self._fields)

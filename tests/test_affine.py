@@ -454,7 +454,11 @@ class OracleOrbitContext(OrbitContext):
     """OrbitContext with the orbit-point lookup and cone reduction."""
 
     def orbit_point(self, point, search_up_to):
-        return OrbitPoint(tuple(point), self.length_of(point, search_up_to))
+        point = tuple(point)
+        self.ensure_length(search_up_to)
+        if point not in self._length:
+            raise ValueError(f"{point} not in the orbit within length {search_up_to}")
+        return OrbitPoint(point, self._length[point])
 
     def reduce_to_cone(self, x, I):
         """reduce_point_to_cone on an orbit point (numerators over D), with

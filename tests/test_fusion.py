@@ -329,6 +329,66 @@ def test_quotient_is_ring_map():
                 assert lhs == rhs
 
 
+def test_quotient_map_property_rank_three(monkeypatch):
+    # seeded: on A3, B3 and C3 at k <= 3 the quotient map is a ring
+    # homomorphism, and with the quotient table emptied first it agrees with
+    # a direct walk of all terms both cold (table misses) and warm (hits)
+    from alcove import fusion
+    from alcove.affine import dominantize_terms
+
+    monkeypatch.setattr(fusion, "_QUOTIENT_CACHE", {})
+    rng = random.Random(12)
+    for name in ["A3", "B3", "C3"]:
+        d = build_lie_data(name)
+        pool = [w for w in itertools.product(range(4), repeat=3) if sum(w) <= 3]
+
+        def rand_char():
+            return CharacterElt(d, {w: rng.choice((-2, -1, 1, 2)) for w in rng.sample(pool, 2)})
+
+        for k in range(4):
+            for _ in range(20):
+                a, b = rand_char(), rand_char()
+                assert quotient_map(a * b, k) == fusion_product(quotient_map(a, k), quotient_map(b, k))
+            walls = range(d.rank + 1)
+            chi = CharacterElt(d, {w: rng.randint(1, 3) for w in rng.sample(pool, 6)} | {(5, 0, 3): 1})
+            expect = dominantize_terms(d, chi.terms, k + d.dual_coxeter, walls, 1)
+            assert (5, 0, 3) not in fusion._QUOTIENT_CACHE[d.lie_type, k]
+            cold = quotient_map(chi, k).terms
+            assert (5, 0, 3) in fusion._QUOTIENT_CACHE[d.lie_type, k]
+            assert cold == expect == quotient_map(chi, k).terms
+
+
+def test_results_do_not_alias_the_caches(monkeypatch):
+    # the results are built trusted: mutating their terms must not reach
+    # the tensor, fusion or quotient caches, so a repeated call (a miss
+    # first, then hits) still returns the original terms
+    from alcove import fusion
+
+    for cache in ["_TENSOR_CACHE", "_FUSION_CACHE", "_QUOTIENT_CACHE"]:
+        monkeypatch.setattr(fusion, cache, {})
+    d = build_lie_data("A2")
+    a = CharacterElt(d, {(1, 0): 2, (0, 2): -1})
+    b = CharacterElt(d, {(1, 1): 1})
+    calls = [
+        lambda: tensor_decompose(d, (2, 1), (1, 1)),
+        lambda: quotient_map(CharacterElt.chi(d, (3, 1)), 2),
+        lambda: quotient_map(a, 2),
+        lambda: fusion_product(FusionElt(d, 2, {(1, 0): 1}), FusionElt(d, 2, {(1, 1): 1})),
+        lambda: fusion_product(quotient_map(a, 2), quotient_map(b, 2)),
+        lambda: a * b,
+        lambda: project_to_fusion(LevelRepElt(d, (0,), 2, {(1, 0): 1})),
+    ]
+    for call in calls:
+        for _ in range(3):
+            got = call()
+            original = dict(got.terms)
+            assert original
+            for key in list(got.terms):
+                got.terms[key] += 7
+            got.terms[(9, 9)] = 1
+            assert call().terms == original
+
+
 # -- fusion products -----------------------------------------------------------------
 
 def test_fusion_examples():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -596,6 +597,37 @@ def test_homology_report_computes_each_row_sign_once(monkeypatch):
     # a point beyond the table is what reaches the patched crossing count
     far = next(op.point for op in OrbitContext(oc.data, oc.J).points_up_to(5) if op.length == 5)
     assert oc.length_of(far) == 5 and calls == [far]
+
+
+def test_length_of_reduces_instead_of_enumerating():
+    # off the length table a point is placed by one reduction to the alcove
+    # and a crossing count: an A2 point of length 400, (1/3, 301/3), needs no
+    # orbit search, the table does not grow, and a point off the orbit
+    # still raises
+    oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
+    assert oc.D == 3 and oc.ctx.base == (1, 1)
+    size = len(oc.ctx._length)
+    start = time.perf_counter()
+    assert oc.length_of((1, 301)) == 400
+    assert time.perf_counter() - start < 0.1
+    assert len(oc.ctx._length) == size
+    for off in [(1, 302), (2, 301), (0, 3), (1, 1, 1), (1,)]:
+        with pytest.raises(ValueError):
+            oc.length_of(off)
+    assert len(oc.ctx._length) == size
+
+
+@pytest.mark.parametrize("name, J", [("A2", (0, 1, 2)), ("B2", (0, 1)), ("G2", (0,)), ("A3", (1, 3))])
+def test_length_of_matches_the_orbit_search(name, J):
+    # a fresh complex, whose length table holds only the base point, gives
+    # every orbit point of length <= 5 its breadth-first length
+    from alcove.affine import OrbitContext
+
+    data = build_lie_data(name)
+    oc = OrbitComplex(data, J)
+    for op in OrbitContext(data, J).points_up_to(5):
+        assert oc.length_of(op.point) == op.length
+    assert len(oc.ctx._length) == 1
 
 
 def test_h0_check_sees_every_row_sign(monkeypatch):
