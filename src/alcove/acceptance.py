@@ -64,14 +64,21 @@ def nonempty_faces(nodes: Sequence[int]):
         yield from itertools.combinations(nodes, size)
 
 
+def pair_products(d: LieData, k: int) -> tuple[dict, dict]:
+    """The level-k basis as fusion elements keyed by weight, and the fusion
+    product of every ordered pair of basis weights, keyed by the pair."""
+    basis = {w: FusionElt(d, k, {w: 1}) for w in level_weights(d, k)}
+    pairs = itertools.product(basis.items(), repeat=2)
+    return basis, {(a, b): fusion_product(x, y) for (a, x), (b, y) in pairs}
+
+
 def criterion_1_su2_closed_form(seed: int) -> str:
     """SU(2) fusion constants equal the closed-form rule for k = 1..4."""
     d = build_lie_data("A1")
     checked = 0
     for k in (1, 2, 3, 4):
-        basis = level_weights(d, k)
-        for (a,), (b,) in itertools.product(basis, repeat=2):
-            prod = fusion_product(FusionElt(d, k, {(a,): 1}), FusionElt(d, k, {(b,): 1}))
+        basis, products = pair_products(d, k)
+        for ((a,), (b,)), prod in products.items():
             for (c,) in basis:
                 parity_ok = (a + b + c) % 2 == 0
                 expect = (
@@ -91,18 +98,16 @@ def criterion_2_exact_numeric_agreement(seed: int) -> str:
     for name in RANK_LE_2:
         d = build_lie_data(name)
         for k in (1, 2, 3):
-            basis = level_weights(d, k)
-            points = basis
+            basis, products = pair_products(d, k)
             values = {
                 (mu, nu): character_value(
                     CharacterElt.chi(d, mu), special_point(d, nu, k)
                 )
                 for mu in basis
-                for nu in points
+                for nu in basis
             }
-            for lam, mu in itertools.product(basis, repeat=2):
-                prod = fusion_product(FusionElt(d, k, {lam: 1}), FusionElt(d, k, {mu: 1}))
-                for nu in points:
+            for (lam, mu), prod in products.items():
+                for nu in basis:
                     lhs = sum(c * values[(w, nu)] for w, c in prod.terms.items())
                     rhs = values[(lam, nu)] * values[(mu, nu)]
                     assert abs(lhs - rhs) < 1e-7, (name, k, lam, mu, nu)
@@ -115,15 +120,15 @@ def criterion_3_ring_axioms(seed: int) -> str:
     checked = 0
     for name, k in [("A2", 2), ("G2", 1)]:
         d = build_lie_data(name)
-        basis = [FusionElt(d, k, {w: 1}) for w in level_weights(d, k)]
+        basis, products = pair_products(d, k)
         unit = fusion_unit(d, k)
-        for a in basis:
+        for a in basis.values():
             assert fusion_product(a, unit) == a
-        for a, b in itertools.product(basis, repeat=2):
-            assert fusion_product(a, b) == fusion_product(b, a)
+        for a, b in products:
+            assert products[a, b] == products[b, a]
         for a, b, c in itertools.product(basis, repeat=3):
-            assert fusion_product(fusion_product(a, b), c) == fusion_product(
-                a, fusion_product(b, c)
+            assert fusion_product(products[a, b], basis[c]) == fusion_product(
+                basis[a], products[b, c]
             )
             checked += 1
     return f"{checked} associativity triples"

@@ -21,8 +21,9 @@ every weight-side map of the library; dominantize_walls is the same walk for
 one weight.  On Cartan points, _reduce_scaled works on integer numerators X
 over one common denominator D: a wall value is the integer sum root * X
 (plus D at node 0), a reflection is X -> X - c * coroot, and D never
-changes.  It stays a separate loop because its wall values are dot products
-at every node, which the weight walk avoids.
+changes.  Like _walk, it reports whether its image lies on a listed wall,
+from its last pass.  It stays a separate loop because its wall values are
+dot products at every node, which the weight walk avoids.
 
 weyl_orbit walks the other way: from a weight in the closed cone of the
 listed walls (at most l of them, so the group is finite) it reflects only
@@ -31,17 +32,17 @@ alternating sum over a W_I is this walk, so no group element is ever listed.
 
 Orbits live entirely in these integers.  An OrbitContext fixes D as the lcm
 of the base point's denominators, and every point of the orbit lies in
-(1/D) Z^l, so its BFS layers and length table hold numerator tuples.  The
-cone test (_scaled_position) and the length as a count of crossed
-hyperplanes (_scaled_crossing_length) read numerators too.  Fraction
-appears only at the edges: orbit_up_to_length returns Fraction points, and
-cone_position, reduce_point_to_cone, reduce_point_to_alcove and
-crossing_length are thin wrappers that scale a Fraction point once.
+(1/D) Z^l, so its BFS layers and length table hold numerator tuples; its
+search reflects at the nonzero walls of lie._scaled_walls.  The length as a
+count of crossed hyperplanes (_scaled_crossing_length) reads numerators
+too.  Fraction appears only at the edges: orbit_up_to_length returns
+Fraction points, and cone_position, reduce_point_to_cone,
+reduce_point_to_alcove and crossing_length are thin wrappers that scale a
+Fraction point once with lie._scaled.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -51,6 +52,9 @@ from .lie import (
     LieData,
     Weight,
     _check_face_index,
+    _scaled,
+    _scaled_face,
+    _scaled_walls,
     face_data,
 )
 
@@ -223,20 +227,12 @@ def dominantize(data: LieData, nu: Sequence[int], m: int) -> SignedWeight:
 # standard affine action on t, cones, orbit enumeration
 
 
-def _scaled(data: LieData, xi: Sequence) -> tuple[list[int], int]:
-    """Integer numerators X and one common denominator D > 0 with xi = X / D."""
-    if len(xi) != data.rank:
-        raise ValueError("rank mismatch")
-    coords = [Fraction(x) for x in xi]
-    D = math.lcm(*(c.denominator for c in coords))
-    return [c.numerator * (D // c.denominator) for c in coords], D
-
-
 def _reduce_scaled(
     data: LieData, X: Sequence[int], D: int, walls: Sequence[int]
-) -> tuple[tuple[int, ...], list[int]]:
+) -> tuple[tuple[int, ...], list[int], bool]:
     """Greedy reflection of X / D at the lowest violated listed wall until no
-    listed wall value is negative.  Returns (image numerators, word).
+    listed wall value is negative.  Returns (image numerators, word, whether
+    the image lies on a listed wall), the last read off the final pass.
 
     The scaled wall value c = D times the wall value at X / D is the integer
     sum root * X, plus D at node 0.  The reflection
@@ -246,6 +242,7 @@ def _reduce_scaled(
     node_root, node_coroot = data.node_root, data.node_coroot
     word: list[int] = []
     while True:
+        on_wall = False
         for i in walls:
             c = sum(map(mul, node_root[i], X))
             if i == 0:
@@ -254,24 +251,10 @@ def _reduce_scaled(
                 X = [x - c * g for x, g in zip(X, node_coroot[i])]
                 word.append(i)
                 break
+            if c == 0:
+                on_wall = True
         else:
-            return tuple(X), word
-
-
-def _scaled_position(data: LieData, X: Sequence[int], D: int, walls: Iterable[int]) -> str:
-    """Position of X / D against the cone cut out by the listed walls:
-    'interior', 'boundary', or 'outside'."""
-    node_root = data.node_root
-    on_wall = False
-    for i in walls:
-        v = sum(map(mul, node_root[i], X))
-        if i == 0:
-            v += D
-        if v < 0:
-            return "outside"
-        if v == 0:
-            on_wall = True
-    return "boundary" if on_wall else "interior"
+            return tuple(X), word, on_wall
 
 
 def _scaled_crossing_length(data: LieData, X: Sequence[int], D: int) -> int:
@@ -299,8 +282,10 @@ def cone_position(data: LieData, xi: Sequence, I: Sequence[int]) -> str:
     """Position of a point against the cone cut out by the walls outside I:
     'interior', 'boundary', or 'outside'."""
     I = _check_face_index(data, I)
-    X, D = _scaled(data, xi)
-    return _scaled_position(data, X, D, _walls_outside(data, I))
+    values = [v for i, v in enumerate(_scaled_walls(data, *_scaled(data, xi))) if i not in I]
+    if any(v < 0 for v in values):
+        return "outside"
+    return "boundary" if 0 in values else "interior"
 
 
 def reduce_point_to_cone(
@@ -314,7 +299,7 @@ def reduce_point_to_cone(
     """
     I = _check_face_index(data, I)
     X, D = _scaled(data, xi)
-    X, word = _reduce_scaled(data, X, D, _walls_outside(data, I))
+    X, word, _ = _reduce_scaled(data, X, D, _walls_outside(data, I))
     return tuple(word), tuple(Fraction(x, D) for x in X), (-1) ** len(word)
 
 
@@ -323,7 +308,7 @@ def reduce_point_to_alcove(data: LieData, xi: Sequence) -> tuple[tuple[int, ...]
     at the lowest violated wall; the word length equals the number of
     separating hyperplanes crossed."""
     X, D = _scaled(data, xi)
-    X, word = _reduce_scaled(data, X, D, range(data.rank + 1))
+    X, word, _ = _reduce_scaled(data, X, D, range(data.rank + 1))
     return tuple(word), tuple(Fraction(x, D) for x in X)
 
 
@@ -350,30 +335,22 @@ class OrbitContext:
         self.data = data
         self.J = _check_face_index(data, J)
         if base is None:
-            base = face_data(data, self.J).nu_I_sharp
+            X, self.D = _scaled(data, face_data(data, self.J).nu_I_sharp)
         else:
-            base = tuple(Fraction(x) for x in base)
-            from .lie import alcove_face_of
-
-            if alcove_face_of(data, base) != self.J:
+            X, self.D = _scaled(data, base)
+            if _scaled_face(data, X, self.D) != self.J:
                 raise ValueError("base point is not interior to the face")
-        X, self.D = _scaled(data, base)
         self.base: tuple[int, ...] = tuple(X)
         self._layers: list[list[tuple[int, ...]]] = [[self.base]]
         self._length: dict[tuple[int, ...], int] = {self.base: 0}
 
     def ensure_length(self, n: int) -> None:
-        D, length = self.D, self._length
-        walls = [
-            (root, coroot, D if i == 0 else 0)
-            for i, (root, coroot) in enumerate(zip(self.data.node_root, self.data.node_coroot))
-        ]
+        data, D, length = self.data, self.D, self._length
         while len(self._layers) <= n:
             depth = len(self._layers)
             new: list[tuple[int, ...]] = []
             for X in self._layers[-1]:
-                for root, coroot, shift in walls:
-                    c = sum(map(mul, root, X)) + shift
+                for c, coroot in zip(_scaled_walls(data, X, D), data.node_coroot):
                     if not c:
                         continue  # X lies on this wall
                     Y = tuple([x - c * g for x, g in zip(X, coroot)])

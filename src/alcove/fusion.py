@@ -49,12 +49,14 @@ from itertools import product as iter_product
 from operator import mul
 from typing import Mapping, Sequence
 
-from .affine import _scaled, dominantize_terms, dominantize_walls, weight_wall_value, weyl_orbit
+from .affine import dominantize_terms, dominantize_walls, weight_wall_value, weyl_orbit
 from .lie import (
     CartanPoint,
     LieData,
     Weight,
     _check_face_index,
+    _scaled,
+    _sharp_scaled,
 )
 from .sparse import SparseElt, combine
 
@@ -296,20 +298,21 @@ def _factor_weights(data: LieData, lam: Weight, mu: Weight) -> dict[Weight, int]
 
 
 def tensor_decompose(data: LieData, lam: Sequence[int], mu: Sequence[int]) -> CharacterElt:
-    """Decomposition of V_lam (x) V_mu by the Klimyk rule."""
-    lam, mu = _check_weight(data, lam), _check_weight(data, mu)
-    if not (is_dominant(data, lam) and is_dominant(data, mu)):
-        raise ValueError("tensor factors must be dominant")
-    cache_key = (data.lie_type,) + tuple(sorted((lam, mu)))
-    out = _TENSOR_CACHE.get(cache_key)
+    """Decomposition of V_lam (x) V_mu by the Klimyk rule.  The cache, keyed
+    by the unordered pair, holds only checked weights, so a hit needs no check."""
+    lam, mu = tuple(lam), tuple(mu)
+    out = _TENSOR_CACHE.get((data.lie_type, frozenset((lam, mu))))
     if out is None:
+        lam, mu = _check_weight(data, lam), _check_weight(data, mu)
+        if not (is_dominant(data, lam) and is_dominant(data, mu)):
+            raise ValueError("tensor factors must be dominant")
         # V_lam (x) V_mu = sum over the weights tau of V_mu of chi(lam + tau),
         # each reduced by the classical Weyl group in the rho-shifted action
         out = dominantize_terms(data, _factor_weights(data, lam, mu), 0, range(1, data.rank + 1), 1)
         assert all(c > 0 for c in out.values()), "Klimyk produced a negative multiplicity"
         dim_check = sum(c * weyl_dimension(data, w) for w, c in out.items())
         assert dim_check == weyl_dimension(data, lam) * weyl_dimension(data, mu)
-        _TENSOR_CACHE[cache_key] = out
+        _TENSOR_CACHE[(data.lie_type, frozenset((lam, mu)))] = out
     return CharacterElt._trusted(dict(out), data)  # a copy: the cache stays intact
 
 
@@ -376,14 +379,12 @@ def special_point(data: LieData, nu: Sequence[int], k: int) -> CartanPoint:
 
 
 def _special_scaled(data: LieData, nu: Sequence[int], k: int) -> tuple[list[int], int]:
-    """t_nu as integer numerators X over one denominator D: with
-    gram_weight = N_w / D_w, X = N_w (nu + rho) and D = D_w (k + h_vee)."""
+    """t_nu = B_sharp(nu + rho) / (k + h_vee) as integer numerators X over
+    one denominator D."""
     nu = _check_weight(data, nu)
     if not in_level(data, nu, k):
         raise ValueError(f"{nu} is not a level-{k} weight")
-    gram, den = data.gram_weight_scaled
-    nu_rho = [a + 1 for a in nu]
-    return [sum(map(mul, row, nu_rho)) for row in gram], den * (k + data.dual_coxeter)
+    return _sharp_scaled(data, [a + 1 for a in nu], k + data.dual_coxeter)
 
 
 def _irreducible_value_scaled(data: LieData, mu: Weight, X: Sequence[int], D: int) -> complex:

@@ -26,6 +26,11 @@ Conventions, fixed once and used everywhere:
   The face Delta_I spanned by the vertices in I is cut out by vanishing of
   exactly the walls outside I.
 
+Scaled points xi = X / D, integer numerators over one denominator D > 0
+(_scaled), have one owner here: D times their wall values (_scaled_walls) and
+their face (_scaled_face) feed every face, cone and key test, and only the
+greedy reduction affine._reduce_scaled computes wall values itself.
+
 weyl_elements lists a W_I as integer affine maps on weights.  No library
 path calls it: alternating sums over W_I walk signed orbits
 (affine.weyl_orbit), and the enumeration stays as the tests' reference.
@@ -37,7 +42,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .intlinalg import fmat, mat_inv, mat_mul, mat_vec
@@ -402,12 +408,47 @@ def b_sharp(data: LieData, mu: Sequence) -> CartanPoint:
 # walls, alcove membership, faces
 
 
+def _scaled(data: LieData, xi: Sequence) -> tuple[list[int], int]:
+    """Integer numerators X and one common denominator D > 0 with xi = X / D."""
+    if len(xi) != data.rank:
+        raise ValueError("rank mismatch")
+    coords = [Fraction(x) for x in xi]
+    D = lcm(*(c.denominator for c in coords))
+    return [c.numerator * (D // c.denominator) for c in coords], D
+
+
+def _scaled_walls(data: LieData, X: Sequence[int], D: int) -> list[int]:
+    """D times the wall values at X / D, nodes 0..l: root * X, plus D at node 0."""
+    values = [sum(map(mul, root, X)) for root in data.node_root]
+    values[0] += D
+    return values
+
+
+def _scaled_face(data: LieData, X: Sequence[int], D: int) -> FaceIndex:
+    """The face index of X / D: the nodes whose wall value is positive.
+    Raises OutsideAlcoveError at the first negative wall value."""
+    face = []
+    for i, v in enumerate(_scaled_walls(data, X, D)):
+        if v < 0:
+            raise OutsideAlcoveError(i, Fraction(v, D))
+        if v:
+            face.append(i)
+    return tuple(face)
+
+
+def _sharp_scaled(data: LieData, w: Sequence[int], level: int) -> tuple[list[int], int]:
+    """B_sharp(w) / level as integer numerators X over one denominator D:
+    with gram_weight = N_w / D_w, X = N_w w and D = D_w level."""
+    gram, den = data.gram_weight_scaled
+    return [sum(map(mul, row, w)) for row in gram], den * level
+
+
 def wall_value(data: LieData, i: int, xi: Sequence) -> Fraction:
     """Value of the alcove wall functional <alpha_i, .> + delta_{i,0} at a point."""
     if not 0 <= i <= data.rank:
         raise ValueError(f"wall index {i} out of range")
-    value = pairing(data.node_root[i], xi)
-    return value + 1 if i == 0 else value
+    X, D = _scaled(data, xi)
+    return Fraction(_scaled_walls(data, X, D)[i], D)
 
 
 def alcove_face_of(data: LieData, xi: Sequence) -> FaceIndex:
@@ -416,14 +457,7 @@ def alcove_face_of(data: LieData, xi: Sequence) -> FaceIndex:
     Raises OutsideAlcoveError (carrying the violated wall) if xi is not in
     the closed fundamental alcove.
     """
-    strict = []
-    for i in range(data.rank + 1):
-        v = wall_value(data, i, xi)
-        if v < 0:
-            raise OutsideAlcoveError(i, v)
-        if v > 0:
-            strict.append(i)
-    return tuple(strict)
+    return _scaled_face(data, *_scaled(data, xi))
 
 
 def _check_face_index(data: LieData, I: Sequence[int]) -> FaceIndex:
@@ -608,9 +642,12 @@ def apply_weight(elt: WeylElt, nu: Sequence[int], m: int) -> Weight:
 # serialization
 
 
-def _frac_str(x: Fraction | int) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+def _frac_str(x: Fraction | int, D: int = 1) -> str:
+    """x / D in lowest terms (x int or Fraction) as 'p/q', or 'p' if whole."""
+    if not isinstance(x, int):
+        x, D = x.numerator, x.denominator * D
+    g = gcd(x, D)
+    return str(x // g) if g == D else f"{x // g}/{D // g}"
 
 
 def lie_data_to_json(data: LieData) -> dict:

@@ -9,15 +9,15 @@ modulo 1; no extension groups are ever constructed.
 The pre-quantization test, quantize and the catalog run on integer
 numerators over one denominator, xi = X / D, with the Gram matrices of
 LieData scaled to integers (gram_coroot = N_c / D_c, gram_weight =
-N_w / D_w).  A wall value is the integer root * X (plus D at node 0), and
-b_flat(xi) = N_c X / (D_c D), so b_flat(k xi) is a weight exactly when
-D_c D divides k N_c X.  The catalog builds the class of a level-k weight mu
-as X = N_w mu over D = D_w k, and its phases on the lattice basis are
-(N_c X mod D_c D) / (D_c D).  Fraction appears only at the edges: input
-points are scaled once by affine._scaled, and output points and phases are
-printed from numerators.  extension_power_trivial and the phase functions
-keep their own Fraction computation, so the acceptance suite compares two
-routes.
+N_w / D_w).  The face of xi is lie._scaled_face, read off the integer wall
+values, and b_flat(xi) = N_c X / (D_c D), so b_flat(k xi) is a weight
+exactly when D_c D divides k N_c X.  The catalog builds the class of a
+level-k weight mu as X = N_w mu over D = D_w k (lie._sharp_scaled), and its
+phases on the lattice basis are (N_c X mod D_c D) / (D_c D).  Fraction
+appears only at the edges: input points are scaled once by lie._scaled, and
+output points and phases are printed from numerators.
+extension_power_trivial and the phase functions keep their own Fraction
+computation, so the acceptance suite compares two routes.
 """
 
 from __future__ import annotations
@@ -26,15 +26,16 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .affine import _scaled
 from .fusion import in_level, level_weights
 from .lie import (
     CartanPoint,
     FaceIndex,
     LieData,
-    OutsideAlcoveError,
     Weight,
     _frac_str,
+    _scaled,
+    _scaled_face,
+    _sharp_scaled,
     alcove_face_of,
     basic_pairing,
     face_data,
@@ -76,13 +77,7 @@ def _prequant_scaled(
     b_flat(xi) = flat / (D_c D), and the level-k label b_flat(k xi) if it is
     a weight, else None.  Raises OutsideAlcoveError if xi is outside the
     closed alcove, ValueError if k < 0."""
-    face = []
-    for i, root in enumerate(data.node_root):
-        v = sum(map(mul, root, X)) + (D if i == 0 else 0)
-        if v < 0:
-            raise OutsideAlcoveError(i, Fraction(v, D))
-        if v:
-            face.append(i)
+    face = _scaled_face(data, X, D)
     if k < 0:
         raise ValueError("level must be >= 0")
     gram, den = data.gram_coroot_scaled
@@ -90,10 +85,10 @@ def _prequant_scaled(
     flat = [sum(map(mul, row, X)) for row in gram]
     scaled = [k * x for x in flat]
     if any(x % den for x in scaled):
-        return tuple(face), flat, None
+        return face, flat, None
     label = tuple(x // den for x in scaled)
     assert in_level(data, label, k)
-    return tuple(face), flat, label
+    return face, flat, label
 
 
 def prequantizable(data: LieData, xi: Sequence, k: int) -> bool:
@@ -112,23 +107,20 @@ def quantize(data: LieData, xi: Sequence, k: int) -> Weight:
     return mu
 
 
-def _level_points(data: LieData, k: int) -> tuple[list[tuple[Weight, list[int]]], int]:
-    """The level-k weights mu with the numerators X of xi = B_sharp(mu) / k,
-    over their one denominator D."""
+def _level_points(data: LieData, k: int) -> list[tuple[Weight, list[int], int]]:
+    """The level-k weights mu, each with xi = B_sharp(mu) / k as numerators
+    X over one denominator D."""
     if k < 1:
         raise ValueError("pre-quantized classes need level >= 1")
-    gram, den = data.gram_weight_scaled
-    points = [(mu, [sum(map(mul, row, mu)) for row in gram]) for mu in level_weights(data, k)]
-    return points, den * k
+    return [(mu, *_sharp_scaled(data, mu, k)) for mu in level_weights(data, k)]
 
 
 def enumerate_prequantized(data: LieData, k: int) -> list[ConjClass]:
     """All level-k pre-quantized conjugacy classes; quantize maps them
     bijectively onto the level-k weights, in order."""
-    points, D = _level_points(data, k)
     return [
         ConjClass(tuple(Fraction(x, D) for x in X), _prequant_scaled(data, X, D, k)[0])
-        for _, X in points
+        for _, X, D in _level_points(data, k)
     ]
 
 
@@ -180,19 +172,18 @@ def coxeter_power_identity_check(data: LieData, I: Sequence[int]) -> bool:
 def prequant_catalog(data: LieData, k: int) -> list[dict]:
     """One row per pre-quantized class: alcove point, face, label weight,
     Weyl order of the face, and the phase table on the lattice basis."""
-    points, D = _level_points(data, k)
-    den = data.gram_coroot_scaled[1] * D
     rows = []
-    for mu, X in points:
+    for mu, X, D in _level_points(data, k):
         face, flat, label = _prequant_scaled(data, X, D, k)
         assert label == mu, (mu, k)
+        den = data.gram_coroot_scaled[1] * D
         rows.append(
             {
-                "xi": [_frac_str(Fraction(x, D)) for x in X],
+                "xi": [_frac_str(x, D) for x in X],
                 "face": list(face),
                 "mu": list(label),
                 "weyl_order": face_data(data, face).weyl_order,
-                "phases": [_frac_str(Fraction(x % den, den)) for x in flat],
+                "phases": [_frac_str(x % den, den) for x in flat],
             }
         )
     return rows

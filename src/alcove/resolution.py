@@ -22,14 +22,16 @@ key's nodes strictly increasing.
 Points are integers throughout.  A chain key is (I, X) with X the integer
 numerators of the orbit point over the one denominator D of the orbit
 context (OrbitComplex.D); D > 0, so numerator order is coordinate order and
-the basis order is that of the points.  The boundary and the cone tests run
-affine._reduce_scaled and the integer wall values on X directly, and the
-faces of each key's boundary are computed once per complex.  Fraction
-appears only at the edges: element() takes a rational point, and
-chain_to_json / chain_from_json write and read 'p/q' coordinates X / D.
-verify_certificate scales every point by D once; a point off (1/D) Z^l is
-not on the orbit and is rejected with ValueError, and so is a key longer
-than CERT_MAX_LENGTH, before any point is reduced.
+the basis order is that of the points.  OrbitComplex._check_key is the one
+key test (coordinate count, node range, interior by lie._scaled_walls), for
+element(), verify_certificate and the boundary.  The boundary of a key is
+computed once per complex: the key test, then affine._reduce_scaled per face,
+whose on-wall flag drops the face.  Fraction appears only at the edges:
+element() takes a rational point, and chain_to_json / chain_from_json write
+and read 'p/q' coordinates X / D.  verify_certificate scales every point by
+D once; a point off (1/D) Z^l is not on the orbit and is rejected with
+ValueError, and so is a key longer than CERT_MAX_LENGTH, before any point
+is reduced.
 
 The homology path does no repeated work.  Each length truncation is built
 once per complex and shared, and stores each boundary map d_p as sparse
@@ -47,7 +49,6 @@ computes the dense kernel basis of each d_p of a truncation once.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -57,11 +58,10 @@ from .affine import (
     OrbitContext,
     _reduce_scaled,
     _scaled_crossing_length,
-    _scaled_position,
     _walls_outside,
 )
 from .intlinalg import invariant_factors, kernel_basis, to_dense
-from .lie import FaceIndex, LieData, _check_face_index
+from .lie import FaceIndex, LieData, _check_face_index, _frac_str, _scaled_walls
 from .sparse import SparseElt
 
 # (I, X): a node set and the numerators of an orbit point over the D of the
@@ -126,7 +126,6 @@ class OrbitComplex:
             for size in range(1, data.rank + 2)
             for I in combinations(nodes, size)
         }
-        self._explored = 0
         self._truncations: dict[int, TruncatedComplex] = {}
         self._kernels: dict[tuple[int, int], list[list[int]]] = {}
         self._faces: dict[ChainKey, list[tuple[ChainKey, int]]] = {}
@@ -147,11 +146,21 @@ class OrbitComplex:
             raise ValueError(f"{x} is not on the orbit of {self.J}")
         return _scaled_crossing_length(self.data, x, self.D)
 
-    def _ensure(self, n: int) -> None:
-        self._explored = max(self._explored, n)
-        self.ctx.ensure_length(self._explored)
+    # -- keys and bases ---------------------------------------------------------
 
-    # -- bases ----------------------------------------------------------------
+    def _check_key(self, I: FaceIndex, X: Sequence[int], what: str = "key") -> None:
+        """Raise ValueError, naming the key as what, unless (I, X), I sorted and
+        nonempty, has l coordinates, nodes in 0..l and X / D interior to the
+        cone of I: a basis pair up to orbit membership."""
+        l, D = self.data.rank, self.D
+        if len(X) != l:
+            raise ValueError(
+                f"{what} {list(I)}, {_point_str(X, D)} has {len(X)} coordinates, not {l}")
+        if I[0] < 0 or I[-1] > l:
+            raise ValueError(f"{what} {list(I)} has a node outside 0..{l}")
+        values = _scaled_walls(self.data, X, D)
+        if any(values[i] <= 0 for i in self._walls[I]):
+            raise ValueError(f"{what} {list(I)}, {_point_str(X, D)} is not interior to its cone")
 
     def basis_elements(self, p: int, n: int) -> list[ChainKey]:
         """Basis pairs (I, X) in degree p with length(X) <= n, X numerators
@@ -160,13 +169,15 @@ class OrbitComplex:
             raise ValueError("length bound must be >= 0")
         if p < 0 or p > self.data.rank:
             return []
-        self._ensure(n)
         data, D = self.data, self.D
-        points = [op.point for op in self.ctx.points_up_to(n)]
+        # each orbit point X with the nodes whose wall value at X is <= 0;
+        # (I, X) is a basis pair exactly when those nodes all lie in I
+        points = [({i for i, v in enumerate(_scaled_walls(data, X, D)) if v <= 0}, X)
+                  for X, _ in self.ctx.points_up_to(n)]
         out: list[ChainKey] = []
         for I in combinations(range(data.rank + 1), p + 1):
-            walls = self._walls[I]
-            out.extend((I, x) for x in points if _scaled_position(data, x, D, walls) == "interior")
+            nodes = set(I)
+            out.extend((I, X) for low, X in points if low <= nodes)
         # D > 0, so numerator order is coordinate order
         out.sort()
         return out
@@ -175,11 +186,8 @@ class OrbitComplex:
         """The chain coeff * beta_I(x) for a rational point x interior to the
         cone of I; x must lie in (1/D) Z^l, as every orbit point does."""
         I = _check_face_index(self.data, I)
-        if len(x) != self.data.rank:
-            raise ValueError(f"point has {len(x)} coordinates, not {self.data.rank}")
         X = _numerators(x, self.D)
-        if _scaled_position(self.data, X, self.D, self._walls[I]) != "interior":
-            raise ValueError(f"{tuple(x)} is not interior to the cone of {I}")
+        self._check_key(I, X)
         return ChainElt(self.J, len(I) - 1, {(I, X): coeff})
 
     # -- boundary and augmentation ---------------------------------------------
@@ -194,19 +202,18 @@ class OrbitComplex:
         return ChainElt(c.J, c.degree - 1, out)
 
     def _faces_of(self, key: ChainKey) -> list[tuple[ChainKey, int]]:
-        """The terms (face, sign) of d beta_I(x), computed once per key; the
-        faces are distinct, one per dropped node at most."""
+        """The terms (face, sign) of d beta_I(x), computed once per key after
+        its key check; the faces are distinct, one per dropped node at most."""
         faces = self._faces.get(key)
         if faces is not None:
             return faces
-        data, D = self.data, self.D
         I, x = key
+        self._check_key(I, x)
         faces = []
         for r in range(len(I)):
             sub = I[:r] + I[r + 1 :]
-            walls = self._walls[sub]
-            image, word = _reduce_scaled(data, x, D, walls)
-            if _scaled_position(data, image, D, walls) == "interior":
+            image, word, on_wall = _reduce_scaled(self.data, x, self.D, self._walls[sub])
+            if not on_wall:
                 faces.append(((sub, image), (-1) ** (r + len(word))))
         self._faces[key] = faces
         return faces
@@ -269,14 +276,8 @@ class OrbitComplex:
         bounding = ChainElt(c.J, c.degree + 1)
         current = c
         passes = 0
-        # the longest key of c bounds the passes: its length is read from the
-        # length table or, on a miss, counted as crossed hyperplanes (equal)
-        lengths = self.ctx._length
-        limit = 2 + max(
-            (lengths[x] if x in lengths else _scaled_crossing_length(self.data, x, self.D)
-             for _, x in c.terms),
-            default=0,
-        )
+        # the longest key of c bounds the passes
+        limit = 2 + max((self.length_of(x) for _, x in c.terms), default=0)
         while current:
             if passes > limit:
                 raise RuntimeError("contraction failed to terminate")
@@ -435,17 +436,15 @@ def check_d_squared_zero(
 # certificates
 
 
-def _ratio_str(v: int, D: int) -> str:
-    """v / D in lowest terms, as _frac_str writes it: 'p/q', or 'p' when the
-    denominator is 1."""
-    g = math.gcd(v, D)
-    return str(v // g) if g == D else f"{v // g}/{D // g}"
+def _point_str(X: Sequence[int], D: int) -> str:
+    """The point X / D as '(p/q, ...)'."""
+    return f"({', '.join(_frac_str(v, D) for v in X)})"
 
 
 def chain_to_json(c: ChainElt, D: int) -> list[dict]:
     """Chain terms with their points written as 'p/q' coordinates X / D."""
     return [
-        {"I": list(I), "x": [_ratio_str(v, D) for v in x], "coeff": coeff}
+        {"I": list(I), "x": [_frac_str(v, D) for v in x], "coeff": coeff}
         for (I, x), coeff in sorted(c.terms.items())
     ]
 
@@ -517,36 +516,24 @@ def verify_certificate(text: str) -> dict:
         bounding = chain_from_json(J, degree + 1, doc["bounding"], complex_.D)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed certificate: {exc}") from exc
-    l, D = data.rank, complex_.D
-
-    def shown(x):
-        return f"({', '.join(_ratio_str(v, D) for v in x)})"
-
-    keys = list(cycle.terms) + list(bounding.terms)
-    # bound every point before any reduction: counting the crossed hyperplanes
-    # costs the same at any coordinate size, reducing a point does not.  A
-    # point that several keys share is bounded and reduced once.
+    D = complex_.D
+    # keys must be genuine basis pairs: interior to their cone and on the
+    # orbit.  Bound every point before any reduction: counting the crossed
+    # hyperplanes costs the same at any coordinate size, reducing a point
+    # does not.  A point that several keys share is bounded and reduced once.
     points: dict[tuple[int, ...], int] = {}
-    for I, x in keys:
-        if len(x) != l:
-            raise ValueError(f"certificate point {shown(x)} has {len(x)} coordinates, not {l}")
-        if I[0] < 0 or I[-1] > l:
-            raise ValueError(f"certificate key {list(I)} has a node outside 0..{l}")
+    for I, x in list(cycle.terms) + list(bounding.terms):
+        complex_._check_key(I, x, "certificate key")
         if x not in points:
             points[x] = length = _scaled_crossing_length(data, x, D)
             if length > CERT_MAX_LENGTH:
                 raise ValueError(
-                    f"certificate key {list(I)}, {shown(x)} has length {length}, "
+                    f"certificate key {list(I)}, {_point_str(x, D)} has length {length}, "
                     f"above the limit {CERT_MAX_LENGTH}"
                 )
-    # keys must be genuine basis pairs: interior to their cone and on the orbit
-    for I, x in keys:
-        if _scaled_position(data, x, D, complex_._walls[I]) != "interior":
-            raise ValueError(f"certificate key {I}, {shown(x)} is not a basis pair")
     for x in points:
-        reduced, _ = _reduce_scaled(data, x, D, complex_.full_face)
-        if reduced != complex_.ctx.base:
-            raise ValueError(f"certificate point {shown(x)} is not on the orbit of {J}")
+        if _reduce_scaled(data, x, D, complex_.full_face)[0] != complex_.ctx.base:
+            raise ValueError(f"certificate point {_point_str(x, D)} is not on the orbit of {J}")
     if complex_.boundary(cycle):
         raise ValueError("certificate cycle is not a cycle")
     if complex_.boundary(bounding) != cycle:

@@ -9,8 +9,8 @@ from alcove.affine import (
     OrbitContext,
     OrbitPoint,
     SignedWeight,
+    _reduce_scaled,
     _scaled_crossing_length,
-    _scaled_position,
     _walls_outside,
     affine_reflect_weight,
     cone_position,
@@ -25,11 +25,11 @@ from alcove.affine import (
     weyl_orbit,
 )
 from alcove.lie import (
+    _scaled_walls,
     apply_weight,
     build_lie_data,
     face_data,
     pairing,
-    wall_value,
     weyl_elements,
 )
 
@@ -399,12 +399,18 @@ def linear_weyl_action(data, word, nu):
     return out
 
 
+def fraction_wall_value(data, i, xi):
+    """Oracle: the wall functional <alpha_i, xi> + delta_{i,0} as a Fraction
+    pairing, apart from the integer wall values that lie.wall_value reads."""
+    return pairing(data.node_root[i], xi) + (1 if i == 0 else 0)
+
+
 def reflect_point(data, i, xi):
     """Oracle: the simple affine reflection at wall i, standard action on t,
     in Fraction arithmetic."""
     if not 0 <= i <= data.rank:
         raise ValueError(f"wall index {i} out of range")
-    c = wall_value(data, i, xi)
+    c = fraction_wall_value(data, i, xi)
     coroot = data.node_coroot[i]
     return tuple(F(x) - c * g for x, g in zip(xi, coroot))
 
@@ -615,7 +621,7 @@ def fraction_cone_position(data, xi, I):
     for i in range(data.rank + 1):
         if i in I:
             continue
-        v = wall_value(data, i, xi)
+        v = fraction_wall_value(data, i, xi)
         if v < 0:
             return "outside"
         if v == 0:
@@ -628,7 +634,7 @@ def fraction_reduce(data, xi, walls):
     out = tuple(F(x) for x in xi)
     word = []
     while True:
-        violated = next((i for i in walls if wall_value(data, i, out) < 0), None)
+        violated = next((i for i in walls if fraction_wall_value(data, i, out) < 0), None)
         if violated is None:
             return tuple(word), out
         out = reflect_point(data, violated, out)
@@ -729,15 +735,42 @@ def test_integer_interior_test_matches_cone_position(name):
         lattice = [tuple(rng.randint(-4 * D, 4 * D) for _ in range(d.rank)) for _ in range(12)]
         for X in on_orbit + lattice:
             x = unscaled(X, D)
+            # the integer wall values are D times the Fraction ones
+            assert _scaled_walls(d, X, D) == [
+                D * fraction_wall_value(d, i, x) for i in range(d.rank + 1)
+            ]
             for I in all_faces(d):
-                expect = fraction_cone_position(d, x, I)
-                assert _scaled_position(d, X, D, _walls_outside(d, I)) == expect
-                assert cone_position(d, x, I) == expect
+                assert cone_position(d, x, I) == fraction_cone_position(d, x, I)
     # rational points with unrelated denominators
     for _ in range(40):
         x = tuple(F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(d.rank))
         for I in all_faces(d):
             assert cone_position(d, x, I) == fraction_cone_position(d, x, I)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3"])
+def test_reduce_scaled_on_wall_flag_matches_a_fresh_interior_test(name):
+    # the flag comes from the last pass of the reduction; a fresh Fraction
+    # test of the image against the same cone must agree, on orbit points
+    # (often on walls) and on random lattice points
+    d = build_lie_data(name)
+    rng = random.Random(913)
+    points = []
+    for J in all_faces(d):
+        ctx = OrbitContext(d, J)
+        points += [(op.point, ctx.D) for op in ctx.points_up_to(2)]
+    for _ in range(30):
+        D = rng.randint(1, 12)
+        points.append((tuple(rng.randint(-5 * D, 5 * D) for _ in range(d.rank)), D))
+    flags = set()
+    for X, D in points:
+        for I in all_faces(d):
+            image, word, on_wall = _reduce_scaled(d, X, D, _walls_outside(d, I))
+            position = fraction_cone_position(d, unscaled(image, D), I)
+            assert position != "outside"
+            assert on_wall == (position == "boundary")
+            flags.add(on_wall)
+    assert flags == {True, False}
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "C2", "G2", "B3"])

@@ -185,6 +185,38 @@ def test_weyl_dimension_hit_skips_checks(monkeypatch):
     assert calls == []
 
 
+def test_tensor_decompose_checks_survive_a_warm_cache():
+    """A cache hit skips the argument checks, so a bad weight must never hit:
+    with other pairs of the same type cached, a non-dominant and a
+    wrong-rank weight still raise, in either factor, also on a second call."""
+    a2 = build_lie_data("A2")
+    weights = list(itertools.product(range(2), repeat=2))
+    for lam, mu in itertools.product(weights, repeat=2):
+        tensor_decompose(a2, lam, mu)
+    for bad in [(-1, 0), (1, -1), (1,), (1, 1, 0), ()]:
+        for _ in range(2):
+            for pair in [(bad, (1, 0)), ((1, 0), bad)]:
+                with pytest.raises(ValueError):
+                    tensor_decompose(a2, *pair)
+    with pytest.raises(ValueError):
+        tensor_decompose(build_lie_data("A1"), (1, 1), (0, 0))
+    expect = tensor_decompose(a2, (1, 0), (0, 1))
+    assert tensor_decompose(a2, [0, 1], iter((1, 0))) == expect
+    assert expect.terms == {(1, 1): 1, (0, 0): 1}
+
+
+def test_tensor_decompose_hit_skips_checks(monkeypatch):
+    from alcove import fusion
+
+    a2 = build_lie_data("A2")
+    expect = tensor_decompose(a2, (2, 1), (0, 1))
+    calls = []
+    monkeypatch.setattr(fusion, "_check_weight", lambda *a: calls.append(a))
+    monkeypatch.setattr(fusion, "is_dominant", lambda *a: calls.append(a))
+    assert tensor_decompose(a2, (0, 1), (2, 1)) == expect
+    assert calls == []
+
+
 def box_walk_dominant_weights_below(data, mu):
     """Oracle: every nonnegative root-lattice vector c in the box bounded by
     the root coordinates of mu, keeping the dominant mu - c, ordered by

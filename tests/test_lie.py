@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -362,6 +363,40 @@ def test_wall_value_range():
     d = build_lie_data("A2")
     with pytest.raises(ValueError):
         wall_value(d, 3, (F(0), F(0)))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3", "D4"])
+def test_faces_and_wall_values_match_fraction_oracle(name):
+    # the oracle pairs Fractions directly; alcove_face_of and wall_value read
+    # integer wall values over a common denominator
+    d = build_lie_data(name)
+    rng = random.Random(1313)
+    nodes = range(d.rank + 1)
+    points = [tuple(F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(d.rank))
+              for _ in range(40)]
+    # barycentric combinations of the vertices, some on faces of the alcove
+    for _ in range(40):
+        t = [rng.choice([0, 0, rng.randint(1, 9)]) for _ in nodes]
+        t[rng.randrange(len(t))] += 1
+        points.append(tuple(
+            sum((F(ti, sum(t)) * v[j] for ti, v in zip(t, d.alcove_vertices)), F(0))
+            for j in range(d.rank)
+        ))
+    seen = set()
+    for xi in points:
+        values = [pairing(d.node_root[i], xi) + (1 if i == 0 else 0) for i in nodes]
+        assert [wall_value(d, i, xi) for i in nodes] == values
+        negative = [i for i in nodes if values[i] < 0]
+        if negative:
+            with pytest.raises(OutsideAlcoveError) as exc:
+                alcove_face_of(d, xi)
+            expect = OutsideAlcoveError(negative[0], values[negative[0]])
+            assert (exc.value.wall, exc.value.value, str(exc.value)) == (
+                expect.wall, expect.value, str(expect))
+        else:
+            assert alcove_face_of(d, xi) == tuple(i for i in nodes if values[i] > 0)
+        seen.add(bool(negative))
+    assert seen == {True, False}
 
 
 def test_gram_matrices_mutually_inverse():

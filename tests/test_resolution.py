@@ -1,8 +1,12 @@
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +80,49 @@ def test_boundary_degree_zero_rejected():
     oc = OrbitComplex(build_lie_data("A1"), (0, 1))
     with pytest.raises(ValueError):
         oc.boundary(oc.element((0,), (F(1, 4),)))
+
+
+MALFORMED_KEY_BOUNDARIES = """
+from alcove.lie import build_lie_data
+from alcove.resolution import ChainElt, OrbitComplex
+
+oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
+for key in [((0, 1), (1,)), ((0, 1), (1, 1, 1)), ((0, 7), (1, 1)), ((0, 1), (2, -1))]:
+    try:
+        oc.boundary(ChainElt((0, 1, 2), 1, {key: 1}))
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_boundary_rejects_malformed_keys_before_any_reduction():
+    # a point with too few coordinates once sent the reduction into an
+    # endless loop, so the calls run in a child process that a timeout ends
+    proc = subprocess.run(
+        [sys.executable, "-c", MALFORMED_KEY_BOUNDARIES],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.splitlines() == [
+        "key [0, 1], (1/3) has 1 coordinates, not 2",
+        "key [0, 1], (1/3, 1/3, 1/3) has 3 coordinates, not 2",
+        "key [0, 7] has a node outside 0..2",
+        "key [0, 1], (2/3, -1/3) is not interior to its cone",
+    ]
+
+
+def test_boundary_checks_each_key_once(monkeypatch):
+    # a cycle from another complex: the truncation behind random_cycle has
+    # already computed the faces of every basis key of its own complex
+    c = OrbitComplex(build_lie_data("A2"), (0, 1, 2)).random_cycle(1, 3, random.Random(3))
+    oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
+    calls = []
+    original = oc._check_key
+    monkeypatch.setattr(oc, "_check_key", lambda I, X: calls.append((I, X)) or original(I, X))
+    first = oc.boundary(c)
+    assert sorted(calls) == sorted(c.terms)
+    assert oc.boundary(c) == first and len(calls) == len(c.terms)
 
 
 # -- augmentation -----------------------------------------------------------------
