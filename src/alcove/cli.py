@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import random
 import sys
@@ -24,6 +23,7 @@ from .fusion import FusionElt, fusion_product, fusion_table_json, in_level
 from .lie import (
     InvalidLieTypeError,
     _frac_str,
+    _indented_json,
     build_lie_data,
     face_data,
     lie_data_to_json,
@@ -81,7 +81,7 @@ def _output(
     first row, list fields are joined by ``;``), or as the lines ``text(doc)``.
     """
     if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2))
+        _emit(args, _indented_json(doc))
     elif args.format == "csv":
         table = doc[rows]
         lines = [",".join(table[0])]

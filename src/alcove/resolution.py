@@ -26,7 +26,8 @@ the basis order is that of the points.  OrbitComplex._check_key is the one
 key test (coordinate count, node range, interior by lie._scaled_walls), for
 element(), verify_certificate and the boundary.  The boundary of a key is
 computed once per complex: the key test, then affine._reduce_scaled per face,
-whose on-wall flag drops the face.  Fraction appears only at the edges:
+whose on-wall flag drops the face; verify_certificate stores the faces of
+the keys it has checked itself.  Fraction appears only at the edges:
 element() takes a rational point, and chain_to_json / chain_from_json write
 and read 'p/q' coordinates X / D.  verify_certificate scales every point by
 D once; a point off (1/D) Z^l is not on the orbit and is rejected with
@@ -61,7 +62,7 @@ from .affine import (
     _walls_outside,
 )
 from .intlinalg import invariant_factors, kernel_basis, to_dense
-from .lie import FaceIndex, LieData, _check_face_index, _frac_str, _scaled_walls
+from .lie import FaceIndex, LieData, _check_face_index, _frac_str, _indented_json, _scaled_walls
 from .sparse import SparseElt
 
 # (I, X): a node set and the numerators of an orbit point over the D of the
@@ -205,10 +206,14 @@ class OrbitComplex:
         """The terms (face, sign) of d beta_I(x), computed once per key after
         its key check; the faces are distinct, one per dropped node at most."""
         faces = self._faces.get(key)
-        if faces is not None:
-            return faces
+        if faces is None:
+            self._check_key(*key)
+            faces = self._store_faces(key)
+        return faces
+
+    def _store_faces(self, key: ChainKey) -> list[tuple[ChainKey, int]]:
+        """Compute and store the faces of a key that has passed _check_key."""
         I, x = key
-        self._check_key(I, x)
         faces = []
         for r in range(len(I)):
             sub = I[:r] + I[r + 1 :]
@@ -485,16 +490,13 @@ def chain_from_json(J: FaceIndex, degree: int, doc: Iterable[Mapping], D: int) -
 
 
 def certificate_json(complex_: OrbitComplex, cycle: ChainElt, bounding: ChainElt) -> str:
-    return json.dumps(
-        {
-            "group": str(complex_.data.lie_type),
-            "J": list(complex_.J),
-            "degree": cycle.degree,
-            "cycle": chain_to_json(cycle, complex_.D),
-            "bounding": chain_to_json(bounding, complex_.D),
-        },
-        indent=2,
-    )
+    return _indented_json({
+        "group": str(complex_.data.lie_type),
+        "J": list(complex_.J),
+        "degree": cycle.degree,
+        "cycle": chain_to_json(cycle, complex_.D),
+        "bounding": chain_to_json(bounding, complex_.D),
+    })
 
 
 def verify_certificate(text: str) -> dict:
@@ -522,7 +524,8 @@ def verify_certificate(text: str) -> dict:
     # hyperplanes costs the same at any coordinate size, reducing a point
     # does not.  A point that several keys share is bounded and reduced once.
     points: dict[tuple[int, ...], int] = {}
-    for I, x in list(cycle.terms) + list(bounding.terms):
+    keys = list(cycle.terms) + list(bounding.terms)
+    for I, x in keys:
         complex_._check_key(I, x, "certificate key")
         if x not in points:
             points[x] = length = _scaled_crossing_length(data, x, D)
@@ -534,6 +537,9 @@ def verify_certificate(text: str) -> dict:
     for x in points:
         if _reduce_scaled(data, x, D, complex_.full_face)[0] != complex_.ctx.base:
             raise ValueError(f"certificate point {_point_str(x, D)} is not on the orbit of {J}")
+    # every key is checked: store its faces, so the boundaries do not check it again
+    for key in keys:
+        complex_._store_faces(key)
     if complex_.boundary(cycle):
         raise ValueError("certificate cycle is not a cycle")
     if complex_.boundary(bounding) != cycle:

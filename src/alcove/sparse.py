@@ -62,10 +62,19 @@ class SparseElt:
     def _head(self) -> str:
         return ", ".join(f"{name}={value}" for name, value in zip(self._fields, self._context()))
 
+    def _same_context(self, other: "SparseElt") -> bool:
+        """_context() == other._context(), read slot by slot without building
+        either tuple; a shared Lie datum is the same object."""
+        for name in self._fields:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine is not theirs and getattr(mine, "lie_type", mine) != getattr(theirs, "lie_type", theirs):
+                return False
+        return True
+
     def _check(self, other: "SparseElt") -> None:
         if type(other) is not type(self):
             raise self._mismatch(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        if other._context() != self._context():
+        if not self._same_context(other):
             raise self._mismatch(
                 f"{type(self).__name__} context mismatch: {self._head()} vs {other._head()}"
             )
@@ -73,7 +82,7 @@ class SparseElt:
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)
-            and self._context() == other._context()
+            and self._same_context(other)
             and self.terms == other.terms
         )
 

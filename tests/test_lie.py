@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 import alcove
+from alcove.cli import main
 from alcove.lie import (
     InvalidLieTypeError,
     LieType,
     OutsideAlcoveError,
+    _indented_json,
     alcove_face_of,
     apply_weight,
     b_flat,
@@ -451,4 +453,100 @@ def test_only_lie_names_the_enumerated_weyl_group():
             else:
                 continue
             offenders += [(path.name, node.lineno, n) for n in sorted(used & names)]
+    assert offenders == []
+
+
+# -- the indented JSON writer ---------------------------------------------------
+
+# quotes, backslashes, control characters and text outside ASCII, which
+# json.dumps escapes (ensure_ascii is on by default)
+PIECES = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", " ", "a", "\u00e9", "\u2713", "\U0001d11e"]
+
+
+def random_text(rng):
+    return "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 5)))
+
+
+def random_scalar(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.randint(-(10**40), 10**40)
+    if kind == 1:
+        return rng.randint(-3, 3)
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:
+        return rng.choice([0.5, -1.0, 1.0, 1e300, float("nan"), float("-inf")])
+    return random_text(rng)
+
+
+def random_doc(rng, depth=0):
+    kind = rng.randrange(4) if depth < 4 else 3
+    size = rng.randint(0, 4)
+    if kind == 0:
+        return {random_text(rng): random_doc(rng, depth + 1) for _ in range(size)}
+    if kind == 1:
+        return [random_doc(rng, depth + 1) for _ in range(size)]
+    if kind == 2:
+        # a leaf list, as a list or a tuple
+        leaf = [random_scalar(rng) for _ in range(size)]
+        return leaf if rng.random() < 0.5 else tuple(leaf)
+    return random_scalar(rng)
+
+
+def test_indented_json_matches_json_dumps_on_random_documents():
+    rng = random.Random(14)
+    for _ in range(400):
+        doc = random_doc(rng)
+        assert _indented_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_indented_json_leaf_lists_at_two_depths_and_of_equal_values():
+    # the memo of leaf lists must tell depths apart, and 1, 1.0 and True,
+    # which compare equal, apart
+    leaf = [1, -2, "x"]
+    doc = {
+        "shallow": leaf,
+        "deep": [[leaf, leaf], {"leaf": leaf, "empty": [], "none": {}}],
+        "equal": [[1, 0], [True, False], [1.0, 0.0], (1, 0), [1, 0]],
+        "empty": [[], {}, ()],
+    }
+    assert _indented_json(doc) == json.dumps(doc, indent=2)
+    for value in ([], {}, "\u00e9", 7, None, [leaf]):
+        assert _indented_json(value) == json.dumps(value, indent=2)
+
+
+def test_indented_json_refuses_a_key_that_is_not_a_string():
+    with pytest.raises(TypeError):
+        _indented_json({1: "one"})
+
+
+@pytest.mark.parametrize("argv", [
+    "lie-info G2 --format json",
+    "fusion B2 -k 2 1,0 0,1 --format json",
+    "fusion-table C2 -k 3 --format json",
+    "orbit C2 -J 0,1 -N 3 --format json",
+    "resolution A2 -J 0,1,2 -N 3 --format json",
+    "prequant G2 -k 4 --format json",
+    "contract A3 -J 0,1,2,3 -N 2 -p 2 --seed 1",
+])
+def test_cli_json_is_json_dumps_indented(capsys, argv):
+    """Each kind of JSON document the CLI prints, and a certificate, has the
+    bytes of json.dumps(doc, indent=2) and one newline."""
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_no_json_dumps_call_indents():
+    """Indented JSON has one writer, _indented_json: no json.dump or
+    json.dumps call in the library passes indent."""
+    offenders = []
+    for path in sorted(Path(alcove.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in {"dump", "dumps"} and any(kw.arg == "indent" for kw in node.keywords):
+                offenders.append((path.name, node.lineno))
     assert offenders == []

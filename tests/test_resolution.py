@@ -496,6 +496,23 @@ def test_certificate_non_canonical_chain_key_rejected(I):
         verify_certificate(_json.dumps(doc))
 
 
+def test_verify_certificate_checks_each_key_once(monkeypatch):
+    import json as _json
+
+    text = contract_certificate_a2()
+    doc = _json.loads(text)
+    calls = []
+    original = OrbitComplex._check_key
+
+    def counting(self, I, X, what="key"):
+        calls.append((I, X))
+        return original(self, I, X, what)
+
+    monkeypatch.setattr(OrbitComplex, "_check_key", counting)
+    assert verify_certificate(text)["ok"]
+    assert len(calls) == len(set(calls)) == len(doc["cycle"]) + len(doc["bounding"])
+
+
 @pytest.mark.parametrize("I", [[1, 0], [0, 0, 1], [2, 2]])
 def test_chain_from_json_rejects_unsorted_or_repeated_key(I):
     doc = [{"I": I, "x": ["1/3", "1/3"], "coeff": 1}]
