@@ -26,7 +26,7 @@ from .affine import (
     weyl_orbit,
 )
 from .lie import LieData, Weight, _bounded_weyl_order, _check_face_index
-from .sparse import SparseElt
+from .sparse import SparseElt, combine
 
 
 class LevelMismatchError(ValueError):
@@ -69,12 +69,12 @@ class GroupRingElt(SparseElt):
         if isinstance(other, int):
             return self.__rmul__(other)
         self._check(other)
-        out: dict[Weight, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(w1, w2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return GroupRingElt(self.data, self.level, out)
+        # the shifts of other by one weight w1 are distinct
+        out = combine(
+            (c1, {tuple([a + b for a, b in zip(w1, w2)]): c2 for w2, c2 in other.terms.items()})
+            for w1, c1 in self.terms.items()
+        )
+        return self._new(out)
 
 
 def skew_symmetrize(phi: GroupRingElt, I: Sequence[int]) -> GroupRingElt:
@@ -84,7 +84,7 @@ def skew_symmetrize(phi: GroupRingElt, I: Sequence[int]) -> GroupRingElt:
     I = _check_face_index(phi.data, I)
     walls = _walls_outside(phi.data, I)
     reps = dominantize_terms(phi.data, phi.terms, phi.level, walls, 0)
-    return expand(AntiInvariant(phi.data, phi.level, I, reps))
+    return expand(AntiInvariant._trusted(reps, phi.data, phi.level, I))
 
 
 class AntiInvariant(SparseElt):
@@ -112,11 +112,9 @@ class AntiInvariant(SparseElt):
 
 def _reflect(phi: GroupRingElt, i: int) -> GroupRingElt:
     """phi pushed forward along the reflection at wall i, at its level."""
-    moved: dict[Weight, int] = {}
-    for w, c in phi.terms.items():
-        key = affine_reflect_weight(phi.data, i, w, phi.level)
-        moved[key] = moved.get(key, 0) + c
-    return GroupRingElt(phi.data, phi.level, moved)
+    # a reflection is a bijection, so no two terms meet
+    data, level = phi.data, phi.level
+    return phi._new({affine_reflect_weight(data, i, w, level): c for w, c in phi.terms.items()})
 
 
 def check_anti_invariant(phi: GroupRingElt, I: Sequence[int]) -> None:
@@ -136,11 +134,11 @@ def to_cone_basis(phi: GroupRingElt, I: Sequence[int]) -> AntiInvariant:
     I = _check_face_index(phi.data, I)
     check_anti_invariant(phi, I)
     walls = _walls_outside(phi.data, I)
-    reps: dict[Weight, int] = {}
-    for nu, c in phi.terms.items():
-        if all(weight_wall_value(phi.data, nu, i, phi.level) >= 1 for i in walls):
-            reps[nu] = c
-    return AntiInvariant(phi.data, phi.level, I, reps)
+    reps = {
+        nu: c for nu, c in phi.terms.items()
+        if all(weight_wall_value(phi.data, nu, i, phi.level) >= 1 for i in walls)
+    }
+    return AntiInvariant._trusted(reps, phi.data, phi.level, I)
 
 
 def expand(anti: AntiInvariant) -> GroupRingElt:
@@ -152,11 +150,8 @@ def expand(anti: AntiInvariant) -> GroupRingElt:
     refused with ValueError before any walk, whatever the terms."""
     _bounded_weyl_order(anti.data, anti.I)
     walls = _walls_outside(anti.data, anti.I)
-    out: dict[Weight, int] = {}
-    for nu, c in anti.terms.items():
-        for w, sign in weyl_orbit(anti.data, nu, anti.level, walls).items():
-            out[w] = out.get(w, 0) + sign * c
-    return GroupRingElt(anti.data, anti.level, out)
+    out = combine((c, weyl_orbit(anti.data, nu, anti.level, walls)) for nu, c in anti.terms.items())
+    return GroupRingElt._trusted(out, anti.data, anti.level)
 
 
 def reskew_to(anti: AntiInvariant, J: Sequence[int]) -> AntiInvariant:

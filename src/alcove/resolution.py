@@ -15,24 +15,21 @@ them, and exact homology of length-truncated subcomplexes via integer Smith
 normal form.
 
 All of this is independent of a level: the complex only sees the orbit
-combinatorics of V.  Chains are alcove.sparse.SparseElt elements, so their
-sums and multiples never re-normalize keys; a certificate must list each
-key's nodes strictly increasing.
+combinatorics of V.
 
-Points are integers throughout.  A chain key is (I, X) with X the integer
-numerators of the orbit point over the one denominator D of the orbit
-context (OrbitComplex.D); D > 0, so numerator order is coordinate order and
-the basis order is that of the points.  OrbitComplex._check_key is the one
-key test (coordinate count, node range, interior by lie._scaled_walls), for
-element(), verify_certificate and the boundary.  The boundary of a key is
-computed once per complex: the key test, then affine._reduce_scaled per face,
-whose on-wall flag drops the face; verify_certificate stores the faces of
-the keys it has checked itself.  Fraction appears only at the edges:
-element() takes a rational point, and chain_to_json / chain_from_json write
-and read 'p/q' coordinates X / D.  verify_certificate scales every point by
-D once; a point off (1/D) Z^l is not on the orbit and is rejected with
-ValueError, and so is a key longer than CERT_MAX_LENGTH, before any point
-is reduced.
+Points are integers throughout.  A chain key is (I, X): I a strictly
+increasing node set and X the integer numerators of the orbit point over
+the one denominator D of the orbit context (OrbitComplex.D); D > 0, so the
+basis order is that of the points.  Each key is checked once, where it
+enters: ChainElt._validate (the node set, in the public constructor), then
+OrbitComplex._check_key (coordinate count, node range, interior by
+lie._scaled_walls) in element(), verify_certificate and the boundary of a
+key without stored faces.  What the library builds from basis pairs (sums,
+boundary, homotopy, random_cycle, contract_cycle, truncations) is trusted.
+Fraction appears only in element(), which takes a rational point;
+certificates carry 'p/q' coordinates X / D, read strictly.
+verify_certificate rejects with ValueError a point off (1/D) Z^l and, before
+any point is reduced, a key longer than CERT_MAX_LENGTH.
 
 The homology path does no repeated work.  Each length truncation is built
 once per complex and shared, and stores each boundary map d_p as sparse
@@ -50,6 +47,7 @@ computes the dense kernel basis of each d_p of a truncation once.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -63,7 +61,7 @@ from .affine import (
 )
 from .intlinalg import invariant_factors, kernel_basis, to_dense
 from .lie import FaceIndex, LieData, _check_face_index, _frac_str, _indented_json, _scaled_walls
-from .sparse import SparseElt
+from .sparse import SparseElt, combine
 
 # (I, X): a node set and the numerators of an orbit point over the D of the
 # complex's orbit context
@@ -79,22 +77,21 @@ class ChainElt(SparseElt):
     """A finitely supported integer combination of basis pairs (I, X), X the
     numerators of an orbit point over the denominator D of its complex.
 
-    The constructor sorts each node set I and merges keys that agree after
-    sorting."""
+    The public constructor refuses a node set I that is not strictly
+    increasing or has not degree + 1 nodes; it never reorders one.  Library
+    results, canonical by construction, are built with _trusted."""
 
     __slots__ = _fields = ("J", "degree")
 
     def __init__(self, J: FaceIndex, degree: int, terms: Mapping[ChainKey, int] | None = None):
         self.J = J
         self.degree = degree
-        merged: dict[ChainKey, int] = {}
-        for (I, x), c in (terms or {}).items():
-            key = (tuple(sorted(set(I))), x)
-            merged[key] = merged.get(key, 0) + c
-        super().__init__(merged)
+        super().__init__(terms)
 
     def _validate(self, key: ChainKey) -> None:
         I = key[0]
+        if any(a >= b for a, b in zip(I, I[1:])):
+            raise ValueError(f"chain key {list(I)} is not strictly increasing")
         if len(I) != self.degree + 1:
             raise ValueError(f"key {I} has wrong size for degree {self.degree}")
 
@@ -129,7 +126,7 @@ class OrbitComplex:
         }
         self._truncations: dict[int, TruncatedComplex] = {}
         self._kernels: dict[tuple[int, int], list[list[int]]] = {}
-        self._faces: dict[ChainKey, list[tuple[ChainKey, int]]] = {}
+        self._faces: dict[ChainKey, dict[ChainKey, int]] = {}
 
     # -- lengths ------------------------------------------------------------
 
@@ -187,7 +184,7 @@ class OrbitComplex:
         """The chain coeff * beta_I(x) for a rational point x interior to the
         cone of I; x must lie in (1/D) Z^l, as every orbit point does."""
         I = _check_face_index(self.data, I)
-        X = _numerators(x, self.D)
+        X = tuple(_numerator(v.numerator, v.denominator, self.D, x) for v in map(Fraction, x))
         self._check_key(I, X)
         return ChainElt(self.J, len(I) - 1, {(I, X): coeff})
 
@@ -196,30 +193,25 @@ class OrbitComplex:
     def boundary(self, c: ChainElt) -> ChainElt:
         if c.degree < 1:
             raise ValueError("boundary needs degree >= 1")
-        out: dict[ChainKey, int] = {}
-        for key, coeff in c.terms.items():
-            for face, sign in self._faces_of(key):
-                out[face] = out.get(face, 0) + sign * coeff
-        return ChainElt(c.J, c.degree - 1, out)
+        faces = self._faces
+        for key in c.terms:
+            if key not in faces:
+                self._check_key(*key)
+                self._store_faces(key)
+        out = combine((coeff, faces[key]) for key, coeff in c.terms.items())
+        return ChainElt._trusted(out, c.J, c.degree - 1)
 
-    def _faces_of(self, key: ChainKey) -> list[tuple[ChainKey, int]]:
-        """The terms (face, sign) of d beta_I(x), computed once per key after
-        its key check; the faces are distinct, one per dropped node at most."""
-        faces = self._faces.get(key)
-        if faces is None:
-            self._check_key(*key)
-            faces = self._store_faces(key)
-        return faces
-
-    def _store_faces(self, key: ChainKey) -> list[tuple[ChainKey, int]]:
-        """Compute and store the faces of a key that has passed _check_key."""
+    def _store_faces(self, key: ChainKey) -> dict[ChainKey, int]:
+        """Compute and store the terms face -> sign of d beta_I(x) for a basis
+        pair: one that has passed _check_key, or one that basis_elements
+        built.  The faces are distinct, one per dropped node at most."""
         I, x = key
-        faces = []
+        faces = {}
         for r in range(len(I)):
             sub = I[:r] + I[r + 1 :]
             image, word, on_wall = _reduce_scaled(self.data, x, self.D, self._walls[sub])
             if not on_wall:
-                faces.append(((sub, image), (-1) ** (r + len(word))))
+                faces[(sub, image)] = (-1) ** (r + len(word))
         self._faces[key] = faces
         return faces
 
@@ -239,15 +231,14 @@ class OrbitComplex:
         position; kills keys already containing i.  Preserves lengths."""
         if not 0 <= i <= self.data.rank:
             raise ValueError(f"node {i} out of range")
+        # distinct keys without i stay distinct with i inserted at its
+        # position r, so no two terms meet
         out: dict[ChainKey, int] = {}
         for (I, x), coeff in c.terms.items():
-            if i in I:
-                continue
-            r = sum(1 for j in I if j < i)
-            bigger = tuple(sorted(I + (i,)))
-            key = (bigger, x)
-            out[key] = out.get(key, 0) + (-1) ** r * coeff
-        return ChainElt(c.J, c.degree + 1, out)
+            if i not in I:
+                r = bisect_left(I, i)
+                out[(I[:r] + (i,) + I[r:], x)] = (-1) ** r * coeff
+        return ChainElt._trusted(out, c.J, c.degree + 1)
 
     def deform(self, i: int, c: ChainElt) -> ChainElt:
         """The chain map A_i = id - h_i d - d h_i (degree 0 has d = 0)."""
@@ -278,7 +269,7 @@ class OrbitComplex:
             raise ValueError("contraction needs degree strictly between 0 and rank")
         if self.boundary(c):
             raise ValueError("chain is not a cycle")
-        bounding = ChainElt(c.J, c.degree + 1)
+        bounding = ChainElt._trusted({}, c.J, c.degree + 1)
         current = c
         passes = 0
         # the longest key of c bounds the passes
@@ -313,9 +304,10 @@ class OrbitComplex:
         index = [{key: idx for idx, key in enumerate(b)} for b in bases]
         matrices: dict[int, list[list[tuple[int, int]]]] = {}
         for p in range(1, l + 1):
-            # the boundary never raises lengths, so keys stay inside
+            # the boundary never raises lengths, so keys stay inside; basis
+            # pairs need no key check
             matrices[p] = [
-                sorted((index[p - 1][face], sign) for face, sign in self._faces_of(key))
+                sorted((index[p - 1][face], sign) for face, sign in self._store_faces(key).items())
                 for key in bases[p]
             ]
         for p in range(2, l + 1):
@@ -337,18 +329,11 @@ class OrbitComplex:
             # not mutate it
             ker = kernel_basis(to_dense(tc.matrices[p], len(tc.bases[p - 1])), len(basis))
             self._kernels[(n, p)] = ker
-        if not ker:
-            return ChainElt(self.J, p)
-        terms: dict[ChainKey, int] = {}
-        for vec in rng.sample(ker, min(max_terms, len(ker))):
-            scale = rng.randint(-3, 3)
-            if not scale:
-                continue
-            for idx, v in enumerate(vec):
-                if v:
-                    key = basis[idx]
-                    terms[key] = terms.get(key, 0) + scale * v
-        return ChainElt(self.J, p, terms)
+        vectors = rng.sample(ker, min(max_terms, len(ker)))
+        scales = [rng.randint(-3, 3) for _ in vectors]
+        terms = combine((scale, {basis[idx]: v for idx, v in enumerate(vec) if v})
+                        for scale, vec in zip(scales, vectors) if scale)
+        return ChainElt._trusted(terms, self.J, p)
 
     # -- homology -----------------------------------------------------------------------
 
@@ -454,39 +439,56 @@ def chain_to_json(c: ChainElt, D: int) -> list[dict]:
     ]
 
 
-def _numerators(x: Iterable, D: int) -> tuple[int, ...]:
-    """Numerators over D of a rational point.  Every orbit point of a
-    complex lies in (1/D) Z^l, so a point off it raises ValueError, as does
-    a coordinate with a zero denominator."""
-    out = []
-    for v in x:
-        try:
-            v = Fraction(v)
-        except ZeroDivisionError:
-            raise ValueError(f"coordinate {v!r} has a zero denominator") from None
-        if D % v.denominator:
-            raise ValueError(
-                f"point ({', '.join(map(str, x))}) is off the lattice (1/{D}) Z^l of the orbit"
-            )
-        out.append(v.numerator * (D // v.denominator))
-    return tuple(out)
+def _numerator(p: int, q: int, D: int, x: Iterable) -> int:
+    """D * p / q, the numerator over D of the coordinate p / q (q > 0) of
+    the point x.  Every orbit point of a complex lies in (1/D) Z^l, so one
+    off it raises ValueError."""
+    if p * D % q:
+        raise ValueError(
+            f"point ({', '.join(map(str, x))}) is off the lattice (1/{D}) Z^l of the orbit"
+        )
+    return p * D // q
+
+
+def _json_coordinate(v) -> tuple[int, int]:
+    """A certificate coordinate as (p, q), q > 0: a JSON integer, or a string
+    'p' or 'p/q' of ASCII digits with an optional '-' before p, the forms
+    _frac_str writes.  Anything else raises ValueError before any number is
+    built from it."""
+    if type(v) is int:
+        return v, 1
+    if type(v) is str and v.isascii():
+        p, slash, q = v.partition("/")
+        if p.removeprefix("-").isdigit() and (q.isdigit() or not slash):
+            q = int(q) if slash else 1
+            if not q:
+                raise ValueError(f"coordinate {v!r} has a zero denominator")
+            return int(p), q
+    raise ValueError(f"coordinate {v!r} is not an integer or a 'p/q' string")
 
 
 def chain_from_json(J: FaceIndex, degree: int, doc: Iterable[Mapping], D: int) -> ChainElt:
-    """Read chain terms, keying each point by its numerators over D; each
-    key I must list its nodes strictly increasing, as chain_to_json writes
-    them."""
+    """Read chain terms, keying each point by its numerators over D.  Nodes
+    and coefficients must be JSON integers, and coordinates as
+    _json_coordinate reads them; ChainElt refuses a node set that is not
+    strictly increasing, as chain_to_json writes them."""
     terms: dict[ChainKey, int] = {}
     for item in doc:
-        I = tuple(int(i) for i in item["I"])
-        if any(a >= b for a, b in zip(I, I[1:])):
-            raise ValueError(f"chain key {list(I)} is not strictly increasing")
+        I, x, coeff = item["I"], item["x"], item["coeff"]
+        if not (_is_int_list(I) and type(x) is list and type(coeff) is int):
+            raise ValueError("a chain term needs integer nodes I, a list x and an integer coeff")
         try:
-            x = _numerators(item["x"], D)
+            x = tuple(_numerator(*_json_coordinate(v), D, x) for v in x)
         except ValueError as exc:
-            raise ValueError(f"chain key {list(I)}: {exc}") from None
-        terms[(I, x)] = terms.get((I, x), 0) + int(item["coeff"])
+            raise ValueError(f"chain key {I}: {exc}") from None
+        key = (tuple(I), x)
+        terms[key] = terms.get(key, 0) + coeff
     return ChainElt(J, degree, terms)
+
+
+def _is_int_list(v) -> bool:
+    """Whether v is a JSON list of integers; a bool or a float is none."""
+    return type(v) is list and all(type(i) is int for i in v)
 
 
 def certificate_json(complex_: OrbitComplex, cycle: ChainElt, bounding: ChainElt) -> str:
@@ -505,18 +507,20 @@ def verify_certificate(text: str) -> dict:
 
     try:
         doc = json.loads(text)
-        data = build_lie_data(LieType.parse(doc["group"]))
-        J = tuple(int(j) for j in doc["J"])
+        group, J, degree = doc["group"], doc["J"], doc["degree"]
+        if not (type(group) is str and _is_int_list(J) and type(degree) is int):
+            raise ValueError("group must be a string, J a list of integers and degree an integer")
+        data = build_lie_data(LieType.parse(group))
+        J = tuple(J)
         if len(set(J)) != len(J):
             raise ValueError(f"face {list(J)} repeats a node")
-        degree = int(doc["degree"])
         if not 0 < degree < data.rank:
             raise ValueError(f"degree {degree} is not strictly between 0 and {data.rank}")
         complex_ = OrbitComplex(data, J)
         # each point is scaled by D once; one off (1/D) Z^l is not on the orbit
         cycle = chain_from_json(J, degree, doc["cycle"], complex_.D)
         bounding = chain_from_json(J, degree + 1, doc["bounding"], complex_.D)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
         raise ValueError(f"malformed certificate: {exc}") from exc
     D = complex_.D
     # keys must be genuine basis pairs: interior to their cone and on the

@@ -6,10 +6,10 @@ The public constructor validates every key it is given and drops zero
 coefficients.  The one trusted constructor, ``_trusted(terms, *context)``,
 takes its terms unchecked and uncopied.  Only library code calls it, on keys
 in the basis by construction with no zero coefficient: sums, negatives and
-multiples (through ``_new``, with an element's own context) and results a
-weight walk has reduced into the basis, never a cached dict itself.  Two
-elements meet only with the same class and context; a Lie datum compares by
-its Lie type.
+multiples (through ``_new``, with an element's own context), results a
+weight walk has reduced into the basis, and boundaries, homotopies, products
+and orbit sums of basis keys, never a cached dict itself.  Two elements meet
+only with the same class and context; a Lie datum compares by its Lie type.
 """
 
 from __future__ import annotations

@@ -167,6 +167,32 @@ def test_verify_cert_rejects_malformed_points(tmp_path, capsys, edit):
     assert err.startswith("certificate invalid:") and "Traceback" not in err
 
 
+def coeffs_off_by_0_4(doc):
+    # the reported reproduction: fractional coefficients, J and degree not integers
+    for chain in ("cycle", "bounding"):
+        for item in doc[chain]:
+            item["coeff"] += 0.4 if item["coeff"] > 0 else -0.4
+    doc["J"], doc["degree"] = [0.0, 1.9, 2.2], "1"
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("make", [
+    coeffs_off_by_0_4,
+    lambda doc: json.dumps({**doc, "J": "012"}),
+    lambda doc: json.dumps({**doc, "group": 5}),
+    lambda doc: "[" * 100_000,
+], ids=["fractional-coeffs", "string-face", "integer-group", "deep-nesting"])
+def test_verify_cert_malformed_fields_exit_5(tmp_path, capsys, make):
+    code, text, _ = run(capsys, "contract", "A2", "-J", "0,1,2", "-N", "3", "--seed", "1")
+    assert code == 0
+    cert = tmp_path / "cert.json"
+    cert.write_text(make(json.loads(text)))
+    code, out, err = run(capsys, "verify-cert", str(cert))
+    assert code == 5
+    assert out == ""
+    assert err.startswith("certificate invalid: malformed certificate: ") and "Traceback" not in err
+
+
 def test_verify_cert_far_point_exits_5(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps({

@@ -408,14 +408,16 @@ def test_deform_preserves_cycles():
             assert moved == c - oc.boundary(oc.homotopy(i, c))
 
 
-def test_chain_key_normalization():
-    oc = OrbitComplex(build_lie_data("A1"), (0, 1))
-    x = (F(1, 4),)
-    a = ChainElt(oc.J, 1, {((1, 0), x): 2})
-    b = ChainElt(oc.J, 1, {((0, 1), x): 2})
-    assert a == b
-    merged = ChainElt(oc.J, 1, {((1, 0), x): 2, ((0, 1), x): -2})
-    assert not merged
+@pytest.mark.parametrize("I", [(1, 0), (0, 0), (2, 1, 0), (0, 0, 1)])
+def test_chain_key_must_be_strictly_increasing(I):
+    # the constructor never reorders or merges node sets; it refuses them,
+    # before the size check
+    nodes = ", ".join(map(str, I))
+    with pytest.raises(ValueError, match=rf"^chain key \[{nodes}\] is not strictly increasing$"):
+        ChainElt((0, 1), 1, {(I, (1,)): 2})
+    assert ChainElt((0, 1), 1, {((0, 1), (1,)): 2}).terms == {((0, 1), (1,)): 2}
+    with pytest.raises(ValueError, match="wrong size"):
+        ChainElt((0, 1), 1, {((0, 1, 2), (1,)): 2})
 
 
 def test_homology_independent_of_base_point():
@@ -866,3 +868,170 @@ def test_certificate_points_scale_by_the_orbit_denominator():
         unscaled(x, oc.D) for _, x in sorted(c.terms)
     ]
     assert chain_from_json(oc.J, 1, doc, oc.D) == c
+
+
+# -- certificate fuzz ------------------------------------------------------------------
+
+def fuzz_certificates():
+    """Real certificates: A2 and A3 on the full face, C2 on a proper face,
+    degrees 1 and 2."""
+    out = []
+    for name, J, n, p, seed in [("A2", (0, 1, 2), 3, 1, 1), ("A3", (0, 1, 2, 3), 2, 2, 4),
+                                ("C2", (1, 2), 3, 1, 1)]:
+        oc = OrbitComplex(build_lie_data(name), J)
+        cycle = oc.random_cycle(p, n, random.Random(seed))
+        assert cycle
+        out.append(certificate_json(oc, cycle, oc.contract_cycle(cycle)))
+    return out
+
+
+# values put in place of one field; "DEEP" becomes 100,000 nested lists
+FUZZ_VALUES = [
+    0.5, 2.0, -1.4, float("nan"), True, False, None, "", "1", "-1/3", "1/3", "2/6",
+    "+1/3", " 1/3", "1/-3", "1.5", "1/3.0", "0x1", "1_0", "٣", "--1", "1/", "/3",
+    "1/0", "-1/00", "1/7", [], [0], [0, 1], [1, 0], [0, 0], [0, 3], [-1, 0], [1.0, 2.0],
+    {}, {"I": [0, 1]}, 10**40, -10**40, -1, 0, 1, 3, "A2", "A3", "Z9", "D3", "DEEP",
+]
+
+
+def fuzz_paths(doc):
+    """Every field of a certificate, as a path of keys and indices."""
+    yield from [("group",), ("J",), ("degree",), ("cycle",), ("bounding",)]
+    yield from (("J", k) for k in range(len(doc["J"])))
+    for chain in ("cycle", "bounding"):
+        for t, item in enumerate(doc[chain]):
+            yield from [(chain, t), (chain, t, "I"), (chain, t, "x"), (chain, t, "coeff")]
+            yield from ((chain, t, "I", k) for k in range(len(item["I"])))
+            yield from ((chain, t, "x", k) for k in range(len(item["x"])))
+
+
+def ill_typed(path, value):
+    """Whether value has a type the field at path may not have: group a
+    string, degree, coeff and every node an integer, I and J lists of
+    integers, x a list of integers and strings."""
+    last, above = path[-1], path[-2] if len(path) > 1 else None
+    if last in ("degree", "coeff") or above in ("I", "J"):
+        return type(value) is not int
+    if last in ("I", "J"):
+        return type(value) is not list or any(type(v) is not int for v in value)
+    if above == "x":
+        return type(value) not in (int, str)
+    expected = {"group": str, "x": list}.get(last)
+    return expected is not None and type(value) is not expected
+
+
+def mutate(doc, path, rng):
+    """A copy of doc with the field at path replaced, dropped, or, for a
+    list, grown, shrunk or reversed; and whether the change is ill-typed."""
+    import copy
+
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = rng.choice(["value", "value", "value", "drop", "extend", "shrink", "reverse"])
+    target = parent[path[-1]]
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind != "value" and isinstance(target, list) and target:
+        if kind == "extend":
+            target.append(rng.choice(target))
+        elif kind == "shrink":
+            target.pop(rng.randrange(len(target)))
+        else:
+            target.reverse()
+    else:
+        parent[path[-1]] = value = rng.choice(FUZZ_VALUES)
+        return doc, ill_typed(path, value)
+    return doc, False
+
+
+def test_verify_certificate_fuzz_raises_only_value_error():
+    # each mutated certificate verifies or raises ValueError, nothing else;
+    # an ill-typed field never verifies
+    import json as _json
+
+    rng = random.Random(15)
+    outcomes = {"ok": 0, "rejected": 0}
+    for text in fuzz_certificates():
+        assert verify_certificate(text)["ok"]
+        doc = _json.loads(text)
+        paths = list(fuzz_paths(doc))
+        for _ in range(120):
+            mutated, must_fail = mutate(doc, rng.choice(paths), rng)
+            text = _json.dumps(mutated).replace('"DEEP"', "[" * 100_000 + "]" * 100_000)
+            try:
+                result = verify_certificate(text)
+            except ValueError:
+                outcomes["rejected"] += 1
+            else:
+                assert result["ok"] is True and not must_fail, mutated
+                outcomes["ok"] += 1
+    assert outcomes["ok"] > 0 and outcomes["rejected"] > 300, outcomes
+
+
+TERM_TYPES = "needs integer nodes I, a list x and an integer coeff"
+
+
+def test_fractional_or_boolean_certificate_fields_never_verify():
+    import json as _json
+
+    for text in fuzz_certificates():
+        doc = _json.loads(text)
+        for change in (lambda v: v + (0.4 if v > 0 else -0.4), float, lambda v: v == 1):
+            bad = _json.loads(text)
+            for chain in ("cycle", "bounding"):
+                for item in bad[chain]:
+                    item["coeff"] = change(item["coeff"])
+            with pytest.raises(ValueError, match=TERM_TYPES):
+                verify_certificate(_json.dumps(bad))
+        # J and degree not integers, coefficients intact
+        edits = [("J", [float(j) for j in doc["J"]]), ("J", "".join(map(str, doc["J"]))),
+                 ("degree", str(doc["degree"])), ("degree", float(doc["degree"])),
+                 ("group", 5), ("group", None)]
+        for field, value in edits:
+            with pytest.raises(ValueError, match="^malformed certificate: group must be a string"):
+                verify_certificate(_json.dumps({**doc, field: value}))
+        for node in (True, 1.0, "1"):
+            bad = _json.loads(text)
+            bad["cycle"][0]["I"][-1] = node
+            with pytest.raises(ValueError, match=TERM_TYPES):
+                verify_certificate(_json.dumps(bad))
+
+
+EXPONENT_CERTIFICATES = """
+import json, random
+from alcove.lie import build_lie_data
+from alcove.resolution import OrbitComplex, certificate_json, verify_certificate
+
+oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
+cycle = oc.random_cycle(1, 3, random.Random(1))
+doc = json.loads(certificate_json(oc, cycle, oc.contract_cycle(cycle)))
+edits = [
+    ("x", "1e99999999"), ("x", "-1e99999999"), ("x", "1/1e99999999"), ("x", "1E99999999"),
+    ("coeff", "1e99999999"), ("I", ["1e99999999", 1]),
+]
+for field, value in edits:
+    bad = json.loads(json.dumps(doc))
+    if field == "x":
+        bad["cycle"][0]["x"][0] = value
+    else:
+        bad["cycle"][0][field] = value
+    for text in (json.dumps(bad), json.dumps(bad).replace('"1e99999999"', "1e99999999")):
+        try:
+            verify_certificate(text)
+        except ValueError as exc:
+            print(type(exc).__name__)
+"""
+
+
+def test_exponent_coordinates_are_refused_without_expansion():
+    # Fraction('1e99999999') builds a 10**8-digit integer, so the checks run
+    # in a child process that a timeout ends
+    proc = subprocess.run(
+        [sys.executable, "-c", EXPONENT_CERTIFICATES],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 12

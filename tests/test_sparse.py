@@ -13,9 +13,16 @@ from alcove.fusion import (
     fusion_product,
     level_weights,
 )
-from alcove.groupring import AntiInvariant, GroupRingElt, LevelMismatchError
+from alcove.groupring import (
+    AntiInvariant,
+    GroupRingElt,
+    LevelMismatchError,
+    expand,
+    skew_symmetrize,
+    to_cone_basis,
+)
 from alcove.lie import build_lie_data
-from alcove.resolution import ChainElt
+from alcove.resolution import ChainElt, OrbitComplex
 from alcove.sparse import SparseElt
 
 A2 = build_lie_data("A2")
@@ -190,6 +197,40 @@ def test_cached_fusion_product_makes_no_validation_calls(monkeypatch):
     monkeypatch.setattr(FusionElt, "_validate", counting)
     assert [fusion_product(a, b) for a, b in pairs] == expected
     assert calls == []
+
+
+def test_library_results_make_no_validation_calls(monkeypatch):
+    # elements built beforehand: a cycle and a chain above it, group-ring
+    # elements and an anti-invariant; the complexes compute faces (after
+    # their own key check) but never validate a result they build
+    oc, fresh = OrbitComplex(A2, (0, 1, 2)), OrbitComplex(A2, (0, 1, 2))
+    cycle = oc.random_cycle(1, 3, random.Random(5))
+    chain = oc.homotopy(2, cycle)
+    phi = GroupRingElt(A2, 4, {(1, 0): 2, (0, 3): -1, (2, 2): 1, (-1, 1): 3})
+    psi = GroupRingElt(A2, 4, {(0, 1): 1, (-1, 0): 3})
+    anti = AntiInvariant(A2, 4, (0,), {(1, 1): 2, (2, 1): -1})
+    calls = []
+    for cls in (ChainElt, GroupRingElt, AntiInvariant):
+        def counting(self, key, original=cls._validate):
+            calls.append(key)
+            return original(self, key)
+        monkeypatch.setattr(cls, "_validate", counting)
+    ChainElt((0, 1, 2), 1, {((0, 1), (1, 1)): 1})
+    GroupRingElt(A2, 4, {(0, 0): 1})
+    AntiInvariant(A2, 4, (0,), {(1, 1): 1})
+    assert len(calls) == 3  # the counter sees the public constructors
+    calls.clear()
+    results = [
+        oc.random_cycle(1, 3, random.Random(6)), oc.boundary(chain), fresh.boundary(chain),
+        oc.boundary(chain + chain), *(oc.homotopy(i, cycle) for i in range(3)),
+        oc.contract_cycle(cycle), fresh.contract_cycle(cycle), oc.deform(1, chain),
+    ]
+    skewed = skew_symmetrize(phi, (0,))
+    results += [skewed, expand(anti), to_cone_basis(skewed, (0,)),
+                to_cone_basis(expand(anti), (0,)), phi * psi, psi * phi * phi,
+                skew_symmetrize(phi * psi, (1, 2))]
+    assert calls == []
+    assert all(results) and all(all(r.terms.values()) for r in results)
 
 
 def test_subclasses_share_one_base():
