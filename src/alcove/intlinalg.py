@@ -1,8 +1,8 @@
 """Exact linear algebra: rational matrices and integer Smith normal form.
 
-Rational matrices are tuples of tuples of Fraction; dense integer matrices
-are lists of lists of int, and sparse ones are lists of columns of
-(row, coeff) pairs.  Everything here is exact, no floating point.
+Rational matrices (lie's Cartan inverse) are tuples of tuples of Fraction;
+dense integer matrices are lists of lists of int, and sparse ones are lists
+of columns of (row, coeff) pairs.  Everything here is exact, no floats.
 
 invariant_factors works on sparse columns: it eliminates +-1 pivots of least
 Markowitz cost, as in Dumas, Heckenbach, Saunders and Welker, "Computing
@@ -19,10 +19,6 @@ from math import gcd
 from typing import Sequence
 
 FracMatrix = tuple[tuple[Fraction, ...], ...]
-
-
-def fmat(rows: Sequence[Sequence]) -> FracMatrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def mat_vec(M: Sequence[Sequence], v: Sequence) -> tuple:

@@ -1,7 +1,9 @@
 """Exact root-system and alcove data for compact simple simply connected Lie groups.
 
 Supported types: A_l (l>=1), B_l (l>=2), C_l (l>=2), D_l (l>=4), E_6/7/8,
-F_4, G_2.  All arithmetic is exact rational.
+F_4, G_2.  All arithmetic is exact.  The root datum and the face data are
+computed on integers; Fraction values are built only for their rational
+fields and at the public edges (pairing, b_flat, b_sharp, alcove_face_of).
 
 Conventions, fixed once and used everywhere:
 
@@ -48,7 +50,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .intlinalg import fmat, mat_inv, mat_mul, mat_vec
+from .intlinalg import mat_inv, mat_mul, mat_vec
 
 Weight = tuple[int, ...]
 RationalWeight = tuple[Fraction, ...]
@@ -287,36 +289,37 @@ class LieData:
         return hash(self.lie_type)
 
 
-_DATA_CACHE: dict[LieType, LieData] = {}
+_DATA_CACHE: dict[LieType | str, LieData] = {}
 
 
 def build_lie_data(lie_type: LieType | str) -> LieData:
-    """Construct (and cache) the full exact root datum for a Lie type."""
-    if isinstance(lie_type, str):
-        lie_type = LieType.parse(lie_type)
+    """Construct (and cache) the full exact root datum for a Lie type, on
+    integers.  A type string is a cache key too, so each is parsed once."""
     cached = _DATA_CACHE.get(lie_type)
     if cached is not None:
         return cached
+    key = lie_type
+    if isinstance(key, str):
+        lie_type = LieType.parse(key)
+        if lie_type in _DATA_CACHE:
+            cached = _DATA_CACHE[key] = _DATA_CACHE[lie_type]
+            return cached
 
     n = lie_type.rank
     A = cartan_matrix(lie_type)
     A_inv = mat_inv(A)
-    d = _symmetrizer(A)
+    inv, inv_den = _scaled_matrix(A_inv)
+    # e = L d for the least such integer L, so the symmetrized Cartan matrix
+    # S = e A is integral: S[i][j] = L (alpha_i, alpha_j)
+    (e,), L = _scaled_matrix([_symmetrizer(A)])
 
     def root_record(coeffs: tuple[int, ...]) -> Root:
         weight = tuple(sum(A[r][j] * coeffs[j] for j in range(n)) for r in range(n))
-        # (beta, beta)/2 from the Gram matrix S[i][j] = d_i * cartan[i][j]
-        half = (
-            sum(
-                coeffs[i] * coeffs[j] * d[i] * A[i][j]
-                for i in range(n)
-                for j in range(n)
-            )
-            / 2
-        )
-        coroot_frac = tuple(coeffs[j] * d[j] / half for j in range(n))
-        assert all(c.denominator == 1 for c in coroot_frac), coeffs
-        return Root(coeffs, weight, tuple(int(c) for c in coroot_frac), half)
+        # q = coeffs S coeffs = L (beta, beta), and beta_vee = 2 beta / (beta, beta)
+        q = sum(c * x * w for c, x, w in zip(coeffs, e, weight))
+        coroot = tuple(2 * c * x for c, x in zip(coeffs, e))
+        assert all(c % q == 0 for c in coroot), coeffs
+        return Root(coeffs, weight, tuple(c // q for c in coroot), Fraction(q, 2 * L))
 
     roots = tuple(root_record(c) for c in positive_roots_of_cartan(A))
     theta = roots[-1]
@@ -324,17 +327,20 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
     marks = theta.coeffs
     comarks = theta.coroot
 
-    gram_coroot = fmat(
-        [[Fraction(A[j][i]) / d[i] for j in range(n)] for i in range(n)]
+    # B(alpha_i_vee, alpha_j_vee) = A[j][i] / d_i, so the inverse, B-dual on
+    # the fundamental weights, is A_inv[j][i] d_j
+    gram_coroot = tuple(tuple(Fraction(A[j][i] * L, e[i]) for j in range(n)) for i in range(n))
+    gram_weight = tuple(
+        tuple(Fraction(inv[j][i] * e[j], inv_den * L) for j in range(n)) for i in range(n)
     )
-    gram_weight = mat_inv(gram_coroot)
+    gram_weight_scaled = _scaled_matrix(gram_weight)
 
     rho = (1,) * n
-    rho_sharp = mat_vec(gram_weight, rho)
-    h_vee = 1 + sum(theta.weight[j] * rho_sharp[j] for j in range(n))
-    assert h_vee.denominator == 1
-    h_vee = int(h_vee)
-    assert h_vee == 1 + sum(comarks), "dual Coxeter number mismatch"
+    # rho_sharp = B_sharp(rho) = R / D, and h_vee = 1 + <theta, rho_sharp>
+    gram, D = gram_weight_scaled
+    R = [sum(row) for row in gram]
+    h_vee = 1 + sum(comarks)
+    assert sum(map(mul, theta.weight, R)) == D * (h_vee - 1), "dual Coxeter number mismatch"
 
     node_root = (tuple(-w for w in theta.weight),) + tuple(
         tuple(A[r][s] for r in range(n)) for s in range(n)
@@ -343,9 +349,9 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
         tuple(1 if j == s else 0 for j in range(n)) for s in range(n)
     )
 
-    vertices = [tuple(Fraction(0) for _ in range(n))]
+    vertices = [(Fraction(0),) * n]
     for s in range(n):
-        vertices.append(tuple(A_inv[s][j] / marks[s] for j in range(n)))
+        vertices.append(tuple(Fraction(x, inv_den * marks[s]) for x in inv[s]))
 
     data = LieData(
         lie_type=lie_type,
@@ -356,18 +362,18 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
         marks=marks,
         comarks=comarks,
         rho=rho,
-        rho_sharp=rho_sharp,
+        rho_sharp=tuple(Fraction(x, D) for x in R),
         dual_coxeter=h_vee,
         gram_coroot=gram_coroot,
         gram_weight=gram_weight,
         gram_coroot_scaled=_scaled_matrix(gram_coroot),
-        gram_weight_scaled=_scaled_matrix(gram_weight),
+        gram_weight_scaled=gram_weight_scaled,
         node_root=node_root,
         node_coroot=node_coroot,
         theta_pairing=tuple(sum(c * r for c, r in zip(comarks, root)) for root in node_root),
         alcove_vertices=tuple(vertices),
     )
-    _DATA_CACHE[lie_type] = data
+    _DATA_CACHE[lie_type] = _DATA_CACHE[key] = data
     return data
 
 
@@ -495,39 +501,29 @@ def face_data(data: LieData, I: Sequence[int]) -> FaceData:
     if cached is not None:
         return cached
 
-    n = data.rank
+    n, h_vee = data.rank, data.dual_coxeter
     comp = tuple(i for i in range(n + 1) if i not in I)
-    sub = [
-        [
-            int(pairing(data.node_root[b], data.node_coroot[a]))
-            for b in comp
-        ]
-        for a in comp
-    ]
-    sub_roots = positive_roots_of_cartan(sub)
-    half_sum = [Fraction(0)] * n
-    for coeffs in sub_roots:
-        for a, c in enumerate(coeffs):
-            if c:
-                for r in range(n):
-                    half_sum[r] += Fraction(c, 2) * data.node_root[comp[a]][r]
-    rho_I = tuple(half_sum)
-    nu_I = tuple((Fraction(r) - ri) / data.dual_coxeter for r, ri in zip(data.rho, rho_I))
-    nu_sharp = b_sharp(data, nu_I)
-    # nu_I_sharp must expose exactly the walls in I; this validates the
-    # subsystem enumeration behind rho_I
-    assert alcove_face_of(data, nu_sharp) == I, (data.lie_type, I)
-
+    roots = [data.node_root[a] for a in comp]
     basis = tuple(data.node_coroot[a] for a in comp)
+    sub = [[sum(map(mul, root, coroot)) for root in roots] for coroot in basis]
+    sub_roots = positive_roots_of_cartan(sub)
+    # 2 rho_I, the sum of the positive roots of the subsystem, and 2 (rho - rho_I)
+    totals = [sum(col) for col in zip(*sub_roots)]
+    two_rho_I = [sum(t * root[r] for t, root in zip(totals, roots)) for r in range(n)]
+    shift = [2 * r - x for r, x in zip(data.rho, two_rho_I)]
+    # nu_I_sharp = B_sharp(rho - rho_I) / h_vee must expose exactly the walls
+    # in I; this validates the subsystem enumeration behind rho_I
+    X, D = _sharp_scaled(data, shift, 2 * h_vee)
+    assert _scaled_face(data, X, D) == I, (data.lie_type, I)
+    # rho - rho_I pairs integrally with the coroot lattice
     for lam in basis:
-        val = pairing(tuple(Fraction(r) - ri for r, ri in zip(data.rho, rho_I)), lam)
-        assert val.denominator == 1, (I, lam)
+        assert sum(map(mul, shift, lam)) % 2 == 0, (I, lam)
 
     face = FaceData(
         I=I,
-        rho_I=rho_I,
-        nu_I=nu_I,
-        nu_I_sharp=nu_sharp,
+        rho_I=tuple(Fraction(x, 2) for x in two_rho_I),
+        nu_I=tuple(Fraction(x, 2 * h_vee) for x in shift),
+        nu_I_sharp=tuple(Fraction(x, D) for x in X),
         coroot_lattice_basis=basis,
         weyl_order=_weyl_order(sub_roots),
     )

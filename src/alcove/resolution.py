@@ -72,6 +72,13 @@ ChainKey = tuple[FaceIndex, tuple[int, ...]]
 # any reduction runs, because a reduction takes one reflection per crossing.
 CERT_MAX_LENGTH = 10_000
 
+# The largest rank of a group a certificate may name.  verify_certificate
+# refuses a higher rank before it builds any root data: root data and orbit
+# context grow with the rank whatever the certificate holds.  An empty
+# certificate takes about 0.25 s at rank 20 as a whole process, and 0.8 s at
+# rank 40 and 17 s at rank 100 in process (A_l, single runs, 2-core host).
+CERT_MAX_RANK = 20
+
 
 class ChainElt(SparseElt):
     """A finitely supported integer combination of basis pairs (I, X), X the
@@ -116,14 +123,10 @@ class OrbitComplex:
         self.J = _check_face_index(data, J)
         self.ctx = OrbitContext(data, self.J, base)
         self.D = self.ctx.D
-        nodes = range(data.rank + 1)
-        self.full_face = tuple(nodes)
-        # the walls outside I, for every nonempty node set I
-        self._walls = {
-            I: _walls_outside(data, I)
-            for size in range(1, data.rank + 2)
-            for I in combinations(nodes, size)
-        }
+        self.full_face = tuple(range(data.rank + 1))
+        # node set I -> the walls outside I, filled when a boundary first
+        # reduces into the cone of I: rank l has 2^(l+1) - 1 node sets
+        self._walls: dict[FaceIndex, tuple[int, ...]] = {}
         self._truncations: dict[int, TruncatedComplex] = {}
         self._kernels: dict[tuple[int, int], list[list[int]]] = {}
         self._faces: dict[ChainKey, dict[ChainKey, int]] = {}
@@ -157,7 +160,7 @@ class OrbitComplex:
         if I[0] < 0 or I[-1] > l:
             raise ValueError(f"{what} {list(I)} has a node outside 0..{l}")
         values = _scaled_walls(self.data, X, D)
-        if any(values[i] <= 0 for i in self._walls[I]):
+        if any(v <= 0 for i, v in enumerate(values) if i not in I):
             raise ValueError(f"{what} {list(I)}, {_point_str(X, D)} is not interior to its cone")
 
     def basis_elements(self, p: int, n: int) -> list[ChainKey]:
@@ -206,10 +209,12 @@ class OrbitComplex:
         pair: one that has passed _check_key, or one that basis_elements
         built.  The faces are distinct, one per dropped node at most."""
         I, x = key
-        faces = {}
+        faces, walls = {}, self._walls
         for r in range(len(I)):
             sub = I[:r] + I[r + 1 :]
-            image, word, on_wall = _reduce_scaled(self.data, x, self.D, self._walls[sub])
+            if sub not in walls:
+                walls[sub] = _walls_outside(self.data, sub)
+            image, word, on_wall = _reduce_scaled(self.data, x, self.D, walls[sub])
             if not on_wall:
                 faces[(sub, image)] = (-1) ** (r + len(word))
         self._faces[key] = faces
@@ -510,7 +515,10 @@ def verify_certificate(text: str) -> dict:
         group, J, degree = doc["group"], doc["J"], doc["degree"]
         if not (type(group) is str and _is_int_list(J) and type(degree) is int):
             raise ValueError("group must be a string, J a list of integers and degree an integer")
-        data = build_lie_data(LieType.parse(group))
+        lie_type = LieType.parse(group)
+        if lie_type.rank > CERT_MAX_RANK:
+            raise ValueError(f"group {lie_type} has rank {lie_type.rank}, above the limit {CERT_MAX_RANK}")
+        data = build_lie_data(lie_type)
         J = tuple(J)
         if len(set(J)) != len(J):
             raise ValueError(f"face {list(J)} repeats a node")

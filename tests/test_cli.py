@@ -208,6 +208,14 @@ def test_verify_cert_far_point_exits_5(tmp_path, capsys):
     )
 
 
+def test_verify_cert_rank_above_the_bound_exits_5(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"group": "A21", "J": [0, 1], "degree": 1, "cycle": [], "bounding": []}))
+    code, out, err = run(capsys, "verify-cert", str(cert))
+    assert (code, out) == (5, "")
+    assert err == "certificate invalid: malformed certificate: group A21 has rank 21, above the limit 20\n"
+
+
 def test_verify_cert_zero_denominator_message(tmp_path, capsys):
     code, text, _ = run(capsys, "contract", "A2", "-J", "0,1,2", "-N", "3", "--seed", "5")
     assert code == 0

@@ -46,6 +46,12 @@ GOLDEN = {
         "393251cd2d7798ede379f89f2b9ce7e2b9e60ead879634db957fa6cf6e079f33",
     "lie-info G2":
         "521e4d198ae005758ccfe25a3073c78aa7514f7f57ebbef26e50c16d58877aaa",
+    # root data whose symmetrizer has denominator 2 (G2 has 3, E8 in CI 1),
+    # recorded at 5c52794
+    "lie-info F4 --format json":
+        "0f1d5d68021915f9d37ad06b798edea93507f8c2ab4dbcf2f5ba41e48188f51f",
+    "lie-info C5 --format json":
+        "5810e0aa3b0063c15032973763e5440ac4ab69936517e722775793b74ad3bd54",
     "fusion B2 -k 2 1,0 0,1":
         "73d4d5549c8fa7a400638ec7337f308df301aaabb1968cb8253a7ce0a6741883",
     "orbit A2 -J 0,1,2 -N 3":

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import math
 import random
@@ -410,6 +411,120 @@ def test_gram_matrices_mutually_inverse():
         for i in range(d.rank):
             for j in range(d.rank):
                 assert prod[i][j] == (1 if i == j else 0)
+
+
+# -- integer root and face data against the Fraction bodies they replace ------
+
+def fraction_lie_fields(lie_type):
+    """Oracle: the Fraction body of build_lie_data before it moved onto
+    integers (root records from d_i A[i][j], gram_weight by a second
+    Gauss-Jordan inverse, rho_sharp and h_vee by Fraction dot products), as a
+    dict of the LieData fields."""
+    from alcove.intlinalg import mat_inv, mat_vec
+    from alcove.lie import Root, _scaled_matrix, _symmetrizer, cartan_matrix
+
+    n = lie_type.rank
+    A = cartan_matrix(lie_type)
+    A_inv = mat_inv(A)
+    d = _symmetrizer(A)
+
+    def root_record(coeffs):
+        weight = tuple(sum(A[r][j] * coeffs[j] for j in range(n)) for r in range(n))
+        half = sum(coeffs[i] * coeffs[j] * d[i] * A[i][j] for i in range(n) for j in range(n)) / 2
+        coroot_frac = tuple(coeffs[j] * d[j] / half for j in range(n))
+        assert all(c.denominator == 1 for c in coroot_frac), coeffs
+        return Root(coeffs, weight, tuple(int(c) for c in coroot_frac), half)
+
+    roots = tuple(root_record(c) for c in positive_roots_of_cartan(A))
+    theta = roots[-1]
+    assert theta.half_norm == 1
+    gram_coroot = tuple(tuple(F(A[j][i]) / d[i] for j in range(n)) for i in range(n))
+    gram_weight = mat_inv(gram_coroot)
+    rho_sharp = mat_vec(gram_weight, (1,) * n)
+    h_vee = 1 + sum(theta.weight[j] * rho_sharp[j] for j in range(n))
+    assert h_vee.denominator == 1 and h_vee == 1 + sum(theta.coroot)
+    node_root = (tuple(-w for w in theta.weight),) + tuple(
+        tuple(A[r][s] for r in range(n)) for s in range(n))
+    return {
+        "lie_type": lie_type, "rank": n, "cartan": A, "cartan_inv": A_inv,
+        "positive_roots": roots, "marks": theta.coeffs, "comarks": theta.coroot,
+        "rho": (1,) * n, "rho_sharp": rho_sharp, "dual_coxeter": int(h_vee),
+        "gram_coroot": gram_coroot, "gram_weight": gram_weight,
+        "gram_coroot_scaled": _scaled_matrix(gram_coroot),
+        "gram_weight_scaled": _scaled_matrix(gram_weight),
+        "node_root": node_root,
+        "node_coroot": (tuple(-c for c in theta.coroot),) + tuple(
+            tuple(1 if j == s else 0 for j in range(n)) for s in range(n)),
+        "theta_pairing": tuple(sum(c * r for c, r in zip(theta.coroot, root)) for root in node_root),
+        "alcove_vertices": (tuple(F(0) for _ in range(n)),) + tuple(
+            tuple(A_inv[s][j] / theta.coeffs[s] for j in range(n)) for s in range(n)),
+    }
+
+
+def fraction_face_fields(data, I):
+    """Oracle: the Fraction body of face_data before it moved onto integers
+    (sub-Cartan matrix and rho - rho_I by Fraction pairings, nu_I_sharp by
+    b_sharp), as a dict of the FaceData fields."""
+    from alcove.lie import _weyl_order
+
+    n = data.rank
+    comp = tuple(i for i in range(n + 1) if i not in I)
+    sub = [[int(pairing(data.node_root[b], data.node_coroot[a])) for b in comp] for a in comp]
+    sub_roots = positive_roots_of_cartan(sub)
+    half_sum = [F(0)] * n
+    for coeffs in sub_roots:
+        for a, c in enumerate(coeffs):
+            if c:
+                for r in range(n):
+                    half_sum[r] += F(c, 2) * data.node_root[comp[a]][r]
+    rho_I = tuple(half_sum)
+    nu_I = tuple((F(r) - ri) / data.dual_coxeter for r, ri in zip(data.rho, rho_I))
+    nu_sharp = b_sharp(data, nu_I)
+    assert alcove_face_of(data, nu_sharp) == I
+    basis = tuple(data.node_coroot[a] for a in comp)
+    for lam in basis:
+        assert pairing(tuple(F(r) - ri for r, ri in zip(data.rho, rho_I)), lam).denominator == 1
+    return {"I": I, "rho_I": rho_I, "nu_I": nu_I, "nu_I_sharp": nu_sharp,
+            "coroot_lattice_basis": basis, "weyl_order": _weyl_order(sub_roots)}
+
+
+def typed(value):
+    """A value with the type of every leaf, so that 1 and Fraction(1) differ."""
+    if isinstance(value, (tuple, list)):
+        return [typed(v) for v in value]
+    return (type(value), value)
+
+
+def assert_fields_match(obj, fields):
+    from dataclasses import fields as dataclass_fields
+
+    names = [f.name for f in dataclass_fields(obj) if f.compare]
+    assert sorted(names) == sorted(fields)
+    for name in names:
+        assert typed(getattr(obj, name)) == typed(fields[name]), name
+
+
+@pytest.mark.parametrize("name", ALL_RANK_LE_8 + ["A16"])
+def test_integer_root_and_face_data_match_fraction_oracle(name):
+    # L, the least integer with L d_i integral, is 1 for A, D, E, 2 for B, C,
+    # F4 and 3 for G2; faces: all up to rank 4, |I| <= 2 above, |I| = 1 at A16
+    d = build_lie_data(name)
+    assert_fields_match(d, fraction_lie_fields(d.lie_type))
+    sizes = range(1, d.rank + 2) if d.rank <= 4 else (1, 2) if d.rank <= 8 else (1,)
+    for size in sizes:
+        for I in itertools.combinations(range(d.rank + 1), size):
+            assert_fields_match(face_data(d, I), fraction_face_fields(d, I))
+
+
+def test_type_string_is_parsed_once(monkeypatch):
+    first = build_lie_data("c7")
+    assert first is build_lie_data(LieType("C", 7))
+
+    def refuse(text):
+        raise AssertionError(f"parsed {text!r} again")
+
+    monkeypatch.setattr(LieType, "parse", refuse)
+    assert build_lie_data("c7") is first
 
 
 def lie_data_json(data):

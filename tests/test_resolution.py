@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import re
@@ -16,6 +17,7 @@ from alcove.lie import b_flat, b_sharp, build_lie_data
 from alcove.affine import _scaled_crossing_length
 from alcove.resolution import (
     CERT_MAX_LENGTH,
+    CERT_MAX_RANK,
     ChainElt,
     OrbitComplex,
     certificate_json,
@@ -857,6 +859,57 @@ def test_certificate_length_limit_is_inclusive():
         verify_certificate(far_a2_certificate(2500))
     with pytest.raises(ValueError, match="has length 10004, above the limit 10000$"):
         verify_certificate(far_a2_certificate(2501))
+
+
+def empty_certificate(group):
+    return json.dumps({"group": group, "J": [0, 1], "degree": 1, "cycle": [], "bounding": []})
+
+
+AT_THE_RANK_BOUND = """
+from alcove.lie import build_lie_data
+from alcove.resolution import OrbitComplex, verify_certificate
+
+doc = '{"group": "A20", "J": [0, 1], "degree": 1, "cycle": [], "bounding": []}'
+print(verify_certificate(doc)["ok"])
+print(len(OrbitComplex(build_lie_data("A20"), (0, 1))._walls))
+"""
+
+
+def test_certificate_at_the_rank_bound_verifies():
+    # A20 has 2**21 - 1 node sets; a wall table built for all of them took
+    # 620 MB, so the check runs in a child process that a timeout ends
+    assert CERT_MAX_RANK == 20
+    proc = subprocess.run(
+        [sys.executable, "-c", AT_THE_RANK_BOUND],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    # verified, and a fresh complex has filled no wall table entry
+    assert proc.stdout.split() == ["True", "0"]
+
+
+def test_certificate_above_the_rank_bound_builds_no_root_data(monkeypatch):
+    import alcove.lie
+
+    def refuse(lie_type):
+        raise AssertionError(f"root data built for {lie_type}")
+
+    monkeypatch.setattr(alcove.lie, "build_lie_data", refuse)
+    for group, rank in (("A21", 21), ("B21", 21), ("C40", 40), ("a1000000000", 10**9)):
+        with pytest.raises(ValueError, match=(
+            rf"^malformed certificate: group {group.upper()} has rank {rank}, above the limit 20$"
+        )):
+            verify_certificate(empty_certificate(group))
+
+
+def test_wall_table_fills_per_node_set_on_demand():
+    oc = OrbitComplex(build_lie_data("A3"), (0, 1, 2, 3))
+    assert oc._walls == {}
+    oc.truncated(2)
+    # every node set a boundary reduced to, each with the walls outside it
+    assert oc._walls and all(
+        walls == tuple(i for i in range(4) if i not in I) for I, walls in oc._walls.items())
 
 
 def test_certificate_points_scale_by_the_orbit_denominator():
