@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .affine import weight_wall_value
+from .affine import _weight_walls
 from .fusion import (
     CharacterElt,
     FusionElt,
@@ -30,6 +30,7 @@ from .fusion import (
 from .groupring import AntiInvariant, reskew_to
 from .lie import (
     LieData,
+    _walls_outside,
     alcove_face_of,
     b_sharp,
     basic_pairing,
@@ -333,14 +334,12 @@ def criterion_10_lie_structural(seed: int) -> str:
         for k in range(0, 5):
             m = k + d.dual_coxeter
             for I in nonempty_faces(range(d.rank + 1)):
-                walls = [i for i in range(d.rank + 1) if i not in I]
+                walls = _walls_outside(d, I)
                 for mu in itertools.product(range(-2, 3), repeat=d.rank):
-                    in_cone = all(weight_wall_value(d, mu, i, k) >= 0 for i in walls)
-                    shifted = tuple(x + 1 for x in mu)
-                    strict = all(
-                        weight_wall_value(d, shifted, i, m) >= 1 for i in walls
-                    )
-                    assert in_cone == strict
+                    values = _weight_walls(d, mu, k)
+                    shifted = _weight_walls(d, tuple(x + 1 for x in mu), m)
+                    in_cone = all(values[i] >= 0 for i in walls)
+                    assert in_cone == all(shifted[i] >= 1 for i in walls)
     return f"{len(RANK_LE_8)} types"
 
 

@@ -11,19 +11,26 @@ and on Cartan points (standard action on t)
 
     xi -> xi - (<alpha_i, xi> + delta_{i,0}) * alpha_i_vee.
 
+A weight is a tuple of l ints, its fundamental-weight coordinates.  Its wall
+values at nodes 0..l have one owner, _weight_walls: nu[i-1] at node i >= 1
+and m - <nu, theta_vee> at node 0.  Every level, cone and dominance test
+reads them there, and a non-weight is refused there with ValueError.  Only
+the trusted loops over weights the library built (_walk, the weyl_orbit step,
+fusion's dominant-weight search) read coordinates themselves.  The walls of
+the cone of a face index I, the nodes outside I, are lie._walls_outside.
+
 Two greedy loops ("reflect at the lowest violated listed wall") do every
-reduction.  On weights, the walk _walk reads the wall value at node i >= 1
-off the coordinate nu[i-1] and keeps the node-0 wall value m - <nu, theta_vee>
-up to date, moving it by c <alpha_i, theta_vee> (LieData.theta_pairing) on
-each reflection instead of recomputing a dot product.  dominantize_terms
-sorts its walls once and walks every term, with an optional rho shift, for
-every weight-side map of the library; dominantize_walls is the same walk for
-one weight.  On Cartan points, _reduce_scaled works on integer numerators X
-over one common denominator D: a wall value is the integer sum root * X
-(plus D at node 0), a reflection is X -> X - c * coroot, and D never
-changes.  Like _walk, it reports whether its image lies on a listed wall,
-from its last pass.  It stays a separate loop because its wall values are
-dot products at every node, which the weight walk avoids.
+reduction.  On weights, the walk _walk keeps the node-0 wall value up to date,
+moving it by c <alpha_i, theta_vee> (LieData.theta_pairing) on each reflection
+instead of recomputing a dot product.  dominantize_terms sorts its walls once
+and walks every term, with an optional rho shift, for every weight-side map of
+the library; dominantize_walls is the same walk for one weight.  On Cartan
+points, _reduce_scaled works on integer numerators X over one common
+denominator D: a wall value is the integer sum root * X (plus D at node 0), a
+reflection is X -> X - c * coroot, and D never changes.  Like _walk, it
+reports whether its image lies on a listed wall, from its last pass.  It stays
+a separate loop because its wall values are dot products at every node, which
+the weight walk avoids.
 
 weyl_orbit walks the other way: from a weight in the closed cone of the
 listed walls (at most l of them, so the group is finite) it reflects only
@@ -55,6 +62,7 @@ from .lie import (
     _scaled,
     _scaled_face,
     _scaled_walls,
+    _walls_outside,
     face_data,
 )
 
@@ -80,17 +88,27 @@ class OrbitPoint(NamedTuple):
     length: int
 
 
+def _weight_walls(data: LieData, nu: Sequence[int], m: int) -> tuple[int, ...]:
+    """<nu, alpha_i_vee> + m * delta_{i,0} at nodes 0..l; ValueError unless nu has l
+    coordinates and c0 is an int, as it is exactly when every coordinate is one."""
+    if len(nu) != data.rank:
+        raise ValueError(f"weight {tuple(nu)} has {len(nu)} coordinates, not {data.rank}")
+    c0 = m - sum(map(mul, data.comarks, nu))
+    if type(c0) is not int:
+        raise ValueError(f"weight {tuple(nu)} has a coordinate that is not an int")
+    return (c0, *nu)
+
+
 def weight_wall_value(data: LieData, nu: Sequence[int], i: int, m: int) -> int:
     """<nu, alpha_i_vee> + m * delta_{i,0}; nonnegative for all i on the
     level-m alcove region."""
-    value = sum(a * b for a, b in zip(nu, data.node_coroot[i]))
-    return value + m if i == 0 else value
+    if not 0 <= i <= data.rank:
+        raise ValueError(f"wall index {i} out of range")
+    return _weight_walls(data, nu, m)[i]
 
 
 def affine_reflect_weight(data: LieData, i: int, nu: Sequence[int], m: int) -> Weight:
     """Simple affine reflection at wall i, acting on a weight at level m."""
-    if not 0 <= i <= data.rank:
-        raise ValueError(f"wall index {i} out of range")
     c = weight_wall_value(data, nu, i, m)
     root = data.node_root[i]
     return tuple(x - c * r for x, r in zip(nu, root))
@@ -196,7 +214,8 @@ def weyl_orbit(
     if len(walls) > data.rank:
         raise ValueError("all l+1 walls generate an infinite group")
     nu = tuple(nu)
-    if any(weight_wall_value(data, nu, i, m) < 0 for i in walls):
+    values = _weight_walls(data, nu, m)
+    if any(values[i] < 0 for i in walls):
         raise ValueError(f"{nu} is outside the closed cone of walls {walls}")
     node_root, comarks = data.node_root, data.comarks
     orbit = {nu: 1}
@@ -217,9 +236,10 @@ def weyl_orbit(
 
 
 def dominantize(data: LieData, nu: Sequence[int], m: int) -> SignedWeight:
-    """Reduce into the closed level-m alcove region (all walls 0..l)."""
+    """Reduce a weight into the closed level-m alcove region (walls 0..l), m >= 1."""
     if m < 1:
         raise ValueError("level must be >= 1")
+    _weight_walls(data, nu, m)
     return dominantize_walls(data, nu, m, range(data.rank + 1))
 
 
@@ -274,15 +294,12 @@ def _scaled_crossing_length(data: LieData, X: Sequence[int], D: int) -> int:
     return total
 
 
-def _walls_outside(data: LieData, I: Sequence[int]) -> tuple[int, ...]:
-    return tuple(i for i in range(data.rank + 1) if i not in I)
-
-
 def cone_position(data: LieData, xi: Sequence, I: Sequence[int]) -> str:
     """Position of a point against the cone cut out by the walls outside I:
     'interior', 'boundary', or 'outside'."""
-    I = _check_face_index(data, I)
-    values = [v for i, v in enumerate(_scaled_walls(data, *_scaled(data, xi))) if i not in I]
+    outside = _walls_outside(data, _check_face_index(data, I))
+    walls = _scaled_walls(data, *_scaled(data, xi))
+    values = [walls[i] for i in outside]
     if any(v < 0 for v in values):
         return "outside"
     return "boundary" if 0 in values else "interior"

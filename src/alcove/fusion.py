@@ -49,7 +49,7 @@ from itertools import product as iter_product
 from operator import mul
 from typing import Mapping, Sequence
 
-from .affine import dominantize_terms, dominantize_walls, weight_wall_value, weyl_orbit
+from .affine import _weight_walls, dominantize_terms, dominantize_walls, weyl_orbit
 from .lie import (
     CartanPoint,
     LieData,
@@ -57,38 +57,35 @@ from .lie import (
     _check_face_index,
     _scaled,
     _sharp_scaled,
+    _walls_outside,
 )
 from .sparse import SparseElt, combine
 
 VANISH_TOL = 1e-8
 
 
-def _check_weight(data: LieData, w: Sequence[int]) -> Weight:
-    w = tuple(int(x) for x in w)
-    if len(w) != data.rank:
-        raise ValueError(f"weight {w} has wrong rank for {data.lie_type}")
-    return w
-
-
 def is_dominant(data: LieData, w: Sequence[int]) -> bool:
-    return all(x >= 0 for x in w)
+    """Whether no wall value at nodes 1..l is negative; ValueError unless a weight."""
+    return min(_weight_walls(data, w, 0)[1:]) >= 0
 
 
 def in_level(data: LieData, w: Sequence[int], k: int) -> bool:
-    return all(weight_wall_value(data, w, i, k) >= 0 for i in range(data.rank + 1))
+    """Whether no wall value at level k is negative; ValueError unless a weight."""
+    return min(_weight_walls(data, w, k)) >= 0
+
+
+def _check_dominant(data: LieData, mu: Weight) -> None:
+    """Raise ValueError unless mu is a dominant weight."""
+    if not is_dominant(data, mu):
+        raise ValueError(f"{mu} is not dominant")
 
 
 def level_weights(data: LieData, k: int) -> list[Weight]:
     """The level-k weights, in lexicographic order."""
     if k < 0:
         raise ValueError("level must be >= 0")
-    bounds = [k // c for c in data.comarks]
-    out = [
-        w
-        for w in iter_product(*(range(b + 1) for b in bounds))
-        if sum(a * b for a, b in zip(w, data.comarks)) <= k
-    ]
-    return sorted(out)
+    boxes = [range(k // c + 1) for c in data.comarks]
+    return [w for w in iter_product(*boxes) if _weight_walls(data, w, k)[0] >= 0]
 
 
 class CharacterElt(SparseElt):
@@ -106,7 +103,7 @@ class CharacterElt(SparseElt):
 
     @classmethod
     def chi(cls, data: LieData, w: Sequence[int], coeff: int = 1) -> "CharacterElt":
-        return cls(data, {_check_weight(data, w): coeff})
+        return cls(data, {tuple(w): coeff})
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -147,8 +144,8 @@ class LevelRepElt(SparseElt):
         super().__init__(terms)
 
     def _validate(self, w: Weight) -> None:
-        for i in range(self.data.rank + 1):
-            if i not in self.I and weight_wall_value(self.data, w, i, self.k) < 0:
+        for i, v in enumerate(_weight_walls(self.data, w, self.k)):
+            if v < 0 and i not in self.I:
                 raise ValueError(f"{w} is not in the level-{self.k} cone of {self.I}")
 
 
@@ -176,7 +173,7 @@ def _dominant_weights_below(data: LieData, mu: Weight) -> list[Weight]:
         for lam in frontier:
             for root in data.positive_roots:
                 nxt = tuple(x - r for x, r in zip(lam, root.weight))
-                if nxt not in height and all(x >= 0 for x in nxt):
+                if nxt not in height and min(nxt) >= 0:
                     height[nxt] = height[lam] + sum(root.coeffs)
                     below.append(nxt)
         frontier = below
@@ -190,9 +187,7 @@ def weyl_dimension(data: LieData, mu: Sequence[int]) -> int:
     mu = tuple(mu)
     dim = _DIM_CACHE.get((data.lie_type, mu))
     if dim is None:
-        mu = _check_weight(data, mu)
-        if not is_dominant(data, mu):
-            raise ValueError(f"{mu} is not dominant")
+        _check_dominant(data, mu)
         num = den = 1
         for root in data.positive_roots:
             num *= sum((a + 1) * b for a, b in zip(mu, root.coroot))
@@ -209,9 +204,8 @@ def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Wei
 
     Inner products are taken with the integer-scaled Gram matrix; the scale
     cancels in the recursion and in the norm cut-off."""
-    mu = _check_weight(data, mu)
-    if not is_dominant(data, mu):
-        raise ValueError(f"{mu} is not dominant")
+    mu = tuple(mu)
+    _check_dominant(data, mu)
     key = (data.lie_type, mu)
     cached = _MULT_CACHE.get(key)
     if cached is not None:
@@ -261,7 +255,7 @@ def weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Weight, int]
     """Multiplicities of all weights of V_mu, cross-checked against the Weyl
     dimension formula: the Freudenthal multiplicities spread over the Weyl
     orbits of the dominant weights must add up to dim V_mu."""
-    mu = _check_weight(data, mu)
+    mu = tuple(mu)
     key = (data.lie_type, mu)
     cached = _FULL_MULT_CACHE.get(key)
     if cached is not None:
@@ -303,9 +297,8 @@ def tensor_decompose(data: LieData, lam: Sequence[int], mu: Sequence[int]) -> Ch
     lam, mu = tuple(lam), tuple(mu)
     out = _TENSOR_CACHE.get((data.lie_type, frozenset((lam, mu))))
     if out is None:
-        lam, mu = _check_weight(data, lam), _check_weight(data, mu)
-        if not (is_dominant(data, lam) and is_dominant(data, mu)):
-            raise ValueError("tensor factors must be dominant")
+        _check_dominant(data, lam)
+        _check_dominant(data, mu)
         # V_lam (x) V_mu = sum over the weights tau of V_mu of chi(lam + tau),
         # each reduced by the classical Weyl group in the rho-shifted action
         out = dominantize_terms(data, _factor_weights(data, lam, mu), 0, range(1, data.rank + 1), 1)
@@ -381,7 +374,7 @@ def special_point(data: LieData, nu: Sequence[int], k: int) -> CartanPoint:
 def _special_scaled(data: LieData, nu: Sequence[int], k: int) -> tuple[list[int], int]:
     """t_nu = B_sharp(nu + rho) / (k + h_vee) as integer numerators X over
     one denominator D."""
-    nu = _check_weight(data, nu)
+    nu = tuple(nu)
     if not in_level(data, nu, k):
         raise ValueError(f"{nu} is not a level-{k} weight")
     return _sharp_scaled(data, [a + 1 for a in nu], k + data.dual_coxeter)
@@ -448,8 +441,7 @@ def holomorphic_induction(phi: LevelRepElt, J: Sequence[int]) -> LevelRepElt:
     J = _check_face_index(data, J)
     if not set(J) <= set(phi.I):
         raise ValueError(f"{J} is not a subset of {phi.I}")
-    walls = [i for i in range(data.rank + 1) if i not in J]
-    out = dominantize_terms(data, phi.terms, phi.k + data.dual_coxeter, walls, 1)
+    out = dominantize_terms(data, phi.terms, phi.k + data.dual_coxeter, _walls_outside(data, J), 1)
     return LevelRepElt._trusted(out, data, J, phi.k)
 
 

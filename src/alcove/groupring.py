@@ -18,14 +18,8 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .affine import (
-    _walls_outside,
-    affine_reflect_weight,
-    dominantize_terms,
-    weight_wall_value,
-    weyl_orbit,
-)
-from .lie import LieData, Weight, _bounded_weyl_order, _check_face_index
+from .affine import _weight_walls, affine_reflect_weight, dominantize_terms, weyl_orbit
+from .lie import LieData, Weight, _bounded_weyl_order, _check_face_index, _walls_outside
 from .sparse import SparseElt, combine
 
 
@@ -53,8 +47,7 @@ class GroupRingElt(SparseElt):
         super().__init__(terms)
 
     def _validate(self, w: Weight) -> None:
-        if len(w) != self.data.rank:
-            raise ValueError(f"weight {w} has wrong rank")
+        _weight_walls(self.data, w, self.level)
 
     @classmethod
     def delta(cls, data: LieData, level: int, weight: Sequence[int], coeff: int = 1) -> "GroupRingElt":
@@ -105,8 +98,8 @@ class AntiInvariant(SparseElt):
         super().__init__(terms)
 
     def _validate(self, nu: Weight) -> None:
-        for i in range(self.data.rank + 1):
-            if i not in self.I and weight_wall_value(self.data, nu, i, self.level) < 1:
+        for i, v in enumerate(_weight_walls(self.data, nu, self.level)):
+            if v < 1 and i not in self.I:
                 raise ValueError(f"representative {nu} is not regular for wall {i}")
 
 
@@ -119,9 +112,8 @@ def _reflect(phi: GroupRingElt, i: int) -> GroupRingElt:
 
 def check_anti_invariant(phi: GroupRingElt, I: Sequence[int]) -> None:
     """Verify that each generator of W_I negates phi under the level action."""
-    I = _check_face_index(phi.data, I)
-    for i in range(phi.data.rank + 1):
-        if i not in I and _reflect(phi, i) != -phi:
+    for i in _walls_outside(phi.data, _check_face_index(phi.data, I)):
+        if _reflect(phi, i) != -phi:
             raise NotAntiInvariantError(i)
 
 
@@ -134,10 +126,11 @@ def to_cone_basis(phi: GroupRingElt, I: Sequence[int]) -> AntiInvariant:
     I = _check_face_index(phi.data, I)
     check_anti_invariant(phi, I)
     walls = _walls_outside(phi.data, I)
-    reps = {
-        nu: c for nu, c in phi.terms.items()
-        if all(weight_wall_value(phi.data, nu, i, phi.level) >= 1 for i in walls)
-    }
+    reps = {}
+    for nu, c in phi.terms.items():
+        values = _weight_walls(phi.data, nu, phi.level)
+        if all(values[i] >= 1 for i in walls):
+            reps[nu] = c
     return AntiInvariant._trusted(reps, phi.data, phi.level, I)
 
 

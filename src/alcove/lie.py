@@ -96,6 +96,10 @@ class LieType:
         if not ok:
             hint = " (use A3)" if (series == "D" and rank == 3) else ""
             raise InvalidLieTypeError(f"invalid Lie type {series}{rank}{hint}")
+        object.__setattr__(self, "_hash", rank << 8 | ord(series))  # read per cache lookup
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def parse(cls, text: str) -> "LieType":
@@ -150,32 +154,28 @@ def cartan_matrix(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
 
 def positive_roots_of_cartan(A: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Positive roots of a finite-type Cartan matrix, as coefficient vectors
-    over the simple roots, ordered by height."""
+    over the simple roots, ordered by height.
+
+    Each root b carries its weight coordinates A b, whose entry i is the
+    pairing <b, alpha_i_vee>.  b + alpha_i (add column i of A) is a root iff
+    the depth p of the alpha_i-string below b exceeds that pairing."""
     n = len(A)
-    seen = {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}
+    columns = [tuple(row[i] for row in A) for i in range(n)]
+    seen = {tuple(int(j == i) for j in range(n)): columns[i] for i in range(n)}
     frontier = sorted(seen)
     while frontier:
         new = []
         for b in frontier:
+            weight = seen[b]
             for i in range(n):
-                pairing = sum(b[j] * A[i][j] for j in range(n))
-                # alpha_i-string through b: depth p already enumerated, so
-                # b + alpha_i is a root iff p - pairing > 0
-                p = 0
-                cur = list(b)
-                while True:
-                    cur[i] -= 1
-                    if tuple(cur) in seen:
-                        p += 1
-                    else:
-                        break
-                if p - pairing > 0:
-                    up = list(b)
-                    up[i] += 1
-                    t = tuple(up)
-                    if t not in seen:
-                        seen.add(t)
-                        new.append(t)
+                p = 0  # the depth: b - (p + 1) alpha_i is a root
+                while p < b[i] and b[:i] + (b[i] - p - 1,) + b[i + 1 :] in seen:
+                    p += 1
+                if p > weight[i]:
+                    up = b[:i] + (b[i] + 1,) + b[i + 1 :]
+                    if up not in seen:
+                        seen[up] = tuple([x + c for x, c in zip(weight, columns[i])])
+                        new.append(up)
         frontier = sorted(new)
     return sorted(seen, key=lambda b: (sum(b), b))
 
@@ -477,6 +477,11 @@ def _check_face_index(data: LieData, I: Sequence[int]) -> FaceIndex:
     return I
 
 
+def _walls_outside(data: LieData, I: Sequence[int]) -> tuple[int, ...]:
+    """The nodes outside I: the walls of the cone of I, which generate W_I."""
+    return tuple([i for i in range(data.rank + 1) if i not in I])
+
+
 @dataclass(frozen=True)
 class FaceData:
     """Data attached to the alcove face Delta_I.
@@ -502,7 +507,7 @@ def face_data(data: LieData, I: Sequence[int]) -> FaceData:
         return cached
 
     n, h_vee = data.rank, data.dual_coxeter
-    comp = tuple(i for i in range(n + 1) if i not in I)
+    comp = _walls_outside(data, I)
     roots = [data.node_root[a] for a in comp]
     basis = tuple(data.node_coroot[a] for a in comp)
     sub = [[sum(map(mul, root, coroot)) for root in roots] for coroot in basis]
@@ -592,11 +597,7 @@ def weyl_elements(data: LieData, I: Sequence[int]) -> tuple[WeylElt, ...]:
     order = _bounded_weyl_order(data, I)
 
     n = data.rank
-    gens = {
-        i: _generator_map(data, i)
-        for i in range(n + 1)
-        if i not in I
-    }
+    gens = {i: _generator_map(data, i) for i in _walls_outside(data, I)}
     ident = WeylElt(
         word=(),
         sign=1,

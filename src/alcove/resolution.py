@@ -53,14 +53,17 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .affine import (
-    OrbitContext,
-    _reduce_scaled,
-    _scaled_crossing_length,
+from .affine import OrbitContext, _reduce_scaled, _scaled_crossing_length
+from .intlinalg import invariant_factors, kernel_basis, to_dense
+from .lie import (
+    FaceIndex,
+    LieData,
+    _check_face_index,
+    _frac_str,
+    _indented_json,
+    _scaled_walls,
     _walls_outside,
 )
-from .intlinalg import invariant_factors, kernel_basis, to_dense
-from .lie import FaceIndex, LieData, _check_face_index, _frac_str, _indented_json, _scaled_walls
 from .sparse import SparseElt, combine
 
 # (I, X): a node set and the numerators of an orbit point over the D of the

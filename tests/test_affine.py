@@ -12,6 +12,7 @@ from alcove.affine import (
     _reduce_scaled,
     _scaled_crossing_length,
     _walls_outside,
+    _weight_walls,
     affine_reflect_weight,
     cone_position,
     crossing_length,
@@ -24,6 +25,9 @@ from alcove.affine import (
     weight_wall_value,
     weyl_orbit,
 )
+from alcove.acceptance import RANK_LE_8
+from alcove.fusion import CharacterElt, FusionElt, LevelRepElt, in_level, is_dominant, level_weights
+from alcove.groupring import AntiInvariant, GroupRingElt, expand, to_cone_basis
 from alcove.lie import (
     _scaled_walls,
     apply_weight,
@@ -32,6 +36,7 @@ from alcove.lie import (
     pairing,
     weyl_elements,
 )
+from alcove import lie
 
 RANK_LE_2 = ["A1", "A2", "B2", "C2", "G2"]
 
@@ -780,3 +785,123 @@ def test_crossing_length_matches_fraction_oracle_off_the_orbit(name):
     for _ in range(80):
         x = tuple(F(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(d.rank))
         assert crossing_length(d, x) == fraction_crossing_length(d, x)
+
+
+# -- the one owner of weight wall values ----------------------------------------
+
+# Oracle: the body of weight_wall_value before _weight_walls owned the wall
+# values of weights, a dot product with the coroot of node i.
+
+
+def dot_wall_value(data, nu, i, m):
+    value = sum(a * b for a, b in zip(nu, data.node_coroot[i]))
+    return value + m if i == 0 else value
+
+
+def dot_walls(data, nu, m):
+    return tuple(dot_wall_value(data, nu, i, m) for i in range(data.rank + 1))
+
+
+def accepts(make):
+    try:
+        make()
+    except ValueError:
+        return False
+    return True
+
+
+def test_walls_outside_has_one_owner():
+    assert _walls_outside is lie._walls_outside
+    d = build_lie_data("B3")
+    assert _walls_outside(d, (0, 2)) == (1, 3)
+    assert _walls_outside(d, range(4)) == ()
+
+
+@pytest.mark.parametrize("name", RANK_LE_8)
+def test_weight_walls_match_dot_product_oracle(name):
+    d = build_lie_data(name)
+    rng = random.Random(f"weight walls {name}")
+    for _ in range(30):
+        nu = tuple(rng.randint(-6, 6) for _ in range(d.rank))
+        m = rng.randint(-3, 9)
+        expect = dot_walls(d, nu, m)
+        assert _weight_walls(d, nu, m) == _weight_walls(d, list(nu), m) == expect
+        i = rng.randint(0, d.rank)
+        assert weight_wall_value(d, nu, i, m) == expect[i]
+
+
+@pytest.mark.parametrize("name", RANK_LE_8)
+def test_cone_tests_match_dot_product_oracle(name):
+    """Dominance, level, cone and regularity tests, each on the weights of a
+    seeded random sample, negatives included, against the dot-product walls."""
+    d = build_lie_data(name)
+    rng = random.Random(f"cone tests {name}")
+    nodes = range(d.rank + 1)
+    for _ in range(30):
+        nu = tuple(rng.randint(-3, 4) for _ in range(d.rank))
+        k = rng.randint(0, 4)
+        m = k + d.dual_coxeter
+        walls = dot_walls(d, nu, k)
+        dominant = all(walls[i] >= 0 for i in nodes if i)
+        level = all(v >= 0 for v in walls)
+        assert is_dominant(d, nu) == accepts(lambda: CharacterElt(d, {nu: 1})) == dominant
+        assert in_level(d, nu, k) == accepts(lambda: FusionElt(d, k, {nu: 1})) == level
+        I = tuple(sorted(rng.sample(nodes, rng.randint(1, d.rank + 1))))
+        outside = [i for i in nodes if i not in I]
+        in_cone = all(walls[i] >= 0 for i in outside)
+        assert accepts(lambda: LevelRepElt(d, I, k, {nu: 1})) == in_cone
+        regular = all(dot_wall_value(d, nu, i, m) >= 1 for i in outside)
+        assert accepts(lambda: AntiInvariant(d, m, I, {nu: 1})) == regular
+        if len(outside) <= d.rank and not all(dot_wall_value(d, nu, i, m) >= 0 for i in outside):
+            with pytest.raises(ValueError, match="outside the closed cone"):
+                weyl_orbit(d, nu, m, outside)
+    k = 2 if d.rank <= 4 else 1
+    box = itertools.product(range(k + 1), repeat=d.rank)
+    assert level_weights(d, k) == [nu for nu in box if min(dot_walls(d, nu, k)) >= 0]
+
+
+@pytest.mark.parametrize("name", RANK_LE_2)
+def test_weyl_orbit_and_cone_basis_match_dot_product_oracle(name):
+    """weyl_orbit walks from a point exactly when the oracle puts it in the
+    closed cone, and to_cone_basis of a sum of signed orbits keeps exactly
+    the terms the oracle calls regular."""
+    d = build_lie_data(name)
+    rng = random.Random(f"cone basis {name}")
+    for I in all_faces(d):
+        outside = [i for i in range(d.rank + 1) if i not in I]
+        if len(outside) > d.rank:
+            continue
+        m = rng.randint(0, 5)
+        phi = GroupRingElt(d, m)
+        for _ in range(10):
+            nu = tuple(rng.randint(-4, 4) for _ in range(d.rank))
+            closed = all(dot_wall_value(d, nu, i, m) >= 0 for i in outside)
+            assert accepts(lambda: weyl_orbit(d, nu, m, outside)) == closed
+            if all(dot_wall_value(d, nu, i, m) >= 1 for i in outside):
+                phi = phi + GroupRingElt(d, m, weyl_orbit(d, nu, m, outside))
+        regular = {w: c for w, c in phi.terms.items()
+                   if all(dot_wall_value(d, w, i, m) >= 1 for i in outside)}
+        assert to_cone_basis(phi, I).terms == regular
+        assert expand(to_cone_basis(phi, I)) == phi
+
+
+def test_weight_walls_refuse_what_is_not_a_weight():
+    d = build_lie_data("A2")
+    for bad in [(1,), (1, 0, 0), (), (1.0, 0), (0, 0.5), (F(1), 0), (F(1, 2), 1)]:
+        with pytest.raises(ValueError):
+            _weight_walls(d, bad, 1)
+        with pytest.raises(ValueError):
+            weight_wall_value(d, bad, 1, 1)
+    with pytest.raises(ValueError, match="coordinates, not 2"):
+        _weight_walls(d, (1, 0, 0), 1)
+    with pytest.raises(ValueError, match="not an int"):
+        _weight_walls(d, (1.0, 0), 1)
+    with pytest.raises(ValueError, match="out of range"):
+        weight_wall_value(d, (1, 0), 3, 1)
+    for bad in [(1,), (1.5, 0)]:
+        with pytest.raises(ValueError):
+            affine_reflect_weight(d, 1, bad, 1)
+        with pytest.raises(ValueError):
+            weyl_orbit(d, bad, 1, (1,))
+        with pytest.raises(ValueError):
+            dominantize(d, bad, 1)

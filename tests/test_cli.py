@@ -50,6 +50,14 @@ def test_fusion_out_of_level(capsys):
     assert "level" in err
 
 
+def test_fusion_weight_checks_are_the_library_checks(capsys):
+    assert run(capsys, "fusion", "A1", "-k", "2", "5", "1") == (
+        3, "", "error: (5,) is not a level-2 weight\n")
+    assert run(capsys, "fusion", "A2", "-k", "1", "0,0", "1,1") == (
+        3, "", "error: (1, 1) is not a level-1 weight\n")
+    assert run(capsys, "fusion-table", "A1", "-k", "-1") == (3, "", "error: level must be >= 0\n")
+
+
 def test_fusion_bad_weight(capsys):
     code, _, _ = run(capsys, "fusion", "A1", "-k", "2", "x", "1")
     assert code == 2

@@ -29,8 +29,8 @@ from alcove.fusion import (
     weight_multiplicities,
     weyl_dimension,
 )
-from alcove.affine import weight_wall_value, weyl_orbit
-from alcove.groupring import AntiInvariant, reskew_to
+from alcove.affine import dominantize_terms, weight_wall_value, weyl_orbit
+from alcove.groupring import AntiInvariant, GroupRingElt, reskew_to
 from alcove.lie import (
     _check_face_index,
     alcove_face_of,
@@ -180,7 +180,8 @@ def test_weyl_dimension_hit_skips_checks(monkeypatch):
     a2 = build_lie_data("A2")
     assert weyl_dimension(a2, (2, 1)) == 15
     calls = []
-    monkeypatch.setattr(fusion, "_check_weight", lambda *a: calls.append(a))
+    for name in ("_check_dominant", "is_dominant", "_weight_walls"):
+        monkeypatch.setattr(fusion, name, lambda *a: calls.append(a))
     assert weyl_dimension(a2, (2, 1)) == 15
     assert calls == []
 
@@ -211,8 +212,8 @@ def test_tensor_decompose_hit_skips_checks(monkeypatch):
     a2 = build_lie_data("A2")
     expect = tensor_decompose(a2, (2, 1), (0, 1))
     calls = []
-    monkeypatch.setattr(fusion, "_check_weight", lambda *a: calls.append(a))
-    monkeypatch.setattr(fusion, "is_dominant", lambda *a: calls.append(a))
+    for name in ("_check_dominant", "is_dominant", "_weight_walls"):
+        monkeypatch.setattr(fusion, name, lambda *a: calls.append(a))
     assert tensor_decompose(a2, (0, 1), (2, 1)) == expect
     assert calls == []
 
@@ -824,3 +825,99 @@ def test_fusion_character_value_diagonalizes_products():
         lhs = fusion_character_value(prod, nu)
         rhs = fusion_character_value(a, nu) * fusion_character_value(b, nu)
         assert abs(lhs - rhs) < 1e-9
+
+
+# -- weights are checked once where they enter -----------------------------------
+
+A2_ELEMENTS = {
+    "CharacterElt": lambda d, w: CharacterElt(d, {w: 1}),
+    "FusionElt": lambda d, w: FusionElt(d, 2, {w: 1}),
+    "LevelRepElt": lambda d, w: LevelRepElt(d, (0, 1), 1, {w: 1}),
+    "GroupRingElt": lambda d, w: GroupRingElt(d, 4, {w: 1}),
+    "AntiInvariant": lambda d, w: AntiInvariant(d, 4, (0, 1), {w: 1}),
+}
+
+
+@pytest.mark.parametrize("cls", sorted(A2_ELEMENTS))
+def test_weight_keyed_elements_refuse_wrong_rank_and_non_int_keys(cls):
+    """Each weight-keyed element class refuses a short and a long key, and
+    a key with a float or Fraction coordinate, integral or not; the zip of
+    a dot product once let a long key through and truncated a short one."""
+    d, make = build_lie_data("A2"), A2_ELEMENTS[cls]
+    assert make(d, (1, 1)).terms == {(1, 1): 1}
+    for bad in [(0,), (1,), (0, 0, 5), (1, 0, 0), (0.5, 0.5), (1.0, 1), (1, F(1)), (F(1, 2), 1)]:
+        with pytest.raises(ValueError):
+            make(d, bad)
+
+
+def test_quotient_map_never_sees_a_wrong_rank_character():
+    a2 = build_lie_data("A2")
+    for bad in [(1, 0, 0), (1,)]:
+        with pytest.raises(ValueError, match="coordinates, not 2"):
+            quotient_map(CharacterElt(a2, {bad: 1}), 1)
+
+
+def test_non_integral_weights_are_refused_not_truncated():
+    a2 = build_lie_data("A2")
+    cases = [
+        lambda: weyl_dimension(a2, (1.5, 0)),
+        lambda: CharacterElt.chi(a2, (1.9, 0)),
+        lambda: special_point(a2, (0.7, 0), 1),
+        lambda: FusionElt(a2, 1, {(0.5, 0.5): 1}),
+        lambda: dominant_weight_multiplicities(a2, (F(1, 2), 0)),
+        lambda: weight_multiplicities(a2, (0.5, 0)),
+        lambda: tensor_decompose(a2, (1, 0), (0, 1.5)),
+        lambda: fusion_character_value(fusion_unit(a2, 1), (0.5, 0)),
+    ]
+    for case in cases:
+        with pytest.raises(ValueError, match="not an int"):
+            case()
+    assert CharacterElt.chi(a2, [1, 0]) == CharacterElt.chi(a2, iter((1, 0)))
+    assert special_point(a2, [1, 0], 1) == special_point(a2, (1, 0), 1)
+
+
+def test_weight_check_messages():
+    a2 = build_lie_data("A2")
+    with pytest.raises(ValueError, match=r"^\(0, -1\) is not dominant$"):
+        tensor_decompose(a2, (1, 0), (0, -1))
+    with pytest.raises(ValueError, match=r"^\(2, 0\) is not a level-1 weight$"):
+        special_point(a2, (2, 0), 1)
+
+
+# -- the fusion ring axioms at every small type and level -------------------------
+
+def ordered_kac_walton(data, k, a, b):
+    """N_ab^c with the weights of V_b added to a: the factors are never
+    swapped and no product cache is read, so commutativity is a check."""
+    terms = {tuple(x + y for x, y in zip(a, tau)): m
+             for tau, m in weight_multiplicities(data, b).items()}
+    return dominantize_terms(data, terms, k + data.dual_coxeter, range(data.rank + 1), 1)
+
+
+def test_fusion_ring_axioms_at_every_small_type_and_level():
+    """Every type of rank <= 3 at every level <= 3, on all ordered pairs of
+    basis weights: commutative constants N_ab^c >= 0, the unit, a unique
+    dual a* with N_{a a*}^0 = 1, an involution, and associativity on seeded
+    random triples."""
+    rng = random.Random(20261018)
+    for t, k in itertools.product(["A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3"], range(4)):
+        d = build_lie_data(t)
+        basis = level_weights(d, k)
+        zero = (0,) * d.rank
+        elt = {a: FusionElt(d, k, {a: 1}) for a in basis}
+        dual = {}
+        for a in basis:
+            assert fusion_product(fusion_unit(d, k), elt[a]) == elt[a]
+            for b in basis:
+                N = ordered_kac_walton(d, k, a, b)
+                assert N == ordered_kac_walton(d, k, b, a) == fusion_product(elt[a], elt[b]).terms
+                assert all(c in elt and n > 0 for c, n in N.items()), (t, k, a, b)
+                assert N.get(zero, 0) in (0, 1)
+                if N.get(zero):
+                    assert a not in dual, (t, k, a)
+                    dual[a] = b
+        assert set(dual) == set(basis)
+        assert all(dual[dual[a]] == a for a in basis)
+        for _ in range(20):
+            a, b, c = (elt[rng.choice(basis)] for _ in range(3))
+            assert fusion_product(fusion_product(a, b), c) == fusion_product(a, fusion_product(b, c))

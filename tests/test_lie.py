@@ -2,6 +2,7 @@ import ast
 import itertools
 import json
 import math
+import pickle
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -15,12 +16,14 @@ from alcove.lie import (
     LieType,
     OutsideAlcoveError,
     _indented_json,
+    _walls_outside,
     alcove_face_of,
     apply_weight,
     b_flat,
     b_sharp,
     basic_pairing,
     build_lie_data,
+    cartan_matrix,
     face_data,
     lie_data_to_json,
     pairing,
@@ -54,6 +57,11 @@ def test_parse_basic():
     assert LieType.parse("A1") == LieType("A", 1)
     assert LieType.parse("g2") == LieType("G", 2)
     assert str(LieType.parse("e8")) == "E8"
+    # the stored hash: equal types hash alike, also after a pickle round trip
+    types = [LieType.parse(t) for t in ("A1", "a1", "A2", "B2", "C2", "A300", "D300")]
+    assert len({hash(t) for t in types}) == len(set(types)) == 6
+    assert all(pickle.loads(pickle.dumps(t)) == t and hash(pickle.loads(pickle.dumps(t))) == hash(t)
+               for t in types)
 
 
 @pytest.mark.parametrize("bad", ["X9", "A0", "B1", "C1", "D3", "D2", "E9", "F5", "G3", "A", "12"])
@@ -665,3 +673,52 @@ def test_no_json_dumps_call_indents():
             if name in {"dump", "dumps"} and any(kw.arg == "indent" for kw in node.keywords):
                 offenders.append((path.name, node.lineno))
     assert offenders == []
+
+
+# -- root enumeration against the pairing sums it replaced ---------------------
+
+# Oracle: the body of positive_roots_of_cartan before each root carried its
+# weight coordinates, summing a Cartan row per root and node.
+
+
+def row_sum_positive_roots(A):
+    n = len(A)
+    seen = {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}
+    frontier = sorted(seen)
+    while frontier:
+        new = []
+        for b in frontier:
+            for i in range(n):
+                pairing = sum(b[j] * A[i][j] for j in range(n))
+                p = 0
+                cur = list(b)
+                while True:
+                    cur[i] -= 1
+                    if tuple(cur) in seen:
+                        p += 1
+                    else:
+                        break
+                if p - pairing > 0:
+                    up = list(b)
+                    up[i] += 1
+                    t = tuple(up)
+                    if t not in seen:
+                        seen.add(t)
+                        new.append(t)
+        frontier = sorted(new)
+    return sorted(seen, key=lambda b: (sum(b), b))
+
+
+@pytest.mark.parametrize("name", ALL_RANK_LE_8 + ["A12", "B11", "D10"])
+def test_positive_roots_match_row_sum_oracle(name):
+    """The roots of the type and of the subsystem of every face of size <= 2
+    (reducible ones included) match the oracle, in the same order."""
+    A = cartan_matrix(LieType.parse(name))
+    assert positive_roots_of_cartan(A) == row_sum_positive_roots(A)
+    d = build_lie_data(name)
+    for I in itertools.chain(itertools.combinations(range(d.rank + 1), 1),
+                             itertools.combinations(range(d.rank + 1), 2)):
+        comp = _walls_outside(d, I)
+        sub = [[sum(x * y for x, y in zip(d.node_root[b], d.node_coroot[a])) for b in comp]
+               for a in comp]
+        assert positive_roots_of_cartan(sub) == row_sum_positive_roots(sub), I
