@@ -15,22 +15,22 @@ A weight is a tuple of l ints, its fundamental-weight coordinates.  Its wall
 values at nodes 0..l have one owner, _weight_walls: nu[i-1] at node i >= 1
 and m - <nu, theta_vee> at node 0.  Every level, cone and dominance test
 reads them there, and a non-weight is refused there with ValueError.  Only
-the trusted loops over weights the library built (_walk, the weyl_orbit step,
-fusion's dominant-weight search) read coordinates themselves.  The walls of
-the cone of a face index I, the nodes outside I, are lie._walls_outside.
+the trusted loops over weights the library built (dominantize_terms, the
+weyl_orbit step, fusion's dominant-weight search) read coordinates
+themselves.  The walls of the cone of a face index I, the nodes outside I,
+are lie._walls_outside; a caller's wall list is checked by _wall_list.
 
-Two greedy loops ("reflect at the lowest violated listed wall") do every
-reduction.  On weights, the walk _walk keeps the node-0 wall value up to date,
-moving it by c <alpha_i, theta_vee> (LieData.theta_pairing) on each reflection
-instead of recomputing a dot product.  dominantize_terms sorts its walls once
-and walks every term, with an optional rho shift, for every weight-side map of
-the library; dominantize_walls is the same walk for one weight.  On Cartan
-points, _reduce_scaled works on integer numerators X over one common
-denominator D: a wall value is the integer sum root * X (plus D at node 0), a
-reflection is X -> X - c * coroot, and D never changes.  Like _walk, it
-reports whether its image lies on a listed wall, from its last pass.  It stays
-a separate loop because its wall values are dot products at every node, which
-the weight walk avoids.
+One greedy loop, _reduce, does every reduction ("reflect at the lowest
+violated listed wall").  It walks a vector that starts with the l+1 wall
+values: a reflection at node i with wall value c subtracts c times row i of
+a LieData table, so no wall value is recomputed inside the loop.  A weight
+enters as (c0, *nu) and reflects by weight_table, the columns of the
+extended Cartan matrix; a point X / D (integer numerators over one
+denominator) enters _reduce_scaled as lie._scaled_walls(X, D) followed by X
+and reflects by point_table, the rows followed by the coroot.  The image is
+the tail of the vector, and D never changes.  dominantize_terms builds the
+start once per term, with an optional rho shift, for every weight-side map
+of the library; dominantize_walls reduces one weight.
 
 weyl_orbit walks the other way: from a weight in the closed cone of the
 listed walls (at most l of them, so the group is finite) it reflects only
@@ -114,50 +114,42 @@ def affine_reflect_weight(data: LieData, i: int, nu: Sequence[int], m: int) -> W
     return tuple(x - c * r for x, r in zip(nu, root))
 
 
-def _walk(
-    data: LieData, out: list[int], m: int, node0: bool, nodes: Sequence[int]
-) -> SignedWeight:
-    """The greedy weight reduction, at the walls given as node0 (whether
-    node 0 is listed) and the sorted listed nodes i >= 1.
+def _wall_list(data: LieData, walls: Iterable[int], m: int) -> list[int]:
+    """The listed walls sorted, each once.  ValueError for a node outside
+    0..l, or for all l+1 walls at a level m < 1: they bound a fundamental
+    domain only at m >= 1, and a reduction there would never end."""
+    walls = sorted(set(walls))
+    if walls and (walls[0] < 0 or walls[-1] > data.rank):
+        raise ValueError(f"wall list {walls} has a node outside 0..{data.rank}")
+    if m < 1 and len(walls) > data.rank:
+        raise ValueError("level must be >= 1")
+    return walls
 
-    In fundamental-weight coordinates alpha_i_vee pairs with nu as the
-    coordinate nu[i-1] for i >= 1, so those wall values are read off the
-    coordinates.  Only node 0 needs the comarks: its wall value
-    c0 = m - <nu, theta_vee> is computed once, and a reflection
-    nu -> nu - c alpha_i moves it by c <alpha_i, theta_vee>.  Each pass
-    reflects at the lowest violated listed wall.  Sign is 0 if the result
-    lies on a listed wall (a zero wall value in the final pass), otherwise
-    the parity of the number of reflections performed.
+
+def _reduce(
+    vec: Sequence[int], rows: Sequence[Sequence[int]], walls: Sequence[int]
+) -> tuple[Sequence[int], list[int], bool]:
+    """The greedy reduction: reflect at the lowest violated listed wall until
+    no listed wall value is negative.
+
+    vec starts with the l+1 wall values; a reflection at node i with wall
+    value c subtracts c * rows[i] from all of vec.  Returns (vec, word,
+    whether the image lies on a listed wall), the last read off the final
+    pass.  vec itself is never changed.
     """
-    node_root = data.node_root
-    if node0:
-        theta, c0 = data.theta_pairing, m - sum(map(mul, data.comarks, out))
-    else:
-        theta, c0 = (0,) * len(node_root), 0  # c0 stays 0, node 0 unread
-    count = 0
+    word: list[int] = []
     while True:
-        if c0 < 0:
-            out = [x - c0 * r for x, r in zip(out, node_root[0])]
-            c0 += c0 * theta[0]
-            count += 1
-            continue
-        on_wall = node0 and not c0
-        for i in nodes:
-            c = out[i - 1]
+        on_wall = False
+        for i in walls:
+            c = vec[i]
             if c < 0:
-                out = [x - c * r for x, r in zip(out, node_root[i])]
-                c0 += c * theta[i]
-                count += 1
+                vec = [v - c * r for v, r in zip(vec, rows[i])]
+                word.append(i)
                 break
             if c == 0:
                 on_wall = True
         else:
-            return SignedWeight(tuple(out), 0 if on_wall else (-1) ** count, count)
-
-
-def _split_walls(walls: list[int]) -> tuple[bool, list[int]]:
-    """A sorted wall list as (node 0 listed, the listed nodes i >= 1)."""
-    return walls[:1] == [0], [i for i in walls if i]
+            return vec, word, on_wall
 
 
 def dominantize_walls(
@@ -167,9 +159,13 @@ def dominantize_walls(
     by greedy reflection at the lowest violated wall.
 
     Sign is 0 if the result lies on one of the listed walls, otherwise the
-    parity of the number of reflections performed.
+    parity of the number of reflections performed.  ValueError for a
+    non-weight, a wall outside 0..l, or all l+1 walls at a level m < 1.
     """
-    return _walk(data, list(nu), m, *_split_walls(sorted(walls)))
+    walls = _wall_list(data, walls, m)
+    vec, word, on_wall = _reduce(_weight_walls(data, nu, m), data.weight_table, walls)
+    count = len(word)
+    return SignedWeight(tuple(vec[1:]), 0 if on_wall else (-1) ** count, count)
 
 
 def dominantize_terms(
@@ -178,18 +174,19 @@ def dominantize_terms(
     """Sum of sign * c at rep - shift over the terms c * nu, where (rep, sign)
     reduces nu + shift * rho into the cone of the listed walls at level m;
     terms landing on a wall drop out.  shift is 1 for the rho-shifted action
-    (quotient map, induction, Klimyk) and 0 for the level-m action.  All l+1
-    walls bound a fundamental domain only at level m >= 1."""
-    walls = sorted(walls)
-    if m < 1 and len(walls) > data.rank:
-        raise ValueError("level must be >= 1")
-    node0, nodes = _split_walls(walls)
+    (quotient map, induction, Klimyk) and 0 for the level-m action.  The
+    walls are checked as in dominantize_walls."""
+    walls = _wall_list(data, walls, m)
+    rows, comarks = data.weight_table, data.comarks
+    # <rho, theta_vee> = h_vee - 1
+    m0 = m - shift * (data.dual_coxeter - 1)
     out: dict[Weight, int] = {}
     for nu, c in terms.items():
-        rep, sign, _ = _walk(data, [x + shift for x in nu], m, node0, nodes)
-        if sign:
-            key = tuple([x - shift for x in rep]) if shift else rep
-            out[key] = out.get(key, 0) + sign * c
+        start = [m0 - sum(map(mul, comarks, nu)), *[x + shift for x in nu]]
+        vec, word, on_wall = _reduce(start, rows, walls)
+        if not on_wall:
+            key = tuple([x - shift for x in vec[1:]] if shift else vec[1:])
+            out[key] = out.get(key, 0) + (-1) ** len(word) * c
     return {w: c for w, c in out.items() if c}
 
 
@@ -201,16 +198,16 @@ def weyl_orbit(
 
     The walk goes down from nu: it reflects at a listed wall only where the
     wall value c is positive, moving the point by -c alpha_i.  At a node
-    i >= 1 the wall value is the coordinate w[i-1], as in _walk.  Every
-    orbit point is reached, because a point outside the cone has a negative
-    wall value and reflecting there leads back towards nu.  Every path to a
-    point has the same length, the length of the shortest element carrying
-    nu there, so its sign (-1)^depth is well defined; on a free orbit it is
-    sign(w).  Keys are in walk order, by depth.  Raises ValueError if nu is
-    outside the closed cone, or if all l+1 walls are listed (that group is
-    infinite).
+    i >= 1 the wall value is the coordinate w[i-1].  Every orbit point is
+    reached, because a point outside the cone has a negative wall value and
+    reflecting there leads back towards nu.  Every path to a point has the
+    same length, the length of the shortest element carrying nu there, so
+    its sign (-1)^depth is well defined; on a free orbit it is sign(w).
+    Keys are in walk order, by depth.  Raises ValueError if nu is outside
+    the closed cone, if a wall is outside 0..l, or if all l+1 walls are
+    listed (that group is infinite).
     """
-    walls = sorted(set(walls))
+    walls = _wall_list(data, walls, m)
     if len(walls) > data.rank:
         raise ValueError("all l+1 walls generate an infinite group")
     nu = tuple(nu)
@@ -236,10 +233,8 @@ def weyl_orbit(
 
 
 def dominantize(data: LieData, nu: Sequence[int], m: int) -> SignedWeight:
-    """Reduce a weight into the closed level-m alcove region (walls 0..l), m >= 1."""
-    if m < 1:
-        raise ValueError("level must be >= 1")
-    _weight_walls(data, nu, m)
+    """Reduce a weight into the closed level-m alcove region (walls 0..l);
+    ValueError unless m >= 1."""
     return dominantize_walls(data, nu, m, range(data.rank + 1))
 
 
@@ -250,31 +245,16 @@ def dominantize(data: LieData, nu: Sequence[int], m: int) -> SignedWeight:
 def _reduce_scaled(
     data: LieData, X: Sequence[int], D: int, walls: Sequence[int]
 ) -> tuple[tuple[int, ...], list[int], bool]:
-    """Greedy reflection of X / D at the lowest violated listed wall until no
-    listed wall value is negative.  Returns (image numerators, word, whether
-    the image lies on a listed wall), the last read off the final pass.
+    """Greedy reflection of X / D at the lowest violated wall of the sorted
+    list walls until no listed wall value is negative.  Returns (image
+    numerators, word, whether the image lies on a listed wall).
 
-    The scaled wall value c = D times the wall value at X / D is the integer
-    sum root * X, plus D at node 0.  The reflection
-    xi -> xi - (c / D) * coroot is X -> X - c * coroot on numerators, so the
-    denominator D never changes.
+    The point enters _reduce as D times its wall values followed by X: a
+    reflection xi -> xi - (c / D) * coroot is X -> X - c * coroot on
+    numerators, so the denominator D never changes.
     """
-    node_root, node_coroot = data.node_root, data.node_coroot
-    word: list[int] = []
-    while True:
-        on_wall = False
-        for i in walls:
-            c = sum(map(mul, node_root[i], X))
-            if i == 0:
-                c += D
-            if c < 0:
-                X = [x - c * g for x, g in zip(X, node_coroot[i])]
-                word.append(i)
-                break
-            if c == 0:
-                on_wall = True
-        else:
-            return tuple(X), word, on_wall
+    vec, word, on_wall = _reduce([*_scaled_walls(data, X, D), *X], data.point_table, walls)
+    return tuple(vec[data.rank + 1 :]), word, on_wall
 
 
 def _scaled_crossing_length(data: LieData, X: Sequence[int], D: int) -> int:

@@ -30,8 +30,9 @@ Conventions, fixed once and used everywhere:
 
 Scaled points xi = X / D, integer numerators over one denominator D > 0
 (_scaled), have one owner here: D times their wall values (_scaled_walls) and
-their face (_scaled_face) feed every face, cone and key test, and only the
-greedy reduction affine._reduce_scaled computes wall values itself.
+their face (_scaled_face) feed every face, cone and key test and start every
+greedy reduction of a point (affine._reduce), so no other place computes the
+wall values of a point.
 
 weyl_elements lists a W_I as integer affine maps on weights.  No library
 path calls it: alternating sums over W_I walk signed orbits
@@ -256,7 +257,12 @@ class LieData:
                       denominator) pairs
       node_root       weight coordinates of alpha_i for nodes i = 0..l
       node_coroot     coroot coordinates of alpha_i_vee for nodes i = 0..l
-      theta_pairing   <alpha_i, theta_vee> for nodes i = 0..l
+      weight_table    row i: <alpha_i, alpha_j_vee> for j = 0..l, column i of
+                      the extended Cartan matrix; a weight's wall values
+                      move by -c times it under reflection at node i
+      point_table     row i: <alpha_j, alpha_i_vee> for j = 0..l, row i of
+                      the extended Cartan matrix, then node_coroot[i]; a
+                      point's wall values and numerators move by -c times it
       alcove_vertices vertex i of the fundamental alcove, i = 0..l
     """
 
@@ -276,7 +282,8 @@ class LieData:
     gram_weight_scaled: ScaledMatrix
     node_root: tuple[Weight, ...]
     node_coroot: tuple[tuple[int, ...], ...]
-    theta_pairing: tuple[int, ...]
+    weight_table: tuple[tuple[int, ...], ...]
+    point_table: tuple[tuple[int, ...], ...]
     alcove_vertices: tuple[CartanPoint, ...]
     _face_cache: dict = field(default_factory=dict, compare=False, repr=False)
     _weyl_cache: dict = field(default_factory=dict, compare=False, repr=False)
@@ -348,6 +355,8 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
     node_coroot = (tuple(-c for c in comarks),) + tuple(
         tuple(1 if j == s else 0 for j in range(n)) for s in range(n)
     )
+    # the extended Cartan matrix, [i][j] = <alpha_j, alpha_i_vee> at nodes 0..l
+    ext = [tuple([sum(map(mul, root, coroot)) for root in node_root]) for coroot in node_coroot]
 
     vertices = [(Fraction(0),) * n]
     for s in range(n):
@@ -370,7 +379,8 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
         gram_weight_scaled=gram_weight_scaled,
         node_root=node_root,
         node_coroot=node_coroot,
-        theta_pairing=tuple(sum(c * r for c, r in zip(comarks, root)) for root in node_root),
+        weight_table=tuple(zip(*ext)),
+        point_table=tuple(row + coroot for row, coroot in zip(ext, node_coroot)),
         alcove_vertices=tuple(vertices),
     )
     _DATA_CACHE[lie_type] = _DATA_CACHE[key] = data

@@ -53,7 +53,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .affine import OrbitContext, _reduce_scaled, _scaled_crossing_length
+from .affine import OrbitContext, _reduce, _reduce_scaled, _scaled_crossing_length
 from .intlinalg import invariant_factors, kernel_basis, to_dense
 from .lie import (
     FaceIndex,
@@ -212,14 +212,19 @@ class OrbitComplex:
         pair: one that has passed _check_key, or one that basis_elements
         built.  The faces are distinct, one per dropped node at most."""
         I, x = key
-        faces, walls = {}, self._walls
+        data, faces, walls = self.data, {}, self._walls
+        # one start vector of _reduce_scaled for every dropped node; an
+        # image is the tail of the reduced vector, or x itself if unmoved
+        start = _scaled_walls(data, x, self.D)  # a fresh list
+        start += x
+        rows, tail = data.point_table, data.rank + 1
         for r in range(len(I)):
             sub = I[:r] + I[r + 1 :]
             if sub not in walls:
-                walls[sub] = _walls_outside(self.data, sub)
-            image, word, on_wall = _reduce_scaled(self.data, x, self.D, walls[sub])
+                walls[sub] = _walls_outside(data, sub)
+            vec, word, on_wall = _reduce(start, rows, walls[sub])
             if not on_wall:
-                faces[(sub, image)] = (-1) ** (r + len(word))
+                faces[(sub, tuple(vec[tail:]) if word else x)] = (-1) ** (r + len(word))
         self._faces[key] = faces
         return faces
 

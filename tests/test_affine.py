@@ -1,7 +1,12 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +14,7 @@ from alcove.affine import (
     OrbitContext,
     OrbitPoint,
     SignedWeight,
+    _reduce,
     _reduce_scaled,
     _scaled_crossing_length,
     _walls_outside,
@@ -905,3 +911,162 @@ def test_weight_walls_refuse_what_is_not_a_weight():
             weyl_orbit(d, bad, 1, (1,))
         with pytest.raises(ValueError):
             dominantize(d, bad, 1)
+
+
+# -- the one greedy loop against the two it replaced ------------------------------
+
+# Oracles: the bodies of the weight walk _walk (with its wall split) and of
+# the point reduction _reduce_scaled before both became one loop over a vector
+# of wall values.  theta_pairing was a LieData field then.
+
+
+def theta_pairing(data):
+    return tuple(sum(c * r for c, r in zip(data.comarks, root)) for root in data.node_root)
+
+
+def split_walk(data, out, m, walls):
+    walls = sorted(walls)
+    return head_walk(data, out, m, walls[:1] == [0], [i for i in walls if i])
+
+
+def head_walk(data, out, m, node0, nodes):
+    node_root = data.node_root
+    if node0:
+        theta, c0 = theta_pairing(data), m - sum(map(mul, data.comarks, out))
+    else:
+        theta, c0 = (0,) * len(node_root), 0  # c0 stays 0, node 0 unread
+    count = 0
+    while True:
+        if c0 < 0:
+            out = [x - c0 * r for x, r in zip(out, node_root[0])]
+            c0 += c0 * theta[0]
+            count += 1
+            continue
+        on_wall = node0 and not c0
+        for i in nodes:
+            c = out[i - 1]
+            if c < 0:
+                out = [x - c * r for x, r in zip(out, node_root[i])]
+                c0 += c * theta[i]
+                count += 1
+                break
+            if c == 0:
+                on_wall = True
+        else:
+            return SignedWeight(tuple(out), 0 if on_wall else (-1) ** count, count)
+
+
+def head_reduce_scaled(data, X, D, walls):
+    node_root, node_coroot = data.node_root, data.node_coroot
+    word = []
+    while True:
+        on_wall = False
+        for i in walls:
+            c = sum(map(mul, node_root[i], X))
+            if i == 0:
+                c += D
+            if c < 0:
+                X = [x - c * g for x, g in zip(X, node_coroot[i])]
+                word.append(i)
+                break
+            if c == 0:
+                on_wall = True
+        else:
+            return tuple(X), word, on_wall
+
+
+def one_loop_wall_sets(data):
+    """Walls 1..l, all l+1 walls, and up to rank 3 the walls outside every
+    face that has some."""
+    nodes = range(data.rank + 1)
+    sets = [tuple(nodes[1:]), tuple(nodes)]
+    if data.rank <= 3:
+        sets += [_walls_outside(data, I) for I in all_faces(data) if len(I) <= data.rank]
+    return sets
+
+
+@pytest.mark.parametrize("name", RANK_LE_8)
+def test_one_loop_matches_weight_walk_oracle(name):
+    """Image, word length, sign and on-wall flag of seeded weights, negatives
+    included: at level 0 on walls 1..l, at every level 1..h_vee + 3 on all
+    l+1 walls, and on the walls outside every face up to rank 3.  The
+    rho-shifted start of dominantize_terms agrees too."""
+    d = build_lie_data(name)
+    rng = random.Random(f"one loop weights {name}")
+    cases = [(0, tuple(range(1, d.rank + 1)))]
+    cases += [(m, tuple(range(d.rank + 1))) for m in range(1, d.dual_coxeter + 4)]
+    cases += [(rng.randint(0, 6), walls) for walls in one_loop_wall_sets(d)[2:]]
+    for m, walls in cases:
+        for _ in range(3):
+            nu = tuple(rng.randint(-6, 6) for _ in range(d.rank))
+            expect = split_walk(d, list(nu), m, walls)
+            vec, word, on_wall = _reduce(_weight_walls(d, nu, m), d.weight_table, walls)
+            assert (tuple(vec[1:]), len(word), on_wall) == (
+                expect.weight, expect.word_length, expect.sign == 0), (nu, m, walls)
+            assert dominantize_walls(d, nu, m, walls) == expect
+            rep, sign, _ = split_walk(d, [x + 1 for x in nu], m, walls)
+            shifted = {tuple(x - 1 for x in rep): sign} if sign else {}
+            assert dominantize_terms(d, {nu: 1}, m, walls, 1) == shifted
+
+
+@pytest.mark.parametrize("name", RANK_LE_8)
+def test_one_loop_matches_point_reduction_oracle(name):
+    """Image numerators, word and on-wall flag of seeded lattice points X / D,
+    negatives included, on walls 1..l, on all l+1 walls and on the walls
+    outside every face up to rank 3."""
+    d = build_lie_data(name)
+    rng = random.Random(f"one loop points {name}")
+    for walls in one_loop_wall_sets(d):
+        for _ in range(10):
+            D = rng.randint(1, 12)
+            X = tuple(rng.randint(-5 * D, 5 * D) for _ in range(d.rank))
+            assert _reduce_scaled(d, X, D, walls) == head_reduce_scaled(d, X, D, walls), (X, D)
+
+
+def test_wall_lists_are_checked_where_they_enter():
+    d = build_lie_data("A2")
+    for walls in [(-1,), (3,), (0, 1, 3), (-1, 1)]:
+        with pytest.raises(ValueError, match="has a node outside 0..2"):
+            dominantize_walls(d, (1, 1), 3, walls)
+        with pytest.raises(ValueError, match="has a node outside 0..2"):
+            dominantize_terms(d, {(-2, 1): 1}, 3, walls, 0)
+        with pytest.raises(ValueError, match="has a node outside 0..2"):
+            weyl_orbit(d, (1, 1), 3, walls)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            dominantize_walls(d, (1, 0), m, [2, 1, 0])
+    # a repeated wall is listed once: walls 1 and 2 at level 0 are the
+    # finite linear action, and (0, 0, 1) generates a finite group
+    assert dominantize_terms(d, {(1, 0): 1}, 0, [1, 1, 2], 1) == {(1, 0): 1}
+    assert dominantize_walls(d, (-1, 0), 0, [2, 1, 1]) == dominantize_walls(d, (-1, 0), 0, [1, 2])
+    assert weyl_orbit(d, (1, 1), 3, (0, 0, 1)) == weyl_orbit(d, (1, 1), 3, (0, 1))
+
+
+ENDLESS_WALL_LISTS = """
+from alcove.affine import dominantize_terms, dominantize_walls, weyl_orbit
+from alcove.lie import build_lie_data
+
+d = build_lie_data("A2")
+for call in (lambda: weyl_orbit(d, (1, 1), 3, (-1,)),
+             lambda: dominantize_terms(d, {(-2, 1): 1}, 3, (-1,), 0),
+             lambda: dominantize_walls(d, (1, 0), 0, range(3))):
+    try:
+        call()
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_endless_wall_lists_are_refused_before_any_walk():
+    # a negative node once read the wall value and the root of different
+    # nodes, and all l+1 walls at level 0 bound no fundamental domain: each
+    # walked without end, so the calls run in a child process that a
+    # timeout ends
+    proc = subprocess.run(
+        [sys.executable, "-c", ENDLESS_WALL_LISTS],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.splitlines() == ["wall list [-1] has a node outside 0..2"] * 2 + [
+        "level must be >= 1"]

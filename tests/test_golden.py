@@ -32,6 +32,15 @@ GOLDEN = {
         "500fc47bffdeec2384a613441e03374a41900f16b57a576bb4945ffb6f66a655",
     "contract A3 -J 0,1,2,3 -N 2 -p 2 --seed 1":
         "3672f9cd5da18196305958698a2222c9d2b340d535e9caf1fa25044cbbbc1060",
+    # certificates on non-symmetric Cartan matrices, where the weight and
+    # point reflection tables (transposes of each other) differ; C2 on a
+    # non-full face; recorded at 4a7f613
+    "contract G2 -J 0,1,2 -N 3 --seed 2":
+        "7ed5dfe68c0eb18b9f12fd3255310ce01399c2556b1ee23ad6729d161d181236",
+    "contract C2 -J 0,1 -N 4 --seed 4":
+        "0c7d081d7c0c694de7fdc3306e85475b4b368ed7deb8906f777ec83b3ef2e3c8",
+    "contract B3 -J 0,1,2,3 -N 2 -p 2 --seed 3":
+        "b03864df8776886b27e56c610d8108f4188642a14434a25f188b234c97a68cfc",
     "fusion-table A2 -k 3 --format json":
         "99148141d5a7f7ff22e23d09d383e7c5dead4e03b01b85bce93a19319f80e277",
     "fusion-table G2 -k 2 --format csv":

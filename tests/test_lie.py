@@ -453,6 +453,9 @@ def fraction_lie_fields(lie_type):
     assert h_vee.denominator == 1 and h_vee == 1 + sum(theta.coroot)
     node_root = (tuple(-w for w in theta.weight),) + tuple(
         tuple(A[r][s] for r in range(n)) for s in range(n))
+    node_coroot = (tuple(-c for c in theta.coroot),) + tuple(
+        tuple(1 if j == s else 0 for j in range(n)) for s in range(n))
+    nodes = range(n + 1)
     return {
         "lie_type": lie_type, "rank": n, "cartan": A, "cartan_inv": A_inv,
         "positive_roots": roots, "marks": theta.coeffs, "comarks": theta.coroot,
@@ -461,9 +464,13 @@ def fraction_lie_fields(lie_type):
         "gram_coroot_scaled": _scaled_matrix(gram_coroot),
         "gram_weight_scaled": _scaled_matrix(gram_weight),
         "node_root": node_root,
-        "node_coroot": (tuple(-c for c in theta.coroot),) + tuple(
-            tuple(1 if j == s else 0 for j in range(n)) for s in range(n)),
-        "theta_pairing": tuple(sum(c * r for c, r in zip(theta.coroot, root)) for root in node_root),
+        "node_coroot": node_coroot,
+        # row i: <alpha_i, alpha_j_vee>, and <alpha_j, alpha_i_vee> then alpha_i_vee
+        "weight_table": tuple(
+            tuple(int(pairing(node_root[i], node_coroot[j])) for j in nodes) for i in nodes),
+        "point_table": tuple(
+            tuple(int(pairing(node_root[j], node_coroot[i])) for j in nodes) + node_coroot[i]
+            for i in nodes),
         "alcove_vertices": (tuple(F(0) for _ in range(n)),) + tuple(
             tuple(A_inv[s][j] / theta.coeffs[s] for j in range(n)) for s in range(n)),
     }
