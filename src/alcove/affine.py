@@ -115,9 +115,13 @@ def affine_reflect_weight(data: LieData, i: int, nu: Sequence[int], m: int) -> W
 
 
 def _wall_list(data: LieData, walls: Iterable[int], m: int) -> list[int]:
-    """The listed walls sorted, each once.  ValueError for a node outside
-    0..l, or for all l+1 walls at a level m < 1: they bound a fundamental
-    domain only at m >= 1, and a reduction there would never end."""
+    """The listed walls sorted, each once.  ValueError for an entry that is
+    not an int (a bool or a float is none), a node outside 0..l, or all l+1
+    walls at a level m < 1: they bound a fundamental domain only at m >= 1,
+    and a reduction there would never end."""
+    walls = [*walls]
+    if {*map(type, walls)} - {int}:
+        raise ValueError(f"wall list {walls} has an entry that is not an int")
     walls = sorted(set(walls))
     if walls and (walls[0] < 0 or walls[-1] > data.rank):
         raise ValueError(f"wall list {walls} has a node outside 0..{data.rank}")
@@ -160,7 +164,8 @@ def dominantize_walls(
 
     Sign is 0 if the result lies on one of the listed walls, otherwise the
     parity of the number of reflections performed.  ValueError for a
-    non-weight, a wall outside 0..l, or all l+1 walls at a level m < 1.
+    non-weight, a wall that is not an int in 0..l, or all l+1 walls at a
+    level m < 1.
     """
     walls = _wall_list(data, walls, m)
     vec, word, on_wall = _reduce(_weight_walls(data, nu, m), data.weight_table, walls)
@@ -204,8 +209,8 @@ def weyl_orbit(
     same length, the length of the shortest element carrying nu there, so
     its sign (-1)^depth is well defined; on a free orbit it is sign(w).
     Keys are in walk order, by depth.  Raises ValueError if nu is outside
-    the closed cone, if a wall is outside 0..l, or if all l+1 walls are
-    listed (that group is infinite).
+    the closed cone, if a wall is not an int in 0..l, or if all l+1 walls
+    are listed (that group is infinite).
     """
     walls = _wall_list(data, walls, m)
     if len(walls) > data.rank:

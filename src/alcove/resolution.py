@@ -22,14 +22,19 @@ increasing node set and X the integer numerators of the orbit point over
 the one denominator D of the orbit context (OrbitComplex.D); D > 0, so the
 basis order is that of the points.  Each key is checked once, where it
 enters: ChainElt._validate (the node set, in the public constructor), then
-OrbitComplex._check_key (coordinate count, node range, interior by
-lie._scaled_walls) in element(), verify_certificate and the boundary of a
-key without stored faces.  What the library builds from basis pairs (sums,
-boundary, homotopy, random_cycle, contract_cycle, truncations) is trusted.
-Fraction appears only in element(), which takes a rational point;
-certificates carry 'p/q' coordinates X / D, read strictly.
-verify_certificate rejects with ValueError a point off (1/D) Z^l and, before
-any point is reduced, a key longer than CERT_MAX_LENGTH.
+OrbitComplex._check_key, the one test that (I, X) is a basis pair (node
+range, coordinate count, interior to the cone of I, on the orbit).
+element() and the boundary of a key without stored faces reach it, and so
+does verify_certificate, which only takes both boundaries.  _check_key
+builds the key's start vector of affine._reduce (_start) once, for the
+interior test, the orbit test and the key's faces.  OrbitComplex._length,
+behind length_of, owns orbit membership and the length bound: a point on
+the orbit's length table costs nothing, and one off it is refused above
+CERT_MAX_LENGTH before it is reduced, then reduced once and kept.  What
+the library builds from basis pairs (sums, boundary, homotopy,
+random_cycle, contract_cycle, truncations) is trusted.  Fraction appears
+only in element(), which takes a rational point; certificates carry 'p/q'
+coordinates X / D, read strictly, and a point off (1/D) Z^l is refused.
 
 The homology path does no repeated work.  Each length truncation is built
 once per complex and shared, and stores each boundary map d_p as sparse
@@ -53,16 +58,18 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .affine import OrbitContext, _reduce, _reduce_scaled, _scaled_crossing_length
+from .affine import OrbitContext, _reduce, _scaled_crossing_length
 from .intlinalg import invariant_factors, kernel_basis, to_dense
 from .lie import (
     FaceIndex,
     LieData,
+    LieType,
     _check_face_index,
     _frac_str,
     _indented_json,
     _scaled_walls,
     _walls_outside,
+    build_lie_data,
 )
 from .sparse import SparseElt, combine
 
@@ -70,9 +77,10 @@ from .sparse import SparseElt, combine
 # complex's orbit context
 ChainKey = tuple[FaceIndex, tuple[int, ...]]
 
-# The longest orbit point a certificate key may have, as a count of crossed
-# affine root hyperplanes.  verify_certificate refuses a longer key before
-# any reduction runs, because a reduction takes one reflection per crossing.
+# The longest orbit point off the length table that length_of places, as a
+# count of crossed affine root hyperplanes: it refuses a longer point, and so
+# a longer certificate or chain key, before any reduction runs, because a
+# reduction takes one reflection per crossing.
 CERT_MAX_LENGTH = 10_000
 
 # The largest rank of a group a certificate may name.  verify_certificate
@@ -133,38 +141,66 @@ class OrbitComplex:
         self._truncations: dict[int, TruncatedComplex] = {}
         self._kernels: dict[tuple[int, int], list[list[int]]] = {}
         self._faces: dict[ChainKey, dict[ChainKey, int]] = {}
+        # orbit points off the length table -> their length (length_of)
+        self._lengths: dict[tuple[int, ...], int] = {}
 
     # -- lengths ------------------------------------------------------------
 
     def length_of(self, x: Sequence[int]) -> int:
         """Length of the orbit point with numerators x; ValueError if x is
-        not on the orbit.  Off the length table, x is on the orbit if it
-        reduces to the base point, as in verify_certificate, and its length
-        is its count of crossed hyperplanes; nothing is enumerated."""
-        x = tuple(x)
-        known = self.ctx._length.get(x)
+        not on the orbit or, off the length table, longer than
+        CERT_MAX_LENGTH (see _length)."""
+        return self._length(tuple(x), None)
+
+    def _length(self, x: tuple[int, ...], start: list[int] | None) -> int:
+        """length_of, given the start vector of x (_start) if the caller has
+        it; the one orbit membership test and length bound of the complex.
+
+        A table hit computes nothing.  Off the table the length is the count
+        of crossed hyperplanes, refused above CERT_MAX_LENGTH before any
+        reduction, because a reduction takes one reflection per crossing;
+        x is on the orbit if it then reduces to the base point, and its
+        length is kept per complex."""
+        known = self.ctx._length.get(x, self._lengths.get(x))
         if known is not None:
             return known
-        if (len(x) != self.data.rank
-                or _reduce_scaled(self.data, x, self.D, self.full_face)[0] != self.ctx.base):
-            raise ValueError(f"{x} is not on the orbit of {self.J}")
-        return _scaled_crossing_length(self.data, x, self.D)
+        data, D = self.data, self.D
+        start = start or self._start(x)
+        length = _scaled_crossing_length(data, x, D)
+        if length > CERT_MAX_LENGTH:
+            raise ValueError(f"{_point_str(x, D)} has length {length}, above the limit {CERT_MAX_LENGTH}")
+        vec = _reduce(start, data.point_table, self.full_face)[0]
+        if tuple(vec[data.rank + 1 :]) != self.ctx.base:
+            raise ValueError(f"point {_point_str(x, D)} is not on the orbit of {self.J}")
+        self._lengths[x] = length
+        return length
 
     # -- keys and bases ---------------------------------------------------------
 
-    def _check_key(self, I: FaceIndex, X: Sequence[int], what: str = "key") -> None:
-        """Raise ValueError, naming the key as what, unless (I, X), I sorted and
-        nonempty, has l coordinates, nodes in 0..l and X / D interior to the
-        cone of I: a basis pair up to orbit membership."""
-        l, D = self.data.rank, self.D
-        if len(X) != l:
-            raise ValueError(
-                f"{what} {list(I)}, {_point_str(X, D)} has {len(X)} coordinates, not {l}")
+    def _start(self, X: Sequence[int]) -> list[int]:
+        """The start vector of affine._reduce for the point X / D: D times
+        its wall values at nodes 0..l, then X.  ValueError unless X has l
+        coordinates, as wall values and a reduction need."""
+        if len(X) != self.data.rank:
+            raise ValueError(f"{_point_str(X, self.D)} has {len(X)} coordinates, not {self.data.rank}")
+        return [*_scaled_walls(self.data, X, self.D), *X]
+
+    def _check_key(self, I: FaceIndex, X: tuple[int, ...]) -> list[int]:
+        """The start vector of the key (I, X), I sorted and nonempty.  The
+        one key check of the complex: ValueError naming the key unless it
+        is a basis pair, with nodes in 0..l, l coordinates, X / D interior
+        to the cone of I and on the orbit (_length)."""
+        l = self.data.rank
         if I[0] < 0 or I[-1] > l:
-            raise ValueError(f"{what} {list(I)} has a node outside 0..{l}")
-        values = _scaled_walls(self.data, X, D)
-        if any(v <= 0 for i, v in enumerate(values) if i not in I):
-            raise ValueError(f"{what} {list(I)}, {_point_str(X, D)} is not interior to its cone")
+            raise ValueError(f"key {list(I)} has a node outside 0..{l}")
+        try:
+            start = self._start(X)
+            if any(start[i] <= 0 for i in range(l + 1) if i not in I):
+                raise ValueError(f"{_point_str(X, self.D)} is not interior to its cone")
+            self._length(X, start)
+        except ValueError as exc:
+            raise ValueError(f"key {list(I)}, {exc}") from None
+        return start
 
     def basis_elements(self, p: int, n: int) -> list[ChainKey]:
         """Basis pairs (I, X) in degree p with length(X) <= n, X numerators
@@ -199,24 +235,21 @@ class OrbitComplex:
     def boundary(self, c: ChainElt) -> ChainElt:
         if c.degree < 1:
             raise ValueError("boundary needs degree >= 1")
-        faces = self._faces
         for key in c.terms:
-            if key not in faces:
-                self._check_key(*key)
-                self._store_faces(key)
-        out = combine((coeff, faces[key]) for key, coeff in c.terms.items())
+            if key not in self._faces:
+                self._store_faces(key, self._check_key(*key))
+        out = combine((coeff, self._faces[key]) for key, coeff in c.terms.items())
         return ChainElt._trusted(out, c.J, c.degree - 1)
 
-    def _store_faces(self, key: ChainKey) -> dict[ChainKey, int]:
+    def _store_faces(self, key: ChainKey, start: list[int]) -> dict[ChainKey, int]:
         """Compute and store the terms face -> sign of d beta_I(x) for a basis
         pair: one that has passed _check_key, or one that basis_elements
-        built.  The faces are distinct, one per dropped node at most."""
+        built.  start, the start vector of x (_start), is shared by every
+        dropped node; an image is the tail of the reduced vector, or x
+        itself if unmoved.  The faces are distinct, one per dropped node at
+        most."""
         I, x = key
         data, faces, walls = self.data, {}, self._walls
-        # one start vector of _reduce_scaled for every dropped node; an
-        # image is the tail of the reduced vector, or x itself if unmoved
-        start = _scaled_walls(data, x, self.D)  # a fresh list
-        start += x
         rows, tail = data.point_table, data.rank + 1
         for r in range(len(I)):
             sub = I[:r] + I[r + 1 :]
@@ -319,10 +352,8 @@ class OrbitComplex:
         for p in range(1, l + 1):
             # the boundary never raises lengths, so keys stay inside; basis
             # pairs need no key check
-            matrices[p] = [
-                sorted((index[p - 1][face], sign) for face, sign in self._store_faces(key).items())
-                for key in bases[p]
-            ]
+            faces = [self._store_faces(key, self._start(key[1])) for key in bases[p]]
+            matrices[p] = [sorted((index[p - 1][f], sign) for f, sign in fs.items()) for fs in faces]
         for p in range(2, l + 1):
             check_d_squared_zero(matrices[p - 1], matrices[p], p)
         tc = TruncatedComplex(self.J, n, bases, matrices)
@@ -516,8 +547,6 @@ def certificate_json(complex_: OrbitComplex, cycle: ChainElt, bounding: ChainElt
 
 def verify_certificate(text: str) -> dict:
     """Re-check a contraction certificate; raises ValueError on any defect."""
-    from .lie import LieType, build_lie_data
-
     try:
         doc = json.loads(text)
         group, J, degree = doc["group"], doc["J"], doc["degree"]
@@ -538,30 +567,14 @@ def verify_certificate(text: str) -> dict:
         bounding = chain_from_json(J, degree + 1, doc["bounding"], complex_.D)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
         raise ValueError(f"malformed certificate: {exc}") from exc
-    D = complex_.D
-    # keys must be genuine basis pairs: interior to their cone and on the
-    # orbit.  Bound every point before any reduction: counting the crossed
-    # hyperplanes costs the same at any coordinate size, reducing a point
-    # does not.  A point that several keys share is bounded and reduced once.
-    points: dict[tuple[int, ...], int] = {}
-    keys = list(cycle.terms) + list(bounding.terms)
-    for I, x in keys:
-        complex_._check_key(I, x, "certificate key")
-        if x not in points:
-            points[x] = length = _scaled_crossing_length(data, x, D)
-            if length > CERT_MAX_LENGTH:
-                raise ValueError(
-                    f"certificate key {list(I)}, {_point_str(x, D)} has length {length}, "
-                    f"above the limit {CERT_MAX_LENGTH}"
-                )
-    for x in points:
-        if _reduce_scaled(data, x, D, complex_.full_face)[0] != complex_.ctx.base:
-            raise ValueError(f"certificate point {_point_str(x, D)} is not on the orbit of {J}")
-    # every key is checked: store its faces, so the boundaries do not check it again
-    for key in keys:
-        complex_._store_faces(key)
-    if complex_.boundary(cycle):
+    # the boundaries check every key of both chains as a basis pair before
+    # either verdict
+    try:
+        d_cycle, d_bounding = complex_.boundary(cycle), complex_.boundary(bounding)
+    except ValueError as exc:
+        raise ValueError(f"certificate {exc}") from None
+    if d_cycle:
         raise ValueError("certificate cycle is not a cycle")
-    if complex_.boundary(bounding) != cycle:
+    if d_bounding != cycle:
         raise ValueError("certificate bounding chain does not bound the cycle")
     return {"group": doc["group"], "J": list(complex_.J), "degree": degree, "ok": True}

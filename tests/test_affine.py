@@ -1042,6 +1042,18 @@ def test_wall_lists_are_checked_where_they_enter():
     assert weyl_orbit(d, (1, 1), 3, (0, 0, 1)) == weyl_orbit(d, (1, 1), 3, (0, 1))
 
 
+@pytest.mark.parametrize("walls", [[True], [1.0], [1, True], (0, 2.0), ["1"], [None], [F(1)]])
+def test_wall_list_entries_must_be_ints(walls):
+    # True once read as node 1, and 1.0 raised TypeError as a tuple index
+    d = build_lie_data("A2")
+    with pytest.raises(ValueError, match="has an entry that is not an int$"):
+        dominantize_walls(d, (-1, 0), 3, walls)
+    with pytest.raises(ValueError, match="has an entry that is not an int$"):
+        dominantize_terms(d, {(-2, 1): 1}, 3, walls, 0)
+    with pytest.raises(ValueError, match="has an entry that is not an int$"):
+        weyl_orbit(d, (1, 1), 3, walls)
+
+
 ENDLESS_WALL_LISTS = """
 from alcove.affine import dominantize_terms, dominantize_walls, weyl_orbit
 from alcove.lie import build_lie_data

@@ -508,13 +508,33 @@ def test_verify_certificate_checks_each_key_once(monkeypatch):
     calls = []
     original = OrbitComplex._check_key
 
-    def counting(self, I, X, what="key"):
+    def counting(self, I, X):
         calls.append((I, X))
-        return original(self, I, X, what)
+        return original(self, I, X)
 
     monkeypatch.setattr(OrbitComplex, "_check_key", counting)
     assert verify_certificate(text)["ok"]
     assert len(calls) == len(set(calls)) == len(doc["cycle"]) + len(doc["bounding"])
+
+
+def test_verify_certificate_computes_each_key_wall_vector_once(monkeypatch):
+    # the key check's start vector serves the interior test, the orbit
+    # reduction and the key's faces
+    from alcove import resolution
+
+    text = contract_certificate_a2()
+    doc = json.loads(text)
+    calls = []
+    original = resolution._scaled_walls
+
+    def counting(data, X, D):
+        calls.append(X)
+        return original(data, X, D)
+
+    monkeypatch.setattr(resolution, "_scaled_walls", counting)
+    assert verify_certificate(text)["ok"]
+    keys = [(tuple(item["I"]), item["x"]) for chain in ("cycle", "bounding") for item in doc[chain]]
+    assert len(calls) == len(keys) == len(set(map(repr, keys)))
 
 
 @pytest.mark.parametrize("I", [[1, 0], [0, 0, 1], [2, 2]])
@@ -826,6 +846,43 @@ def test_certificate_lattice_point_off_the_orbit_rejected():
         verify_certificate(_json.dumps(doc))
 
 
+def test_lattice_point_off_the_orbit_is_no_basis_pair():
+    # (1, 1) is interior to the cone of {0, 1} and in (1/3) Z^2, but on the
+    # orbit of the origin, not of (1/3, 1/3)
+    oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
+    assert oc.D == 3 and oc.ctx.base == (1, 1)
+    with pytest.raises(ValueError, match=r"^key \[0, 1\], point \(1, 1\) is not on the orbit"):
+        oc.element((0, 1), (1, 1))
+    with pytest.raises(ValueError, match=r"^key \[0, 1\], point \(1, 1\) is not on the orbit"):
+        oc.boundary(ChainElt((0, 1, 2), 1, {((0, 1), (3, 3)): 1}))
+    assert oc._faces == {}
+
+
+def test_length_of_is_bounded_before_any_reduction():
+    # the A2 point (1/3, (3n+1)/3) crosses 4n hyperplanes
+    oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
+    assert oc.length_of((1, 3 * 2500 + 1)) == 10_000 == CERT_MAX_LENGTH
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^\(1/3, 7504/3\) has length 10004, above the limit 10000$"):
+        oc.length_of((1, 3 * 2501 + 1))
+    with pytest.raises(ValueError, match="has length 400000000, above the limit 10000$"):
+        oc.length_of((1, 3 * 10**8 + 1))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_length_of_keeps_each_placed_point(monkeypatch):
+    # a point off the length table is bounded and reduced once per complex
+    from alcove import resolution
+
+    oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
+    calls = []
+    original = resolution._reduce
+    monkeypatch.setattr(resolution, "_reduce", lambda *a: calls.append(a[0]) or original(*a))
+    for _ in range(3):
+        assert oc.length_of((1, 301)) == 400
+    assert len(calls) == 1 and oc.ctx._length == {(1, 1): 0}
+
+
 def far_a2_certificate(n):
     """An A2 certificate whose one cycle key (0, 1) sits at (1/3, (3n+1)/3)."""
     import json as _json
@@ -890,12 +947,12 @@ def test_certificate_at_the_rank_bound_verifies():
 
 
 def test_certificate_above_the_rank_bound_builds_no_root_data(monkeypatch):
-    import alcove.lie
+    from alcove import resolution
 
     def refuse(lie_type):
         raise AssertionError(f"root data built for {lie_type}")
 
-    monkeypatch.setattr(alcove.lie, "build_lie_data", refuse)
+    monkeypatch.setattr(resolution, "build_lie_data", refuse)
     for group, rank in (("A21", 21), ("B21", 21), ("C40", 40), ("a1000000000", 10**9)):
         with pytest.raises(ValueError, match=(
             rf"^malformed certificate: group {group.upper()} has rank {rank}, above the limit 20$"
@@ -921,6 +978,36 @@ def test_certificate_points_scale_by_the_orbit_denominator():
         unscaled(x, oc.D) for _, x in sorted(c.terms)
     ]
     assert chain_from_json(oc.J, 1, doc, oc.D) == c
+
+
+# -- certificate round trip on random complexes ------------------------------------------
+
+def test_certificate_round_trip_on_random_complexes():
+    # random (type of rank <= 3, full or partial face J, N <= 3, degree,
+    # seed): a contracted random cycle verifies, and moving any one
+    # bounding coefficient by +-1 breaks the certificate
+    rng = random.Random(19)
+    cases = 0
+    while cases < 150:
+        data = build_lie_data(rng.choice(["A2", "B2", "G2", "A3", "B3", "C3"]))
+        l = data.rank
+        J = tuple(sorted(rng.sample(range(l + 1), rng.randint(1, l + 1))))
+        N, p, seed = rng.randint(1, 3), rng.randint(1, l - 1), rng.randrange(10**6)
+        oc = OrbitComplex(data, J)
+        cycle = oc.random_cycle(p, N, random.Random(seed))
+        if not cycle:
+            continue
+        cases += 1
+        text = certificate_json(oc, cycle, oc.contract_cycle(cycle))
+        assert verify_certificate(text) == {"group": str(data.lie_type), "J": list(J),
+                                            "degree": p, "ok": True}
+        doc = json.loads(text)
+        for item in doc["bounding"]:
+            for step in (-1, 1):
+                item["coeff"] += step
+                with pytest.raises(ValueError, match="^certificate bounding chain does not bound"):
+                    verify_certificate(json.dumps(doc))
+                item["coeff"] -= step
 
 
 # -- certificate fuzz ------------------------------------------------------------------
