@@ -15,10 +15,10 @@ A weight is a tuple of l ints, its fundamental-weight coordinates.  Its wall
 values at nodes 0..l have one owner, _weight_walls: nu[i-1] at node i >= 1
 and m - <nu, theta_vee> at node 0.  Every level, cone and dominance test
 reads them there, and a non-weight is refused there with ValueError.  Only
-the trusted loops over weights the library built (dominantize_terms, the
-weyl_orbit step, fusion's dominant-weight search) read coordinates
-themselves.  The walls of the cone of a face index I, the nodes outside I,
-are lie._walls_outside; a caller's wall list is checked by _wall_list.
+the trusted loops over weights the library built (dominantize_terms,
+fusion's dominant-weight search) read coordinates themselves.  The walls of
+the cone of a face index I, the nodes outside I, are lie._walls_outside; a
+caller's wall list is checked by _wall_list.
 
 One greedy loop, _reduce, does every reduction ("reflect at the lowest
 violated listed wall").  It walks a vector that starts with the l+1 wall
@@ -32,27 +32,32 @@ the tail of the vector, and D never changes.  dominantize_terms builds the
 start once per term, with an optional rho shift, for every weight-side map
 of the library; dominantize_walls reduces one weight.
 
-weyl_orbit walks the other way: from a weight in the closed cone of the
-listed walls (at most l of them, so the group is finite) it reflects only
-at walls with a positive value, and signs each point by its depth.  Every
-alternating sum over a W_I is this walk, so no group element is ever listed.
+One walk, _walk, goes the other way, for weights and points alike: it
+yields an orbit one layer at a time, as vectors in the form of _reduce,
+reflecting each vector at every listed wall whose value is positive, so
+each image is one step longer.  weyl_orbit is this walk from (c0, *nu), a
+weight in the closed cone of at most l listed walls (so the group is
+finite), and signs each point by its depth.  Every alternating sum over a
+W_I is this walk, so no group element is ever listed.
 
 Orbits live entirely in these integers.  An OrbitContext fixes D as the lcm
 of the base point's denominators, and every point of the orbit lies in
-(1/D) Z^l, so its BFS layers and length table hold numerator tuples; its
-search reflects at the nonzero walls of lie._scaled_walls.  The length as a
-count of crossed hyperplanes (_scaled_crossing_length) reads numerators
-too.  Fraction appears only at the edges: orbit_up_to_length returns
-Fraction points, and cone_position, reduce_point_to_cone,
-reduce_point_to_alcove and crossing_length are thin wrappers that scale a
-Fraction point once with lie._scaled.
+(1/D) Z^l, so its BFS layers and length table hold numerator tuples.  Its
+layers are the walk from the base point's vector at all l+1 walls, and it
+keeps each point's vector, so the orbit complex reads the wall values of
+every point the walk reached off it.  The length as a count of crossed
+hyperplanes (_scaled_crossing_length) reads numerators too.  Fraction
+appears only at the edges: orbit_up_to_length returns Fraction points, and
+cone_position, reduce_point_to_cone, reduce_point_to_alcove and
+crossing_length are thin wrappers that scale a Fraction point once with
+lie._scaled.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .lie import (
     CartanPoint,
@@ -195,45 +200,58 @@ def dominantize_terms(
     return {w: c for w, c in out.items() if c}
 
 
+def _walk(
+    start: Sequence[int], rows: Sequence[Sequence[int]], walls: Sequence[int]
+) -> Iterator[list[tuple[int, ...]]]:
+    """The upward orbit walk: yields the orbit of start one layer at a time,
+    layer 0 being [start], as vectors in the form of _reduce.
+
+    From each vector of a layer it reflects at every listed wall whose value
+    c is positive (vec - c * rows[i]) and keeps the first of equal images,
+    in walk order.  A point on the same side of wall i as the cone or
+    alcove goes one step further from it, and no shorter (Humphreys,
+    Reflection Groups and Coxeter Groups, 4.5), so an image can only meet
+    images of its own layer.  The wall values are a function of the rest of
+    the vector, so equal images are equal vectors.
+    """
+    layer = [tuple(start)]
+    while layer:
+        yield layer
+        images: dict[tuple[int, ...], None] = {}
+        for vec in layer:
+            for i in walls:
+                c = vec[i]
+                if c > 0:
+                    images[tuple([v - c * r for v, r in zip(vec, rows[i])])] = None
+        layer = [*images]
+
+
 def weyl_orbit(
     data: LieData, nu: Sequence[int], m: int, walls: Iterable[int]
 ) -> dict[Weight, int]:
     """The orbit of a weight in the closed cone of the listed walls under the
     finite group those walls generate at level m, each point with its sign.
 
-    The walk goes down from nu: it reflects at a listed wall only where the
-    wall value c is positive, moving the point by -c alpha_i.  At a node
-    i >= 1 the wall value is the coordinate w[i-1].  Every orbit point is
-    reached, because a point outside the cone has a negative wall value and
-    reflecting there leads back towards nu.  Every path to a point has the
-    same length, the length of the shortest element carrying nu there, so
-    its sign (-1)^depth is well defined; on a free orbit it is sign(w).
-    Keys are in walk order, by depth.  Raises ValueError if nu is outside
-    the closed cone, if a wall is not an int in 0..l, or if all l+1 walls
-    are listed (that group is infinite).
+    The orbit is the walk (_walk) from (c0, *nu) by weight_table.  Every
+    orbit point is reached, because a point outside the cone has a negative
+    wall value and reflecting there leads back towards nu.  Every path to a
+    point has the same length, the length of the shortest element carrying
+    nu there, so its sign (-1)^depth is well defined; on a free orbit it is
+    sign(w).  Keys are in walk order, by depth.  Raises ValueError if nu is
+    outside the closed cone, if a wall is not an int in 0..l, or if all l+1
+    walls are listed (that group is infinite).
     """
     walls = _wall_list(data, walls, m)
     if len(walls) > data.rank:
         raise ValueError("all l+1 walls generate an infinite group")
-    nu = tuple(nu)
     values = _weight_walls(data, nu, m)
     if any(values[i] < 0 for i in walls):
-        raise ValueError(f"{nu} is outside the closed cone of walls {walls}")
-    node_root, comarks = data.node_root, data.comarks
-    orbit = {nu: 1}
-    frontier, sign = [nu], 1
-    while frontier:
-        sign = -sign
-        new = []
-        for w in frontier:
-            for i in walls:
-                c = w[i - 1] if i else m - sum(map(mul, comarks, w))
-                if c > 0:
-                    img = tuple([x - c * r for x, r in zip(w, node_root[i])])
-                    if img not in orbit:
-                        orbit[img] = sign
-                        new.append(img)
-        frontier = new
+        raise ValueError(f"{tuple(nu)} is outside the closed cone of walls {walls}")
+    orbit = {}
+    for depth, layer in enumerate(_walk(values, data.weight_table, walls)):
+        sign = -1 if depth & 1 else 1
+        for vec in layer:
+            orbit[vec[1:]] = sign
     return orbit
 
 
@@ -331,6 +349,13 @@ class OrbitContext:
     base point: a reflection sends X to X - (sum root * X + D delta_{i,0})
     coroot, which stays integral.  ``base``, the layers and the length table
     all hold numerator tuples.
+
+    The layers are those of the walk (_walk) from the base point's vector,
+    D times its wall values then X, by point_table at all l+1 walls.  Every
+    orbit point but the base lies outside the closed alcove, so it has a
+    negative wall value, and reflecting there gives a point one shorter
+    from which the walk reaches it.  _vectors keeps the vector of each
+    point reached, so its wall values are never computed again.
     """
 
     def __init__(self, data: LieData, J: Sequence[int], base: Sequence | None = None):
@@ -343,26 +368,23 @@ class OrbitContext:
             if _scaled_face(data, X, self.D) != self.J:
                 raise ValueError("base point is not interior to the face")
         self.base: tuple[int, ...] = tuple(X)
+        self._walk = _walk([*_scaled_walls(data, X, self.D), *X], data.point_table, range(data.rank + 1))
+        [start] = next(self._walk)
         self._layers: list[list[tuple[int, ...]]] = [[self.base]]
         self._length: dict[tuple[int, ...], int] = {self.base: 0}
+        self._vectors: dict[tuple[int, ...], tuple[int, ...]] = {self.base: start}
 
     def ensure_length(self, n: int) -> None:
-        data, D, length = self.data, self.D, self._length
+        tail = self.data.rank + 1
         while len(self._layers) <= n:
-            depth = len(self._layers)
-            new: list[tuple[int, ...]] = []
-            for X in self._layers[-1]:
-                for c, coroot in zip(_scaled_walls(data, X, D), data.node_coroot):
-                    if not c:
-                        continue  # X lies on this wall
-                    Y = tuple([x - c * g for x, g in zip(X, coroot)])
-                    if Y not in length:
-                        length[Y] = depth
-                        new.append(Y)
-            if not new:
-                break
+            depth, layer = len(self._layers), []
+            for vec in next(self._walk):
+                X = vec[tail:]
+                self._length[X] = depth
+                self._vectors[X] = vec
+                layer.append(X)
             # D > 0, so numerator order is coordinate order
-            self._layers.append(sorted(new))
+            self._layers.append(sorted(layer))
 
     def points_up_to(self, n: int) -> list[OrbitPoint]:
         """Orbit points of length <= n as numerators over D, by length and

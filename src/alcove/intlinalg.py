@@ -76,54 +76,49 @@ def column_reduce(A: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int
     Returns (D, T) where D is diagonal (no divisibility normalization) and T
     records the column operations, so that the columns of T indexed by zero
     columns of D form a basis of the integer kernel of A.
+
+    D and T are kept stacked in one list of rows, the m rows of D first, so
+    that each column operation is one loop over it; row operations and the
+    pivot search read only the first m rows.
     """
     for row in A:
         assert len(row) == ncols
-    D = [list(row) for row in A]
-    m, n = len(D), ncols
-    T = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    m, n = len(A), ncols
+    M = [list(row) for row in A] + [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_improve(i1: int, i2: int, j: int) -> None:
-        a, b = D[i1][j], D[i2][j]
+        a, b = M[i1][j], M[i2][j]
         if b == 0:
             return
         if a == 0:
-            D[i1], D[i2] = D[i2], D[i1]
+            M[i1], M[i2] = M[i2], M[i1]
             return
         if b % a == 0:
             q = -(b // a)
-            D[i2] = [x + q * y for x, y in zip(D[i2], D[i1])]
+            M[i2] = [x + q * y for x, y in zip(M[i2], M[i1])]
             return
         x, y, g = _xgcd(a, b)
         ag, bg = a // g, b // g
-        r1, r2 = D[i1], D[i2]
-        D[i1] = [x * u + y * v for u, v in zip(r1, r2)]
-        D[i2] = [-bg * u + ag * v for u, v in zip(r1, r2)]
+        r1, r2 = M[i1], M[i2]
+        M[i1] = [x * u + y * v for u, v in zip(r1, r2)]
+        M[i2] = [-bg * u + ag * v for u, v in zip(r1, r2)]
 
     def col_improve(j1: int, j2: int, i: int) -> None:
-        a, b = D[i][j1], D[i][j2]
+        a, b = M[i][j1], M[i][j2]
         if b == 0:
             return
         if a == 0:
-            for row in D:
-                row[j1], row[j2] = row[j2], row[j1]
-            for row in T:
+            for row in M:
                 row[j1], row[j2] = row[j2], row[j1]
             return
         if b % a == 0:
             q = -(b // a)
-            for row in D:
-                row[j2] += q * row[j1]
-            for row in T:
+            for row in M:
                 row[j2] += q * row[j1]
             return
         x, y, g = _xgcd(a, b)
         ag, bg = a // g, b // g
-        for row in D:
-            u, v = row[j1], row[j2]
-            row[j1] = x * u + y * v
-            row[j2] = -bg * u + ag * v
-        for row in T:
+        for row in M:
             u, v = row[j1], row[j2]
             row[j1] = x * u + y * v
             row[j2] = -bg * u + ag * v
@@ -133,30 +128,28 @@ def column_reduce(A: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int
             pivot = None
             for i in range(t, m):
                 for j in range(t, n):
-                    if D[i][j] != 0:
+                    if M[i][j] != 0:
                         pivot = (i, j)
                         break
                 if pivot:
                     break
             if pivot is None:
-                return D, T
+                return M[:m], M[m:]
             pi, pj = pivot
             if pi != t:
-                D[t], D[pi] = D[pi], D[t]
+                M[t], M[pi] = M[pi], M[t]
             if pj != t:
-                for row in D:
-                    row[t], row[pj] = row[pj], row[t]
-                for row in T:
+                for row in M:
                     row[t], row[pj] = row[pj], row[t]
             for i in range(t + 1, m):
                 row_improve(t, i, t)
-            if all(D[t][j] == 0 for j in range(t + 1, n)):
+            if all(M[t][j] == 0 for j in range(t + 1, n)):
                 break
             for j in range(t + 1, n):
                 col_improve(t, j, t)
-            if all(D[i][t] == 0 for i in range(t + 1, m)):
+            if all(M[i][t] == 0 for i in range(t + 1, m)):
                 break
-    return D, T
+    return M[:m], M[m:]
 
 
 def rank(A: Sequence[Sequence[int]], ncols: int) -> int:

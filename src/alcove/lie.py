@@ -31,8 +31,10 @@ Conventions, fixed once and used everywhere:
 Scaled points xi = X / D, integer numerators over one denominator D > 0
 (_scaled), have one owner here: D times their wall values (_scaled_walls) and
 their face (_scaled_face) feed every face, cone and key test and start every
-greedy reduction of a point (affine._reduce), so no other place computes the
-wall values of a point.
+greedy reduction of a point (affine._reduce) and the orbit walk
+(affine._walk), so no other place computes the wall values of a point.
+Points the walk reached take their wall values from the walk, which moves
+them by a row of point_table per reflection.
 
 weyl_elements lists a W_I as integer affine maps on weights.  No library
 path calls it: alternating sums over W_I walk signed orbits

@@ -36,7 +36,10 @@ random_cycle, contract_cycle, truncations) is trusted.  Fraction appears
 only in element(), which takes a rational point; certificates carry 'p/q'
 coordinates X / D, read strictly, and a point off (1/D) Z^l is refused.
 
-The homology path does no repeated work.  Each length truncation is built
+The homology path does no repeated work.  The bases and faces of a
+truncation read each orbit point's wall values and start vector off the
+orbit walk (OrbitContext._vectors), so only a key that enters from outside
+has its start vector computed, by _start.  Each length truncation is built
 once per complex and shared, and stores each boundary map d_p as sparse
 columns: one list of (row, coeff) pairs per basis element of degree p.
 d o d = 0 is checked on every entry by an exact sparse product: each column
@@ -209,13 +212,13 @@ class OrbitComplex:
             raise ValueError("length bound must be >= 0")
         if p < 0 or p > self.data.rank:
             return []
-        data, D = self.data, self.D
+        l, vectors = self.data.rank, self.ctx._vectors
         # each orbit point X with the nodes whose wall value at X is <= 0;
         # (I, X) is a basis pair exactly when those nodes all lie in I
-        points = [({i for i, v in enumerate(_scaled_walls(data, X, D)) if v <= 0}, X)
+        points = [({i for i, v in enumerate(vectors[X][: l + 1]) if v <= 0}, X)
                   for X, _ in self.ctx.points_up_to(n)]
         out: list[ChainKey] = []
-        for I in combinations(range(data.rank + 1), p + 1):
+        for I in combinations(range(l + 1), p + 1):
             nodes = set(I)
             out.extend((I, X) for low, X in points if low <= nodes)
         # D > 0, so numerator order is coordinate order
@@ -241,13 +244,13 @@ class OrbitComplex:
         out = combine((coeff, self._faces[key]) for key, coeff in c.terms.items())
         return ChainElt._trusted(out, c.J, c.degree - 1)
 
-    def _store_faces(self, key: ChainKey, start: list[int]) -> dict[ChainKey, int]:
+    def _store_faces(self, key: ChainKey, start: Sequence[int]) -> dict[ChainKey, int]:
         """Compute and store the terms face -> sign of d beta_I(x) for a basis
         pair: one that has passed _check_key, or one that basis_elements
-        built.  start, the start vector of x (_start), is shared by every
-        dropped node; an image is the tail of the reduced vector, or x
-        itself if unmoved.  The faces are distinct, one per dropped node at
-        most."""
+        built.  start, the start vector of x (from _check_key, or the orbit
+        walk's vector of x), is shared by every dropped node; an image is
+        the tail of the reduced vector, or x itself if unmoved.  The faces
+        are distinct, one per dropped node at most."""
         I, x = key
         data, faces, walls = self.data, {}, self._walls
         rows, tail = data.point_table, data.rank + 1
@@ -345,14 +348,14 @@ class OrbitComplex:
         cached = self._truncations.get(n)
         if cached is not None:
             return cached
-        l = self.data.rank
+        l, vectors = self.data.rank, self.ctx._vectors
         bases = [self.basis_elements(p, n) for p in range(l + 1)]
         index = [{key: idx for idx, key in enumerate(b)} for b in bases]
         matrices: dict[int, list[list[tuple[int, int]]]] = {}
         for p in range(1, l + 1):
             # the boundary never raises lengths, so keys stay inside; basis
             # pairs need no key check
-            faces = [self._store_faces(key, self._start(key[1])) for key in bases[p]]
+            faces = [self._store_faces(key, vectors[key[1]]) for key in bases[p]]
             matrices[p] = [sorted((index[p - 1][f], sign) for f, sign in fs.items()) for fs in faces]
         for p in range(2, l + 1):
             check_d_squared_zero(matrices[p - 1], matrices[p], p)

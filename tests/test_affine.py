@@ -17,6 +17,7 @@ from alcove.affine import (
     _reduce,
     _reduce_scaled,
     _scaled_crossing_length,
+    _walk,
     _walls_outside,
     _weight_walls,
     affine_reflect_weight,
@@ -459,6 +460,27 @@ def fraction_orbit(data, J, n):
                 if y not in seen:
                     seen.add(y)
                     new.append(y)
+        layers.append(sorted(new))
+    return layers
+
+
+def head_orbit_layers(data, X, D, n):
+    """Oracle: the breadth-first search OrbitContext.ensure_length ran before
+    the shared walk, on numerators X over D; reflects at every nonzero wall
+    value of _scaled_walls and keeps images not seen at any length.  The
+    layers of lengths 0..n, each sorted."""
+    length = {tuple(X): 0}
+    layers = [[tuple(X)]]
+    for depth in range(1, n + 1):
+        new = []
+        for X in layers[-1]:
+            for c, coroot in zip(_scaled_walls(data, X, D), data.node_coroot):
+                if not c:
+                    continue  # X lies on this wall
+                Y = tuple([x - c * g for x, g in zip(X, coroot)])
+                if Y not in length:
+                    length[Y] = depth
+                    new.append(Y)
         layers.append(sorted(new))
     return layers
 
@@ -1021,6 +1043,71 @@ def test_one_loop_matches_point_reduction_oracle(name):
             D = rng.randint(1, 12)
             X = tuple(rng.randint(-5 * D, 5 * D) for _ in range(d.rank))
             assert _reduce_scaled(d, X, D, walls) == head_reduce_scaled(d, X, D, walls), (X, D)
+
+
+# -- one upward walk for points and weights -----------------------------------
+
+
+def head_weyl_orbit(data, nu, m, walls):
+    """Oracle: the signed orbit walk weyl_orbit ran before the shared walk,
+    reading wall values off the weight coordinates; walls as _wall_list
+    returns them."""
+    node_root, comarks = data.node_root, data.comarks
+    nu = tuple(nu)
+    orbit = {nu: 1}
+    frontier, sign = [nu], 1
+    while frontier:
+        sign = -sign
+        new = []
+        for w in frontier:
+            for i in walls:
+                c = w[i - 1] if i else m - sum(map(mul, comarks, w))
+                if c > 0:
+                    img = tuple([x - c * r for x, r in zip(w, node_root[i])])
+                    if img not in orbit:
+                        orbit[img] = sign
+                        new.append(img)
+        frontier = new
+    return orbit
+
+
+RANK_LE_4 = [name for name in RANK_LE_8 if int(name[1:]) <= 4]
+
+
+@pytest.mark.parametrize("name", RANK_LE_4)
+def test_walk_layers_match_the_orbit_search_oracle(name):
+    """Every face, lengths 0..3: each layer of the walk, sorted, is the
+    oracle's layer, and so is each layer of the context; each stored vector
+    is _scaled_walls of its point followed by the point."""
+    d = build_lie_data(name)
+    tail = d.rank + 1
+    for J in all_faces(d):
+        ctx = OrbitContext(d, J)
+        expect = head_orbit_layers(d, ctx.base, ctx.D, 3)
+        start = [*_scaled_walls(d, ctx.base, ctx.D), *ctx.base]
+        walked = itertools.islice(_walk(start, d.point_table, range(tail)), 4)
+        assert [sorted(vec[tail:] for vec in layer) for layer in walked] == expect, J
+        ctx.ensure_length(3)
+        assert ctx._layers == expect, J
+        assert ctx._length == {X: n for n, layer in enumerate(expect) for X in layer}
+        for X, vec in ctx._vectors.items():
+            assert vec == (*_scaled_walls(d, X, ctx.D), *X), (J, X)
+
+
+@pytest.mark.parametrize("name", RANK_LE_4)
+def test_weyl_orbit_matches_the_coordinate_walk_oracle(name):
+    """Every face, seeded cone points (regular and on walls) at levels in
+    [-2, 6]: the same keys in the same walk order, with the same signs."""
+    d = build_lie_data(name)
+    rng = random.Random(f"walk weights {name}")
+    for I in all_faces(d):
+        walls = _walls_outside(d, I)
+        for _ in range(4):
+            m = rng.randint(-2, 6)
+            raw = tuple(rng.randint(-4, 5) for _ in range(d.rank))
+            nu = dominantize_walls(d, raw, m, walls).weight
+            got = weyl_orbit(d, nu, m, walls)
+            assert [*got.items()] == [*head_weyl_orbit(d, nu, m, walls).items()], (I, nu, m)
 
 
 def test_wall_lists_are_checked_where_they_enter():

@@ -661,6 +661,35 @@ def test_homology_report_reduces_each_matrix_once(monkeypatch):
     assert reductions == []
 
 
+def test_homology_report_reads_wall_values_off_the_orbit_walk(monkeypatch):
+    # the walk computes the base point's wall values; the bases and the
+    # faces of every orbit point read theirs off the walk's vectors
+    from alcove import affine, resolution
+
+    calls = []
+    for module in (affine, resolution):
+        original = module._scaled_walls
+
+        def counting(data, X, D, original=original):
+            calls.append(X)
+            return original(data, X, D)
+
+        monkeypatch.setattr(module, "_scaled_walls", counting)
+    oc = OrbitComplex(build_lie_data("A3"), (0, 1, 2, 3))
+    assert oc.homology_report(5)["all_ok"]
+    assert len(oc.ctx._length) == 121
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "C4", "D4", "F4"])
+def test_homology_exact_on_every_face_of_rank_4(name):
+    # building each truncation also checks d o d = 0 on every entry
+    data = build_lie_data(name)
+    for J in all_faces(data):
+        rep = OrbitComplex(data, J).homology_report(3)
+        assert rep["all_ok"], (name, J, rep)
+
+
 def test_homology_report_computes_each_row_sign_once(monkeypatch):
     from alcove import resolution
     from alcove.affine import OrbitContext, crossing_length
