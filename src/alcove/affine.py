@@ -95,11 +95,14 @@ class OrbitPoint(NamedTuple):
 
 def _weight_walls(data: LieData, nu: Sequence[int], m: int) -> tuple[int, ...]:
     """<nu, alpha_i_vee> + m * delta_{i,0} at nodes 0..l; ValueError unless nu has l
-    coordinates and c0 is an int, as it is exactly when every coordinate is one."""
+    coordinates, each an int and none a bool.  c0 is an int when every
+    coordinate is one, and a float or Fraction coordinate makes it none; a
+    bool keeps it an int, so bools are looked for apart: (0, True) equals
+    and hashes like (0, 1), and would reach that weight's cache entries."""
     if len(nu) != data.rank:
         raise ValueError(f"weight {tuple(nu)} has {len(nu)} coordinates, not {data.rank}")
     c0 = m - sum(map(mul, data.comarks, nu))
-    if type(c0) is not int:
+    if type(c0) is not int or bool in map(type, nu):
         raise ValueError(f"weight {tuple(nu)} has a coordinate that is not an int")
     return (c0, *nu)
 

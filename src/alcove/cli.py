@@ -2,8 +2,10 @@
 
 Each command builds one JSON document, and ``_output`` prints it in the
 chosen format: indented JSON, a CSV of one list of rows in the document, or
-the command's text lines rendered from the same document.  Domain errors are
-raised as ValueError and reported by ``main``.
+the command's text lines rendered from the same document.  ``fusion-table``
+is the exception: its rows are spliced from cells rendered once per basis
+weight, in each format (see cmd_fusion_table).  Domain errors are raised as
+ValueError and reported by ``main``.
 
 Exit codes: 0 success / verified, 2 parse error, 3 domain precondition
 violated, 4 mathematical verdict mismatch, 5 invalid certificate.  Output
@@ -19,7 +21,7 @@ import random
 import sys
 from typing import Callable, Iterable
 
-from .fusion import FusionElt, fusion_product, fusion_table_json
+from .fusion import FusionElt, fusion_product, fusion_table, fusion_table_json, level_weights
 from .lie import (
     InvalidLieTypeError,
     _frac_str,
@@ -150,17 +152,24 @@ def cmd_fusion(args) -> int:
 
 
 def cmd_fusion_table(args) -> int:
+    """JSON rows come spliced from fusion_table_json.  CSV and text rows are
+    spliced the same way: each basis weight is rendered once, as "0;1" or
+    "0,1", and each row fills one row template."""
     data = build_lie_data(args.group)
-
-    def text(doc):
-        yield f"{doc['type']} level {doc['k']}: {len(doc['basis'])} generators"
-        for row in doc["constants"]:
-            yield (
-                f"  [{','.join(map(str, row['a']))}] * [{','.join(map(str, row['b']))}]"
-                f" -> [{','.join(map(str, row['c']))}] : {row['N']}"
-            )
-
-    _output(args, fusion_table_json(data, args.level), text, rows="constants")
+    if args.format == "json":
+        _emit(args, _indented_json(fusion_table_json(data, args.level)))
+        return EXIT_OK
+    basis = level_weights(data, args.level)
+    if args.format == "csv":
+        sep, head, row = ";", "a,b,c,N", "%s,%s,%s,%d"
+    else:
+        sep, row = ",", "  [%s] * [%s] -> [%s] : %d"
+        head = f"{data.lie_type} level {args.level}: {len(basis)} generators"
+    cell = {w: sep.join(map(str, w)) for w in basis}
+    lines = [head] + [
+        row % (cell[a], cell[b], cell[c], n) for a, b, c, n in fusion_table(data, args.level)
+    ]
+    _emit(args, "\n".join(lines))
     return EXIT_OK
 
 

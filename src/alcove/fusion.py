@@ -52,9 +52,11 @@ from typing import Mapping, Sequence
 from .affine import _weight_walls, dominantize_terms, dominantize_walls, weyl_orbit
 from .lie import (
     CartanPoint,
+    JsonText,
     LieData,
     Weight,
     _check_face_index,
+    _indented_json,
     _scaled,
     _sharp_scaled,
     _walls_outside,
@@ -110,7 +112,7 @@ class CharacterElt(SparseElt):
             return self.__rmul__(other)
         self._check(other)
         return self._new(combine(
-            (cl * cm, tensor_decompose(self.data, l, m).terms)
+            (cl * cm, _tensor_decompose(self.data, l, m))
             for l, cl in self.terms.items() for m, cm in other.terms.items()
         ))
 
@@ -181,13 +183,18 @@ def _dominant_weights_below(data: LieData, mu: Weight) -> list[Weight]:
 
 
 def weyl_dimension(data: LieData, mu: Sequence[int]) -> int:
-    """Dimension of the irreducible representation by the Weyl formula.
-
-    The cache holds only checked weights, so a hit needs no check."""
+    """Dimension of the irreducible representation by the Weyl formula;
+    ValueError unless mu is a dominant weight, checked before the cache."""
     mu = tuple(mu)
+    _check_dominant(data, mu)
+    return _weyl_dimension(data, mu)
+
+
+def _weyl_dimension(data: LieData, mu: Weight) -> int:
+    """weyl_dimension of a dominant weight the library built, unchecked and
+    cached per type and weight."""
     dim = _DIM_CACHE.get((data.lie_type, mu))
     if dim is None:
-        _check_dominant(data, mu)
         num = den = 1
         for root in data.positive_roots:
             num *= sum((a + 1) * b for a, b in zip(mu, root.coroot))
@@ -254,8 +261,16 @@ def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Wei
 def weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Weight, int]:
     """Multiplicities of all weights of V_mu, cross-checked against the Weyl
     dimension formula: the Freudenthal multiplicities spread over the Weyl
-    orbits of the dominant weights must add up to dim V_mu."""
+    orbits of the dominant weights must add up to dim V_mu.  ValueError
+    unless mu is a dominant weight, checked before the cache."""
     mu = tuple(mu)
+    _check_dominant(data, mu)
+    return _weight_multiplicities(data, mu)
+
+
+def _weight_multiplicities(data: LieData, mu: Weight) -> dict[Weight, int]:
+    """weight_multiplicities of a dominant weight the library built,
+    unchecked and cached per type and weight."""
     key = (data.lie_type, mu)
     cached = _FULL_MULT_CACHE.get(key)
     if cached is not None:
@@ -265,7 +280,7 @@ def weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Weight, int]
     for lam, m in dominant_weight_multiplicities(data, mu).items():
         for w in sorted(weyl_orbit(data, lam, 0, walls)):
             out[w] = m
-    assert sum(out.values()) == weyl_dimension(data, mu), (
+    assert sum(out.values()) == _weyl_dimension(data, mu), (
         f"Freudenthal/Weyl dimension mismatch for {mu}"
     )
     _FULL_MULT_CACHE[key] = out
@@ -283,30 +298,37 @@ def _factor_weights(data: LieData, lam: Weight, mu: Weight) -> dict[Weight, int]
     """lam + tau with the multiplicity of tau, over the weights tau of V_mu,
     after swapping the factors so that V_mu has the smaller dimension: the
     terms that the Klimyk rule and the Kac-Walton formula reflect."""
-    if weyl_dimension(data, mu) > weyl_dimension(data, lam):
+    if _weyl_dimension(data, mu) > _weyl_dimension(data, lam):
         lam, mu = mu, lam
     return {
         tuple(a + b for a, b in zip(lam, tau)): m
-        for tau, m in weight_multiplicities(data, mu).items()
+        for tau, m in _weight_multiplicities(data, mu).items()
     }
 
 
 def tensor_decompose(data: LieData, lam: Sequence[int], mu: Sequence[int]) -> CharacterElt:
-    """Decomposition of V_lam (x) V_mu by the Klimyk rule.  The cache, keyed
-    by the unordered pair, holds only checked weights, so a hit needs no check."""
+    """Decomposition of V_lam (x) V_mu by the Klimyk rule, cached per
+    unordered pair; ValueError unless both are dominant weights, checked
+    before the cache."""
     lam, mu = tuple(lam), tuple(mu)
+    _check_dominant(data, lam)
+    _check_dominant(data, mu)
+    return CharacterElt._trusted(dict(_tensor_decompose(data, lam, mu)), data)  # a copy
+
+
+def _tensor_decompose(data: LieData, lam: Weight, mu: Weight) -> dict[Weight, int]:
+    """The terms of tensor_decompose for dominant weights the library built,
+    unchecked; the cached dict itself, which callers must not change."""
     out = _TENSOR_CACHE.get((data.lie_type, frozenset((lam, mu))))
     if out is None:
-        _check_dominant(data, lam)
-        _check_dominant(data, mu)
         # V_lam (x) V_mu = sum over the weights tau of V_mu of chi(lam + tau),
         # each reduced by the classical Weyl group in the rho-shifted action
         out = dominantize_terms(data, _factor_weights(data, lam, mu), 0, range(1, data.rank + 1), 1)
         assert all(c > 0 for c in out.values()), "Klimyk produced a negative multiplicity"
-        dim_check = sum(c * weyl_dimension(data, w) for w, c in out.items())
-        assert dim_check == weyl_dimension(data, lam) * weyl_dimension(data, mu)
+        dim_check = sum(c * _weyl_dimension(data, w) for w, c in out.items())
+        assert dim_check == _weyl_dimension(data, lam) * _weyl_dimension(data, mu)
         _TENSOR_CACHE[(data.lie_type, frozenset((lam, mu)))] = out
-    return CharacterElt._trusted(dict(out), data)  # a copy: the cache stays intact
+    return out
 
 
 # (lie type, k) -> weight -> its image {rep - rho: sign} at level k, or {}
@@ -381,11 +403,11 @@ def _special_scaled(data: LieData, nu: Sequence[int], k: int) -> tuple[list[int]
 
 
 def _irreducible_value_scaled(data: LieData, mu: Weight, X: Sequence[int], D: int) -> complex:
-    """chi_mu(exp(X / D)): the multiplicities of the weights tau of V_mu are
-    summed by the exact phase <tau, X> mod D, and each phase is turned into a
-    float by one division."""
+    """chi_mu(exp(X / D)) for a dominant weight mu, unchecked: the
+    multiplicities of the weights tau of V_mu are summed by the exact phase
+    <tau, X> mod D, and each phase is turned into a float by one division."""
     by_phase: dict[int, int] = {}
-    for tau, m in weight_multiplicities(data, mu).items():
+    for tau, m in _weight_multiplicities(data, mu).items():
         p = sum(map(mul, tau, X)) % D
         by_phase[p] = by_phase.get(p, 0) + m
     return sum(m * cmath.exp(2j * cmath.pi * (p / D)) for p, m in by_phase.items())
@@ -396,7 +418,10 @@ def _value_scaled(data: LieData, terms: Mapping[Weight, int], X: Sequence[int], 
 
 
 def irreducible_character_value(data: LieData, mu: Weight, xi: Sequence) -> complex:
-    """chi_mu(exp xi) as a sum over the weights of V_mu."""
+    """chi_mu(exp xi) as a sum over the weights of V_mu; ValueError unless mu
+    is a dominant weight."""
+    mu = tuple(mu)
+    _check_dominant(data, mu)
     return _irreducible_value_scaled(data, mu, *_scaled(data, xi))
 
 
@@ -507,7 +532,7 @@ def fusion_table(data: LieData, k: int) -> list[tuple[Weight, Weight, Weight, in
     n = len(basis)
     centre = _centre(data, basis, k)
     index = {w: i for i, w in enumerate(basis)}
-    dims = [weyl_dimension(data, w) for w in basis]
+    dims = [_weyl_dimension(data, w) for w in basis]
     products: dict[tuple[int, int], dict[int, int]] = {}
     for a in range(n):
         for b in range(a, n):
@@ -533,12 +558,21 @@ def fusion_table(data: LieData, k: int) -> list[tuple[Weight, Weight, Weight, in
 
 
 def fusion_table_json(data: LieData, k: int) -> dict:
+    """The fusion table as a document for _indented_json.  Each row is
+    JsonText: the row skeleton and every basis weight are rendered once, at
+    their depths in the document, and each row splices its cells into the
+    skeleton, so no row is a dict."""
+    basis = level_weights(data, k)
+    cell = {w: _indented_json(list(w), 3) for w in basis}
+    skeleton = _indented_json(
+        {"a": JsonText("%s"), "b": JsonText("%s"), "c": JsonText("%s"), "N": JsonText("%d")}, 2
+    )
     return {
         "type": str(data.lie_type),
         "k": k,
-        "basis": [list(w) for w in level_weights(data, k)],
+        "basis": [list(w) for w in basis],
         "constants": [
-            {"a": list(a), "b": list(b), "c": list(c), "N": n}
+            JsonText(skeleton % (cell[a], cell[b], cell[c], n))
             for a, b, c, n in fusion_table(data, k)
         ],
     }

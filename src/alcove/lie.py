@@ -653,14 +653,24 @@ def apply_weight(elt: WeylElt, nu: Sequence[int], m: int) -> Weight:
 # serialization
 
 
-def _indented_json(doc) -> str:
-    """The bytes of json.dumps(doc, indent=2) for a tree of dicts with string
-    keys, lists, tuples and scalars; a non-string key raises TypeError.
+class JsonText(str):
+    """JSON text already laid out for the depth at which it is written:
+    _indented_json copies it verbatim, where a plain str is quoted."""
 
-    Strings are joined, not yielded.  A list of ints and strings is written
-    once per value and depth: a fusion table repeats its basis weights in
-    every row.  Only exact int and str items share a memo key, as 1, 1.0
-    and True compare equal.  Any other scalar goes to json.dumps.
+    __slots__ = ()
+
+
+def _indented_json(doc, depth: int = 0) -> str:
+    """The bytes of json.dumps(doc, indent=2) for a tree of dicts with string
+    keys, lists, tuples and scalars; a non-string key raises TypeError.  With
+    depth d the text is laid out as a value nested d levels deep: each line
+    after the first is indented 2 * d spaces more.
+
+    A JsonText value is written as it is, so a caller can render a fragment
+    once, at its depth, and splice copies of it into the document.  Strings
+    are joined, not yielded.  A list of ints and strings is written once per
+    value and depth.  Only exact int and str items share a memo key, as 1,
+    1.0 and True compare equal.  Any other scalar goes to json.dumps.
     """
     memo: dict[tuple, str] = {}
 
@@ -672,7 +682,7 @@ def _indented_json(doc) -> str:
         if type(value) is int:
             return str(value)
         if isinstance(value, str):
-            return _json_str(value)
+            return value if type(value) is JsonText else _json_str(value)
         if isinstance(value, dict):
             if not value:
                 return "{}"
@@ -691,7 +701,7 @@ def _indented_json(doc) -> str:
             return enclose("[", [write(v, depth + 1) for v in value], depth, "]")
         return json.dumps(value)
 
-    return write(doc, 0)
+    return write(doc, depth)
 
 
 def _frac_str(x: Fraction | int, D: int = 1) -> str:

@@ -915,7 +915,7 @@ def test_weyl_orbit_and_cone_basis_match_dot_product_oracle(name):
 
 def test_weight_walls_refuse_what_is_not_a_weight():
     d = build_lie_data("A2")
-    for bad in [(1,), (1, 0, 0), (), (1.0, 0), (0, 0.5), (F(1), 0), (F(1, 2), 1)]:
+    for bad in [(1,), (1, 0, 0), (), (1.0, 0), (0, 0.5), (F(1), 0), (F(1, 2), 1), (True, 0), (0, False)]:
         with pytest.raises(ValueError):
             _weight_walls(d, bad, 1)
         with pytest.raises(ValueError):

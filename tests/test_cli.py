@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from alcove.cli import main
+from alcove.fusion import fusion_table, level_weights
+from alcove.lie import build_lie_data
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -69,6 +72,63 @@ def test_fusion_table_count(capsys):
     doc = json.loads(out)
     total = sum(2 if row["a"] != row["b"] else 1 for row in doc["constants"])
     assert total == 10
+
+
+# Oracle: the fusion-table document with one plain dict per row, and the
+# generic CSV and text renderers that printed it before each row was spliced
+# from cells rendered once per basis weight.
+
+
+def dict_row_fusion_doc(data, k):
+    return {
+        "type": str(data.lie_type),
+        "k": k,
+        "basis": [list(w) for w in level_weights(data, k)],
+        "constants": [
+            {"a": list(a), "b": list(b), "c": list(c), "N": n}
+            for a, b, c, n in fusion_table(data, k)
+        ],
+    }
+
+
+def dict_row_csv(doc):
+    def cell(value):
+        return ";".join(map(str, value)) if isinstance(value, list) else str(value)
+
+    table = doc["constants"]
+    lines = [",".join(table[0])]
+    lines += [",".join(cell(v) for v in row.values()) for row in table]
+    return "\n".join(lines) + "\n"
+
+
+def dict_row_text(doc):
+    lines = [f"{doc['type']} level {doc['k']}: {len(doc['basis'])} generators"]
+    for row in doc["constants"]:
+        lines.append(
+            f"  [{','.join(map(str, row['a']))}] * [{','.join(map(str, row['b']))}]"
+            f" -> [{','.join(map(str, row['c']))}] : {row['N']}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def fusion_oracle_cases():
+    types = ("A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "D5", "G2")
+    cases = random.Random(21).sample([(t, k) for t in types for k in range(5)], 20)
+    return sorted(cases) + [("A2", 9)]
+
+
+@pytest.mark.parametrize("group, k", fusion_oracle_cases())
+def test_fusion_table_matches_the_dict_row_renderers(capsys, group, k):
+    doc = dict_row_fusion_doc(build_lie_data(group), k)
+    expected = {
+        "json": json.dumps(doc, indent=2) + "\n",
+        "csv": dict_row_csv(doc),
+        "text": dict_row_text(doc),
+    }
+    for fmt, want in expected.items():
+        code, out, _ = run(capsys, "fusion-table", group, "-k", str(k), "--format", fmt)
+        assert code == 0
+        assert out == want, fmt
 
 
 def test_orbit_json(capsys):

@@ -159,9 +159,9 @@ def test_multiplicities_nondominant_rejected():
 
 
 def test_weyl_dimension_checks_survive_a_warm_cache():
-    """A cache hit skips the argument checks, so a bad weight must never hit:
-    with other weights of the same type cached, a non-dominant and a
-    wrong-rank weight still raise, also on a second call."""
+    """The argument checks come before the cache: with other weights of the
+    same type cached, a non-dominant and a wrong-rank weight still raise,
+    also on a second call."""
     a2 = build_lie_data("A2")
     for mu in itertools.product(range(3), repeat=2):
         weyl_dimension(a2, mu)
@@ -174,22 +174,29 @@ def test_weyl_dimension_checks_survive_a_warm_cache():
     assert weyl_dimension(a2, [1, 1]) == weyl_dimension(a2, iter((1, 1))) == 8
 
 
-def test_weyl_dimension_hit_skips_checks(monkeypatch):
+def test_weyl_dimension_kernel_skips_checks(monkeypatch):
+    """The public weyl_dimension checks its weight on a cache hit too; the
+    private kernels that fusion_table, _factor_weights and the dimension
+    assertions call check nothing."""
     from alcove import fusion
 
     a2 = build_lie_data("A2")
     assert weyl_dimension(a2, (2, 1)) == 15
+    assert len(weight_multiplicities(a2, (2, 1))) == 12
     calls = []
     for name in ("_check_dominant", "is_dominant", "_weight_walls"):
-        monkeypatch.setattr(fusion, name, lambda *a: calls.append(a))
-    assert weyl_dimension(a2, (2, 1)) == 15
+        monkeypatch.setattr(fusion, name, lambda *a, name=name: calls.append(name))
+    assert fusion._weyl_dimension(a2, (2, 1)) == 15
+    assert len(fusion._weight_multiplicities(a2, (2, 1))) == 12
     assert calls == []
+    assert weyl_dimension(a2, (2, 1)) == 15
+    assert calls == ["_check_dominant"]
 
 
 def test_tensor_decompose_checks_survive_a_warm_cache():
-    """A cache hit skips the argument checks, so a bad weight must never hit:
-    with other pairs of the same type cached, a non-dominant and a
-    wrong-rank weight still raise, in either factor, also on a second call."""
+    """The argument checks come before the cache: with other pairs of the
+    same type cached, a non-dominant and a wrong-rank weight still raise, in
+    either factor, also on a second call."""
     a2 = build_lie_data("A2")
     weights = list(itertools.product(range(2), repeat=2))
     for lam, mu in itertools.product(weights, repeat=2):
@@ -206,16 +213,52 @@ def test_tensor_decompose_checks_survive_a_warm_cache():
     assert expect.terms == {(1, 1): 1, (0, 0): 1}
 
 
-def test_tensor_decompose_hit_skips_checks(monkeypatch):
+def test_product_factors_skip_checks(monkeypatch):
+    """The factor weights that fusion_product reflects, and the tensor
+    product terms that CharacterElt products combine, are read through the
+    unchecked kernels, while a tensor_decompose hit checks both factors."""
     from alcove import fusion
 
     a2 = build_lie_data("A2")
     expect = tensor_decompose(a2, (2, 1), (0, 1))
+    factors = fusion._factor_weights(a2, (2, 1), (0, 1))
     calls = []
     for name in ("_check_dominant", "is_dominant", "_weight_walls"):
-        monkeypatch.setattr(fusion, name, lambda *a: calls.append(a))
-    assert tensor_decompose(a2, (0, 1), (2, 1)) == expect
+        monkeypatch.setattr(fusion, name, lambda *a, name=name: calls.append(name))
+    assert fusion._factor_weights(a2, (0, 1), (2, 1)) == factors
+    assert fusion._tensor_decompose(a2, (0, 1), (2, 1)) == expect.terms
     assert calls == []
+    assert tensor_decompose(a2, (0, 1), (2, 1)) == expect
+    assert calls == ["_check_dominant"] * 2
+
+
+# A weight with an integral float or a bool coordinate equals and hashes like
+# an int weight, so it would hit that weight's cache entry unless checked first.
+NOT_WEIGHTS = [(1.0, 0), (0, 1.0), (True, 0), (0, True), (F(1), 0)]
+
+
+def test_public_weight_functions_check_before_their_caches():
+    a2 = build_lie_data("A2")
+    weights = list(itertools.product(range(2), repeat=2))
+    for lam, mu in itertools.product(weights, repeat=2):
+        tensor_decompose(a2, lam, mu)
+    for mu in weights:
+        weyl_dimension(a2, mu)
+        weight_multiplicities(a2, mu)
+        dominant_weight_multiplicities(a2, mu)
+        irreducible_character_value(a2, mu, (F(1, 5), F(1, 7)))
+    for bad in NOT_WEIGHTS:
+        for _ in range(2):
+            for f in (weyl_dimension, weight_multiplicities, dominant_weight_multiplicities):
+                with pytest.raises(ValueError, match="not an int"):
+                    f(a2, bad)
+            for pair in [(bad, (0, 1)), ((0, 1), bad)]:
+                with pytest.raises(ValueError, match="not an int"):
+                    tensor_decompose(a2, *pair)
+            with pytest.raises(ValueError, match="not an int"):
+                irreducible_character_value(a2, bad, (F(1, 5), F(1, 7)))
+    with pytest.raises(ValueError, match="not an int"):
+        tensor_decompose(a2, (1.0, 0), (0, True))
 
 
 def box_walk_dominant_weights_below(data, mu):
@@ -841,11 +884,13 @@ A2_ELEMENTS = {
 @pytest.mark.parametrize("cls", sorted(A2_ELEMENTS))
 def test_weight_keyed_elements_refuse_wrong_rank_and_non_int_keys(cls):
     """Each weight-keyed element class refuses a short and a long key, and
-    a key with a float or Fraction coordinate, integral or not; the zip of
-    a dot product once let a long key through and truncated a short one."""
+    a key with a float, Fraction or bool coordinate, integral or not; the
+    zip of a dot product once let a long key through and truncated a short
+    one."""
     d, make = build_lie_data("A2"), A2_ELEMENTS[cls]
     assert make(d, (1, 1)).terms == {(1, 1): 1}
-    for bad in [(0,), (1,), (0, 0, 5), (1, 0, 0), (0.5, 0.5), (1.0, 1), (1, F(1)), (F(1, 2), 1)]:
+    for bad in [(0,), (1,), (0, 0, 5), (1, 0, 0), (0.5, 0.5), (1.0, 1), (1, F(1)), (F(1, 2), 1),
+                (True, 1), (1, False)]:
         with pytest.raises(ValueError):
             make(d, bad)
 

@@ -13,6 +13,7 @@ import alcove
 from alcove.cli import main
 from alcove.lie import (
     InvalidLieTypeError,
+    JsonText,
     LieType,
     OutsideAlcoveError,
     _indented_json,
@@ -644,6 +645,37 @@ def test_indented_json_leaf_lists_at_two_depths_and_of_equal_values():
     assert _indented_json(doc) == json.dumps(doc, indent=2)
     for value in ([], {}, "\u00e9", 7, None, [leaf]):
         assert _indented_json(value) == json.dumps(value, indent=2)
+
+
+def prerendered(value, depth, rng):
+    """value with some of its nested values replaced by JsonText, each
+    rendered by _indented_json at the depth where it sits."""
+    if rng.random() < 0.3:
+        return JsonText(_indented_json(value, depth))
+    if isinstance(value, dict):
+        return {k: prerendered(v, depth + 1, rng) for k, v in value.items()}
+    if isinstance(value, list):
+        return [prerendered(v, depth + 1, rng) for v in value]
+    return value
+
+
+def test_indented_json_writes_json_text_verbatim_at_its_depth():
+    rng = random.Random(21)
+    for _ in range(400):
+        doc = random_doc(rng)
+        assert _indented_json(prerendered(doc, 0, rng)) == json.dumps(doc, indent=2)
+    cell = _indented_json([1, "x"], 3)
+    assert cell == "[\n        1,\n        \"x\"\n      ]"
+    doc = {"rows": [{"a": JsonText(cell), "N": 2}]}
+    assert _indented_json(doc) == json.dumps({"rows": [{"a": [1, "x"], "N": 2}]}, indent=2)
+
+
+def test_indented_json_quotes_a_plain_str_that_looks_like_json_text():
+    for text in ['[\n  1\n]', '"x"', '{}', '1', 'a\\b\u00e9']:
+        assert _indented_json(JsonText(text)) == text
+        assert _indented_json(text) == json.dumps(text)
+        assert _indented_json({"k": [text]}) == json.dumps({"k": [text]}, indent=2)
+        assert _indented_json({"k": [JsonText(text)]}) == '{\n  "k": [\n    ' + text + '\n  ]\n}'
 
 
 def test_indented_json_refuses_a_key_that_is_not_a_string():
