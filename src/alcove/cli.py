@@ -8,7 +8,8 @@ weight, in each format (see cmd_fusion_table).  Domain errors are raised as
 ValueError and reported by ``main``.
 
 Exit codes: 0 success / verified, 2 parse error, 3 domain precondition
-violated, 4 mathematical verdict mismatch, 5 invalid certificate.  Output
+violated, 4 mathematical verdict mismatch or a failed exact check of the
+complex (its witness on stderr), 5 invalid certificate.  Output
 cut short by a reader that closes the pipe early still exits 0, quietly.
 """
 
@@ -32,7 +33,7 @@ from .lie import (
 )
 from .affine import orbit_up_to_length
 from .prequant import prequant_catalog
-from .resolution import OrbitComplex, certificate_json, verify_certificate
+from .resolution import CheckFailed, OrbitComplex, certificate_json, verify_certificate
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -167,7 +168,7 @@ def cmd_fusion_table(args) -> int:
         head = f"{data.lie_type} level {args.level}: {len(basis)} generators"
     cell = {w: sep.join(map(str, w)) for w in basis}
     lines = [head] + [
-        row % (cell[a], cell[b], cell[c], n) for a, b, c, n in fusion_table(data, args.level)
+        row % (cell[a], cell[b], cell[c], n) for a, b, c, n in fusion_table(data, args.level, basis)
     ]
     _emit(args, "\n".join(lines))
     return EXIT_OK
@@ -348,6 +349,9 @@ def main(argv=None) -> int:
     except (InvalidLieTypeError, CliParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except CheckFailed as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_VERDICT
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -482,11 +482,13 @@ def project_to_fusion(phi: LevelRepElt) -> FusionElt:
 # fusion tables and serialization
 
 
-def _simple_current(data: LieData, basis: list[Weight], k: int, j: int) -> tuple[int, ...]:
+def _simple_current(
+    data: LieData, basis: list[Weight], index: Mapping[Weight, int], k: int, j: int
+) -> tuple[int, ...]:
     """The simple current sigma_j of node j (see fusion_table) as the images
-    of the level-k basis, by index; sigma_0 is the identity."""
+    of the level-k basis, by index (index maps each basis weight to its
+    position); sigma_0 is the identity."""
     m, walls = k + data.dual_coxeter, range(data.rank + 1)
-    index = {w: i for i, w in enumerate(basis)}
     images = []
     for lam in basis:
         nu = [x + 1 for x in lam]
@@ -497,14 +499,16 @@ def _simple_current(data: LieData, basis: list[Weight], k: int, j: int) -> tuple
     return tuple(images)
 
 
-def _centre(data: LieData, basis: list[Weight], k: int) -> list[tuple[int, ...]]:
+def _centre(
+    data: LieData, basis: list[Weight], index: Mapping[Weight, int], k: int
+) -> list[tuple[int, ...]]:
     """The centre Z(G) acting on the level-k basis: the distinct simple
     currents of the nodes with mark 1, node 0 (the identity) first.  There
     is one element of Z(G) per special node of the alcove, so these are
     closed under composition; that is asserted.  At k = 0 all are the
     identity."""
     special = [0] + [j for j, mark in enumerate(data.marks, 1) if mark == 1]
-    centre = list(dict.fromkeys(_simple_current(data, basis, k, j) for j in special))
+    centre = list(dict.fromkeys(_simple_current(data, basis, index, k, j) for j in special))
     members = set(centre)
     assert all(
         tuple([s[i] for i in t]) in members for s in centre for t in centre
@@ -512,9 +516,12 @@ def _centre(data: LieData, basis: list[Weight], k: int) -> list[tuple[int, ...]]
     return centre
 
 
-def fusion_table(data: LieData, k: int) -> list[tuple[Weight, Weight, Weight, int]]:
+def fusion_table(
+    data: LieData, k: int, basis: list[Weight] | None = None
+) -> list[tuple[Weight, Weight, Weight, int]]:
     """All nonzero structure constants (a, b, c, N) at level k, with a <= b,
-    by row pair and then by c.
+    by row pair and then by c.  A caller that holds level_weights(data, k)
+    passes it as basis, so that the basis is enumerated once per table.
 
     The table is folded by the centre Z(G).  It acts on level-k weights by
     the simple currents of the nodes j with mark 1,
@@ -528,10 +535,11 @@ def fusion_table(data: LieData, k: int) -> list[tuple[Weight, Weight, Weight, in
     pair whose smaller factor has the least Weyl dimension, and its terms
     are carried to the rest of the orbit; pairs an orbit reaches twice must
     get the same terms.  A trivial centre leaves one pair per orbit."""
-    basis = level_weights(data, k)
+    if basis is None:
+        basis = level_weights(data, k)
     n = len(basis)
-    centre = _centre(data, basis, k)
     index = {w: i for i, w in enumerate(basis)}
+    centre = _centre(data, basis, index, k)
     dims = [_weyl_dimension(data, w) for w in basis]
     products: dict[tuple[int, int], dict[int, int]] = {}
     for a in range(n):
@@ -573,6 +581,6 @@ def fusion_table_json(data: LieData, k: int) -> dict:
         "basis": [list(w) for w in basis],
         "constants": [
             JsonText(skeleton % (cell[a], cell[b], cell[c], n))
-            for a, b, c, n in fusion_table(data, k)
+            for a, b, c, n in fusion_table(data, k, basis)
         ],
     }

@@ -11,8 +11,8 @@ where u_r is the unique element of W_{I - {i_r}} moving x into the closed
 cone of I - {i_r}; terms landing on a cone wall vanish.  The module also
 provides the augmentation, the degree-raising operators h_i, the chain maps
 A_i = id - h_i d - d h_i, a certified cycle-contraction routine built from
-them, and exact homology of length-truncated subcomplexes via integer Smith
-normal form.
+them, and exact homology of length-truncated subcomplexes from a checked
+algebraic Morse matching.
 
 All of this is independent of a level: the complex only sees the orbit
 combinatorics of V.
@@ -43,13 +43,26 @@ has its start vector computed, by _start.  Each length truncation is built
 once per complex and shared, and stores each boundary map d_p as sparse
 columns: one list of (row, coeff) pairs per basis element of degree p.
 d o d = 0 is checked on every entry by an exact sparse product: each column
-of d_p is sent through the columns of d_{p-1} it meets.  Each nonzero
-boundary matrix gets one invariant_factors call, which eliminates +-1 pivots
-(each an invariant factor 1) and reduces only what is left densely; the
-factors give both the rank (their number) and the torsion (those above 1).
-The H0 augmentation check reads the sign (-1)^length of each row of d_1 from
-the orbit's length table and tests every column against it.  random_cycle
-computes the dense kernel basis of each d_p of a truncation once.
+of d_p is sent through the columns of d_{p-1} it meets.
+
+The ranks of the boundary maps come from the contraction the homotopies
+name, not from an elimination.  Let e(x) be the least node whose wall value
+at x is positive; a basis pair (I, x) with e(x) not in I is matched with
+(I + {e(x)}, x), the pair h_{e(x)} sends it to.  If every matched
+coefficient is +-1 and the matching is acyclic, the complex is chain
+homotopy equivalent over Z to a Morse complex on the unmatched (critical)
+cells (algebraic Morse theory: Forman, Adv. Math. 134, 1998; Kozlov,
+C. R. Math. 340, 2005; Skoldberg, Trans. AMS 358, 2006).  The critical
+cells are one, ({0}, base point), for the full face and none for any other
+face, so the homology is Z in degree 0 or zero: there is no torsion, and
+rank d_p is the number of matched pairs between degrees p and p-1.
+homology_report checks all of this on the stored matrices (_matched_ranks)
+before it uses the ranks, so they are proved, not sampled; a failed check
+raises CheckFailed with a witness, and there is no second, eliminating
+route.  The H0 augmentation check reads the sign (-1)^length of each row of
+d_1 from the orbit's length table and tests every column against it.
+random_cycle computes the dense kernel basis of each d_p of a truncation
+once.
 """
 
 from __future__ import annotations
@@ -62,7 +75,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .affine import OrbitContext, _reduce, _scaled_crossing_length
-from .intlinalg import invariant_factors, kernel_basis, to_dense
+from .intlinalg import kernel_basis, to_dense
 from .lie import (
     FaceIndex,
     LieData,
@@ -92,6 +105,12 @@ CERT_MAX_LENGTH = 10_000
 # certificate takes about 0.25 s at rank 20 as a whole process, and 0.8 s at
 # rank 40 and 17 s at rank 100 in process (A_l, single runs, 2-core host).
 CERT_MAX_RANK = 20
+
+
+class CheckFailed(AssertionError):
+    """An exact check of a truncated complex failed: d o d = 0, or the Morse
+    matching behind homology_report.  The message is the witness: the
+    degree and the entry, key or face that failed."""
 
 
 class ChainElt(SparseElt):
@@ -384,27 +403,92 @@ class OrbitComplex:
 
     # -- homology -----------------------------------------------------------------------
 
+    def _matched_ranks(self, tc: TruncatedComplex) -> dict[int, int]:
+        """rank d_p for p = 1..l, read off the matching that h_{e(x)} names
+        once it has passed its checks on tc.matrices (see homology_report);
+        CheckFailed with a witness otherwise."""
+        l, D = self.data.rank, self.D
+        vectors, lengths, bases = self.ctx._vectors, self.ctx._length, tc.bases
+        # e(x), the least node with a positive wall value at x; one exists,
+        # as the wall values of x weighted by the marks sum to D > 0
+        first = {x: next(i for i, v in enumerate(vectors[x][: l + 1]) if v > 0)
+                 for x, _ in self.ctx.points_up_to(tc.N)}
+
+        def cell(key: ChainKey) -> str:
+            return f"({list(key[0])}, {_point_str(key[1], D)})"
+
+        def fail(p: int, witness: str):
+            raise CheckFailed(f"Morse matching check failed in degree {p}: {witness}")
+
+        ranks = {}
+        for p in range(1, l + 1):
+            lower, pairs = bases[p - 1], 0
+            # each upper cell (U, x), e(x) in U, has its lower cell (K, x),
+            # K = U - {e(x)}, among its faces with coefficient +-1; every
+            # other face matched upward has a shorter point, so no gradient
+            # path closes up
+            for (U, x), column in zip(bases[p], tc.matrices[p]):
+                e = first[x]
+                if e not in U:
+                    continue
+                K = tuple(i for i in U if i != e)
+                length, matched = lengths[x], False
+                for row, coeff in column:
+                    F, y = lower[row]
+                    if y == x and F == K:
+                        if coeff not in (1, -1):
+                            fail(p, f"the matched face {cell((K, x))} of {cell((U, x))} has coefficient {coeff}")
+                        matched = True
+                    elif first[y] not in F and lengths[y] >= length:
+                        fail(p, f"the face {cell((F, y))} of {cell((U, x))} is matched upward "
+                                f"but has length {lengths[y]}, not below {length}")
+                if not matched:
+                    fail(p, f"the matched face {cell((K, x))} is missing from the boundary of {cell((U, x))}")
+                pairs += 1
+            # distinct upper cells have distinct lower cells, so the count
+            # shows that every cell matched upward has its upper cell
+            if pairs != sum(first[x] not in I for I, x in lower):
+                keys = set(bases[p])
+                I, x = next((I, x) for I, x in lower
+                            if first[x] not in I and (tuple(sorted(I + (first[x],))), x) not in keys)
+                fail(p - 1, f"the upper cell of {cell((I, x))} is not in the basis")
+            ranks[p] = pairs
+        critical = [key for key in bases[0] if key[0] == (first[key[1]],)]
+        expected = [((0,), self.ctx.base)] if self.J == self.full_face else []
+        if critical != expected:
+            fail(0, f"critical cells {', '.join(map(cell, critical)) or 'none'}, "
+                    f"expected {', '.join(map(cell, expected)) or 'none'}")
+        return ranks
+
     def homology_report(self, n: int) -> dict:
         """Exact homology data of the length-n truncation, with verdicts
         against the expected acyclicity pattern: vanishing in degrees > 0,
         injectivity at the top, and H_0 = Z (detected by the augmentation)
-        exactly for the full face, H_0 = 0 otherwise."""
+        exactly for the full face, H_0 = 0 otherwise.
+
+        The ranks come from the matching (I, x) <-> (I + {e(x)}, x), e(x)
+        the least node with a positive wall value at x, checked on the
+        stored matrices before it is used: every upper cell is in the
+        basis, every matched coefficient is +-1, every other face of an
+        upper cell that is itself matched upward has a strictly shorter
+        point (so the matching is acyclic), and the critical cells are
+        ({0}, base point) for the full face and none otherwise.  Then, by
+        algebraic Morse theory (Forman 1998; Skoldberg 2006), rank d_p is
+        the number of degree p-1 cells matched upward and there is no
+        torsion.  A failed check raises CheckFailed naming the degree, the
+        key and the coefficient or face; the CLI exits 4 on it."""
         if n < 1:
             raise ValueError("truncation bound must be >= 1")
         l = self.data.rank
         tc = self.truncated(n)
         dims = [len(b) for b in tc.bases]
-        # one reduction per nonzero matrix: the nonzero invariant factors
-        # give both the rank (their number) and the torsion (those above 1)
-        factors = {p: invariant_factors(M) if any(M) else [] for p, M in tc.matrices.items()}
-        ranks = {p: len(f) for p, f in factors.items()}
+        ranks = self._matched_ranks(tc)
         degrees = []
         all_ok = True
         for p in range(l + 1):
             rank_p = ranks.get(p, 0)
             rank_above = ranks.get(p + 1, 0)
             rank_ker = dims[p] - rank_p if p >= 1 else dims[p]
-            torsion = [f for f in factors.get(p + 1, []) if f > 1]
             if p == l:
                 ok = rank_ker == 0 if l >= 1 else True
                 verdict = "injective" if ok else "kernel"
@@ -417,13 +501,13 @@ class OrbitComplex:
                         sum(coeff * eps[row] for row, coeff in column) == 0
                         for column in tc.matrices.get(1, [])
                     )
-                    ok = (dims[0] - rank_above == 1) and not torsion and eps_on_boundaries
+                    ok = dims[0] - rank_above == 1 and eps_on_boundaries
                     verdict = "H0=Z" if ok else "H0!=Z"
                 else:
-                    ok = dims[0] == rank_above and not torsion
+                    ok = dims[0] == rank_above
                     verdict = "H0=0" if ok else "H0!=0"
             else:
-                ok = rank_ker == rank_above and not torsion
+                ok = rank_ker == rank_above
                 verdict = "exact" if ok else "homology"
             all_ok = all_ok and ok
             degrees.append(
@@ -432,7 +516,8 @@ class OrbitComplex:
                     "dim": dims[p],
                     "rank_ker": rank_ker,
                     "rank_im_above": rank_above,
-                    "torsion": torsion,
+                    # the checked matching leaves no torsion
+                    "torsion": [],
                     "verdict": verdict,
                 }
             )
@@ -464,7 +549,7 @@ def check_d_squared_zero(
                 total[i] = total.get(i, 0) + a * b
         for i, v in total.items():
             if v:
-                raise AssertionError(
+                raise CheckFailed(
                     f"d composed with d is nonzero at degree {p}: entry ({i}, {j}) is {v}"
                 )
 

@@ -134,6 +134,25 @@ def test_fusion_table_matches_the_dict_row_renderers(capsys, group, k):
         assert next(((i, g, e) for i, (g, e) in enumerate(zip(got, exp)) if g != e), None) is None, fmt
 
 
+def test_fusion_table_enumerates_the_basis_once(capsys, monkeypatch):
+    # one level_weights call per table in every format, at every binding
+    from alcove import cli, fusion
+
+    calls = []
+    original = fusion.level_weights
+
+    def counting(data, k):
+        calls.append(k)
+        return original(data, k)
+
+    for module in (cli, fusion):
+        monkeypatch.setattr(module, "level_weights", counting)
+    for fmt in ("json", "csv", "text"):
+        calls.clear()
+        code, _, _ = run(capsys, "fusion-table", "D4", "-k", "2", "--format", fmt)
+        assert code == 0 and calls == [2], fmt
+
+
 def test_orbit_json(capsys):
     code, out, _ = run(capsys, "orbit", "A1", "-J", "0,1", "-N", "2", "--format", "json")
     assert code == 0

@@ -593,13 +593,14 @@ def test_simple_current_is_fusion_with_k_omega_j(name, top):
     d = build_lie_data(name)
     for k in range(top + 1):
         basis = level_weights(d, k)
+        index = {w: i for i, w in enumerate(basis)}
         for j in special_nodes(d):
             k_omega = tuple(k if i == j else 0 for i in range(1, d.rank + 1))
-            images = _simple_current(d, basis, k, j)
+            images = _simple_current(d, basis, index, k, j)
             for lam, img in zip(basis, images):
                 prod = fusion_product(FusionElt(d, k, {k_omega: 1}), FusionElt(d, k, {lam: 1}))
                 assert prod.terms == {basis[img]: 1}, (k, j, lam)
-        centre = _centre(d, basis, k)
+        centre = _centre(d, basis, index, k)
         assert centre[0] == tuple(range(len(basis)))
         assert len(centre) == (len(special_nodes(d)) if k else 1)
 
@@ -625,8 +626,8 @@ def test_folded_table_rejects_a_current_outside_the_centre(monkeypatch, name, k,
     j = special_nodes(d)[1]
     honest = fusion._simple_current
 
-    def swapped(data, basis, level, node):
-        images = list(honest(data, basis, level, node))
+    def swapped(data, basis, index, level, node):
+        images = list(honest(data, basis, index, level, node))
         if node == j:
             other = images[0] if partner == "own-image" else 1
             images[0], images[other] = images[other], images[0]

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from alcove.fusion import LevelRepElt, level_weights, project_to_fusion
-from alcove.intlinalg import to_dense
+from alcove.intlinalg import invariant_factors, to_dense
 from alcove.lie import b_flat, b_sharp, build_lie_data
 from alcove.affine import _scaled_crossing_length
 from alcove.resolution import (
@@ -638,27 +638,19 @@ def test_cached_truncation_not_mutated(name, J, n, p):
     assert cached.matrices == fresh.matrices
 
 
-def test_homology_report_reduces_each_matrix_once(monkeypatch):
+def test_homology_report_calls_no_smith_normal_form(monkeypatch):
+    # the ranks come from the checked Morse matching: neither
+    # invariant_factors nor column_reduce runs, at any binding
     from alcove import intlinalg, resolution
 
-    calls, reductions = [], []
-    original = intlinalg.invariant_factors
-
-    def counting(M):
-        calls.append(M)
-        return original(M)
-
-    monkeypatch.setattr(resolution, "invariant_factors", counting)
-    monkeypatch.setattr(intlinalg, "column_reduce", lambda *args: reductions.append(args))
-    for name, J, n in [("A2", (0, 1, 2), 3), ("C2", (0, 1), 4), ("A3", (0, 1, 2, 3), 2)]:
-        oc = OrbitComplex(build_lie_data(name), J)
-        tc = oc.truncated(n)
-        nonempty = [M for M in tc.matrices.values() if any(M)]
-        calls.clear()
-        assert oc.homology_report(n)["all_ok"]
-        assert len(calls) == len(nonempty) and all(a is b for a, b in zip(calls, nonempty))
-    # unit pivots leave nothing for the dense reduction on these complexes
-    assert reductions == []
+    calls = []
+    for module in (intlinalg, resolution):
+        for attr in ("invariant_factors", "_eliminate_unit_pivots", "column_reduce"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, lambda *args, attr=attr: calls.append(attr))
+    for name, J, n in [("A2", (0, 1, 2), 3), ("C2", (0, 1), 4), ("A3", (0, 1, 2, 3), 2), ("G2", (1, 2), 4)]:
+        assert OrbitComplex(build_lie_data(name), J).homology_report(n)["all_ok"]
+    assert calls == []
 
 
 def test_homology_report_reads_wall_values_off_the_orbit_walk(monkeypatch):
@@ -681,13 +673,227 @@ def test_homology_report_reads_wall_values_off_the_orbit_walk(monkeypatch):
     assert len(calls) <= 1
 
 
-@pytest.mark.parametrize("name", ["A4", "B4", "C4", "D4", "F4"])
+@pytest.mark.parametrize("name", ["A4", "B4", "C4", "D4", "F4",
+                                  "A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"])
 def test_homology_exact_on_every_face_of_rank_4(name):
-    # building each truncation also checks d o d = 0 on every entry
+    # every face of rank 4 at N = 3, and of rank <= 3 at N = 5; building each
+    # truncation also checks d o d = 0 on every entry.  Smith normal form is
+    # the oracle: the ranks of the checked matching are the numbers of
+    # invariant factors, and every factor is 1
     data = build_lie_data(name)
+    n = 3 if data.rank == 4 else 5
     for J in all_faces(data):
-        rep = OrbitComplex(data, J).homology_report(3)
+        oc = OrbitComplex(data, J)
+        rep = oc.homology_report(n)
         assert rep["all_ok"], (name, J, rep)
+        factors = {p: invariant_factors(M) for p, M in oc.truncated(n).matrices.items()}
+        assert all(f == 1 for fs in factors.values() for f in fs), (name, J)
+        assert [d["rank_im_above"] for d in rep["degrees"]] == [
+            len(factors.get(p + 1, [])) for p in range(data.rank + 1)
+        ], (name, J)
+
+
+def test_homology_exact_on_random_faces_of_rank_5_and_above():
+    # a seeded sample of faces, with the full face of each type, at N = 3
+    rng = random.Random(55)
+    for name in ["A5", "B5", "C5", "D5", "E6"]:
+        data = build_lie_data(name)
+        faces = list(all_faces(data))
+        for J in rng.sample(faces[:-1], 15) + faces[-1:]:
+            rep = OrbitComplex(data, J).homology_report(3)
+            assert rep["all_ok"], (name, J, rep)
+
+
+def least_positive_nodes(oc, tc):
+    """x -> e(x), the least node with a positive wall value at x, for every
+    point of the truncation tc: each one is in a top-degree cell."""
+    l = oc.data.rank
+    return {x: next(i for i in range(l + 1) if oc.ctx._vectors[x][i] > 0) for _, x in tc.bases[l]}
+
+
+def matched_entries(oc, tc):
+    """(p, column index, entry index) of each matched coefficient: the entry
+    of the lower cell (U - {e(x)}, x) in the column of an upper cell (U, x)."""
+    l, first = oc.data.rank, least_positive_nodes(oc, tc)
+    for p in range(1, l + 1):
+        for j, ((U, x), column) in enumerate(zip(tc.bases[p], tc.matrices[p])):
+            K = tuple(i for i in U if i != first[x])
+            for t, (row, _) in enumerate(column):
+                if K != U and tc.bases[p - 1][row] == (K, x):
+                    yield p, j, t
+
+
+def cell_str(oc, key):
+    from alcove.resolution import _point_str
+
+    return f"({list(key[0])}, {_point_str(key[1], oc.D)})"
+
+
+def test_matching_check_refuses_a_non_unit_matched_coefficient(monkeypatch):
+    # 2 away from zero at a matched entry of a cached truncation
+    from alcove.resolution import CheckFailed
+
+    oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
+    tc = oc.truncated(3)
+    entries = list(matched_entries(oc, tc))
+    assert len(entries) == sum(d["rank_im_above"] for d in oc.homology_report(3)["degrees"])
+    for p, j, t in entries[::7]:
+        column = tc.matrices[p][j]
+        row, coeff = column[t]
+        bad = coeff + 2 if coeff > 0 else coeff - 2
+        matrix = list(tc.matrices[p])
+        matrix[j] = column[:t] + [(row, bad)] + column[t + 1:]
+        monkeypatch.setitem(tc.matrices, p, matrix)
+        with pytest.raises(CheckFailed) as info:
+            oc.homology_report(3)
+        assert str(info.value) == (
+            f"Morse matching check failed in degree {p}: the matched face "
+            f"{cell_str(oc, tc.bases[p - 1][row])} of {cell_str(oc, tc.bases[p][j])} has coefficient {bad}"
+        )
+        monkeypatch.undo()
+    assert oc.homology_report(3)["all_ok"]
+
+
+def test_matching_check_refuses_a_dropped_matched_face(monkeypatch):
+    from alcove.resolution import CheckFailed
+
+    oc = OrbitComplex(build_lie_data("B3"), (0, 2, 3))
+    tc = oc.truncated(3)
+    for p, j, t in list(matched_entries(oc, tc))[::11]:
+        column = tc.matrices[p][j]
+        row, _ = column[t]
+        matrix = list(tc.matrices[p])
+        matrix[j] = column[:t] + column[t + 1:]
+        monkeypatch.setitem(tc.matrices, p, matrix)
+        with pytest.raises(CheckFailed) as info:
+            oc.homology_report(3)
+        assert str(info.value) == (
+            f"Morse matching check failed in degree {p}: the matched face "
+            f"{cell_str(oc, tc.bases[p - 1][row])} is missing from the boundary of "
+            f"{cell_str(oc, tc.bases[p][j])}"
+        )
+        monkeypatch.undo()
+    assert oc.homology_report(3)["all_ok"]
+
+
+def upward_shorter_faces(oc, tc):
+    """(upper cell, face) for each face of a matched upper cell that is
+    itself matched upward: the faces whose shorter points make the matching
+    acyclic."""
+    l, first = oc.data.rank, least_positive_nodes(oc, tc)
+    for p in range(1, l + 1):
+        for (U, x), column in zip(tc.bases[p], tc.matrices[p]):
+            if first[x] in U:
+                for row, _ in column:
+                    F, y = tc.bases[p - 1][row]
+                    if y != x and first[y] not in F:
+                        yield (U, x), (F, y)
+
+
+def test_matching_check_refuses_a_face_that_is_not_shorter(monkeypatch):
+    # a shorter point of an upward-matched face given the length of the
+    # upper cell's point in the orbit's length table; the witness names a
+    # face at that point and an upper cell it is now not below
+    from alcove.resolution import CheckFailed
+
+    oc = OrbitComplex(build_lie_data("A3"), (0, 1, 2, 3))
+    tc = oc.truncated(3)
+    faces = list(upward_shorter_faces(oc, tc))
+    lengths = oc.ctx._length
+    assert faces and all(lengths[y] < lengths[x] for (_, x), (_, y) in faces)
+    for (_, x), (_, y) in faces[::13]:
+        monkeypatch.setitem(lengths, y, lengths[x])
+        witnesses = {
+            f"Morse matching check failed in degree {len(upper[0]) - 1}: the face {cell_str(oc, face)} of "
+            f"{cell_str(oc, upper)} is matched upward but has length {lengths[y]}, not below {lengths[upper[1]]}"
+            for upper, face in faces if face[1] == y and lengths[upper[1]] <= lengths[y]
+        }
+        with pytest.raises(CheckFailed) as info:
+            oc.homology_report(3)
+        assert str(info.value) in witnesses
+        monkeypatch.undo()
+    assert oc.homology_report(3)["all_ok"]
+
+
+def test_matching_check_refuses_an_upper_cell_missing_from_the_basis(monkeypatch):
+    # a top-degree cell and its column taken out of a cached truncation: its
+    # lower cell is matched upward to a cell that is not there
+    from alcove.resolution import CheckFailed
+
+    oc = OrbitComplex(build_lie_data("C2"), (0, 1, 2))
+    tc = oc.truncated(4)
+    l = oc.data.rank
+    for j in (0, len(tc.bases[l]) // 2, len(tc.bases[l]) - 1):
+        U, x = tc.bases[l][j]
+        e = least_positive_nodes(oc, tc)[x]
+        monkeypatch.setattr(tc, "bases", tc.bases[:l] + [tc.bases[l][:j] + tc.bases[l][j + 1:]])
+        monkeypatch.setitem(tc.matrices, l, tc.matrices[l][:j] + tc.matrices[l][j + 1:])
+        with pytest.raises(CheckFailed) as info:
+            oc.homology_report(4)
+        lower = (tuple(i for i in U if i != e), x)
+        assert str(info.value) == (
+            f"Morse matching check failed in degree {l - 1}: the upper cell of {cell_str(oc, lower)} "
+            "is not in the basis"
+        )
+        monkeypatch.undo()
+    assert oc.homology_report(4)["all_ok"]
+
+
+def test_matching_check_compares_the_critical_cells(monkeypatch):
+    # the full face has one critical cell, ({0}, base point); another face
+    # has none.  Expecting them at another point, or on a proper face, fails
+    from alcove.resolution import CheckFailed
+
+    oc = OrbitComplex(build_lie_data("G2"), (0, 1, 2))
+    base = cell_str(oc, ((0,), oc.ctx.base))
+    other = oc.truncated(3).bases[0][-1][1]
+    monkeypatch.setattr(oc.ctx, "base", other)
+    with pytest.raises(CheckFailed) as info:
+        oc.homology_report(3)
+    assert str(info.value) == (
+        f"Morse matching check failed in degree 0: critical cells {base}, "
+        f"expected {cell_str(oc, ((0,), other))}"
+    )
+    monkeypatch.undo()
+    proper = OrbitComplex(build_lie_data("G2"), (1, 2))
+    monkeypatch.setattr(proper, "full_face", proper.J)
+    with pytest.raises(CheckFailed) as info:
+        proper.homology_report(3)
+    assert str(info.value) == (
+        "Morse matching check failed in degree 0: critical cells none, "
+        f"expected {cell_str(proper, ((0,), proper.ctx.base))}"
+    )
+
+
+@pytest.mark.parametrize("mutation", ["coefficient", "dropped", "length"])
+def test_resolution_exits_4_on_a_failed_matching_check(capsys, monkeypatch, mutation):
+    # each mutation of the checked truncation through the CLI: exit 4, the
+    # witness on stderr, no traceback
+    from alcove import resolution
+    from alcove.cli import main
+
+    original = resolution.OrbitComplex.truncated
+
+    def mutated(self, n):
+        tc = original(self, n)
+        if mutation == "length":
+            (_, x), (_, y) = next(upward_shorter_faces(self, tc))
+            self.ctx._length[y] = self.ctx._length[x]
+        else:
+            p, j, t = next(matched_entries(self, tc))
+            column = tc.matrices[p][j]
+            row, coeff = column[t]
+            kept = [(row, 3 * coeff)] if mutation == "coefficient" else []
+            tc.matrices[p][j] = column[:t] + kept + column[t + 1:]
+        return tc
+
+    monkeypatch.setattr(resolution.OrbitComplex, "truncated", mutated)
+    code = main(["resolution", "A2", "-J", "0,1,2", "-N", "3"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("check failed: Morse matching check failed in degree ")
+    assert "Traceback" not in err
 
 
 def test_homology_report_computes_each_row_sign_once(monkeypatch):
@@ -1204,3 +1410,27 @@ def test_exponent_coordinates_are_refused_without_expansion():
     )
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert proc.stdout.split() == ["ValueError"] * 12
+
+
+def test_resolution_exits_4_when_d_squared_is_not_zero(capsys, monkeypatch):
+    # one doubled face coefficient in every degree-2 column: the d o d = 0
+    # check of the truncation fails, and the CLI reports it like a failed
+    # matching check
+    from alcove import resolution
+    from alcove.cli import main
+
+    original = resolution.OrbitComplex._store_faces
+
+    def doubled(self, key, start):
+        faces = original(self, key, start)
+        if len(key[0]) == 3:
+            faces[next(iter(faces))] *= 2
+        return faces
+
+    monkeypatch.setattr(resolution.OrbitComplex, "_store_faces", doubled)
+    code = main(["resolution", "A2", "-J", "0,1,2", "-N", "3"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("check failed: d composed with d is nonzero at degree 2: entry (")
+    assert "Traceback" not in err
