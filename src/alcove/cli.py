@@ -217,6 +217,8 @@ def cmd_contract(args) -> int:
     face = _parse_face(args.face)
     if not 0 < args.degree < data.rank:
         raise ValueError(f"degree must be strictly between 0 and {data.rank}")
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, not {args.samples}")
     oc = OrbitComplex(data, face)
     rng = random.Random(args.seed)
     cycle = oc.random_cycle(args.degree, args.trunc, rng, max_terms=args.samples)

@@ -13,10 +13,10 @@ evaluation is retained purely as a second, independent check and never
 decides a value.  Kac-Walton, the Klimyk rule, the quotient map, induction
 and the projection to the fusion ring are one operation,
 affine.dominantize_terms, at different walls and levels; the element classes
-are alcove.sparse.SparseElt subclasses.  The quotient map and the projection
-share one quotient table per Lie type and level, weight -> image, filled on
-a miss; a fresh import empties it.  Results are built trusted, never over a
-cached dict itself.
+are alcove.sparse.SparseElt subclasses.  Every cached result lives in the
+memo of its LieData; the quotient map and the projection share its quotient
+table of each level, weight -> image.  Results are built trusted, never over
+a cached dict itself.
 
 fusion_table folds the table by the centre Z(G), which acts on the level-k
 weights by the simple currents, one per node j with mark 1:
@@ -25,15 +25,15 @@ weights by the simple currents, one per node j with mark 1:
     k + h_vee of lam + rho + (k + h_vee) omega_j,
 
 and N_{sigma a, tau b}^{sigma tau c} = N_ab^c.  So it runs one Kac-Walton
-product per orbit of pairs under Z x Z and carries its terms to the rest of
-the orbit; fusion_product itself stays per pair.
+product per orbit of pairs under Z x Z, uncached, and carries its terms to
+the rest of the orbit; fusion_product itself stays per pair.
 
 The dominant weights of V_mu come from a downward search from mu that
 subtracts positive roots; Freudenthal multiplicities and Weyl dimensions
 are computed in integer arithmetic (the Gram matrix of LieData scaled to
-integers, exact divisibility asserted) and cached per type and weight.  The
-Weyl orbit of each dominant weight is affine.weyl_orbit at the walls 1..l
-and level 0, a downward walk that reads the wall values off the coordinates.
+integers, exact divisibility asserted).  The Weyl orbit of each dominant
+weight is affine.weyl_orbit at the walls 1..l and level 0, a downward walk
+that reads the wall values off the coordinates.
 
 The numeric oracle works on integer numerators too.  A special point is
 X / D with X = N_w (nu + rho) and D = D_w (k + h_vee), where gram_weight =
@@ -82,10 +82,14 @@ def _check_dominant(data: LieData, mu: Weight) -> None:
         raise ValueError(f"{mu} is not dominant")
 
 
-def level_weights(data: LieData, k: int) -> list[Weight]:
-    """The level-k weights, in lexicographic order."""
+def _check_level(k: int) -> None:
     if k < 0:
         raise ValueError("level must be >= 0")
+
+
+def level_weights(data: LieData, k: int) -> list[Weight]:
+    """The level-k weights, in lexicographic order."""
+    _check_level(k)
     boxes = [range(k // c + 1) for c in data.comarks]
     return [w for w in iter_product(*boxes) if _weight_walls(data, w, k)[0] >= 0]
 
@@ -123,6 +127,7 @@ class FusionElt(SparseElt):
     __slots__ = _fields = ("data", "k")
 
     def __init__(self, data: LieData, k: int, terms: Mapping[Weight, int] | None = None):
+        _check_level(k)
         self.data = data
         self.k = k
         super().__init__(terms)
@@ -140,6 +145,7 @@ class LevelRepElt(SparseElt):
     __slots__ = _fields = ("data", "I", "k")
 
     def __init__(self, data: LieData, I: Sequence[int], k: int, terms: Mapping[Weight, int] | None = None):
+        _check_level(k)
         self.data = data
         self.I = _check_face_index(data, I)
         self.k = k
@@ -153,10 +159,6 @@ class LevelRepElt(SparseElt):
 
 # ---------------------------------------------------------------------------
 # weight multiplicities (Freudenthal) and dimensions
-
-_MULT_CACHE: dict[tuple, dict[Weight, int]] = {}
-_FULL_MULT_CACHE: dict[tuple, dict[Weight, int]] = {}
-_DIM_CACHE: dict[tuple, int] = {}
 
 
 def _dominant_weights_below(data: LieData, mu: Weight) -> list[Weight]:
@@ -192,8 +194,8 @@ def weyl_dimension(data: LieData, mu: Sequence[int]) -> int:
 
 def _weyl_dimension(data: LieData, mu: Weight) -> int:
     """weyl_dimension of a dominant weight the library built, unchecked and
-    cached per type and weight."""
-    dim = _DIM_CACHE.get((data.lie_type, mu))
+    cached as ("dim", mu)."""
+    dim = data._memo.get(("dim", mu))
     if dim is None:
         num = den = 1
         for root in data.positive_roots:
@@ -201,7 +203,7 @@ def _weyl_dimension(data: LieData, mu: Weight) -> int:
             den *= sum(root.coroot)
         dim, rem = divmod(num, den)
         assert rem == 0 and dim > 0
-        _DIM_CACHE[(data.lie_type, mu)] = dim
+        data._memo["dim", mu] = dim
     return dim
 
 
@@ -210,13 +212,10 @@ def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Wei
     recursion, cross-checked against the Weyl dimension formula.
 
     Inner products are taken with the integer-scaled Gram matrix; the scale
-    cancels in the recursion and in the norm cut-off."""
+    cancels in the recursion and in the norm cut-off.  Not cached: its one
+    library caller, _weight_multiplicities, caches its own result."""
     mu = tuple(mu)
     _check_dominant(data, mu)
-    key = (data.lie_type, mu)
-    cached = _MULT_CACHE.get(key)
-    if cached is not None:
-        return cached
 
     # the Gram matrix on the fundamental weights, scaled to integers
     gram, _ = data.gram_weight_scaled
@@ -254,7 +253,6 @@ def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Wei
         assert rem == 0 and val >= 0, (mu, lam, 2 * total, denom)
         if val:
             mults[lam] = val
-    _MULT_CACHE[key] = mults
     return mults
 
 
@@ -265,14 +263,13 @@ def weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Weight, int]
     unless mu is a dominant weight, checked before the cache."""
     mu = tuple(mu)
     _check_dominant(data, mu)
-    return _weight_multiplicities(data, mu)
+    return dict(_weight_multiplicities(data, mu))  # a copy
 
 
 def _weight_multiplicities(data: LieData, mu: Weight) -> dict[Weight, int]:
     """weight_multiplicities of a dominant weight the library built,
-    unchecked and cached per type and weight."""
-    key = (data.lie_type, mu)
-    cached = _FULL_MULT_CACHE.get(key)
+    unchecked and cached as ("weights", mu)."""
+    cached = data._memo.get(("weights", mu))
     if cached is not None:
         return cached
     walls = range(1, data.rank + 1)
@@ -283,15 +280,12 @@ def _weight_multiplicities(data: LieData, mu: Weight) -> dict[Weight, int]:
     assert sum(out.values()) == _weyl_dimension(data, mu), (
         f"Freudenthal/Weyl dimension mismatch for {mu}"
     )
-    _FULL_MULT_CACHE[key] = out
+    data._memo["weights", mu] = out
     return out
 
 
 # ---------------------------------------------------------------------------
 # tensor products and the quotient map
-
-
-_TENSOR_CACHE: dict[tuple, dict[Weight, int]] = {}
 
 
 def _factor_weights(data: LieData, lam: Weight, mu: Weight) -> dict[Weight, int]:
@@ -319,7 +313,8 @@ def tensor_decompose(data: LieData, lam: Sequence[int], mu: Sequence[int]) -> Ch
 def _tensor_decompose(data: LieData, lam: Weight, mu: Weight) -> dict[Weight, int]:
     """The terms of tensor_decompose for dominant weights the library built,
     unchecked; the cached dict itself, which callers must not change."""
-    out = _TENSOR_CACHE.get((data.lie_type, frozenset((lam, mu))))
+    key = ("tensor", frozenset((lam, mu)))
+    out = data._memo.get(key)
     if out is None:
         # V_lam (x) V_mu = sum over the weights tau of V_mu of chi(lam + tau),
         # each reduced by the classical Weyl group in the rho-shifted action
@@ -327,18 +322,14 @@ def _tensor_decompose(data: LieData, lam: Weight, mu: Weight) -> dict[Weight, in
         assert all(c > 0 for c in out.values()), "Klimyk produced a negative multiplicity"
         dim_check = sum(c * _weyl_dimension(data, w) for w, c in out.items())
         assert dim_check == _weyl_dimension(data, lam) * _weyl_dimension(data, mu)
-        _TENSOR_CACHE[(data.lie_type, frozenset((lam, mu)))] = out
+        data._memo[key] = out
     return out
-
-
-# (lie type, k) -> weight -> its image {rep - rho: sign} at level k, or {}
-_QUOTIENT_CACHE: dict[tuple, dict[Weight, dict[Weight, int]]] = {}
 
 
 def _to_level(data: LieData, terms: Mapping[Weight, int], k: int) -> FusionElt:
     """The terms reflected, rho-shifted, into the alcove at level k + h_vee
     with their signs, one weight at a time through the quotient table."""
-    table = _QUOTIENT_CACHE.setdefault((data.lie_type, k), {})
+    table = data._memo.setdefault(("quotient", k), {})
     for w in terms.keys() - table.keys():
         table[w] = dominantize_terms(data, {w: 1}, k + data.dual_coxeter, range(data.rank + 1), 1)
     return FusionElt._trusted(combine((c, table[w]) for w, c in terms.items()), data, k)
@@ -347,12 +338,17 @@ def _to_level(data: LieData, terms: Mapping[Weight, int], k: int) -> FusionElt:
 def quotient_map(chi: CharacterElt, k: int) -> FusionElt:
     """The quotient from the representation ring onto the level-k fusion
     ring: reflect the rho-shifted weight into the shifted-level alcove."""
-    if k < 0:
-        raise ValueError("level must be >= 0")
+    _check_level(k)
     return _to_level(chi.data, chi.terms, k)
 
 
-_FUSION_CACHE: dict[tuple, dict[Weight, int]] = {}
+def _kac_walton(data: LieData, k: int, l: Weight, m: Weight) -> dict[Weight, int]:
+    """The terms of the level-k fusion product of two level-k weights,
+    unchecked and uncached (see fusion_product)."""
+    level, walls = k + data.dual_coxeter, range(data.rank + 1)
+    terms = dominantize_terms(data, _factor_weights(data, l, m), level, walls, 1)
+    assert all(c > 0 for c in terms.values()), "negative fusion coefficient"
+    return terms
 
 
 def fusion_product(a: FusionElt, b: FusionElt) -> FusionElt:
@@ -362,19 +358,16 @@ def fusion_product(a: FusionElt, b: FusionElt) -> FusionElt:
     for which l + tau + rho reduces to c + rho under the affine Weyl group at
     level k + h_vee.  That is the Klimyk rule followed by quotient_map in one
     reduction: the finite Weyl group lies in the affine one and the sign is
-    multiplicative."""
+    multiplicative.  The terms are cached per pair of weights."""
     a._check(b)
-    data, k = a.data, a.k
-    level, walls = k + data.dual_coxeter, range(data.rank + 1)
+    data, k, memo = a.data, a.k, a.data._memo
     parts = []
     for l, cl in a.terms.items():
         for m, cm in b.terms.items():
-            key = (data.lie_type, k) + tuple(sorted((l, m)))
-            terms = _FUSION_CACHE.get(key)
+            key = ("fusion", k, *sorted((l, m)))
+            terms = memo.get(key)
             if terms is None:
-                terms = dominantize_terms(data, _factor_weights(data, l, m), level, walls, 1)
-                assert all(c > 0 for c in terms.values()), "negative fusion coefficient"
-                _FUSION_CACHE[key] = terms
+                terms = memo[key] = _kac_walton(data, k, l, m)
             parts.append((cl * cm, terms))
     return a._new(combine(parts))
 
@@ -396,6 +389,7 @@ def special_point(data: LieData, nu: Sequence[int], k: int) -> CartanPoint:
 def _special_scaled(data: LieData, nu: Sequence[int], k: int) -> tuple[list[int], int]:
     """t_nu = B_sharp(nu + rho) / (k + h_vee) as integer numerators X over
     one denominator D."""
+    _check_level(k)
     nu = tuple(nu)
     if not in_level(data, nu, k):
         raise ValueError(f"{nu} is not a level-{k} weight")
@@ -530,11 +524,11 @@ def fusion_table(
         k + h_vee of lam + rho + (k + h_vee) omega_j,
 
     a weight walk with no fusion product, and N_{sa, tb}^{stc} = N_ab^c for
-    s, t in Z(G) (Schellekens-Yankielowicz 1990; Fuchs 1991).  So
-    fusion_product runs once per orbit of pairs {a, b} under Z x Z, on the
-    pair whose smaller factor has the least Weyl dimension, and its terms
-    are carried to the rest of the orbit; pairs an orbit reaches twice must
-    get the same terms.  A trivial centre leaves one pair per orbit."""
+    s, t in Z(G) (Schellekens-Yankielowicz 1990; Fuchs 1991).  So the
+    uncached Kac-Walton product runs once per orbit of pairs {a, b} under
+    Z x Z, on the pair whose smaller factor has the least Weyl dimension,
+    and its terms are carried to the rest of the orbit; pairs an orbit
+    reaches twice must get the same terms; a trivial centre leaves one pair."""
     if basis is None:
         basis = level_weights(data, k)
     n = len(basis)
@@ -548,10 +542,7 @@ def fusion_table(
                 continue
             orbit = {tuple(sorted((s[a], t[b]))) for s in centre for t in centre}
             r, q = min(orbit, key=lambda p: (min(dims[p[0]], dims[p[1]]), p))
-            prod = fusion_product(
-                FusionElt(data, k, {basis[r]: 1}), FusionElt(data, k, {basis[q]: 1})
-            )
-            rep_terms = [(index[c], N) for c, N in prod.terms.items()]
+            rep_terms = [(index[c], N) for c, N in _kac_walton(data, k, basis[r], basis[q]).items()]
             for s in centre:
                 for t in centre:
                     terms = {s[t[c]]: N for c, N in rep_terms}

@@ -99,10 +99,6 @@ class LieType:
         if not ok:
             hint = " (use A3)" if (series == "D" and rank == 3) else ""
             raise InvalidLieTypeError(f"invalid Lie type {series}{rank}{hint}")
-        object.__setattr__(self, "_hash", rank << 8 | ord(series))  # read per cache lookup
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def parse(cls, text: str) -> "LieType":
@@ -266,6 +262,8 @@ class LieData:
                       the extended Cartan matrix, then node_coroot[i]; a
                       point's wall values and numerators move by -c times it
       alcove_vertices vertex i of the fundamental alcove, i = 0..l
+      _memo           every result cached for this type, keyed (kind, *args),
+                      as ("face", I) or ("fusion", k, lam, mu); not compared
     """
 
     lie_type: LieType
@@ -287,15 +285,11 @@ class LieData:
     weight_table: tuple[tuple[int, ...], ...]
     point_table: tuple[tuple[int, ...], ...]
     alcove_vertices: tuple[CartanPoint, ...]
-    _face_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _weyl_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def highest_root(self) -> Root:
         return self.positive_roots[-1]
-
-    def __hash__(self):
-        return hash(self.lie_type)
 
 
 _DATA_CACHE: dict[LieType | str, LieData] = {}
@@ -514,7 +508,7 @@ class FaceData:
 def face_data(data: LieData, I: Sequence[int]) -> FaceData:
     """Face data for nonempty I, cached per LieData."""
     I = _check_face_index(data, I)
-    cached = data._face_cache.get(I)
+    cached = data._memo.get(("face", I))
     if cached is not None:
         return cached
 
@@ -544,7 +538,7 @@ def face_data(data: LieData, I: Sequence[int]) -> FaceData:
         coroot_lattice_basis=basis,
         weyl_order=_weyl_order(sub_roots),
     )
-    data._face_cache[I] = face
+    data._memo["face", I] = face
     return face
 
 
@@ -603,7 +597,7 @@ def weyl_elements(data: LieData, I: Sequence[int]) -> tuple[WeylElt, ...]:
     this is computed lazily, cached, and refused beyond the size limit.
     """
     I = _check_face_index(data, I)
-    cached = data._weyl_cache.get(I)
+    cached = data._memo.get(("weyl", I))
     if cached is not None:
         return cached
     order = _bounded_weyl_order(data, I)
@@ -640,7 +634,7 @@ def weyl_elements(data: LieData, I: Sequence[int]) -> tuple[WeylElt, ...]:
         frontier = new
     elements = tuple(sorted(seen.values(), key=lambda e: (e.length, e.word)))
     assert len(elements) == order, (data.lie_type, I)
-    data._weyl_cache[I] = elements
+    data._memo["weyl", I] = elements
     return elements
 
 

@@ -384,6 +384,10 @@ class OrbitComplex:
 
     def random_cycle(self, p: int, n: int, rng, max_terms: int = 4) -> ChainElt:
         """A random integer cycle in degree p of the length-n truncation."""
+        if not 0 <= p <= self.data.rank:
+            raise ValueError(f"degree p must be between 0 and {self.data.rank}, not {p}")
+        if max_terms < 0:
+            raise ValueError(f"max_terms must be >= 0, not {max_terms}")
         tc = self.truncated(n)
         if p < 1:
             return ChainElt(self.J, p)

@@ -354,6 +354,20 @@ def test_closed_pipe_exits_quietly(argv):
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["fusion", "A1", "-k", "-1", "0", "0"], "error: level must be >= 0\n"),
+    (["contract", "A2", "-J", "0,1,2", "-N", "3", "--samples", "-1"],
+     "error: --samples must be >= 0, not -1\n"),
+])
+def test_negative_level_and_samples_exit_3(capsys, argv, message):
+    assert run(capsys, *argv) == (3, "", message)
+    proc = subprocess.run(
+        [sys.executable, "-m", "alcove", *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
+
+
 def test_prequant_rows(capsys):
     code, out, _ = run(capsys, "prequant", "A1", "-k", "2", "--format", "json")
     assert code == 0

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -37,6 +38,7 @@ from alcove.lie import (
     apply_weight,
     b_sharp,
     build_lie_data,
+    face_data,
     pairing,
     weyl_elements,
 )
@@ -405,17 +407,20 @@ def test_quotient_is_ring_map():
                 assert lhs == rhs
 
 
-def test_quotient_map_property_rank_three(monkeypatch):
+def cold(name):
+    """A copy of the root datum of name with an empty memo."""
+    return replace(build_lie_data(name), _memo={})
+
+
+def test_quotient_map_property_rank_three():
     # seeded: on A3, B3 and C3 at k <= 3 the quotient map is a ring
-    # homomorphism, and with the quotient table emptied first it agrees with
-    # a direct walk of all terms both cold (table misses) and warm (hits)
-    from alcove import fusion
+    # homomorphism, and on a datum with an empty memo it agrees with a
+    # direct walk of all terms both cold (table misses) and warm (hits)
     from alcove.affine import dominantize_terms
 
-    monkeypatch.setattr(fusion, "_QUOTIENT_CACHE", {})
     rng = random.Random(12)
     for name in ["A3", "B3", "C3"]:
-        d = build_lie_data(name)
+        d = cold(name)
         pool = [w for w in itertools.product(range(4), repeat=3) if sum(w) <= 3]
 
         def rand_char():
@@ -428,21 +433,18 @@ def test_quotient_map_property_rank_three(monkeypatch):
             walls = range(d.rank + 1)
             chi = CharacterElt(d, {w: rng.randint(1, 3) for w in rng.sample(pool, 6)} | {(5, 0, 3): 1})
             expect = dominantize_terms(d, chi.terms, k + d.dual_coxeter, walls, 1)
-            assert (5, 0, 3) not in fusion._QUOTIENT_CACHE[d.lie_type, k]
-            cold = quotient_map(chi, k).terms
-            assert (5, 0, 3) in fusion._QUOTIENT_CACHE[d.lie_type, k]
-            assert cold == expect == quotient_map(chi, k).terms
+            assert (5, 0, 3) not in d._memo["quotient", k]
+            first = quotient_map(chi, k).terms
+            assert (5, 0, 3) in d._memo["quotient", k]
+            assert first == expect == quotient_map(chi, k).terms
 
 
-def test_results_do_not_alias_the_caches(monkeypatch):
+def test_results_do_not_alias_the_caches():
     # the results are built trusted: mutating their terms must not reach
-    # the tensor, fusion or quotient caches, so a repeated call (a miss
-    # first, then hits) still returns the original terms
-    from alcove import fusion
-
-    for cache in ["_TENSOR_CACHE", "_FUSION_CACHE", "_QUOTIENT_CACHE"]:
-        monkeypatch.setattr(fusion, cache, {})
-    d = build_lie_data("A2")
+    # the tensor, fusion or quotient entries of the memo, so a repeated call
+    # on a datum with an empty memo (a miss first, then hits) still returns
+    # the original terms
+    d = cold("A2")
     a = CharacterElt(d, {(1, 0): 2, (0, 2): -1})
     b = CharacterElt(d, {(1, 1): 1})
     calls = [
@@ -463,6 +465,70 @@ def test_results_do_not_alias_the_caches(monkeypatch):
                 got.terms[key] += 7
             got.terms[(9, 9)] = 1
             assert call().terms == original
+    mults = weight_multiplicities(d, (2, 1))
+    original = dict(mults)
+    mults[(9, 9)] = 1
+    assert weight_multiplicities(d, (2, 1)) == original
+
+
+def sampled_public_calls(d, rng):
+    """A seeded sample of public calls on the type of d at levels k <= 3,
+    each a function of a root datum of that type."""
+    l = d.rank
+    nodes = range(l + 1)
+    dominant = [w for w in itertools.product(range(3), repeat=l) if sum(w) <= 2]
+    calls = []
+    for I in rng.sample([I for r in range(1, l + 2) for I in itertools.combinations(nodes, r)], 4):
+        calls.append(lambda e, I=I: face_data(e, I))
+    for mu in rng.sample(dominant, 4):
+        calls.append(lambda e, mu=mu: weyl_dimension(e, mu))
+        calls.append(lambda e, mu=mu: weight_multiplicities(e, mu))
+        calls.append(lambda e, mu=mu: dominant_weight_multiplicities(e, mu))
+    for _ in range(4):
+        lam, mu = rng.choice(dominant), rng.choice(dominant)
+        calls.append(lambda e, lam=lam, mu=mu: tensor_decompose(e, lam, mu))
+
+    def pick(pool, n):
+        return {w: rng.choice((-2, -1, 1, 2)) for w in rng.sample(pool, min(n, len(pool)))}
+
+    for k in range(4):
+        basis = level_weights(d, k)
+        a, b, chi = pick(basis, 3), pick(basis, 3), pick(dominant, 4)
+        nu = {tuple(rng.randint(-2, 3) for _ in range(l)): rng.randint(1, 3) for _ in range(4)}
+        J = tuple(sorted(rng.sample(nodes, rng.randint(1, l + 1))))
+        calls.append(lambda e, k=k, a=a, b=b: fusion_product(FusionElt(e, k, a), FusionElt(e, k, b)))
+        calls.append(lambda e, k=k, chi=chi: quotient_map(CharacterElt(e, chi), k))
+        calls.append(lambda e, k=k, nu=nu, J=J: holomorphic_induction(LevelRepElt(e, nodes, k, nu), J))
+        calls.append(lambda e, k=k: fusion_table(e, k))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_public_answers_do_not_depend_on_the_memo(name):
+    """Every sampled call gives the same answer on a warm datum, one that
+    has served all the calls twice in a seeded shuffled order, as on a copy
+    with an empty memo, and as on the shared datum of build_lie_data."""
+    rng = random.Random(f"memo-{name}")
+    calls = sampled_public_calls(build_lie_data(name), rng)
+    warm = cold(name)
+    answers = {}
+    for _ in range(2):
+        order = list(range(len(calls)))
+        rng.shuffle(order)
+        for i in order:
+            got = calls[i](warm)
+            assert answers.setdefault(i, got) == got, i
+    assert {key[0] for key in warm._memo} >= {"face", "dim", "weights", "tensor", "fusion", "quotient"}
+    for i, call in enumerate(calls):
+        assert call(cold(name)) == answers[i] == call(build_lie_data(name)), i
+
+
+def test_fusion_table_leaves_no_product_in_the_memo():
+    for name, k in [("A2", 3), ("B2", 2), ("G2", 2), ("D4", 2)]:
+        d = cold(name)
+        table = fusion_table(d, k)
+        assert table == per_pair_fusion_table(build_lie_data(name), k)
+        assert not [key for key in d._memo if key[0] == "fusion"], name
 
 
 # -- fusion products -----------------------------------------------------------------
@@ -514,13 +580,28 @@ def test_fusion_product_miss_skips_klimyk_and_quotient(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a fusion_product miss must not call this")
 
-    monkeypatch.setattr(fusion, "_FUSION_CACHE", {})
     monkeypatch.setattr(fusion, "tensor_decompose", forbidden)
     monkeypatch.setattr(fusion, "quotient_map", forbidden)
-    a2 = build_lie_data("A2")
+    a2 = cold("A2")
     box = FusionElt(a2, 2, {(1, 0): 1})
     assert fusion_product(box, box).terms == {(2, 0): 1, (0, 1): 1}
-    assert len(fusion._FUSION_CACHE) == 1
+    assert [key for key in a2._memo if key[0] == "fusion"] == [("fusion", 2, (1, 0), (1, 0))]
+
+
+def test_negative_levels_are_refused():
+    a2 = build_lie_data("A2")
+    for make in [
+        lambda: FusionElt(a2, -1, {}),
+        lambda: LevelRepElt(a2, (0, 1), -1, {}),
+        lambda: fusion_unit(a2, -1),
+        lambda: special_point(a2, (0, 0), -1),
+        lambda: quotient_map(CharacterElt(a2, {}), -1),
+        lambda: level_weights(a2, -1),
+    ]:
+        with pytest.raises(ValueError, match="^level must be >= 0$"):
+            make()
+    assert FusionElt(a2, 0, {(0, 0): 1}) == fusion_unit(a2, 0)
+    assert special_point(a2, (0, 0), 0) == (F(1, 3), F(1, 3))
 
 
 def test_fusion_level_mismatch():

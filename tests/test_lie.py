@@ -58,7 +58,7 @@ def test_parse_basic():
     assert LieType.parse("A1") == LieType("A", 1)
     assert LieType.parse("g2") == LieType("G", 2)
     assert str(LieType.parse("e8")) == "E8"
-    # the stored hash: equal types hash alike, also after a pickle round trip
+    # the generated hash: equal types hash alike, also after a pickle round trip
     types = [LieType.parse(t) for t in ("A1", "a1", "A2", "B2", "C2", "A300", "D300")]
     assert len({hash(t) for t in types}) == len(set(types)) == 6
     assert all(pickle.loads(pickle.dumps(t)) == t and hash(pickle.loads(pickle.dumps(t))) == hash(t)

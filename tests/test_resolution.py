@@ -618,6 +618,20 @@ def test_d_squared_check_finds_a_single_nonzero_entry():
                 check_d_squared_zero(columns(A1), columns(B1), 2)
 
 
+@pytest.mark.parametrize("p, max_terms, message", [
+    (3, 4, "degree p must be between 0 and 2, not 3"),
+    (-1, 4, "degree p must be between 0 and 2, not -1"),
+    (1, -1, "max_terms must be >= 0, not -1"),
+])
+def test_random_cycle_checks_its_arguments(p, max_terms, message):
+    oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        oc.random_cycle(p, 2, random.Random(1), max_terms)
+    for p in range(3):
+        assert oc.random_cycle(p, 2, random.Random(1), 0).degree == p
+        assert not oc.random_cycle(p, 2, random.Random(1), 0)
+
+
 def test_truncated_is_cached():
     oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
     assert oc.truncated(2) is oc.truncated(2)
