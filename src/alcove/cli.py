@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Each command builds one JSON document, and ``_output`` prints it in the
-chosen format: indented JSON, a CSV of one list of rows in the document, or
-the command's text lines rendered from the same document.  ``fusion-table``
-is the exception: its rows are spliced from cells rendered once per basis
-weight, in each format (see cmd_fusion_table).  Domain errors are raised as
-ValueError and reported by ``main``.
+chosen format: ``json.dumps(doc, indent=2)``, the one JSON encoder, which
+the certificates use too; a CSV of one list of rows in the document; or the
+command's text lines rendered from the same document.  ``fusion-table`` is
+the exception: in each format its rows are spliced from cells rendered
+once per basis weight, with the bytes that rendering its document would
+give (see cmd_fusion_table).  Domain errors are raised as ValueError and
+reported by ``main``.
 
 Exit codes: 0 success / verified, 2 parse error, 3 domain precondition
 violated, 4 mathematical verdict mismatch or a failed exact check of the
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import os
 import random
 import sys
@@ -26,7 +29,6 @@ from .fusion import FusionElt, fusion_product, fusion_table, fusion_table_json, 
 from .lie import (
     InvalidLieTypeError,
     _frac_str,
-    _indented_json,
     build_lie_data,
     face_data,
     lie_data_to_json,
@@ -84,7 +86,7 @@ def _output(
     first row, list fields are joined by ``;``), or as the lines ``text(doc)``.
     """
     if args.format == "json":
-        _emit(args, _indented_json(doc))
+        _emit(args, json.dumps(doc, indent=2))
     elif args.format == "csv":
         table = doc[rows]
         lines = [",".join(table[0])]
@@ -153,12 +155,12 @@ def cmd_fusion(args) -> int:
 
 
 def cmd_fusion_table(args) -> int:
-    """JSON rows come spliced from fusion_table_json.  CSV and text rows are
+    """The JSON is the text of fusion_table_json.  CSV and text rows are
     spliced the same way: each basis weight is rendered once, as "0;1" or
     "0,1", and each row fills one row template."""
     data = build_lie_data(args.group)
     if args.format == "json":
-        _emit(args, _indented_json(fusion_table_json(data, args.level)))
+        _emit(args, fusion_table_json(data, args.level))
         return EXIT_OK
     basis = level_weights(data, args.level)
     if args.format == "csv":

@@ -27,6 +27,9 @@ weights by the simple currents, one per node j with mark 1:
 and N_{sigma a, tau b}^{sigma tau c} = N_ab^c.  So it runs one Kac-Walton
 product per orbit of pairs under Z x Z, uncached, and carries its terms to
 the rest of the orbit; fusion_product itself stays per pair.
+fusion_table_json writes the table as json.dumps(doc, indent=2) would, with
+a dict per row, but renders each basis weight once and fills one row
+template per row.
 
 The dominant weights of V_mu come from a downward search from mu that
 subtracts positive roots; Freudenthal multiplicities and Weyl dimensions
@@ -44,6 +47,7 @@ only that residue is divided in floating point.
 from __future__ import annotations
 
 import cmath
+import json
 from fractions import Fraction
 from itertools import product as iter_product
 from operator import mul
@@ -52,11 +56,9 @@ from typing import Mapping, Sequence
 from .affine import _weight_walls, dominantize_terms, dominantize_walls, weyl_orbit
 from .lie import (
     CartanPoint,
-    JsonText,
     LieData,
     Weight,
     _check_face_index,
-    _indented_json,
     _scaled,
     _sharp_scaled,
     _walls_outside,
@@ -104,8 +106,7 @@ class CharacterElt(SparseElt):
         super().__init__(terms)
 
     def _validate(self, w: Weight) -> None:
-        if not is_dominant(self.data, w):
-            raise ValueError(f"{w} is not dominant")
+        _check_dominant(self.data, w)
 
     @classmethod
     def chi(cls, data: LieData, w: Sequence[int], coeff: int = 1) -> "CharacterElt":
@@ -556,22 +557,16 @@ def fusion_table(
     ]
 
 
-def fusion_table_json(data: LieData, k: int) -> dict:
-    """The fusion table as a document for _indented_json.  Each row is
-    JsonText: the row skeleton and every basis weight are rendered once, at
-    their depths in the document, and each row splices its cells into the
-    skeleton, so no row is a dict."""
+def fusion_table_json(data: LieData, k: int) -> str:
+    """The fusion table as the text of json.dumps(doc, indent=2), where doc
+    holds type, k, the basis and one {"a", "b", "c", "N"} dict per
+    fusion_table row under "constants".  Each basis weight is rendered once,
+    re-indented to the depth of a row cell, and each row fills one row
+    template, so no row is a dict."""
     basis = level_weights(data, k)
-    cell = {w: _indented_json(list(w), 3) for w in basis}
-    skeleton = _indented_json(
-        {"a": JsonText("%s"), "b": JsonText("%s"), "c": JsonText("%s"), "N": JsonText("%d")}, 2
-    )
-    return {
-        "type": str(data.lie_type),
-        "k": k,
-        "basis": [list(w) for w in basis],
-        "constants": [
-            JsonText(skeleton % (cell[a], cell[b], cell[c], n))
-            for a, b, c, n in fusion_table(data, k, basis)
-        ],
-    }
+    cell = {w: json.dumps(list(w), indent=2).replace("\n", "\n      ") for w in basis}
+    row = '{\n      "a": %s,\n      "b": %s,\n      "c": %s,\n      "N": %d\n    }'
+    rows = [row % (cell[a], cell[b], cell[c], n) for a, b, c, n in fusion_table(data, k, basis)]
+    head = json.dumps({"type": str(data.lie_type), "k": k, "basis": [list(w) for w in basis]}, indent=2)
+    # the header ends in "\n}"; the constants, never empty, go before it
+    return head[:-2] + ',\n  "constants": [\n    ' + ",\n    ".join(rows) + "\n  ]\n}"

@@ -39,16 +39,18 @@ them by a row of point_table per reflection.
 weyl_elements lists a W_I as integer affine maps on weights.  No library
 path calls it: alternating sums over W_I walk signed orbits
 (affine.weyl_orbit), and the enumeration stays as the tests' reference.
+
+lie_data_to_json is the root datum as a document of ints and 'p/q'
+strings (_frac_str); the CLI prints it, like every document, with
+json.dumps(doc, indent=2).
 """
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -645,57 +647,6 @@ def apply_weight(elt: WeylElt, nu: Sequence[int], m: int) -> Weight:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-class JsonText(str):
-    """JSON text already laid out for the depth at which it is written:
-    _indented_json copies it verbatim, where a plain str is quoted."""
-
-    __slots__ = ()
-
-
-def _indented_json(doc, depth: int = 0) -> str:
-    """The bytes of json.dumps(doc, indent=2) for a tree of dicts with string
-    keys, lists, tuples and scalars; a non-string key raises TypeError.  With
-    depth d the text is laid out as a value nested d levels deep: each line
-    after the first is indented 2 * d spaces more.
-
-    A JsonText value is written as it is, so a caller can render a fragment
-    once, at its depth, and splice copies of it into the document.  Strings
-    are joined, not yielded.  A list of ints and strings is written once per
-    value and depth.  Only exact int and str items share a memo key, as 1,
-    1.0 and True compare equal.  Any other scalar goes to json.dumps.
-    """
-    memo: dict[tuple, str] = {}
-
-    def enclose(opening: str, items: list[str], depth: int, closing: str) -> str:
-        inner = "\n" + "  " * (depth + 1)
-        return opening + inner + ("," + inner).join(items) + "\n" + "  " * depth + closing
-
-    def write(value, depth: int) -> str:
-        if type(value) is int:
-            return str(value)
-        if isinstance(value, str):
-            return value if type(value) is JsonText else _json_str(value)
-        if isinstance(value, dict):
-            if not value:
-                return "{}"
-            items = [_json_str(k) + ": " + write(v, depth + 1) for k, v in value.items()]
-            return enclose("{", items, depth, "}")
-        if isinstance(value, (list, tuple)):
-            if not value:
-                return "[]"
-            if set(map(type, value)) <= {int, str}:
-                key = (depth, *value)
-                text = memo.get(key)
-                if text is None:
-                    items = [_json_str(v) if type(v) is str else str(v) for v in value]
-                    memo[key] = text = enclose("[", items, depth, "]")
-                return text
-            return enclose("[", [write(v, depth + 1) for v in value], depth, "]")
-        return json.dumps(value)
-
-    return write(doc, depth)
 
 
 def _frac_str(x: Fraction | int, D: int = 1) -> str:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .fusion import in_level, level_weights
+from .fusion import _check_level, in_level, level_weights
 from .lie import (
     CartanPoint,
     FaceIndex,
@@ -78,8 +78,7 @@ def _prequant_scaled(
     a weight, else None.  Raises OutsideAlcoveError if xi is outside the
     closed alcove, ValueError if k < 0."""
     face = _scaled_face(data, X, D)
-    if k < 0:
-        raise ValueError("level must be >= 0")
+    _check_level(k)
     gram, den = data.gram_coroot_scaled
     den *= D
     flat = [sum(map(mul, row, X)) for row in gram]

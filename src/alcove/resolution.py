@@ -82,7 +82,6 @@ from .lie import (
     LieType,
     _check_face_index,
     _frac_str,
-    _indented_json,
     _scaled_walls,
     _walls_outside,
     build_lie_data,
@@ -540,7 +539,7 @@ def check_d_squared_zero(
     upper: Sequence[Sequence[tuple[int, int]]],
     p: int,
 ) -> None:
-    """Raise AssertionError unless the product d_{p-1} d_p of the sparse
+    """Raise CheckFailed unless the product d_{p-1} d_p of the sparse
     column matrices lower = d_{p-1} and upper = d_p is zero in every entry.
 
     Column j of the product is the sum of the columns t of lower weighted by
@@ -628,13 +627,13 @@ def _is_int_list(v) -> bool:
 
 
 def certificate_json(complex_: OrbitComplex, cycle: ChainElt, bounding: ChainElt) -> str:
-    return _indented_json({
+    return json.dumps({
         "group": str(complex_.data.lie_type),
         "J": list(complex_.J),
         "degree": cycle.degree,
         "cycle": chain_to_json(cycle, complex_.D),
         "bounding": chain_to_json(bounding, complex_.D),
-    })
+    }, indent=2)
 
 
 def verify_certificate(text: str) -> dict:

@@ -114,7 +114,8 @@ def dict_row_text(doc):
 def fusion_oracle_cases():
     types = ("A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "D5", "G2")
     cases = random.Random(21).sample([(t, k) for t in types for k in range(5)], 20)
-    return sorted(cases) + [("A2", 9)]
+    # E6 at level 1: a rank-6 cell and a Z3 centre
+    return sorted(cases) + [("A2", 9), ("E6", 1)]
 
 
 @pytest.mark.parametrize("group, k", fusion_oracle_cases())

@@ -13,10 +13,8 @@ import alcove
 from alcove.cli import main
 from alcove.lie import (
     InvalidLieTypeError,
-    JsonText,
     LieType,
     OutsideAlcoveError,
-    _indented_json,
     _walls_outside,
     alcove_face_of,
     apply_weight,
@@ -587,101 +585,7 @@ def test_only_lie_names_the_enumerated_weyl_group():
     assert offenders == []
 
 
-# -- the indented JSON writer ---------------------------------------------------
-
-# quotes, backslashes, control characters and text outside ASCII, which
-# json.dumps escapes (ensure_ascii is on by default)
-PIECES = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", " ", "a", "\u00e9", "\u2713", "\U0001d11e"]
-
-
-def random_text(rng):
-    return "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 5)))
-
-
-def random_scalar(rng):
-    kind = rng.randrange(5)
-    if kind == 0:
-        return rng.randint(-(10**40), 10**40)
-    if kind == 1:
-        return rng.randint(-3, 3)
-    if kind == 2:
-        return rng.choice([True, False, None])
-    if kind == 3:
-        return rng.choice([0.5, -1.0, 1.0, 1e300, float("nan"), float("-inf")])
-    return random_text(rng)
-
-
-def random_doc(rng, depth=0):
-    kind = rng.randrange(4) if depth < 4 else 3
-    size = rng.randint(0, 4)
-    if kind == 0:
-        return {random_text(rng): random_doc(rng, depth + 1) for _ in range(size)}
-    if kind == 1:
-        return [random_doc(rng, depth + 1) for _ in range(size)]
-    if kind == 2:
-        # a leaf list, as a list or a tuple
-        leaf = [random_scalar(rng) for _ in range(size)]
-        return leaf if rng.random() < 0.5 else tuple(leaf)
-    return random_scalar(rng)
-
-
-def test_indented_json_matches_json_dumps_on_random_documents():
-    rng = random.Random(14)
-    for _ in range(400):
-        doc = random_doc(rng)
-        assert _indented_json(doc) == json.dumps(doc, indent=2)
-
-
-def test_indented_json_leaf_lists_at_two_depths_and_of_equal_values():
-    # the memo of leaf lists must tell depths apart, and 1, 1.0 and True,
-    # which compare equal, apart
-    leaf = [1, -2, "x"]
-    doc = {
-        "shallow": leaf,
-        "deep": [[leaf, leaf], {"leaf": leaf, "empty": [], "none": {}}],
-        "equal": [[1, 0], [True, False], [1.0, 0.0], (1, 0), [1, 0]],
-        "empty": [[], {}, ()],
-    }
-    assert _indented_json(doc) == json.dumps(doc, indent=2)
-    for value in ([], {}, "\u00e9", 7, None, [leaf]):
-        assert _indented_json(value) == json.dumps(value, indent=2)
-
-
-def prerendered(value, depth, rng):
-    """value with some of its nested values replaced by JsonText, each
-    rendered by _indented_json at the depth where it sits."""
-    if rng.random() < 0.3:
-        return JsonText(_indented_json(value, depth))
-    if isinstance(value, dict):
-        return {k: prerendered(v, depth + 1, rng) for k, v in value.items()}
-    if isinstance(value, list):
-        return [prerendered(v, depth + 1, rng) for v in value]
-    return value
-
-
-def test_indented_json_writes_json_text_verbatim_at_its_depth():
-    rng = random.Random(21)
-    for _ in range(400):
-        doc = random_doc(rng)
-        assert _indented_json(prerendered(doc, 0, rng)) == json.dumps(doc, indent=2)
-    cell = _indented_json([1, "x"], 3)
-    assert cell == "[\n        1,\n        \"x\"\n      ]"
-    doc = {"rows": [{"a": JsonText(cell), "N": 2}]}
-    assert _indented_json(doc) == json.dumps({"rows": [{"a": [1, "x"], "N": 2}]}, indent=2)
-
-
-def test_indented_json_quotes_a_plain_str_that_looks_like_json_text():
-    for text in ['[\n  1\n]', '"x"', '{}', '1', 'a\\b\u00e9']:
-        assert _indented_json(JsonText(text)) == text
-        assert _indented_json(text) == json.dumps(text)
-        assert _indented_json({"k": [text]}) == json.dumps({"k": [text]}, indent=2)
-        assert _indented_json({"k": [JsonText(text)]}) == '{\n  "k": [\n    ' + text + '\n  ]\n}'
-
-
-def test_indented_json_refuses_a_key_that_is_not_a_string():
-    with pytest.raises(TypeError):
-        _indented_json({1: "one"})
-
+# -- the JSON documents of the CLI ---------------------------------------------
 
 @pytest.mark.parametrize("argv", [
     "lie-info G2 --format json",
@@ -698,20 +602,6 @@ def test_cli_json_is_json_dumps_indented(capsys, argv):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
-
-
-def test_no_json_dumps_call_indents():
-    """Indented JSON has one writer, _indented_json: no json.dump or
-    json.dumps call in the library passes indent."""
-    offenders = []
-    for path in sorted(Path(alcove.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(node, ast.Call):
-                continue
-            name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            if name in {"dump", "dumps"} and any(kw.arg == "indent" for kw in node.keywords):
-                offenders.append((path.name, node.lineno))
-    assert offenders == []
 
 
 # -- root enumeration against the pairing sums it replaced ---------------------
