@@ -7,12 +7,14 @@ command's text lines rendered from the same document.  ``fusion-table`` is
 the exception: in each format its rows are spliced from cells rendered
 once per basis weight, with the bytes that rendering its document would
 give (see cmd_fusion_table).  Domain errors are raised as ValueError and
-reported by ``main``.
+reported by ``main``.  ``main`` builds the parser of the one command that
+its arguments name, not of all nine (see build_parser).
 
-Exit codes: 0 success / verified, 2 parse error, 3 domain precondition
-violated, 4 mathematical verdict mismatch or a failed exact check of the
-complex (its witness on stderr), 5 invalid certificate.  Output
-cut short by a reader that closes the pipe early still exits 0, quietly.
+Exit codes: 0 success / verified, 2 parse error or an unwritable ``--out``
+file, 3 domain precondition violated, 4 mathematical verdict mismatch or a
+failed exact check of the complex (its witness on stderr), 5 invalid
+certificate.  Output cut short by a reader that closes the pipe early still
+exits 0, quietly.
 """
 
 from __future__ import annotations
@@ -66,10 +68,16 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
 
 
 def _emit(args, text: str) -> None:
-    """Print text with one newline, to stdout or to the --out file."""
+    """Print text with one newline, to stdout or to the --out file.  A file
+    that cannot be opened or written is a usage error."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except BrokenPipeError:
+            raise  # a reader on a pipe stopped early; main handles that
+        except OSError as exc:
+            raise CliParseError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         print(text)
 
@@ -270,15 +278,30 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if all(r.ok for r in results) else EXIT_VERDICT
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the commands, in the order of the usage line and of ``alcove --help``
+COMMANDS = ("lie-info", "fusion", "fusion-table", "orbit", "resolution", "contract", "verify-cert", "prequant", "selftest")
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command or, given a command's name, of that
+    command alone.  For that command the one-command parser parses, and
+    prints help, usage and errors, byte for byte as the full parser does;
+    building it skips the eight other subparsers, most of the cost."""
     default_format = os.environ.get("ALCOVE_FORMAT", "text")
     parser = argparse.ArgumentParser(
         prog="alcove",
         description="Exact fusion rings, affine Weyl orbits, and pre-quantized conjugacy classes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the full parser lists its choices in the usage line; one command's
+    # parser names them all there too.  (A metavar on the full parser would
+    # also rename the argument in its "required" and "invalid choice" errors.)
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def command(name, func, help, group=True):
+        """The subparser of ``name``, or None when only another is built."""
+        if only not in (None, name):
+            return None
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         if group:
@@ -289,56 +312,58 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=default_format if default_format in formats else "text")
         p.add_argument("--out", metavar="FILE", default=None)
 
-    p = command("lie-info", cmd_lie_info, "root system, alcove and face data")
-    add_common(p)
+    if p := command("lie-info", cmd_lie_info, "root system, alcove and face data"):
+        add_common(p)
 
-    p = command("fusion", cmd_fusion, "fusion product of two level-k weights")
-    p.add_argument("--level", "-k", type=int, required=True)
-    p.add_argument("lam", metavar="LAMBDA", help="comma-separated weight coordinates")
-    p.add_argument("mu", metavar="MU")
-    add_common(p)
+    if p := command("fusion", cmd_fusion, "fusion product of two level-k weights"):
+        p.add_argument("--level", "-k", type=int, required=True)
+        p.add_argument("lam", metavar="LAMBDA", help="comma-separated weight coordinates")
+        p.add_argument("mu", metavar="MU")
+        add_common(p)
 
-    p = command("fusion-table", cmd_fusion_table, "all structure constants at level k")
-    p.add_argument("--level", "-k", type=int, required=True)
-    add_common(p, formats=("text", "json", "csv"))
+    if p := command("fusion-table", cmd_fusion_table, "all structure constants at level k"):
+        p.add_argument("--level", "-k", type=int, required=True)
+        add_common(p, formats=("text", "json", "csv"))
 
-    p = command("orbit", cmd_orbit, "affine Weyl orbit points up to a length bound")
-    p.add_argument("--face", "-J", required=True, help="comma-separated node indices")
-    p.add_argument("--trunc", "-N", type=int, required=True)
-    add_common(p)
+    if p := command("orbit", cmd_orbit, "affine Weyl orbit points up to a length bound"):
+        p.add_argument("--face", "-J", required=True, help="comma-separated node indices")
+        p.add_argument("--trunc", "-N", type=int, required=True)
+        add_common(p)
 
-    p = command("resolution", cmd_resolution, "homology verdicts of the truncated complex")
-    p.add_argument("--face", "-J", required=True)
-    p.add_argument("--trunc", "-N", type=int, required=True)
-    p.add_argument("--level", "-k", type=int, default=0, help="accepted for symmetry; the complex does not depend on it")
-    add_common(p)
+    if p := command("resolution", cmd_resolution, "homology verdicts of the truncated complex"):
+        p.add_argument("--face", "-J", required=True)
+        p.add_argument("--trunc", "-N", type=int, required=True)
+        p.add_argument("--level", "-k", type=int, default=0, help="accepted for symmetry; the complex does not depend on it")
+        add_common(p)
 
-    p = command("contract", cmd_contract, "emit a certified cycle-contraction certificate")
-    p.add_argument("--face", "-J", required=True)
-    p.add_argument("--trunc", "-N", type=int, required=True)
-    p.add_argument("--degree", "-p", type=int, default=1)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--samples", type=int, default=4, help="kernel vectors mixed into the cycle")
-    p.add_argument("--out", metavar="FILE", default=None)
+    if p := command("contract", cmd_contract, "emit a certified cycle-contraction certificate"):
+        p.add_argument("--face", "-J", required=True)
+        p.add_argument("--trunc", "-N", type=int, required=True)
+        p.add_argument("--degree", "-p", type=int, default=1)
+        p.add_argument("--seed", type=int, default=7)
+        p.add_argument("--samples", type=int, default=4, help="kernel vectors mixed into the cycle")
+        p.add_argument("--out", metavar="FILE", default=None)
 
-    p = command("verify-cert", cmd_verify_cert, "re-check a contraction certificate", group=False)
-    p.add_argument("file")
+    if p := command("verify-cert", cmd_verify_cert, "re-check a contraction certificate", group=False):
+        p.add_argument("file")
 
-    p = command("prequant", cmd_prequant, "catalog of pre-quantized conjugacy classes")
-    p.add_argument("--level", "-k", type=int, required=True)
-    add_common(p, formats=("text", "json", "csv"))
+    if p := command("prequant", cmd_prequant, "catalog of pre-quantized conjugacy classes"):
+        p.add_argument("--level", "-k", type=int, required=True)
+        add_common(p, formats=("text", "json", "csv"))
 
-    p = command("selftest", cmd_selftest, "run the acceptance criteria", group=False)
-    p.add_argument("--criteria", default=None, help="comma-separated criterion names or numbers")
-    p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
-    p.add_argument("--seed", type=int, default=7)
+    if p := command("selftest", cmd_selftest, "run the acceptance criteria", group=False):
+        p.add_argument("--criteria", default=None, help="comma-separated criterion names or numbers")
+        p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
+        p.add_argument("--seed", type=int, default=7)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the first argument is the command whenever it names one
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must fail here, not at exit

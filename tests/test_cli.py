@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from alcove.cli import main
+from alcove.cli import COMMANDS, build_parser, main
 from alcove.fusion import fusion_table, level_weights
 from alcove.lie import build_lie_data
 
@@ -337,6 +337,7 @@ def test_verify_cert_echoes_canonical_face(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["orbit", "A2", "-J", "0,1,2", "-N", "8"],  # fails inside the command
     ["fusion", "A1", "-k", "1", "1", "1"],  # buffered until the final flush
+    ["lie-info", "A2", "--out", "/dev/stdout"],  # not an unwritable --out
 ])
 def test_closed_pipe_exits_quietly(argv):
     # the reader is gone before the command starts, so every write fails
@@ -428,6 +429,80 @@ def test_format_env_csv_falls_back_to_text(capsys, monkeypatch):
     assert code == code_env == 0
     assert out == text
     assert out.startswith("10 orbit points with length <= 2\n")
+
+
+def test_format_flag_overrides_env(capsys, monkeypatch):
+    monkeypatch.setenv("ALCOVE_FORMAT", "json")
+    assert run(capsys, "fusion", "A1", "-k", "1", "1", "1", "--format", "text") == (0, "0: 1\n", "")
+
+
+def parse_outcome(parser, argv, capsys):
+    try:
+        namespace, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return namespace, code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+@pytest.mark.parametrize("rest", [
+    ["-h"],
+    [],  # arguments missing
+    ["A2", "--format", "xml"],  # an invalid choice
+    ["A2", "-k", "x"],  # an invalid int
+    ["A2", "-J", "0", "-N", "2", "-k", "1", "--he"],  # an abbreviated --help
+    ["A2", "-J", "0", "-N", "2", "-k", "1", "extra"],  # unrecognized at the top level
+    ["A2", "-J", "0,1,2", "-N", "2", "-k", "1", "--format", "json"],
+    ["A1", "-k", "1", "1", "1", "--out", "x"],
+    ["cert.json"],
+    ["--criteria", "1", "--seed", "3"],
+])
+def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch, name, rest):
+    # help, usage, errors and parsed values: the one-command parser that
+    # main builds answers exactly as the parser of every command
+    monkeypatch.setenv("ALCOVE_FORMAT", "csv")
+    argv = [name, *rest]
+    assert parse_outcome(build_parser(name), argv, capsys) == parse_outcome(build_parser(), argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["nope", "A2"], ["--format", "json", "lie-info", "A2"]])
+def test_arguments_naming_no_command_get_the_full_parser(capsys, argv):
+    expected = parse_outcome(build_parser(), argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (None, exc.value.code, captured.out, captured.err) == expected
+
+
+def test_main_builds_one_subparser(capsys, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "resolution", "A1", "-J", "0,1", "-N", "1")[0] == 0
+    assert built == ["alcove", "alcove resolution"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lie-info", "A2"],
+    ["fusion-table", "A1", "-k", "1", "--format", "json"],
+    ["contract", "A2", "-J", "0,1,2", "-N", "2"],
+])
+@pytest.mark.parametrize("where", ["missing-dir", "dir"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
+    target = tmp_path / "missing" / "x" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
