@@ -14,7 +14,9 @@ Exit codes: 0 success / verified, 2 parse error or an unwritable ``--out``
 file, 3 domain precondition violated, 4 mathematical verdict mismatch or a
 failed exact check of the complex (its witness on stderr), 5 invalid
 certificate.  Output cut short by a reader that closes the pipe early still
-exits 0, quietly.
+exits 0, quietly.  ``main`` checks the ``--out`` file before the command
+runs; when the command fails, a file that check created is removed, and a
+file that was there is left as it was.
 """
 
 from __future__ import annotations
@@ -80,6 +82,18 @@ def _emit(args, text: str) -> None:
             raise CliParseError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         print(text)
+
+
+def _claim_out(path: str) -> bool:
+    """Check, before the command runs, that the --out file can be opened for
+    writing, without truncating a file that is there.  Returns whether the
+    file was created, so that a command that fails can remove it."""
+    created = not os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise CliParseError(f"cannot write {path}: {exc.strerror}") from exc
+    return created
 
 
 def _csv_cell(value) -> str:
@@ -364,8 +378,12 @@ def main(argv=None) -> int:
     # the first argument is the command whenever it names one
     only = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(only).parse_args(argv)
+    out = getattr(args, "out", None)
+    created = False
     try:
+        created = bool(out) and _claim_out(out)
         code = args.func(args)
+        created = False  # the command has written its output
         sys.stdout.flush()  # a closed pipe must fail here, not at exit
         return code
     except BrokenPipeError:
@@ -384,6 +402,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    finally:
+        if created:  # the command failed before it wrote the file
+            os.remove(out)
 
 
 if __name__ == "__main__":

@@ -4,16 +4,14 @@ Rational matrices (lie's Cartan inverse) are tuples of tuples of Fraction;
 dense integer matrices are lists of lists of int, and sparse ones are lists
 of columns of (row, coeff) pairs.  Everything here is exact, no floats.
 
-invariant_factors works on sparse columns: it eliminates +-1 pivots of least
-Markowitz cost, as in Dumas, Heckenbach, Saunders and Welker, "Computing
-simplicial homology based on efficient Smith normal form algorithms" (2003),
-and hands only what is left to the dense column_reduce.  kernel_basis and
-rank stay dense.
+invariant_factors, rank and kernel_basis are dense: each runs column_reduce
+on the whole matrix.  invariant_factors and rank have no library caller;
+they are kept as the tests' oracle and for the benchmark's tracer, which
+names them.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -181,95 +179,17 @@ def to_dense(columns: Sequence[Sequence[tuple[int, int]]], nrows: int) -> list[l
     return M
 
 
-def _eliminate_unit_pivots(
-    columns: Sequence[Sequence[tuple[int, int]]],
-) -> tuple[int, list[dict[int, int]]]:
-    """Pivot on +-1 entries until none is left, each time on one of least
-    Markowitz cost (len(column) - 1) * (len(row) - 1).
-
-    A pivot at (i, j) clears row i from the other columns by adding integer
-    multiples of column j, then drops row i and column j: the rest is the
-    Schur complement, and the step is unimodular, so it contributes exactly
-    one invariant factor 1.  Returns the number of pivots and the nonzero
-    columns left over, as dicts row -> coeff.
-    """
-    cols = {j: dict(column) for j, column in enumerate(columns) if column}
-    rows: dict[int, set[int]] = {}  # row -> the columns with an entry in it
-    for j, col in cols.items():
-        for i in col:
-            rows.setdefault(i, set()).add(j)
-    # (cost, column, row) of unit entries; an entry is pushed again whenever
-    # its cost may have changed, and stale records are skipped when popped
-    heap: list[tuple[int, int, int]] = []
-
-    def push(i: int, j: int) -> None:
-        col = cols[j]
-        if col[i] in (1, -1):
-            heapq.heappush(heap, ((len(col) - 1) * (len(rows[i]) - 1), j, i))
-
-    for j, col in cols.items():
-        for i in col:
-            push(i, j)
-    pivots = 0
-    while heap:
-        cost, j, i = heapq.heappop(heap)
-        col = cols.get(j)
-        if col is None or col.get(i) not in (1, -1) or cost != (len(col) - 1) * (len(rows[i]) - 1):
-            continue
-        del cols[j]
-        u = col.pop(i)
-        for r in col:
-            rows[r].discard(j)
-        changed = rows.pop(i)
-        changed.discard(j)
-        for j2 in changed:
-            other = cols[j2]
-            q = other.pop(i) * u  # other -= q * col clears row i, as u * u == 1
-            for r, v in col.items():
-                w = other.get(r, 0) - q * v
-                if w:
-                    other[r] = w
-                    rows[r].add(j2)
-                elif r in other:
-                    del other[r]
-                    rows[r].discard(j2)
-            if not other:
-                del cols[j2]
-        # costs change in the rows of the pivot column and in the columns
-        # that met row i
-        for r in col:
-            for j2 in rows[r]:
-                push(r, j2)
-        for j2 in changed:
-            for r in cols.get(j2, ()):
-                push(r, j2)
-        pivots += 1
-    return pivots, list(cols.values())
-
-
 def invariant_factors(columns: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of a sparse integer matrix,
-    given as columns of (row, coeff) pairs with nonzero coefficients.
-
-    Unit pivots are eliminated first (each gives a factor 1); only the
-    columns left over go to the dense column_reduce, restricted to the rows
-    they touch.
-    """
-    units, rest = _eliminate_unit_pivots(columns)
-    if not rest:
-        return [1] * units
-    row_index = {i: t for t, i in enumerate(sorted({i for col in rest for i in col}))}
-    dense = to_dense([[(row_index[i], v) for i, v in col.items()] for col in rest], len(row_index))
-    D, _ = column_reduce(dense, len(rest))
-    diag = [abs(D[t][t]) for t in range(min(len(D), len(rest))) if D[t][t] != 0]
-    # fix divisibility: replace pairs by (gcd, lcm) until chained
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i] != 0:
-                    g = gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g, diag[i] * diag[j] // g
-                    changed = True
-    return [1] * units + sorted(diag)
+    given as columns of (row, coeff) pairs with nonzero coefficients: the
+    diagonal that column_reduce leaves, made a divisibility chain."""
+    nrows = 1 + max((i for column in columns for i, _ in column), default=-1)
+    D, _ = column_reduce(to_dense(columns, nrows), len(columns))
+    diag = [abs(D[t][t]) for t in range(min(nrows, len(columns))) if D[t][t] != 0]
+    # replace each pair by (gcd, lcm): once diag[i] has met every later
+    # entry it divides them all, and later steps keep that
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag

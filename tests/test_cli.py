@@ -10,6 +10,7 @@ import pytest
 from alcove.cli import COMMANDS, build_parser, main
 from alcove.fusion import fusion_table, level_weights
 from alcove.lie import build_lie_data
+from alcove.resolution import CheckFailed, OrbitComplex
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -505,6 +506,38 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unwritable_out_is_refused_before_the_work(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(OrbitComplex, "homology_report", lambda *args: calls.append(args))
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "resolution", "E6", "-J", "0,1,2,3,4,5,6", "-N", "3",
+                         "--format", "json", "--out", str(target))
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
+def check_failed(self, n):
+    raise CheckFailed("d o d != 0 in degree 2")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["fusion", "A1", "-k", "-1", "0", "0"], 3),
+    (["fusion", "A1", "-k", "1", "1", "1,1"], 2),
+    (["resolution", "A2", "-J", "0,1,2", "-N", "2"], 4),  # homology_report is check_failed
+])
+@pytest.mark.parametrize("before", [None, b"an earlier document\n"])
+def test_failed_command_leaves_out_file_as_it_was(tmp_path, capsys, monkeypatch, argv, code, before):
+    monkeypatch.setattr(OrbitComplex, "homology_report", check_failed)
+    target = tmp_path / "out"
+    if before is not None:
+        target.write_bytes(before)
+    assert run(capsys, *argv, "--out", str(target))[:2] == (code, "")
+    if before is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert target.read_bytes() == before
+
+
 @pytest.mark.parametrize("argv", [
     ["fusion-table", "G2", "-k", "1", "--format", "json"],
     ["prequant", "C2", "-k", "2", "--format", "csv"],
@@ -518,6 +551,10 @@ def test_out_file_matches_stdout(tmp_path, capsys, argv):
     assert printed == ""
     # both end the document with exactly one newline, CSV included
     assert stdout.endswith("\n") and not stdout.endswith("\n\n")
+    assert target.read_bytes() == stdout.encode()
+    # a longer file that was there is replaced, not appended to
+    target.write_text("x" * 100_000)
+    assert run(capsys, *argv, "--out", str(target))[:2] == (0, "")
     assert target.read_bytes() == stdout.encode()
 
 

@@ -1,33 +1,66 @@
-"""invariant_factors on sparse columns against the dense column_reduce route."""
+"""invariant_factors on sparse columns against oracles on the dense matrix
+that share no code with column_reduce: its determinantal divisors, and its
+rank over Q."""
 
 import random
+from fractions import Fraction
+from itertools import combinations, product
 from math import gcd
 
 import pytest
 
-from alcove import intlinalg
-from alcove.intlinalg import column_reduce, invariant_factors, to_dense
+from alcove.intlinalg import invariant_factors, to_dense
 from alcove.lie import build_lie_data
 from alcove.resolution import OrbitComplex
 
 
-def dense_invariant_factors(A, ncols):
-    """Oracle: the dense route, column_reduce on the whole matrix followed by
-    the (gcd, lcm) divisibility fix."""
-    if not A or ncols == 0:
-        return []
-    D, _ = column_reduce(A, ncols)
-    diag = [abs(D[t][t]) for t in range(min(len(D), ncols)) if D[t][t] != 0]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i] != 0:
-                    g = gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g, diag[i] * diag[j] // g
-                    changed = True
-    return sorted(diag)
+def rational_rank(A):
+    """The rank of A over Q, by Gaussian elimination on Fractions."""
+    M = [[Fraction(x) for x in row] for row in A]
+    k = 0  # the rows above k hold the pivots found so far
+    for j in range(len(M[0]) if M else 0):
+        p = next((i for i in range(k, len(M)) if M[i][j]), None)
+        if p is None:
+            continue
+        M[k], M[p] = M[p], M[k]
+        for i in range(k + 1, len(M)):
+            f = M[i][j] / M[k][j]
+            M[i] = [a - f * b for a, b in zip(M[i], M[k])]
+        k += 1
+    return k
+
+
+def det(M):
+    """The determinant, by Bareiss's fraction-free elimination, in which
+    every division is exact."""
+    M = [list(row) for row in M]
+    n, sign, before = len(M), 1, 1
+    for k in range(n - 1):
+        p = next((i for i in range(k, n) if M[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            M[k], M[p], sign = M[p], M[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // before
+        before = M[k][k]
+    return sign * M[-1][-1]
+
+
+def determinantal_factors(A, ncols):
+    """Oracle: d_1 d_2 ... d_i is the gcd of the i x i minors of A, for i up
+    to the rank.  The scan of a size stops once the gcd reaches 1."""
+    factors, before = [], 1
+    for i in range(1, rational_rank(A) + 1):
+        g = 0
+        for rows, cols in product(combinations(range(len(A)), i), combinations(range(ncols), i)):
+            g = gcd(g, det([[A[r][c] for c in cols] for r in rows]))
+            if g == 1:
+                break
+        factors.append(g // before)
+        before = g
+    return factors
 
 
 def columns(A, ncols):
@@ -58,7 +91,7 @@ def with_torsion(rng, rows, cols):
 
 def check(A, ncols):
     got = invariant_factors(columns(A, ncols))
-    assert got == dense_invariant_factors(A, ncols), A
+    assert got == determinantal_factors(A, ncols), A
     assert all(b % a == 0 for a, b in zip(got, got[1:]))
     return got
 
@@ -95,39 +128,23 @@ def test_sparse_factors_keep_torsion():
 @pytest.mark.parametrize("A, ncols", [
     ([], 0), ([], 3), ([[], []], 0), ([[0, 0, 0]], 3), ([[0], [0]], 1),
     ([[5]], 1), ([[-1]], 1), ([[0, 4, -6, 0, 10]], 5), ([[2], [3]], 1),
-    ([[1, 1], [1, 1]], 2),
+    ([[1, 1], [1, 1]], 2), ([[1, 2, 0], [0, 2, 2], [0, -2, 4]], 3), ([[1, -1], [1, 1]], 2),
 ])
 def test_sparse_factors_small_cases(A, ncols):
     check(A, ncols)
-
-
-def test_only_non_unit_pivots_go_to_the_dense_step(monkeypatch):
-    sizes = []
-    original = intlinalg.column_reduce
-
-    def recording(A, ncols):
-        sizes.append((len(A), ncols))
-        return original(A, ncols)
-
-    monkeypatch.setattr(intlinalg, "column_reduce", recording)
-    # the pivot at (0, 0) clears row 0; rows 1 and 2 of the rest are dense
-    A = [[1, 2, 0], [0, 2, 2], [0, -2, 4]]
-    assert invariant_factors(columns(A, 3)) == dense_invariant_factors(A, 3) == [1, 2, 6]
-    assert sizes[0] == (2, 2)
-    sizes.clear()
-    assert invariant_factors(columns([[1, -1], [1, 1]], 2)) == [1, 2]
-    assert sizes == [(1, 1)]
 
 
 @pytest.mark.parametrize("name, J, n", [
     ("A2", (0, 1, 2), 4), ("C2", (0, 1), 5), ("G2", (1, 2), 4), ("A3", (0, 1, 2, 3), 3),
 ])
 def test_boundary_matrices_match_dense_oracle(name, J, n):
+    # the truncated complexes have no torsion: each boundary matrix has as
+    # many invariant factors as its rank over Q, and each is 1
     tc = OrbitComplex(build_lie_data(name), J).truncated(n)
     for p, M in tc.matrices.items():
         dense = to_dense(M, len(tc.bases[p - 1]))
         assert columns(dense, len(M)) == M
-        assert invariant_factors(M) == dense_invariant_factors(dense, len(M))
+        assert invariant_factors(M) == [1] * rational_rank(dense)
 
 
 def test_to_dense_places_each_entry():

@@ -659,7 +659,7 @@ def test_homology_report_calls_no_smith_normal_form(monkeypatch):
 
     calls = []
     for module in (intlinalg, resolution):
-        for attr in ("invariant_factors", "_eliminate_unit_pivots", "column_reduce"):
+        for attr in ("invariant_factors", "column_reduce"):
             if hasattr(module, attr):
                 monkeypatch.setattr(module, attr, lambda *args, attr=attr: calls.append(attr))
     for name, J, n in [("A2", (0, 1, 2), 3), ("C2", (0, 1), 4), ("A3", (0, 1, 2, 3), 2), ("G2", (1, 2), 4)]:
