@@ -258,12 +258,6 @@ def weyl_orbit(
     return orbit
 
 
-def dominantize(data: LieData, nu: Sequence[int], m: int) -> SignedWeight:
-    """Reduce a weight into the closed level-m alcove region (walls 0..l);
-    ValueError unless m >= 1."""
-    return dominantize_walls(data, nu, m, range(data.rank + 1))
-
-
 # ---------------------------------------------------------------------------
 # standard affine action on t, cones, orbit enumeration
 

@@ -11,12 +11,13 @@ reported by ``main``.  ``main`` builds the parser of the one command that
 its arguments name, not of all nine (see build_parser).
 
 Exit codes: 0 success / verified, 2 parse error or an unwritable ``--out``
-file, 3 domain precondition violated, 4 mathematical verdict mismatch or a
-failed exact check of the complex (its witness on stderr), 5 invalid
-certificate.  Output cut short by a reader that closes the pipe early still
-exits 0, quietly.  ``main`` checks the ``--out`` file before the command
-runs; when the command fails, a file that check created is removed, and a
-file that was there is left as it was.
+file, 3 domain precondition violated, 4 mathematical verdict mismatch, a
+failed exact check of the complex (its witness on stderr) or a selftest
+criterion skipped by ``--budget``, 5 invalid certificate.  Output cut
+short by a reader that closes the pipe early still exits 0, quietly.
+``main`` checks the ``--out`` file before the command runs; when the
+command fails, a file that check created is removed, and a file that was
+there is left as it was.
 """
 
 from __future__ import annotations
@@ -281,15 +282,20 @@ def cmd_prequant(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .acceptance import UnknownCriteriaError, run_criteria
+    from .acceptance import UnknownCriteriaError, run_criteria, select_criteria
 
+    if args.budget is not None and not args.budget >= 0:  # nan too
+        raise ValueError(f"--budget must be >= 0, not {args.budget}")
     names = args.criteria.split(",") if args.criteria else None
     try:
-        results = run_criteria(names=names, seed=args.seed, budget=args.budget, emit=print)
+        selected = select_criteria(names)
     except UnknownCriteriaError as exc:
         print(exc, file=sys.stderr)
         return EXIT_PARSE
-    return EXIT_OK if all(r.ok for r in results) else EXIT_VERDICT
+    results = run_criteria(names=names, seed=args.seed, budget=args.budget, emit=print)
+    # a criterion the budget skipped has no result, so it did not pass
+    passed = len(results) == len(selected) and all(r.ok for r in results)
+    return EXIT_OK if passed else EXIT_VERDICT
 
 
 # the commands, in the order of the usage line and of ``alcove --help``
@@ -347,7 +353,6 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     if p := command("resolution", cmd_resolution, "homology verdicts of the truncated complex"):
         p.add_argument("--face", "-J", required=True)
         p.add_argument("--trunc", "-N", type=int, required=True)
-        p.add_argument("--level", "-k", type=int, default=0, help="accepted for symmetry; the complex does not depend on it")
         add_common(p)
 
     if p := command("contract", cmd_contract, "emit a certified cycle-contraction certificate"):

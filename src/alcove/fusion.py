@@ -41,7 +41,9 @@ that reads the wall values off the coordinates.
 The numeric oracle works on integer numerators too.  A special point is
 X / D with X = N_w (nu + rho) and D = D_w (k + h_vee), where gram_weight =
 N_w / D_w; the phase of a weight tau there is <tau, X> mod D, exact, and
-only that residue is divided in floating point.
+only that residue is divided in floating point.  _special_values is the one
+evaluation at all the special points, for ideal_membership and acceptance
+criterion 2.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import json
 from fractions import Fraction
 from itertools import product as iter_product
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .affine import _weight_walls, dominantize_terms, dominantize_walls, weyl_orbit
 from .lie import (
@@ -412,21 +414,17 @@ def _value_scaled(data: LieData, terms: Mapping[Weight, int], X: Sequence[int], 
     return sum(c * _irreducible_value_scaled(data, mu, X, D) for mu, c in terms.items())
 
 
-def irreducible_character_value(data: LieData, mu: Weight, xi: Sequence) -> complex:
-    """chi_mu(exp xi) as a sum over the weights of V_mu; ValueError unless mu
-    is a dominant weight."""
-    mu = tuple(mu)
-    _check_dominant(data, mu)
-    return _irreducible_value_scaled(data, mu, *_scaled(data, xi))
-
-
 def character_value(chi: CharacterElt, xi: Sequence) -> complex:
+    """chi(exp xi) as a sum over the weights of each V_mu of chi."""
     return _value_scaled(chi.data, chi.terms, *_scaled(chi.data, xi))
 
 
-def fusion_character_value(phi: FusionElt, nu: Weight) -> complex:
-    """Numeric value of a fusion element at the special point t_nu."""
-    return _value_scaled(phi.data, phi.terms, *_special_scaled(phi.data, nu, phi.k))
+def _special_values(data: LieData, terms: Mapping[Weight, int], k: int) -> Iterator[complex]:
+    """sum c chi_mu(t_nu) over the terms c mu, at the special point t_nu of
+    each level-k weight nu in level_weights order; lazy, so that a caller
+    can stop at the first value it needs."""
+    for nu in level_weights(data, k):
+        yield _value_scaled(data, terms, *_special_scaled(data, nu, k))
 
 
 def ideal_membership(chi: CharacterElt, k: int) -> bool:
@@ -435,12 +433,8 @@ def ideal_membership(chi: CharacterElt, k: int) -> bool:
     Decided exactly by the quotient map; the numeric vanishing test at all
     special points must agree, and any disagreement raises.
     """
-    data = chi.data
     exact = not quotient_map(chi, k)
-    numeric = all(
-        abs(_value_scaled(data, chi.terms, *_special_scaled(data, nu, k))) < VANISH_TOL
-        for nu in level_weights(data, k)
-    )
+    numeric = all(abs(v) < VANISH_TOL for v in _special_values(chi.data, chi.terms, k))
     if exact != numeric:
         raise ArithmeticError(
             f"exact and numeric ideal tests disagree for k={k}: "

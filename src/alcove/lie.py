@@ -243,7 +243,6 @@ class LieData:
 
     Field summary (l = rank):
       cartan          l x l integer matrix, [i][j] = <alpha_j, alpha_i_vee>
-      cartan_inv      exact inverse of cartan
       positive_roots  all positive roots, by height; last one is the highest
       marks           coefficients of the highest root over the simple roots
       comarks         coroot coordinates of the coroot of the highest root
@@ -271,7 +270,6 @@ class LieData:
     lie_type: LieType
     rank: int
     cartan: tuple[tuple[int, ...], ...]
-    cartan_inv: tuple[tuple[Fraction, ...], ...]
     positive_roots: tuple[Root, ...]
     marks: tuple[int, ...]
     comarks: tuple[int, ...]
@@ -312,8 +310,7 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
 
     n = lie_type.rank
     A = cartan_matrix(lie_type)
-    A_inv = mat_inv(A)
-    inv, inv_den = _scaled_matrix(A_inv)
+    inv, inv_den = _scaled_matrix(mat_inv(A))
     # e = L d for the least such integer L, so the symmetrized Cartan matrix
     # S = e A is integral: S[i][j] = L (alpha_i, alpha_j)
     (e,), L = _scaled_matrix([_symmetrizer(A)])
@@ -333,7 +330,7 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
     comarks = theta.coroot
 
     # B(alpha_i_vee, alpha_j_vee) = A[j][i] / d_i, so the inverse, B-dual on
-    # the fundamental weights, is A_inv[j][i] d_j
+    # the fundamental weights, is A^-1[j][i] d_j (inv / inv_den)
     gram_coroot = tuple(tuple(Fraction(A[j][i] * L, e[i]) for j in range(n)) for i in range(n))
     gram_weight = tuple(
         tuple(Fraction(inv[j][i] * e[j], inv_den * L) for j in range(n)) for i in range(n)
@@ -364,7 +361,6 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
         lie_type=lie_type,
         rank=n,
         cartan=A,
-        cartan_inv=A_inv,
         positive_roots=roots,
         marks=marks,
         comarks=comarks,

@@ -50,11 +50,6 @@ class ConjClass(NamedTuple):
     face: FaceIndex
 
 
-def conjugacy_class(data: LieData, xi: Sequence) -> ConjClass:
-    xi = tuple(Fraction(x) for x in xi)
-    return ConjClass(xi, alcove_face_of(data, xi))
-
-
 def phase(x: Fraction | int) -> Fraction:
     """Canonical representative of a rational phase in [0, 1)."""
     x = Fraction(x)

@@ -26,8 +26,9 @@ OrbitComplex._check_key, the one test that (I, X) is a basis pair (node
 range, coordinate count, interior to the cone of I, on the orbit).
 element() and the boundary of a key without stored faces reach it, and so
 does verify_certificate, which only takes both boundaries.  _check_key
-builds the key's start vector of affine._reduce (_start) once, for the
-interior test, the orbit test and the key's faces.  OrbitComplex._length,
+takes the key's start vector of affine._reduce once, for the interior
+test, the orbit test and the key's faces: from the orbit walk if it has
+reached the point, else built by _start.  OrbitComplex._length,
 behind length_of, owns orbit membership and the length bound: a point on
 the orbit's length table costs nothing, and one off it is refused above
 CERT_MAX_LENGTH before it is reduced, then reduced once and kept.  What
@@ -38,10 +39,11 @@ coordinates X / D, read strictly, and a point off (1/D) Z^l is refused.
 
 The homology path does no repeated work.  The bases and faces of a
 truncation read each orbit point's wall values and start vector off the
-orbit walk (OrbitContext._vectors), so only a key that enters from outside
-has its start vector computed, by _start.  Each length truncation is built
-once per complex and shared, and stores each boundary map d_p as sparse
-columns: one list of (row, coeff) pairs per basis element of degree p.
+orbit walk (OrbitContext._vectors), and so does _check_key, so only a key
+at a point the walk has not reached has its start vector computed, by
+_start.  Each length truncation is built once per complex and shared, and
+stores each boundary map d_p as sparse columns: one list of (row, coeff)
+pairs per basis element of degree p.
 d o d = 0 is checked on every entry by an exact sparse product: each column
 of d_p is sent through the columns of d_{p-1} it meets.
 
@@ -206,16 +208,17 @@ class OrbitComplex:
             raise ValueError(f"{_point_str(X, self.D)} has {len(X)} coordinates, not {self.data.rank}")
         return [*_scaled_walls(self.data, X, self.D), *X]
 
-    def _check_key(self, I: FaceIndex, X: tuple[int, ...]) -> list[int]:
-        """The start vector of the key (I, X), I sorted and nonempty.  The
-        one key check of the complex: ValueError naming the key unless it
-        is a basis pair, with nodes in 0..l, l coordinates, X / D interior
-        to the cone of I and on the orbit (_length)."""
+    def _check_key(self, I: FaceIndex, X: tuple[int, ...]) -> Sequence[int]:
+        """The start vector of the key (I, X), I sorted and nonempty: the
+        orbit walk's vector of X if the walk has reached it, else _start.
+        The one key check of the complex: ValueError naming the key unless
+        it is a basis pair, with nodes in 0..l, l coordinates, X / D
+        interior to the cone of I and on the orbit (_length)."""
         l = self.data.rank
         if I[0] < 0 or I[-1] > l:
             raise ValueError(f"key {list(I)} has a node outside 0..{l}")
         try:
-            start = self._start(X)
+            start = self.ctx._vectors.get(X) or self._start(X)
             if any(start[i] <= 0 for i in range(l + 1) if i not in I):
                 raise ValueError(f"{_point_str(X, self.D)} is not interior to its cone")
             self._length(X, start)

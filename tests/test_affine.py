@@ -23,7 +23,6 @@ from alcove.affine import (
     affine_reflect_weight,
     cone_position,
     crossing_length,
-    dominantize,
     dominantize_terms,
     dominantize_walls,
     orbit_up_to_length,
@@ -97,13 +96,13 @@ def test_reflect_weight_errors():
         affine_reflect_weight(d, 2, (1,), 3)
 
 
-# -- dominantize ---------------------------------------------------------------
+# -- dominantize_walls at walls 0..l, the alcove reduction ---------------------
 
 def test_dominantize_examples():
     d = build_lie_data("A1")
-    assert dominantize(d, (4,), 3) == ((2,), -1, 1)
-    assert dominantize(d, (3,), 3) == ((3,), 0, 0)
-    assert dominantize(d, (7,), 3) == ((1,), 1, 2)
+    assert dominantize_walls(d, (4,), 3, range(d.rank + 1)) == ((2,), -1, 1)
+    assert dominantize_walls(d, (3,), 3, range(d.rank + 1)) == ((3,), 0, 0)
+    assert dominantize_walls(d, (7,), 3, range(d.rank + 1)) == ((1,), 1, 2)
 
 
 def test_dominantize_against_bruteforce():
@@ -113,7 +112,7 @@ def test_dominantize_against_bruteforce():
         for _ in range(25):
             nu = tuple(rng.randint(-4, 6) for _ in range(d.rank))
             m = rng.randint(1, 4)
-            got = dominantize(d, nu, m)
+            got = dominantize_walls(d, nu, m, range(d.rank + 1))
             rep, sign, _ = brute_force_dominantize(d, nu, m)
             assert got.weight == rep
             assert got.sign == sign
@@ -127,8 +126,8 @@ def test_dominantize_sign_flip_property():
             nu = tuple(rng.randint(-5, 7) for _ in range(d.rank))
             m = rng.randint(1, 6)
             i = rng.randint(0, d.rank)
-            a = dominantize(d, nu, m)
-            b = dominantize(d, affine_reflect_weight(d, i, nu, m), m)
+            a = dominantize_walls(d, nu, m, range(d.rank + 1))
+            b = dominantize_walls(d, affine_reflect_weight(d, i, nu, m), m, range(d.rank + 1))
             assert a.weight == b.weight
             if a.sign == 0:
                 assert b.sign == 0
@@ -142,8 +141,8 @@ def test_dominantize_idempotent_on_regular_output():
     for _ in range(30):
         nu = tuple(rng.randint(-6, 8) for _ in range(2))
         m = rng.randint(1, 5)
-        out = dominantize(d, nu, m)
-        again = dominantize(d, out.weight, m)
+        out = dominantize_walls(d, nu, m, range(d.rank + 1))
+        again = dominantize_walls(d, out.weight, m, range(d.rank + 1))
         assert again.weight == out.weight
         assert again.word_length == 0
 
@@ -932,7 +931,7 @@ def test_weight_walls_refuse_what_is_not_a_weight():
         with pytest.raises(ValueError):
             weyl_orbit(d, bad, 1, (1,))
         with pytest.raises(ValueError):
-            dominantize(d, bad, 1)
+            dominantize_walls(d, bad, 1, range(d.rank + 1))
 
 
 # -- the one greedy loop against the two it replaced ------------------------------

@@ -163,15 +163,24 @@ def test_orbit_json(capsys):
 
 
 def test_resolution_full_face(capsys):
-    code, out, _ = run(capsys, "resolution", "A2", "-k", "1", "-J", "0,1,2", "-N", "3")
+    code, out, _ = run(capsys, "resolution", "A2", "-J", "0,1,2", "-N", "3")
     assert code == 0
     assert "H0 = Z" in out
 
 
 def test_resolution_vertex_face(capsys):
-    code, out, _ = run(capsys, "resolution", "A1", "-k", "2", "-J", "0", "-N", "4")
+    code, out, _ = run(capsys, "resolution", "A1", "-J", "0", "-N", "4")
     assert code == 0
     assert "H0 = 0" in out
+
+
+def test_resolution_has_no_level_option(capsys):
+    # the complex does not depend on a level, so resolution takes none
+    with pytest.raises(SystemExit) as exc:
+        main(["resolution", "A2", "-J", "0,1,2", "-N", "3", "-k", "1"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith("error: unrecognized arguments: -k 1\n")
 
 
 def test_contract_and_verify(tmp_path, capsys):
@@ -361,6 +370,8 @@ def test_closed_pipe_exits_quietly(argv):
     (["fusion", "A1", "-k", "-1", "0", "0"], "error: level must be >= 0\n"),
     (["contract", "A2", "-J", "0,1,2", "-N", "3", "--samples", "-1"],
      "error: --samples must be >= 0, not -1\n"),
+    (["selftest", "--criteria", "1", "--budget", "-1"], "error: --budget must be >= 0, not -1.0\n"),
+    (["selftest", "--criteria", "1", "--budget", "nan"], "error: --budget must be >= 0, not nan\n"),
 ])
 def test_negative_level_and_samples_exit_3(capsys, argv, message):
     assert run(capsys, *argv) == (3, "", message)
@@ -400,6 +411,16 @@ def test_selftest_subset(capsys):
     assert code == 0
     assert "PASS 1-su2-closed-form" in out
     assert "PASS 3-ring-axioms" in out
+
+
+@pytest.mark.parametrize("criteria", ["1", "1,2"])
+def test_selftest_that_skips_a_criterion_exits_4(capsys, criteria):
+    # a budget of 0 runs no criterion, and a criterion that did not run
+    # did not pass
+    code, out, err = run(capsys, "selftest", "--criteria", criteria, "--budget", "0")
+    assert (code, err) == (4, "")
+    names = ["1-su2-closed-form", "2-exact-numeric-agreement"][: len(criteria.split(","))]
+    assert out == "".join(f"SKIP {name}: time budget exceeded\n" for name in names)
 
 
 def test_selftest_unknown_selection(capsys):

@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import itertools
 import random
 from dataclasses import replace
@@ -13,15 +14,14 @@ from alcove.fusion import (
     _centre,
     _dominant_weights_below,
     _simple_current,
+    _special_values,
     character_value,
     dominant_weight_multiplicities,
-    fusion_character_value,
     fusion_product,
     fusion_table,
     fusion_unit,
     holomorphic_induction,
     ideal_membership,
-    irreducible_character_value,
     level_weights,
     project_to_fusion,
     quotient_map,
@@ -32,6 +32,7 @@ from alcove.fusion import (
 )
 from alcove.affine import dominantize_terms, weight_wall_value, weyl_orbit
 from alcove.groupring import AntiInvariant, GroupRingElt, reskew_to
+from alcove.intlinalg import mat_inv
 from alcove.lie import (
     _check_face_index,
     alcove_face_of,
@@ -248,7 +249,7 @@ def test_public_weight_functions_check_before_their_caches():
         weyl_dimension(a2, mu)
         weight_multiplicities(a2, mu)
         dominant_weight_multiplicities(a2, mu)
-        irreducible_character_value(a2, mu, (F(1, 5), F(1, 7)))
+        character_value(CharacterElt.chi(a2, mu), (F(1, 5), F(1, 7)))
     for bad in NOT_WEIGHTS:
         for _ in range(2):
             for f in (weyl_dimension, weight_multiplicities, dominant_weight_multiplicities):
@@ -258,7 +259,7 @@ def test_public_weight_functions_check_before_their_caches():
                 with pytest.raises(ValueError, match="not an int"):
                     tensor_decompose(a2, *pair)
             with pytest.raises(ValueError, match="not an int"):
-                irreducible_character_value(a2, bad, (F(1, 5), F(1, 7)))
+                character_value(CharacterElt.chi(a2, bad), (F(1, 5), F(1, 7)))
     with pytest.raises(ValueError, match="not an int"):
         tensor_decompose(a2, (1.0, 0), (0, True))
 
@@ -268,7 +269,8 @@ def box_walk_dominant_weights_below(data, mu):
     the root coordinates of mu, keeping the dominant mu - c, ordered by
     height, then weight."""
     n = data.rank
-    bounds = [int(sum(F(mu[i]) * data.cartan_inv[j][i] for i in range(n))) for j in range(n)]
+    cartan_inv = mat_inv(data.cartan)
+    bounds = [int(sum(F(mu[i]) * cartan_inv[j][i] for i in range(n))) for j in range(n)]
     out = []
     for c in itertools.product(*(range(b + 1) for b in bounds)):
         lam = tuple(mu[r] - sum(data.cartan[r][j] * c[j] for j in range(n)) for r in range(n))
@@ -750,18 +752,40 @@ RING_TYPES = ["A1", "A2", "B2", "C2", "G2", "A3", "B3"]
 def test_integer_phases_match_fraction_oracle(name):
     """At every level-k special point, k <= 3, the special point equals the
     Fraction formula and every level-k character value agrees with the
-    Fraction-phase sum to 1e-12."""
+    Fraction-phase sum to 1e-12, at the special point and through the
+    special-point evaluator."""
     d = build_lie_data(name)
     for k in (1, 2, 3):
         basis = level_weights(d, k)
-        for nu in basis:
+        scaled = {mu: list(_special_values(d, {mu: 1}, k)) for mu in basis}
+        for i, nu in enumerate(basis):
             xi = special_point(d, nu, k)
             assert xi == fraction_special_point(d, nu, k)
             for mu in basis:
                 expected = fraction_character_value(d, mu, xi)
-                assert abs(irreducible_character_value(d, mu, xi) - expected) < 1e-12
-                phi = FusionElt(d, k, {mu: 1})
-                assert abs(fusion_character_value(phi, nu) - expected) < 1e-12
+                assert abs(character_value(CharacterElt.chi(d, mu), xi) - expected) < 1e-12
+                assert abs(scaled[mu][i] - expected) < 1e-12
+
+
+def test_special_values_match_the_fraction_route():
+    """_special_values, the one evaluation at all special points, yields
+    character_value at special_point for every level weight in
+    level_weights order, rank <= 2 and k <= 3: on each basis character, on
+    a virtual character and on one above the level; lazily."""
+    for name in RANK_LE_2:
+        d = build_lie_data(name)
+        for k in (0, 1, 2, 3):
+            basis = level_weights(d, k)
+            above = (k + 1,) + (0,) * (d.rank - 1)
+            virtual = {basis[0]: 2, basis[-1]: -1, above: 3}
+            for terms in [{mu: 1} for mu in basis] + [virtual, {above: 1}]:
+                chi = CharacterElt(d, terms)
+                values = _special_values(d, terms, k)
+                assert inspect.isgenerator(values)
+                expected = [character_value(chi, special_point(d, nu, k)) for nu in basis]
+                got = list(values)
+                assert len(got) == len(expected)
+                assert all(abs(g - e) < 1e-12 for g, e in zip(got, expected)), (name, k, terms)
 
 
 def test_character_value_examples():
@@ -780,7 +804,7 @@ def test_character_value_against_weyl_formula():
             mu = tuple(rng.randint(0, 2) for _ in range(d.rank))
             nu = rng.choice(level_weights(d, 2))
             xi = special_point(d, nu, 2)
-            direct = irreducible_character_value(d, mu, xi)
+            direct = character_value(CharacterElt.chi(d, mu), xi)
             quotient = weyl_character_value(d, mu, xi)
             assert abs(direct - quotient) < 1e-9
 
@@ -946,10 +970,9 @@ def test_fusion_character_value_diagonalizes_products():
     a = FusionElt(a1, k, {(1,): 1})
     b = FusionElt(a1, k, {(2,): 1})
     prod = fusion_product(a, b)
-    for nu in level_weights(a1, k):
-        lhs = fusion_character_value(prod, nu)
-        rhs = fusion_character_value(a, nu) * fusion_character_value(b, nu)
-        assert abs(lhs - rhs) < 1e-9
+    values = zip(*(_special_values(a1, phi.terms, k) for phi in (prod, a, b)))
+    for nu, (lhs, va, vb) in zip(level_weights(a1, k), values, strict=True):
+        assert abs(lhs - va * vb) < 1e-9, nu
 
 
 # -- weights are checked once where they enter -----------------------------------
@@ -994,7 +1017,7 @@ def test_non_integral_weights_are_refused_not_truncated():
         lambda: dominant_weight_multiplicities(a2, (F(1, 2), 0)),
         lambda: weight_multiplicities(a2, (0.5, 0)),
         lambda: tensor_decompose(a2, (1, 0), (0, 1.5)),
-        lambda: fusion_character_value(fusion_unit(a2, 1), (0.5, 0)),
+        lambda: special_point(a2, (0.5, 0), 1),
     ]
     for case in cases:
         with pytest.raises(ValueError, match="not an int"):

@@ -456,7 +456,7 @@ def fraction_lie_fields(lie_type):
         tuple(1 if j == s else 0 for j in range(n)) for s in range(n))
     nodes = range(n + 1)
     return {
-        "lie_type": lie_type, "rank": n, "cartan": A, "cartan_inv": A_inv,
+        "lie_type": lie_type, "rank": n, "cartan": A,
         "positive_roots": roots, "marks": theta.coeffs, "comarks": theta.coroot,
         "rho": (1,) * n, "rho_sharp": rho_sharp, "dual_coxeter": int(h_vee),
         "gram_coroot": gram_coroot, "gram_weight": gram_weight,

@@ -20,7 +20,6 @@ from alcove.lie import (
 from alcove.prequant import (
     ConjClass,
     central_phase,
-    conjugacy_class,
     coxeter_power_identity_check,
     enumerate_prequantized,
     extension_power_trivial,
@@ -207,7 +206,7 @@ def fraction_enumerate(data, k):
     out = []
     for mu in level_weights(data, k):
         xi = tuple(x / k for x in b_sharp(data, mu))
-        out.append(conjugacy_class(data, xi))
+        out.append(ConjClass(xi, alcove_face_of(data, xi)))
     return out
 
 

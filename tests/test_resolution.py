@@ -519,7 +519,9 @@ def test_verify_certificate_checks_each_key_once(monkeypatch):
 
 def test_verify_certificate_computes_each_key_wall_vector_once(monkeypatch):
     # the key check's start vector serves the interior test, the orbit
-    # reduction and the key's faces
+    # reduction and the key's faces; it is computed once for each key whose
+    # point the orbit walk has not reached, which in the fresh complex of
+    # verify_certificate is every key off the base point
     from alcove import resolution
 
     text = contract_certificate_a2()
@@ -534,7 +536,12 @@ def test_verify_certificate_computes_each_key_wall_vector_once(monkeypatch):
     monkeypatch.setattr(resolution, "_scaled_walls", counting)
     assert verify_certificate(text)["ok"]
     keys = [(tuple(item["I"]), item["x"]) for chain in ("cycle", "bounding") for item in doc[chain]]
-    assert len(calls) == len(keys) == len(set(map(repr, keys)))
+    assert len(keys) == len(set(map(repr, keys)))
+    ctx = OrbitComplex(build_lie_data("A2"), (0, 1, 2)).ctx
+    points = [tuple(int(F(v) * ctx.D) for v in x) for _, x in keys]
+    off_base = [X for X in points if X != ctx.base]
+    assert (len(keys), len(off_base)) == (18, 14)
+    assert sorted(map(tuple, calls)) == sorted(off_base)
 
 
 @pytest.mark.parametrize("I", [[1, 0], [0, 0, 1], [2, 2]])
