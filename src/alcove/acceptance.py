@@ -378,17 +378,17 @@ def select_criteria(names: Iterable[str] | None = None) -> list[tuple[str, Calla
 
 
 def run_criteria(
-    names: Iterable[str] | None = None,
+    criteria: Iterable[tuple[str, Callable[[int], str]]],
     seed: int = 7,
     budget: float | None = None,
     emit: Callable[[str], None] | None = None,
 ) -> list[CriterionResult]:
-    """Run the selected criteria in suite order.  Once budget seconds have
-    passed, each remaining criterion is skipped: emitted as SKIP, with no
-    result, so a budget of 0 runs none."""
+    """Run the given (name, func) criteria, as select_criteria returns them,
+    in order.  Once budget seconds have passed, each remaining criterion is
+    skipped: emitted as SKIP, with no result, so a budget of 0 runs none."""
     results = []
     start = time.monotonic()
-    for name, func in select_criteria(names):
+    for name, func in criteria:
         if budget is not None and time.monotonic() - start >= budget:
             if emit:
                 emit(f"SKIP {name}: time budget exceeded")

@@ -385,7 +385,10 @@ class OrbitContext:
 
     def points_up_to(self, n: int) -> list[OrbitPoint]:
         """Orbit points of length <= n as numerators over D, by length and
-        then by coordinates."""
+        then by coordinates.  The one check of a length bound: ValueError
+        for n < 0."""
+        if n < 0:
+            raise ValueError("length bound must be >= 0")
         self.ensure_length(n)
         out = []
         for length, layer in enumerate(self._layers[: n + 1]):
@@ -396,8 +399,6 @@ class OrbitContext:
 def orbit_up_to_length(data: LieData, J: Sequence[int], n: int) -> list[OrbitPoint]:
     """All orbit points of length <= n, with Fraction coordinates, ordered
     lexicographically by coordinates."""
-    if n < 0:
-        raise ValueError("length bound must be >= 0")
     ctx = OrbitContext(data, J)
     return [
         OrbitPoint(tuple(Fraction(x, ctx.D) for x in op.point), op.length)

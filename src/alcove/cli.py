@@ -16,8 +16,8 @@ failed exact check of the complex (its witness on stderr) or a selftest
 criterion skipped by ``--budget``, 5 invalid certificate.  Output cut
 short by a reader that closes the pipe early still exits 0, quietly.
 ``main`` checks the ``--out`` file before the command runs; when the
-command fails, a file that check created is removed, and a file that was
-there is left as it was.
+command fails, a file that check created is removed (through a symlink with
+no target, the target), and a file that was there is left as it was.
 """
 
 from __future__ import annotations
@@ -53,15 +53,20 @@ class CliParseError(ValueError):
     pass
 
 
+def _split_list(text: str) -> list[str]:
+    """The items of a comma-separated list, each stripped, blank ones dropped."""
+    return [t for t in map(str.strip, text.split(",")) if t]
+
+
 def _parse_face(text: str) -> tuple[int, ...]:
     try:
-        return tuple(sorted({int(t) for t in text.split(",") if t.strip() != ""}))
+        return tuple(sorted({int(t) for t in _split_list(text)}))
     except ValueError as exc:
         raise CliParseError(f"cannot parse face {text!r}") from exc
 
 
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
-    parts = [p for p in text.split(",") if p.strip() != ""]
+    parts = _split_list(text)
     if len(parts) != rank:
         raise CliParseError(f"weight {text!r} needs {rank} coordinates")
     try:
@@ -73,7 +78,7 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
 def _emit(args, text: str) -> None:
     """Print text with one newline, to stdout or to the --out file.  A file
     that cannot be opened or written is a usage error."""
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
@@ -85,16 +90,18 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _claim_out(path: str) -> bool:
+def _claim_out(path: str) -> str | None:
     """Check, before the command runs, that the --out file can be opened for
-    writing, without truncating a file that is there.  Returns whether the
-    file was created, so that a command that fails can remove it."""
-    created = not os.path.lexists(path)
+    writing, without truncating a file that is there.  Returns the path of
+    the file this created, for a command that fails to remove, or None if
+    the file was there.  Through a symlink with no target, the file created
+    is the target, and the link itself stays."""
+    created = not os.path.exists(path)
     try:
         open(path, "a").close()
     except OSError as exc:
         raise CliParseError(f"cannot write {path}: {exc.strerror}") from exc
-    return created
+    return os.path.realpath(path) if created else None
 
 
 def _csv_cell(value) -> str:
@@ -218,10 +225,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_resolution(args) -> int:
     data = build_lie_data(args.group)
-    face = _parse_face(args.face)
-    if args.trunc < 1:
-        raise ValueError("truncation must be >= 1")
-    report = OrbitComplex(data, face).homology_report(args.trunc)
+    report = OrbitComplex(data, _parse_face(args.face)).homology_report(args.trunc)
 
     def text(doc):
         yield f"{doc['group']} J={doc['J']} N={doc['N']}: expected H0 = {doc['H0']}"
@@ -286,13 +290,15 @@ def cmd_selftest(args) -> int:
 
     if args.budget is not None and not args.budget >= 0:  # nan too
         raise ValueError(f"--budget must be >= 0, not {args.budget}")
-    names = args.criteria.split(",") if args.criteria else None
+    names = None if args.criteria is None else _split_list(args.criteria)
+    if names == []:
+        raise CliParseError(f"--criteria {args.criteria!r} names no criterion")
     try:
         selected = select_criteria(names)
     except UnknownCriteriaError as exc:
         print(exc, file=sys.stderr)
         return EXIT_PARSE
-    results = run_criteria(names=names, seed=args.seed, budget=args.budget, emit=print)
+    results = run_criteria(selected, seed=args.seed, budget=args.budget, emit=print)
     # a criterion the budget skipped has no result, so it did not pass
     passed = len(results) == len(selected) and all(r.ok for r in results)
     return EXIT_OK if passed else EXIT_VERDICT
@@ -384,11 +390,11 @@ def main(argv=None) -> int:
     only = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(only).parse_args(argv)
     out = getattr(args, "out", None)
-    created = False
+    created = None
     try:
-        created = bool(out) and _claim_out(out)
+        created = None if out is None else _claim_out(out)
         code = args.func(args)
-        created = False  # the command has written its output
+        created = None  # the command has written its output
         sys.stdout.flush()  # a closed pipe must fail here, not at exit
         return code
     except BrokenPipeError:
@@ -409,7 +415,7 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     finally:
         if created:  # the command failed before it wrote the file
-            os.remove(out)
+            os.remove(created)
 
 
 if __name__ == "__main__":

@@ -18,15 +18,8 @@ memo of its LieData; the quotient map and the projection share its quotient
 table of each level, weight -> image.  Results are built trusted, never over
 a cached dict itself.
 
-fusion_table folds the table by the centre Z(G), which acts on the level-k
-weights by the simple currents, one per node j with mark 1:
-
-    sigma_j(lam) = rep - rho,  rep the alcove representative at level
-    k + h_vee of lam + rho + (k + h_vee) omega_j,
-
-and N_{sigma a, tau b}^{sigma tau c} = N_ab^c.  So it runs one Kac-Walton
-product per orbit of pairs under Z x Z, uncached, and carries its terms to
-the rest of the orbit; fusion_product itself stays per pair.
+fusion_table folds the table by the centre Z(G) (the fold is explained
+there); fusion_product itself stays per pair.
 fusion_table_json writes the table as json.dumps(doc, indent=2) would, with
 a dict per row, but renders each basis weight once and fills one row
 template per row.
@@ -39,11 +32,11 @@ weight is affine.weyl_orbit at the walls 1..l and level 0, a downward walk
 that reads the wall values off the coordinates.
 
 The numeric oracle works on integer numerators too.  A special point is
-X / D with X = N_w (nu + rho) and D = D_w (k + h_vee), where gram_weight =
-N_w / D_w; the phase of a weight tau there is <tau, X> mod D, exact, and
-only that residue is divided in floating point.  _special_values is the one
-evaluation at all the special points, for ideal_membership and acceptance
-criterion 2.
+X / D with X = N_w (nu + rho) and D = D_w (k + h_vee), where
+gram_weight_scaled = (N_w, D_w); the phase of a weight tau there is
+<tau, X> mod D, exact, and only that residue is divided in floating point.
+_special_values is the one evaluation at all the special points, for
+ideal_membership and acceptance criterion 2.
 """
 
 from __future__ import annotations

@@ -2,8 +2,12 @@
 
 Supported types: A_l (l>=1), B_l (l>=2), C_l (l>=2), D_l (l>=4), E_6/7/8,
 F_4, G_2.  All arithmetic is exact.  The root datum and the face data are
-computed on integers; Fraction values are built only for their rational
-fields and at the public edges (pairing, b_flat, b_sharp, alcove_face_of).
+computed on integers, and the two Gram matrices are kept only as integer
+numerators over one denominator.  Fraction values are built only for the
+rational fields (Root.half_norm, rho_sharp, alcove_vertices and the points
+of FaceData) and at the public edges (pairing, basic_pairing, b_flat,
+b_sharp, wall_value, alcove_face_of), where b_flat and b_sharp divide once
+per coordinate.
 
 Conventions, fixed once and used everywhere:
 
@@ -249,11 +253,12 @@ class LieData:
       rho             Weyl vector (1, ..., 1)
       rho_sharp       B-sharp of rho, in coroot coordinates
       dual_coxeter    h_vee = 1 + <theta, rho_sharp>
-      gram_coroot     Gram matrix of B on the simple coroots
-      gram_weight     Gram matrix of B-dual on the fundamental weights
-      gram_coroot_scaled, gram_weight_scaled
-                      the same two matrices as (integer numerators,
-                      denominator) pairs
+      gram_coroot_scaled
+                      Gram matrix of B on the simple coroots, as (integer
+                      numerators N_c, denominator D_c)
+      gram_weight_scaled
+                      Gram matrix of B-dual on the fundamental weights, as
+                      (N_w, D_w); the two matrices are mutually inverse
       node_root       weight coordinates of alpha_i for nodes i = 0..l
       node_coroot     coroot coordinates of alpha_i_vee for nodes i = 0..l
       weight_table    row i: <alpha_i, alpha_j_vee> for j = 0..l, column i of
@@ -264,7 +269,8 @@ class LieData:
                       point's wall values and numerators move by -c times it
       alcove_vertices vertex i of the fundamental alcove, i = 0..l
       _memo           every result cached for this type, keyed (kind, *args),
-                      as ("face", I) or ("fusion", k, lam, mu); not compared
+                      as ("face", I), ("walls", I) or ("fusion", k, lam, mu);
+                      not compared
     """
 
     lie_type: LieType
@@ -276,8 +282,6 @@ class LieData:
     rho: Weight
     rho_sharp: CartanPoint
     dual_coxeter: int
-    gram_coroot: tuple[tuple[Fraction, ...], ...]
-    gram_weight: tuple[tuple[Fraction, ...], ...]
     gram_coroot_scaled: ScaledMatrix
     gram_weight_scaled: ScaledMatrix
     node_root: tuple[Weight, ...]
@@ -331,11 +335,10 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
 
     # B(alpha_i_vee, alpha_j_vee) = A[j][i] / d_i, so the inverse, B-dual on
     # the fundamental weights, is A^-1[j][i] d_j (inv / inv_den)
-    gram_coroot = tuple(tuple(Fraction(A[j][i] * L, e[i]) for j in range(n)) for i in range(n))
-    gram_weight = tuple(
-        tuple(Fraction(inv[j][i] * e[j], inv_den * L) for j in range(n)) for i in range(n)
+    gram_coroot_scaled = _scaled_matrix([[Fraction(A[j][i] * L, e[i]) for j in range(n)] for i in range(n)])
+    gram_weight_scaled = _scaled_matrix(
+        [[Fraction(inv[j][i] * e[j], inv_den * L) for j in range(n)] for i in range(n)]
     )
-    gram_weight_scaled = _scaled_matrix(gram_weight)
 
     rho = (1,) * n
     # rho_sharp = B_sharp(rho) = R / D, and h_vee = 1 + <theta, rho_sharp>
@@ -367,9 +370,7 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
         rho=rho,
         rho_sharp=tuple(Fraction(x, D) for x in R),
         dual_coxeter=h_vee,
-        gram_coroot=gram_coroot,
-        gram_weight=gram_weight,
-        gram_coroot_scaled=_scaled_matrix(gram_coroot),
+        gram_coroot_scaled=gram_coroot_scaled,
         gram_weight_scaled=gram_weight_scaled,
         node_root=node_root,
         node_coroot=node_coroot,
@@ -397,23 +398,27 @@ def pairing(mu: Sequence, xi: Sequence) -> Fraction:
 
 
 def basic_pairing(data: LieData, v: Sequence, w: Sequence) -> Fraction:
-    """B(v, w) for two Cartan points in coroot coordinates."""
-    if len(v) != data.rank or len(w) != data.rank:
+    """B(v, w) for two Cartan points in coroot coordinates: <b_flat(v), w>."""
+    return pairing(b_flat(data, v), w)
+
+
+def _gram_apply(scaled: ScaledMatrix, v: Sequence) -> tuple[Fraction, ...]:
+    """The l x l matrix N / den applied to v, one division per coordinate."""
+    gram, den = scaled
+    if len(v) != len(gram):
         raise ValueError("rank mismatch")
-    return pairing(mat_vec(data.gram_coroot, v), w)
+    v = [Fraction(x) for x in v]
+    return tuple(sum(map(mul, row, v)) / den for row in gram)
 
 
 def b_flat(data: LieData, xi: Sequence) -> RationalWeight:
     """B-flat: t -> t*, coroot coordinates to fundamental-weight coordinates."""
-    if len(xi) != data.rank:
-        raise ValueError("rank mismatch")
-    return mat_vec(data.gram_coroot, tuple(Fraction(x) for x in xi))
+    return _gram_apply(data.gram_coroot_scaled, xi)
+
 
 def b_sharp(data: LieData, mu: Sequence) -> CartanPoint:
     """B-sharp: t* -> t, inverse of b_flat."""
-    if len(mu) != data.rank:
-        raise ValueError("rank mismatch")
-    return mat_vec(data.gram_weight, tuple(Fraction(x) for x in mu))
+    return _gram_apply(data.gram_weight_scaled, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +455,7 @@ def _scaled_face(data: LieData, X: Sequence[int], D: int) -> FaceIndex:
 
 def _sharp_scaled(data: LieData, w: Sequence[int], level: int) -> tuple[list[int], int]:
     """B_sharp(w) / level as integer numerators X over one denominator D:
-    with gram_weight = N_w / D_w, X = N_w w and D = D_w level."""
+    with gram_weight_scaled = (N_w, D_w), X = N_w w and D = D_w level."""
     gram, den = data.gram_weight_scaled
     return [sum(map(mul, row, w)) for row in gram], den * level
 
@@ -481,9 +486,14 @@ def _check_face_index(data: LieData, I: Sequence[int]) -> FaceIndex:
     return I
 
 
-def _walls_outside(data: LieData, I: Sequence[int]) -> tuple[int, ...]:
-    """The nodes outside I: the walls of the cone of I, which generate W_I."""
-    return tuple([i for i in range(data.rank + 1) if i not in I])
+def _walls_outside(data: LieData, I: FaceIndex) -> tuple[int, ...]:
+    """The nodes outside the node tuple I: the walls of the cone of I, which
+    generate W_I.  Cached per LieData as ("walls", I) when first asked for:
+    rank l has 2^(l+1) - 1 node sets, too many to list ahead at rank 20."""
+    walls = data._memo.get(("walls", I))
+    if walls is None:
+        walls = data._memo["walls", I] = tuple([i for i in range(data.rank + 1) if i not in I])
+    return walls
 
 
 @dataclass(frozen=True)
@@ -655,6 +665,7 @@ def _frac_str(x: Fraction | int, D: int = 1) -> str:
 
 def lie_data_to_json(data: LieData) -> dict:
     """JSON-compatible dump of the root datum; fractions as 'p/q' strings."""
+    (coroot, coroot_den), (weight, weight_den) = data.gram_coroot_scaled, data.gram_weight_scaled
     return {
         "type": str(data.lie_type),
         "rank": data.rank,
@@ -665,7 +676,7 @@ def lie_data_to_json(data: LieData) -> dict:
         "comarks": list(data.comarks),
         "rho": list(data.rho),
         "dual_coxeter": data.dual_coxeter,
-        "gram_coroot": [[_frac_str(x) for x in row] for row in data.gram_coroot],
-        "gram_weight": [[_frac_str(x) for x in row] for row in data.gram_weight],
+        "gram_coroot": [[_frac_str(x, coroot_den) for x in row] for row in coroot],
+        "gram_weight": [[_frac_str(x, weight_den) for x in row] for row in weight],
         "alcove_vertices": [[_frac_str(x) for x in v] for v in data.alcove_vertices],
     }

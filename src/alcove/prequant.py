@@ -7,9 +7,9 @@ homomorphisms on the integral lattice, represented as exact rationals
 modulo 1; no extension groups are ever constructed.
 
 The pre-quantization test, quantize and the catalog run on integer
-numerators over one denominator, xi = X / D, with the Gram matrices of
-LieData scaled to integers (gram_coroot = N_c / D_c, gram_weight =
-N_w / D_w).  The face of xi is lie._scaled_face, read off the integer wall
+numerators over one denominator, xi = X / D, with the integer Gram tables
+of LieData (gram_coroot_scaled = (N_c, D_c), gram_weight_scaled =
+(N_w, D_w)).  The face of xi is lie._scaled_face, read off the integer wall
 values, and b_flat(xi) = N_c X / (D_c D), so b_flat(k xi) is a weight
 exactly when D_c D divides k N_c X.  The catalog builds the class of a
 level-k weight mu as X = N_w mu over D = D_w k (lie._sharp_scaled), and its

@@ -47,22 +47,8 @@ pairs per basis element of degree p.
 d o d = 0 is checked on every entry by an exact sparse product: each column
 of d_p is sent through the columns of d_{p-1} it meets.
 
-The ranks of the boundary maps come from the contraction the homotopies
-name, not from an elimination.  Let e(x) be the least node whose wall value
-at x is positive; a basis pair (I, x) with e(x) not in I is matched with
-(I + {e(x)}, x), the pair h_{e(x)} sends it to.  If every matched
-coefficient is +-1 and the matching is acyclic, the complex is chain
-homotopy equivalent over Z to a Morse complex on the unmatched (critical)
-cells (algebraic Morse theory: Forman, Adv. Math. 134, 1998; Kozlov,
-C. R. Math. 340, 2005; Skoldberg, Trans. AMS 358, 2006).  The critical
-cells are one, ({0}, base point), for the full face and none for any other
-face, so the homology is Z in degree 0 or zero: there is no torsion, and
-rank d_p is the number of matched pairs between degrees p and p-1.
-homology_report checks all of this on the stored matrices (_matched_ranks)
-before it uses the ranks, so they are proved, not sampled; a failed check
-raises CheckFailed with a witness, and there is no second, eliminating
-route.  The H0 augmentation check reads the sign (-1)^length of each row of
-d_1 from the orbit's length table and tests every column against it.
+The ranks of the boundary maps come from a checked algebraic Morse
+matching, not from an elimination; homology_report gives the argument.
 random_cycle computes the dense kernel basis of each d_p of a truncation
 once.
 """
@@ -158,9 +144,6 @@ class OrbitComplex:
         self.ctx = OrbitContext(data, self.J, base)
         self.D = self.ctx.D
         self.full_face = tuple(range(data.rank + 1))
-        # node set I -> the walls outside I, filled when a boundary first
-        # reduces into the cone of I: rank l has 2^(l+1) - 1 node sets
-        self._walls: dict[FaceIndex, tuple[int, ...]] = {}
         self._truncations: dict[int, TruncatedComplex] = {}
         self._kernels: dict[tuple[int, int], list[list[int]]] = {}
         self._faces: dict[ChainKey, dict[ChainKey, int]] = {}
@@ -228,16 +211,15 @@ class OrbitComplex:
 
     def basis_elements(self, p: int, n: int) -> list[ChainKey]:
         """Basis pairs (I, X) in degree p with length(X) <= n, X numerators
-        over D, ordered by I then by coordinates."""
-        if n < 0:
-            raise ValueError("length bound must be >= 0")
+        over D, ordered by I then by coordinates.  The length bound is
+        checked (points_up_to) before the degree."""
+        orbit = self.ctx.points_up_to(n)
         if p < 0 or p > self.data.rank:
             return []
         l, vectors = self.data.rank, self.ctx._vectors
         # each orbit point X with the nodes whose wall value at X is <= 0;
         # (I, X) is a basis pair exactly when those nodes all lie in I
-        points = [({i for i, v in enumerate(vectors[X][: l + 1]) if v <= 0}, X)
-                  for X, _ in self.ctx.points_up_to(n)]
+        points = [({i for i, v in enumerate(vectors[X][: l + 1]) if v <= 0}, X) for X, _ in orbit]
         out: list[ChainKey] = []
         for I in combinations(range(l + 1), p + 1):
             nodes = set(I)
@@ -273,13 +255,11 @@ class OrbitComplex:
         the tail of the reduced vector, or x itself if unmoved.  The faces
         are distinct, one per dropped node at most."""
         I, x = key
-        data, faces, walls = self.data, {}, self._walls
+        data, faces = self.data, {}
         rows, tail = data.point_table, data.rank + 1
         for r in range(len(I)):
             sub = I[:r] + I[r + 1 :]
-            if sub not in walls:
-                walls[sub] = _walls_outside(data, sub)
-            vec, word, on_wall = _reduce(start, rows, walls[sub])
+            vec, word, on_wall = _reduce(start, rows, _walls_outside(data, sub))
             if not on_wall:
                 faces[(sub, tuple(vec[tail:]) if word else x)] = (-1) ** (r + len(word))
         self._faces[key] = faces
@@ -472,31 +452,40 @@ class OrbitComplex:
         injectivity at the top, and H_0 = Z (detected by the augmentation)
         exactly for the full face, H_0 = 0 otherwise.
 
-        The ranks come from the matching (I, x) <-> (I + {e(x)}, x), e(x)
-        the least node with a positive wall value at x, checked on the
-        stored matrices before it is used: every upper cell is in the
-        basis, every matched coefficient is +-1, every other face of an
-        upper cell that is itself matched upward has a strictly shorter
-        point (so the matching is acyclic), and the critical cells are
-        ({0}, base point) for the full face and none otherwise.  Then, by
-        algebraic Morse theory (Forman 1998; Skoldberg 2006), rank d_p is
-        the number of degree p-1 cells matched upward and there is no
-        torsion.  A failed check raises CheckFailed naming the degree, the
-        key and the coefficient or face; the CLI exits 4 on it."""
+        The ranks come from the contraction the homotopies name, not from
+        an elimination.  Let e(x) be the least node with a positive wall
+        value at x; a basis pair (I, x) with e(x) not in I is matched with
+        (I + {e(x)}, x), the pair h_{e(x)} sends it to.  _matched_ranks
+        checks the matching on the stored matrices before it is used:
+        every upper cell is in the basis, every matched coefficient is +-1,
+        every other face of an upper cell that is itself matched upward has
+        a strictly shorter point (so the matching is acyclic), and the
+        critical (unmatched) cells are ({0}, base point) for the full face
+        and none otherwise.  Then the complex is chain homotopy equivalent
+        over Z to a Morse complex on the critical cells (algebraic Morse
+        theory: Forman, Adv. Math. 134, 1998; Kozlov, C. R. Math. 340,
+        2005; Skoldberg, Trans. AMS 358, 2006), so the homology is Z in
+        degree 0 or zero, there is no torsion, and rank d_p is the number
+        of degree p-1 cells matched upward.  The ranks are proved, not
+        sampled, and there is no second, eliminating route: a failed check
+        raises CheckFailed naming the degree, the key and the coefficient
+        or face, and the CLI exits 4 on it.  The H0 augmentation check reads
+        the sign (-1)^length of each row of d_1 from the orbit's length
+        table and tests every column against it."""
         if n < 1:
             raise ValueError("truncation bound must be >= 1")
         l = self.data.rank
         tc = self.truncated(n)
         dims = [len(b) for b in tc.bases]
+        # rank d_p for p = 1..l; d_0 is zero
         ranks = self._matched_ranks(tc)
         degrees = []
         all_ok = True
         for p in range(l + 1):
-            rank_p = ranks.get(p, 0)
             rank_above = ranks.get(p + 1, 0)
-            rank_ker = dims[p] - rank_p if p >= 1 else dims[p]
+            rank_ker = dims[p] - ranks.get(p, 0)
             if p == l:
-                ok = rank_ker == 0 if l >= 1 else True
+                ok = rank_ker == 0
                 verdict = "injective" if ok else "kernel"
             elif p == 0:
                 if self.J == self.full_face:
@@ -505,7 +494,7 @@ class OrbitComplex:
                     eps = [(-1) ** self.length_of(x) for _, x in tc.bases[0]]
                     eps_on_boundaries = all(
                         sum(coeff * eps[row] for row, coeff in column) == 0
-                        for column in tc.matrices.get(1, [])
+                        for column in tc.matrices[1]
                     )
                     ok = dims[0] - rank_above == 1 and eps_on_boundaries
                     verdict = "H0=Z" if ok else "H0!=Z"

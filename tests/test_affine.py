@@ -564,6 +564,15 @@ def test_orbit_a1_examples():
     assert {(p.point[0], p.length) for p in pts} == {(F(1, 2), 0), (F(-1, 2), 1)}
 
 
+def test_negative_length_bound_raises():
+    # OrbitContext.points_up_to holds the one check of a length bound
+    d = build_lie_data("A2")
+    with pytest.raises(ValueError, match="^length bound must be >= 0$"):
+        OrbitContext(d, (0, 1, 2)).points_up_to(-1)
+    with pytest.raises(ValueError, match="^length bound must be >= 0$"):
+        orbit_up_to_length(d, (0, 1, 2), -1)
+
+
 def test_orbit_closed_under_generators():
     for name in ["A1", "A2", "C2"]:
         d = build_lie_data(name)

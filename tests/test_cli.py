@@ -435,6 +435,25 @@ def test_selftest_unknown_names_listed_and_nothing_run(capsys):
     assert err == "unknown criteria: 99, foo\n"
 
 
+@pytest.mark.parametrize("criteria", [" 1", "1,", ",1, "])
+def test_selftest_names_are_stripped_and_blank_ones_dropped(capsys, criteria):
+    code, out, err = run(capsys, "selftest", "--criteria", criteria)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 and out.startswith("PASS 1-su2-closed-form ")
+
+
+@pytest.mark.parametrize("criteria", [",", " , ", ""])
+def test_selftest_list_that_names_no_criterion_exits_2(capsys, criteria):
+    code, out, err = run(capsys, "selftest", "--criteria", criteria)
+    assert (code, out, err) == (2, "", f"error: --criteria {criteria!r} names no criterion\n")
+
+
+@pytest.mark.parametrize("trunc", ["0", "-1"])
+def test_resolution_truncation_below_1_exits_3(capsys, trunc):
+    assert run(capsys, "resolution", "A2", "-J", "0,1,2", "-N", trunc) == (
+        3, "", "error: truncation bound must be >= 1\n")
+
+
 def test_format_env_selects_json(capsys, monkeypatch):
     monkeypatch.setenv("ALCOVE_FORMAT", "json")
     code, out, _ = run(capsys, "fusion", "A1", "-k", "1", "1", "1")
@@ -557,6 +576,26 @@ def test_failed_command_leaves_out_file_as_it_was(tmp_path, capsys, monkeypatch,
         assert list(tmp_path.iterdir()) == []
     else:
         assert target.read_bytes() == before
+
+
+def test_empty_out_path_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "fusion", "A1", "-k", "1", "1", "1", "--out", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write : ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_through_a_dangling_symlink(tmp_path, capsys):
+    # the link is there, its target is not: a failed command leaves no
+    # target behind, and a command that succeeds writes through the link
+    link, target = tmp_path / "link.txt", tmp_path / "target.txt"
+    link.symlink_to("target.txt")
+    assert run(capsys, "fusion", "A1", "-k", "-1", "0", "0", "--out", str(link))[:2] == (3, "")
+    assert not target.exists() and link.is_symlink()
+    assert run(capsys, "fusion", "A1", "-k", "1", "1", "1", "--out", str(link)) == (0, "", "")
+    assert link.is_symlink() and target.read_text() == "0: 1\n"
 
 
 @pytest.mark.parametrize("argv", [

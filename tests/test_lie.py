@@ -15,6 +15,7 @@ from alcove.lie import (
     InvalidLieTypeError,
     LieType,
     OutsideAlcoveError,
+    _frac_str,
     _walls_outside,
     alcove_face_of,
     apply_weight,
@@ -414,13 +415,29 @@ def test_gram_matrices_mutually_inverse():
 
     for name in RANK_LE_2 + ["F4", "E6"]:
         d = build_lie_data(name)
-        prod = mat_mul(d.gram_coroot, d.gram_weight)
+        (N_c, D_c), (N_w, D_w) = d.gram_coroot_scaled, d.gram_weight_scaled
+        # (N_c / D_c)(N_w / D_w) = I, on integers
+        prod = mat_mul(N_c, N_w)
         for i in range(d.rank):
             for j in range(d.rank):
-                assert prod[i][j] == (1 if i == j else 0)
+                assert prod[i][j] == (D_c * D_w if i == j else 0)
 
 
 # -- integer root and face data against the Fraction bodies they replace ------
+
+def fraction_gram_matrices(lie_type):
+    """Oracle: the Gram matrices of B on the simple coroots and of B-dual on
+    the fundamental weights as Fraction matrices, the second by a second
+    Gauss-Jordan inverse."""
+    from alcove.intlinalg import mat_inv
+    from alcove.lie import _symmetrizer, cartan_matrix
+
+    n = lie_type.rank
+    A = cartan_matrix(lie_type)
+    d = _symmetrizer(A)
+    gram_coroot = tuple(tuple(F(A[j][i]) / d[i] for j in range(n)) for i in range(n))
+    return gram_coroot, mat_inv(gram_coroot)
+
 
 def fraction_lie_fields(lie_type):
     """Oracle: the Fraction body of build_lie_data before it moved onto
@@ -445,8 +462,7 @@ def fraction_lie_fields(lie_type):
     roots = tuple(root_record(c) for c in positive_roots_of_cartan(A))
     theta = roots[-1]
     assert theta.half_norm == 1
-    gram_coroot = tuple(tuple(F(A[j][i]) / d[i] for j in range(n)) for i in range(n))
-    gram_weight = mat_inv(gram_coroot)
+    gram_coroot, gram_weight = fraction_gram_matrices(lie_type)
     rho_sharp = mat_vec(gram_weight, (1,) * n)
     h_vee = 1 + sum(theta.weight[j] * rho_sharp[j] for j in range(n))
     assert h_vee.denominator == 1 and h_vee == 1 + sum(theta.coroot)
@@ -459,7 +475,6 @@ def fraction_lie_fields(lie_type):
         "lie_type": lie_type, "rank": n, "cartan": A,
         "positive_roots": roots, "marks": theta.coeffs, "comarks": theta.coroot,
         "rho": (1,) * n, "rho_sharp": rho_sharp, "dual_coxeter": int(h_vee),
-        "gram_coroot": gram_coroot, "gram_weight": gram_weight,
         "gram_coroot_scaled": _scaled_matrix(gram_coroot),
         "gram_weight_scaled": _scaled_matrix(gram_weight),
         "node_root": node_root,
@@ -544,6 +559,15 @@ def test_type_string_is_parsed_once(monkeypatch):
 def lie_data_json(data):
     """Test-local copy of the former alcove.lie.lie_data_json, body unchanged."""
     return json.dumps(lie_data_to_json(data), indent=2)
+
+
+@pytest.mark.parametrize("name", ALL_RANK_LE_8 + ["A16", "A20"])
+def test_json_gram_strings_match_the_fraction_oracle(name):
+    # the integer tables print as the Fraction matrices they replace did
+    d = build_lie_data(name)
+    doc = lie_data_to_json(d)
+    for key, matrix in zip(("gram_coroot", "gram_weight"), fraction_gram_matrices(d.lie_type)):
+        assert doc[key] == [[_frac_str(x) for x in row] for row in matrix], key
 
 
 def test_json_serialization():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -48,6 +49,15 @@ def test_basis_examples():
     assert oc.basis_elements(0, 0) == [((0,), (1,)), ((1,), (1,))]
     assert oc.basis_elements(2, 4) == []
     assert oc.basis_elements(-1, 4) == []
+
+
+def test_negative_length_bound_raises_in_every_degree():
+    # OrbitContext.points_up_to holds the one check, and basis_elements asks
+    # it before its degree test
+    oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
+    for p in range(-1, 4):
+        with pytest.raises(ValueError, match="^length bound must be >= 0$"):
+            oc.basis_elements(p, -1)
 
 
 def test_element_rejects_non_interior():
@@ -1184,7 +1194,9 @@ from alcove.resolution import OrbitComplex, verify_certificate
 
 doc = '{"group": "A20", "J": [0, 1], "degree": 1, "cycle": [], "bounding": []}'
 print(verify_certificate(doc)["ok"])
-print(len(OrbitComplex(build_lie_data("A20"), (0, 1))._walls))
+data = build_lie_data("A20")
+OrbitComplex(data, (0, 1))
+print(sorted(key[1] for key in data._memo if key[0] == "walls"))
 """
 
 
@@ -1198,8 +1210,9 @@ def test_certificate_at_the_rank_bound_verifies():
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
     )
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    # verified, and a fresh complex has filled no wall table entry
-    assert proc.stdout.split() == ["True", "0"]
+    # verified, and the wall table holds the one node set face_data named
+    # for the face: no boundary reduced into any other
+    assert proc.stdout.splitlines() == ["True", "[(0, 1)]"]
 
 
 def test_certificate_above_the_rank_bound_builds_no_root_data(monkeypatch):
@@ -1216,13 +1229,24 @@ def test_certificate_above_the_rank_bound_builds_no_root_data(monkeypatch):
             verify_certificate(empty_certificate(group))
 
 
+def wall_table(data):
+    return {key[1]: walls for key, walls in data._memo.items() if key[0] == "walls"}
+
+
 def test_wall_table_fills_per_node_set_on_demand():
-    oc = OrbitComplex(build_lie_data("A3"), (0, 1, 2, 3))
-    assert oc._walls == {}
-    oc.truncated(2)
-    # every node set a boundary reduced to, each with the walls outside it
-    assert oc._walls and all(
-        walls == tuple(i for i in range(4) if i not in I) for I, walls in oc._walls.items())
+    for J, n in [((0, 1, 2, 3), 2), ((0, 1), 0), ((0, 1), 1)]:
+        # a copy of the A3 data with an empty memo, which no other test fills
+        data = dataclasses.replace(build_lie_data("A3"), _memo={})
+        oc = OrbitComplex(data, J)
+        assert wall_table(data).keys() == {J}  # named by face_data
+        tc = oc.truncated(n)
+        # the node sets a boundary reduced into, each with the walls outside it
+        reduced = {I[:r] + I[r + 1:] for basis in tc.bases[1:] for I, _ in basis for r in range(len(I))}
+        table = wall_table(data)
+        assert table.keys() == reduced | {J}
+        assert all(walls == tuple(i for i in range(4) if i not in I) for I, walls in table.items())
+        if J != (0, 1, 2, 3):
+            assert len(table) < 15  # of the 15 node sets of A3
 
 
 def test_certificate_points_scale_by_the_orbit_denominator():
