@@ -365,11 +365,14 @@ class UnknownCriteriaError(ValueError):
 
 def select_criteria(names: Iterable[str] | None = None) -> list[tuple[str, Callable[[int], str]]]:
     """The criteria selected by full name or by number, in suite order; all
-    of them when ``names`` is None.  A name that selects none raises
-    UnknownCriteriaError."""
+    of them when ``names`` is None.  Each name is stripped and blank ones
+    are dropped.  A name that selects none, or a list that names no
+    criterion, raises UnknownCriteriaError."""
     if names is None:
         return list(CRITERIA)
-    names = list(names)
+    names = [n for n in map(str.strip, names) if n]
+    if not names:
+        raise UnknownCriteriaError("no criterion named")
     known = {n for name, _ in CRITERIA for n in (name, name.split("-")[0])}
     unknown = [n for n in names if n not in known]
     if unknown:

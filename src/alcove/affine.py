@@ -385,10 +385,10 @@ class OrbitContext:
 
     def points_up_to(self, n: int) -> list[OrbitPoint]:
         """Orbit points of length <= n as numerators over D, by length and
-        then by coordinates.  The one check of a length bound: ValueError
-        for n < 0."""
+        then by coordinates.  The one check of a length bound, the -N of
+        orbit and contract: ValueError for n < 0."""
         if n < 0:
-            raise ValueError("length bound must be >= 0")
+            raise ValueError(f"truncation bound -N must be >= 0, not {n}")
         self.ensure_length(n)
         out = []
         for length, layer in enumerate(self._layers[: n + 1]):

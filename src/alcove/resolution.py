@@ -34,8 +34,9 @@ the orbit's length table costs nothing, and one off it is refused above
 CERT_MAX_LENGTH before it is reduced, then reduced once and kept.  What
 the library builds from basis pairs (sums, boundary, homotopy,
 random_cycle, contract_cycle, truncations) is trusted.  Fraction appears
-only in element(), which takes a rational point; certificates carry 'p/q'
-coordinates X / D, read strictly, and a point off (1/D) Z^l is refused.
+only in element(), which takes a rational point and refuses one off
+(1/D) Z^l; a certificate states D once and writes each point as its
+numerators X, JSON integers.
 
 The homology path does no repeated work.  The bases and faces of a
 truncation read each orbit point's wall values and start vector off the
@@ -558,12 +559,10 @@ def _point_str(X: Sequence[int], D: int) -> str:
     return f"({', '.join(_frac_str(v, D) for v in X)})"
 
 
-def chain_to_json(c: ChainElt, D: int) -> list[dict]:
-    """Chain terms with their points written as 'p/q' coordinates X / D."""
-    return [
-        {"I": list(I), "x": [_frac_str(v, D) for v in x], "coeff": coeff}
-        for (I, x), coeff in sorted(c.terms.items())
-    ]
+def chain_to_json(c: ChainElt) -> list[dict]:
+    """Chain terms with their points written as the key numerators X over
+    the D of the complex."""
+    return [{"I": list(I), "x": list(x), "coeff": coeff} for (I, x), coeff in sorted(c.terms.items())]
 
 
 def _numerator(p: int, q: int, D: int, x: Iterable) -> int:
@@ -577,38 +576,16 @@ def _numerator(p: int, q: int, D: int, x: Iterable) -> int:
     return p * D // q
 
 
-def _json_coordinate(v) -> tuple[int, int]:
-    """A certificate coordinate as (p, q), q > 0: a JSON integer, or a string
-    'p' or 'p/q' of ASCII digits with an optional '-' before p, the forms
-    _frac_str writes.  Anything else raises ValueError before any number is
-    built from it."""
-    if type(v) is int:
-        return v, 1
-    if type(v) is str and v.isascii():
-        p, slash, q = v.partition("/")
-        if p.removeprefix("-").isdigit() and (q.isdigit() or not slash):
-            q = int(q) if slash else 1
-            if not q:
-                raise ValueError(f"coordinate {v!r} has a zero denominator")
-            return int(p), q
-    raise ValueError(f"coordinate {v!r} is not an integer or a 'p/q' string")
-
-
-def chain_from_json(J: FaceIndex, degree: int, doc: Iterable[Mapping], D: int) -> ChainElt:
-    """Read chain terms, keying each point by its numerators over D.  Nodes
-    and coefficients must be JSON integers, and coordinates as
-    _json_coordinate reads them; ChainElt refuses a node set that is not
-    strictly increasing, as chain_to_json writes them."""
+def chain_from_json(J: FaceIndex, degree: int, doc: Iterable[Mapping]) -> ChainElt:
+    """Read chain terms as chain_to_json writes them: nodes, numerators and
+    coefficients JSON integers; ChainElt refuses a node set that is not
+    strictly increasing."""
     terms: dict[ChainKey, int] = {}
     for item in doc:
         I, x, coeff = item["I"], item["x"], item["coeff"]
-        if not (_is_int_list(I) and type(x) is list and type(coeff) is int):
-            raise ValueError("a chain term needs integer nodes I, a list x and an integer coeff")
-        try:
-            x = tuple(_numerator(*_json_coordinate(v), D, x) for v in x)
-        except ValueError as exc:
-            raise ValueError(f"chain key {I}: {exc}") from None
-        key = (tuple(I), x)
+        if not (_is_int_list(I) and _is_int_list(x) and type(coeff) is int):
+            raise ValueError("a chain term needs integer nodes I, integer numerators x and an integer coeff")
+        key = (tuple(I), tuple(x))
         terms[key] = terms.get(key, 0) + coeff
     return ChainElt(J, degree, terms)
 
@@ -623,13 +600,19 @@ def certificate_json(complex_: OrbitComplex, cycle: ChainElt, bounding: ChainElt
         "group": str(complex_.data.lie_type),
         "J": list(complex_.J),
         "degree": cycle.degree,
-        "cycle": chain_to_json(cycle, complex_.D),
-        "bounding": chain_to_json(bounding, complex_.D),
+        "D": complex_.D,
+        "cycle": chain_to_json(cycle),
+        "bounding": chain_to_json(bounding),
     }, indent=2)
 
 
 def verify_certificate(text: str) -> dict:
-    """Re-check a contraction certificate; raises ValueError on any defect."""
+    """Re-check a contraction certificate {group, J, degree, D, cycle,
+    bounding}, each chain term {I, x, coeff} with x the numerators of its
+    point over D.  ValueError on any defect: a field of the wrong JSON type
+    (every node, numerator and coeff must be an integer), a D other than
+    that of the orbit of J, a key that is no basis pair, or a bounding
+    chain whose boundary is not the cycle."""
     try:
         doc = json.loads(text)
         group, J, degree = doc["group"], doc["J"], doc["degree"]
@@ -645,10 +628,13 @@ def verify_certificate(text: str) -> dict:
         if not 0 < degree < data.rank:
             raise ValueError(f"degree {degree} is not strictly between 0 and {data.rank}")
         complex_ = OrbitComplex(data, J)
-        # each point is scaled by D once; one off (1/D) Z^l is not on the orbit
-        cycle = chain_from_json(J, degree, doc["cycle"], complex_.D)
-        bounding = chain_from_json(J, degree + 1, doc["bounding"], complex_.D)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
+        # every point is read as numerators over D, so any other D misreads them
+        D = doc["D"]
+        if type(D) is not int or D != complex_.D:
+            raise ValueError(f"D must be {complex_.D}, the denominator of the orbit of {list(complex_.J)}")
+        cycle = chain_from_json(J, degree, doc["cycle"])
+        bounding = chain_from_json(J, degree + 1, doc["bounding"])
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"malformed certificate: {exc}") from exc
     # the boundaries check every key of both chains as a basis pair before
     # either verdict

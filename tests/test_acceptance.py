@@ -32,5 +32,13 @@ def test_select_by_name_or_number_in_suite_order():
 
 
 def test_select_unknown_names_raise_in_given_order():
-    with pytest.raises(UnknownCriteriaError, match=r"^unknown criteria: 99, ring, $"):
+    # blank names are dropped, not listed as unknown
+    with pytest.raises(UnknownCriteriaError, match=r"^unknown criteria: 99, ring$"):
         select_criteria(["99", "1", "ring", ""])
+
+
+def test_select_strips_names_and_refuses_a_list_that_names_none():
+    assert select_criteria([" 3", "", "1 "]) == [CRITERIA[0], CRITERIA[2]]
+    for names in ([], [""], [" ", ""]):
+        with pytest.raises(UnknownCriteriaError, match=r"^no criterion named$"):
+            select_criteria(names)

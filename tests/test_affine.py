@@ -567,10 +567,10 @@ def test_orbit_a1_examples():
 def test_negative_length_bound_raises():
     # OrbitContext.points_up_to holds the one check of a length bound
     d = build_lie_data("A2")
-    with pytest.raises(ValueError, match="^length bound must be >= 0$"):
+    with pytest.raises(ValueError, match="^truncation bound -N must be >= 0, not -1$"):
         OrbitContext(d, (0, 1, 2)).points_up_to(-1)
-    with pytest.raises(ValueError, match="^length bound must be >= 0$"):
-        orbit_up_to_length(d, (0, 1, 2), -1)
+    with pytest.raises(ValueError, match="^truncation bound -N must be >= 0, not -2$"):
+        orbit_up_to_length(d, (0, 1, 2), -2)
 
 
 def test_orbit_closed_under_generators():

@@ -201,7 +201,7 @@ def test_verify_cert_detects_tampering(tmp_path, capsys):
     if doc["bounding"]:
         doc["bounding"][0]["coeff"] += 1
     else:
-        doc["cycle"].append({"I": [0, 1], "x": ["1/3", "1/3"], "coeff": 1})
+        doc["cycle"].append({"I": [0, 1], "x": [1, 1], "coeff": 1})
     cert.write_text(json.dumps(doc))
     code, _, err = run(capsys, "verify-cert", str(cert))
     assert code == 5
@@ -250,9 +250,9 @@ def test_verify_cert_unsorted_chain_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda doc: doc["cycle"][0]["x"].__setitem__(0, "1/7"),  # off (1/3) Z^2
+    lambda doc: doc["cycle"][0]["x"].__setitem__(0, "1/7"),  # 'p/q' strings, not numerators
     lambda doc: doc["cycle"][0]["x"].__setitem__(1, "1/0"),
-    lambda doc: doc["cycle"][0]["x"].append("0"),
+    lambda doc: doc["cycle"][0]["x"].append(0),
     lambda doc: doc["cycle"][0].__setitem__("I", [0, 3]),
 ], ids=["off-lattice", "zero-denominator", "coordinate-count", "node-out-of-range"])
 def test_verify_cert_rejects_malformed_points(tmp_path, capsys, edit):
@@ -297,8 +297,8 @@ def test_verify_cert_malformed_fields_exit_5(tmp_path, capsys, make):
 def test_verify_cert_far_point_exits_5(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps({
-        "group": "A2", "J": [0, 1, 2], "degree": 1, "bounding": [],
-        "cycle": [{"I": [0, 1], "x": ["1/3", "300000001/3"], "coeff": 1}],
+        "group": "A2", "J": [0, 1, 2], "degree": 1, "D": 3, "bounding": [],
+        "cycle": [{"I": [0, 1], "x": [1, 300000001], "coeff": 1}],
     }))
     code, out, err = run(capsys, "verify-cert", str(cert))
     assert code == 5
@@ -322,22 +322,23 @@ def test_verify_cert_zero_denominator_message(tmp_path, capsys):
     assert code == 0
     doc = json.loads(text)
     doc["cycle"][0]["x"][1] = "1/0"
-    assert doc["cycle"][0]["I"] == [0, 1] and doc["cycle"][0]["x"] == ["-1/3", "1/0"]
+    assert doc["D"] == 3
+    assert doc["cycle"][0]["I"] == [0, 1] and doc["cycle"][0]["x"] == [-1, "1/0"]
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify-cert", str(cert))
     assert code == 5
     assert out == ""
     assert err == (
-        "certificate invalid: malformed certificate: "
-        "chain key [0, 1]: coordinate '1/0' has a zero denominator\n"
+        "certificate invalid: malformed certificate: a chain term needs integer nodes I, "
+        "integer numerators x and an integer coeff\n"
     )
 
 
 def test_verify_cert_echoes_canonical_face(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(
-        {"group": "A2", "J": [2, 1], "degree": 1, "cycle": [], "bounding": []}
+        {"group": "A2", "J": [2, 1], "degree": 1, "D": 2, "cycle": [], "bounding": []}
     ))
     code, out, _ = run(capsys, "verify-cert", str(cert))
     assert code == 0
@@ -432,7 +433,9 @@ def test_selftest_unknown_names_listed_and_nothing_run(capsys):
     code, out, err = run(capsys, "selftest", "--criteria", "1,99,foo")
     assert code == 2
     assert out == ""
-    assert err == "unknown criteria: 99, foo\n"
+    assert err == "error: --criteria '1,99,foo': unknown criteria: 99, foo\n"
+    assert run(capsys, "selftest", "--criteria", "0") == (
+        2, "", "error: --criteria '0': unknown criteria: 0\n")
 
 
 @pytest.mark.parametrize("criteria", [" 1", "1,", ",1, "])
@@ -445,13 +448,19 @@ def test_selftest_names_are_stripped_and_blank_ones_dropped(capsys, criteria):
 @pytest.mark.parametrize("criteria", [",", " , ", ""])
 def test_selftest_list_that_names_no_criterion_exits_2(capsys, criteria):
     code, out, err = run(capsys, "selftest", "--criteria", criteria)
-    assert (code, out, err) == (2, "", f"error: --criteria {criteria!r} names no criterion\n")
+    assert (code, out, err) == (2, "", f"error: --criteria {criteria!r}: no criterion named\n")
 
 
 @pytest.mark.parametrize("trunc", ["0", "-1"])
 def test_resolution_truncation_below_1_exits_3(capsys, trunc):
     assert run(capsys, "resolution", "A2", "-J", "0,1,2", "-N", trunc) == (
         3, "", "error: truncation bound must be >= 1\n")
+
+
+@pytest.mark.parametrize("command", ["orbit", "contract"])
+def test_negative_truncation_exits_3_naming_the_bound(capsys, command):
+    assert run(capsys, command, "A2", "-J", "0,1,2", "-N", "-1") == (
+        3, "", "error: truncation bound -N must be >= 0, not -1\n")
 
 
 def test_format_env_selects_json(capsys, monkeypatch):

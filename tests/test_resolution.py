@@ -56,7 +56,7 @@ def test_negative_length_bound_raises_in_every_degree():
     # it before its degree test
     oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
     for p in range(-1, 4):
-        with pytest.raises(ValueError, match="^length bound must be >= 0$"):
+        with pytest.raises(ValueError, match="^truncation bound -N must be >= 0, not -1$"):
             oc.basis_elements(p, -1)
 
 
@@ -382,7 +382,7 @@ def test_certificate_tamper_detected():
     with pytest.raises(ValueError):
         verify_certificate(_json.dumps(doc))
     doc = _json.loads(certificate_json(oc, c, b))
-    doc["cycle"][0]["x"] = ["1/5", "1/5"]
+    doc["cycle"][0]["x"] = [5, 5]
     with pytest.raises(ValueError):
         verify_certificate(_json.dumps(doc))
 
@@ -391,7 +391,7 @@ def test_certificate_tamper_detected():
 def test_certificate_degree_out_of_range_rejected(degree):
     import json as _json
 
-    doc = {"group": "A2", "J": [0, 1, 2], "degree": degree, "cycle": [], "bounding": []}
+    doc = {"group": "A2", "J": [0, 1, 2], "degree": degree, "D": 3, "cycle": [], "bounding": []}
     with pytest.raises(ValueError, match="degree"):
         verify_certificate(_json.dumps(doc))
     doc["degree"] = 1
@@ -401,9 +401,9 @@ def test_certificate_degree_out_of_range_rejected(degree):
 def test_chain_json_roundtrip():
     oc = OrbitComplex(build_lie_data("A1"), (0, 1))
     c = oc.element((0, 1), (F(-1, 4),), 3)
-    doc = chain_to_json(c, oc.D)
-    assert doc == [{"I": [0, 1], "x": ["-1/4"], "coeff": 3}]
-    back = chain_from_json(oc.J, 1, doc, oc.D)
+    doc = chain_to_json(c)
+    assert oc.D == 4 and doc == [{"I": [0, 1], "x": [-1], "coeff": 3}]
+    back = chain_from_json(oc.J, 1, doc)
     assert back == c
 
 
@@ -480,7 +480,7 @@ def test_certificate_repeated_face_node_rejected(J):
 def test_certificate_echoes_canonical_face():
     import json as _json
 
-    doc = {"group": "A2", "J": [2, 1], "degree": 1, "cycle": [], "bounding": []}
+    doc = {"group": "A2", "J": [2, 1], "degree": 1, "D": 2, "cycle": [], "bounding": []}
     assert verify_certificate(_json.dumps(doc))["J"] == [1, 2]
     rng = random.Random(11)
     oc = OrbitComplex(build_lie_data("A2"), (2, 0, 1))
@@ -545,20 +545,19 @@ def test_verify_certificate_computes_each_key_wall_vector_once(monkeypatch):
 
     monkeypatch.setattr(resolution, "_scaled_walls", counting)
     assert verify_certificate(text)["ok"]
-    keys = [(tuple(item["I"]), item["x"]) for chain in ("cycle", "bounding") for item in doc[chain]]
-    assert len(keys) == len(set(map(repr, keys)))
+    keys = [(tuple(item["I"]), tuple(item["x"])) for chain in ("cycle", "bounding") for item in doc[chain]]
+    assert len(keys) == len(set(keys))
     ctx = OrbitComplex(build_lie_data("A2"), (0, 1, 2)).ctx
-    points = [tuple(int(F(v) * ctx.D) for v in x) for _, x in keys]
-    off_base = [X for X in points if X != ctx.base]
+    off_base = [X for _, X in keys if X != ctx.base]
     assert (len(keys), len(off_base)) == (18, 14)
     assert sorted(map(tuple, calls)) == sorted(off_base)
 
 
 @pytest.mark.parametrize("I", [[1, 0], [0, 0, 1], [2, 2]])
 def test_chain_from_json_rejects_unsorted_or_repeated_key(I):
-    doc = [{"I": I, "x": ["1/3", "1/3"], "coeff": 1}]
+    doc = [{"I": I, "x": [1, 1], "coeff": 1}]
     with pytest.raises(ValueError, match="not strictly increasing"):
-        chain_from_json((0, 1, 2), 1, doc, 3)
+        chain_from_json((0, 1, 2), 1, doc)
 
 
 # -- sparse d o d check, truncation cache, one reduction per matrix ------------------
@@ -1035,7 +1034,7 @@ def a2_certificate_doc():
 
 
 def edit_off_lattice(doc):
-    doc["cycle"][0]["x"][0] = "1/7"  # the A2 full-face orbit lies in (1/3) Z^2
+    doc["cycle"][0]["x"][0] = "1/7"  # a 'p/q' string, not a numerator
 
 
 def edit_zero_denominator(doc):
@@ -1043,7 +1042,7 @@ def edit_zero_denominator(doc):
 
 
 def edit_extra_coordinate(doc):
-    doc["cycle"][0]["x"].append("0")
+    doc["cycle"][0]["x"].append(0)
 
 
 def edit_missing_coordinate(doc):
@@ -1073,28 +1072,98 @@ def test_verify_certificate_rejects_malformed_points_with_value_error(edit):
         verify_certificate(_json.dumps(doc))
 
 
-def test_certificate_zero_denominator_names_key_and_coordinate():
-    import json as _json
+TERM_TYPES = "needs integer nodes I, integer numerators x and an integer coeff"
 
+
+def verify_cert_cli(tmp_path, capsys, text):
+    """verify-cert on the certificate text: exit code, stdout and stderr."""
+    from alcove.cli import main
+
+    cert = tmp_path / "cert.json"
+    cert.write_text(text)
+    code = main(["verify-cert", str(cert)])
+    return (code, *capsys.readouterr())
+
+
+# JSON texts put in place of one coordinate; none is an integer, whatever a
+# string would spell, and none is parsed
+NON_INTEGER_COORDINATES = [
+    "true", "1.0", '"1"', '"1/8"', '"-1/3"', '"1/7"', '"1/0"', '"1e99999999"', "1e99999999",
+    '"\\u0663"', "null", "[1]",
+]
+
+
+@pytest.mark.parametrize("value", NON_INTEGER_COORDINATES, ids=lambda v: v.replace('"', "'"))
+def test_non_integer_coordinates_are_malformed(tmp_path, capsys, value):
+    doc = a2_certificate_doc()
+    doc["cycle"][0]["x"][1] = "VALUE"
+    text = json.dumps(doc).replace('"VALUE"', value)
+    message = f"malformed certificate: a chain term {TERM_TYPES}"
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        verify_certificate(text)
+    assert verify_cert_cli(tmp_path, capsys, text) == (5, "", f"certificate invalid: {message}\n")
+
+
+def old_form(doc):
+    """The certificate as it was written before D: no D, and each point X / D
+    as 'p/q' strings."""
+    D = doc.pop("D")
+    for chain in ("cycle", "bounding"):
+        for item in doc[chain]:
+            item["x"] = [str(F(v, D)) for v in item["x"]]
+
+
+def old_form_with_D(doc):
+    D = doc["D"]
+    old_form(doc)
+    doc["D"] = D
+
+
+WRONG_D = "malformed certificate: D must be 3, the denominator of the orbit of [0, 1, 2]"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc.pop("D"), "malformed certificate: 'D'"),
+    (lambda doc: doc.update(D=6), WRONG_D),
+    (lambda doc: doc.update(D=1), WRONG_D),
+    (lambda doc: doc.update(D=0), WRONG_D),
+    (lambda doc: doc.update(D="3"), WRONG_D),
+    (lambda doc: doc.update(D=3.0), WRONG_D),
+    (lambda doc: doc.update(D=True), WRONG_D),
+    (old_form, "malformed certificate: 'D'"),
+    (old_form_with_D, f"malformed certificate: a chain term {TERM_TYPES}"),
+], ids=["missing", "multiple", "one", "zero", "string", "float", "bool", "old-form", "old-form-with-D"])
+def test_certificate_D_must_be_the_orbit_denominator(tmp_path, capsys, edit, message):
+    # every point is read as numerators over D, so a certificate that does
+    # not state the D of the orbit of J, as an integer, is refused
+    doc = a2_certificate_doc()
+    assert doc["D"] == 3 and verify_certificate(json.dumps(doc))["ok"]
+    edit(doc)
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        verify_certificate(json.dumps(doc))
+    assert verify_cert_cli(tmp_path, capsys, json.dumps(doc)) == (5, "", f"certificate invalid: {message}\n")
+
+
+def test_certificate_zero_denominator_names_key_and_coordinate():
+    # a zero denominator can come in two ways: a 'p/q' coordinate "1/0",
+    # which is no integer numerator and is refused without being parsed, and
+    # D = 0, which is refused naming the orbit and the D it must be
     doc = a2_certificate_doc()
     edit_zero_denominator(doc)
-    assert doc["cycle"][0]["I"] == [0, 1] and doc["cycle"][0]["x"] == ["-1/3", "1/0"]
-    with pytest.raises(
-        ValueError,
-        match=r"^malformed certificate: chain key \[0, 1\]: coordinate '1/0' has a zero denominator$",
-    ):
-        verify_certificate(_json.dumps(doc))
+    assert doc["cycle"][0]["I"] == [0, 1] and doc["cycle"][0]["x"] == [-1, "1/0"]
+    with pytest.raises(ValueError, match=rf"^malformed certificate: a chain term {TERM_TYPES}$"):
+        verify_certificate(json.dumps(doc))
+    doc = a2_certificate_doc()
+    doc["D"] = 0
+    with pytest.raises(ValueError, match=rf"^{re.escape(WRONG_D)}$"):
+        verify_certificate(json.dumps(doc))
 
 
 def test_off_lattice_point_is_not_on_the_orbit():
-    import json as _json
-
+    # element() takes rational points, so it is the one reader of a point
+    # that can lie off (1/D) Z^l
     oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
     assert oc.D == 3
-    doc = a2_certificate_doc()
-    edit_off_lattice(doc)
-    with pytest.raises(ValueError, match=r"off the lattice \(1/3\) Z\^l of the orbit"):
-        verify_certificate(_json.dumps(doc))
     with pytest.raises(ValueError, match="off the lattice"):
         oc.element((0, 1), (F(1, 7), F(1, 3)))
     with pytest.raises(ValueError, match="coordinates"):
@@ -1107,7 +1176,7 @@ def test_certificate_lattice_point_off_the_orbit_rejected():
     import json as _json
 
     doc = a2_certificate_doc()
-    doc["cycle"][0]["I"], doc["cycle"][0]["x"] = [0, 1], ["1", "1"]
+    doc["cycle"][0]["I"], doc["cycle"][0]["x"] = [0, 1], [3, 3]
     with pytest.raises(ValueError, match=r"point \(1, 1\) is not on the orbit"):
         verify_certificate(_json.dumps(doc))
 
@@ -1150,11 +1219,12 @@ def test_length_of_keeps_each_placed_point(monkeypatch):
 
 
 def far_a2_certificate(n):
-    """An A2 certificate whose one cycle key (0, 1) sits at (1/3, (3n+1)/3)."""
+    """An A2 certificate whose one cycle key (0, 1) sits at (1/3, (3n+1)/3),
+    the numerators (1, 3n+1) over D = 3."""
     import json as _json
 
-    return _json.dumps({"group": "A2", "J": [0, 1, 2], "degree": 1, "bounding": [],
-                        "cycle": [{"I": [0, 1], "x": ["1/3", f"{3 * n + 1}/3"], "coeff": 1}]})
+    return _json.dumps({"group": "A2", "J": [0, 1, 2], "degree": 1, "D": 3, "bounding": [],
+                        "cycle": [{"I": [0, 1], "x": [1, 3 * n + 1], "coeff": 1}]})
 
 
 def test_certificate_far_point_rejected_before_any_reduction():
@@ -1192,7 +1262,7 @@ AT_THE_RANK_BOUND = """
 from alcove.lie import build_lie_data
 from alcove.resolution import OrbitComplex, verify_certificate
 
-doc = '{"group": "A20", "J": [0, 1], "degree": 1, "cycle": [], "bounding": []}'
+doc = '{"group": "A20", "J": [0, 1], "degree": 1, "D": 42, "cycle": [], "bounding": []}'
 print(verify_certificate(doc)["ok"])
 data = build_lie_data("A20")
 OrbitComplex(data, (0, 1))
@@ -1250,14 +1320,14 @@ def test_wall_table_fills_per_node_set_on_demand():
 
 
 def test_certificate_points_scale_by_the_orbit_denominator():
-    # the written 'p/q' coordinates are the key numerators over D
+    # a certificate states the D of its complex once, and each point as the
+    # key numerators over it
     oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
     c = oc.random_cycle(1, 3, random.Random(5), max_terms=4)
-    doc = chain_to_json(c, oc.D)
-    assert [tuple(F(v) for v in item["x"]) for item in doc] == [
-        unscaled(x, oc.D) for _, x in sorted(c.terms)
-    ]
-    assert chain_from_json(oc.J, 1, doc, oc.D) == c
+    doc = json.loads(certificate_json(oc, c, oc.contract_cycle(c)))
+    assert list(doc) == ["group", "J", "degree", "D", "cycle", "bounding"] and doc["D"] == oc.D == 3
+    assert [tuple(item["x"]) for item in doc["cycle"]] == [x for _, x in sorted(c.terms)]
+    assert chain_from_json(oc.J, 1, doc["cycle"]) == c
 
 
 # -- certificate round trip on random complexes ------------------------------------------
@@ -1316,7 +1386,7 @@ FUZZ_VALUES = [
 
 def fuzz_paths(doc):
     """Every field of a certificate, as a path of keys and indices."""
-    yield from [("group",), ("J",), ("degree",), ("cycle",), ("bounding",)]
+    yield from [("group",), ("J",), ("degree",), ("D",), ("cycle",), ("bounding",)]
     yield from (("J", k) for k in range(len(doc["J"])))
     for chain in ("cycle", "bounding"):
         for t, item in enumerate(doc[chain]):
@@ -1327,17 +1397,14 @@ def fuzz_paths(doc):
 
 def ill_typed(path, value):
     """Whether value has a type the field at path may not have: group a
-    string, degree, coeff and every node an integer, I and J lists of
-    integers, x a list of integers and strings."""
+    string, degree, D, coeff, every node and every numerator an integer,
+    and I, J and x lists of integers."""
     last, above = path[-1], path[-2] if len(path) > 1 else None
-    if last in ("degree", "coeff") or above in ("I", "J"):
+    if last in ("degree", "D", "coeff") or above in ("I", "J", "x"):
         return type(value) is not int
-    if last in ("I", "J"):
+    if last in ("I", "J", "x"):
         return type(value) is not list or any(type(v) is not int for v in value)
-    if above == "x":
-        return type(value) not in (int, str)
-    expected = {"group": str, "x": list}.get(last)
-    return expected is not None and type(value) is not expected
+    return last == "group" and type(value) is not str
 
 
 def mutate(doc, path, rng):
@@ -1388,9 +1455,6 @@ def test_verify_certificate_fuzz_raises_only_value_error():
                 assert result["ok"] is True and not must_fail, mutated
                 outcomes["ok"] += 1
     assert outcomes["ok"] > 0 and outcomes["rejected"] > 300, outcomes
-
-
-TERM_TYPES = "needs integer nodes I, a list x and an integer coeff"
 
 
 def test_fractional_or_boolean_certificate_fields_never_verify():
