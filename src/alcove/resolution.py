@@ -42,16 +42,18 @@ The homology path does no repeated work.  The bases and faces of a
 truncation read each orbit point's wall values and start vector off the
 orbit walk (OrbitContext._vectors), and so does _check_key, so only a key
 at a point the walk has not reached has its start vector computed, by
-_start.  Each length truncation is built once per complex and shared, and
-stores each boundary map d_p as sparse columns: one list of (row, coeff)
-pairs per basis element of degree p.
-d o d = 0 is checked on every entry by an exact sparse product: each column
-of d_p is sent through the columns of d_{p-1} it meets.
+_start.  Each key's boundary is stored once per complex (_faces), as the
+chain face -> sign, and each length truncation is built once per complex
+and shared: its d_p is the list of the stored boundaries of the degree-p
+keys, the same dicts.  d o d = 0 is checked on every entry on these
+chains: the boundaries of the faces of each key combine to zero.  Checks
+and witnesses name keys, never matrix rows; a key is written as a
+certificate writes it, its nodes I and numerators x over D.
 
 The ranks of the boundary maps come from a checked algebraic Morse
 matching, not from an elimination; homology_report gives the argument.
 random_cycle computes the dense kernel basis of each d_p of a truncation
-once.
+once, from (row, coeff) columns over the basis order of degree p - 1.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .affine import OrbitContext, _reduce, _scaled_crossing_length
 from .intlinalg import kernel_basis, to_dense
@@ -70,7 +72,6 @@ from .lie import (
     LieData,
     LieType,
     _check_face_index,
-    _frac_str,
     _scaled_walls,
     _walls_outside,
     build_lie_data,
@@ -126,14 +127,14 @@ class ChainElt(SparseElt):
 
 @dataclass
 class TruncatedComplex:
-    """Bases and integer boundary matrices of a length-truncated subcomplex."""
+    """Bases and boundary maps of a length-truncated subcomplex."""
 
     J: FaceIndex
     N: int
     bases: list[list[ChainKey]]
-    # degree p -> d_p as sparse columns: for each basis element of degree p,
-    # the (row, coeff) pairs of its boundary, sorted by row, coeff nonzero
-    matrices: dict[int, list[list[tuple[int, int]]]]
+    # degree p -> d_p: for each key of bases[p], in basis order, its boundary
+    # face -> sign, the very dict the complex stores for the key (_faces)
+    matrices: dict[int, list[dict[ChainKey, int]]]
 
 
 class OrbitComplex:
@@ -171,14 +172,14 @@ class OrbitComplex:
         known = self.ctx._length.get(x, self._lengths.get(x))
         if known is not None:
             return known
-        data, D = self.data, self.D
+        data = self.data
         start = start or self._start(x)
-        length = _scaled_crossing_length(data, x, D)
+        length = _scaled_crossing_length(data, x, self.D)
         if length > CERT_MAX_LENGTH:
-            raise ValueError(f"{_point_str(x, D)} has length {length}, above the limit {CERT_MAX_LENGTH}")
+            raise ValueError(f"x = {list(x)} has length {length}, above the limit {CERT_MAX_LENGTH}")
         vec = _reduce(start, data.point_table, self.full_face)[0]
         if tuple(vec[data.rank + 1 :]) != self.ctx.base:
-            raise ValueError(f"point {_point_str(x, D)} is not on the orbit of {self.J}")
+            raise ValueError(f"x = {list(x)} is not on the orbit of {list(self.J)}")
         self._lengths[x] = length
         return length
 
@@ -189,7 +190,7 @@ class OrbitComplex:
         its wall values at nodes 0..l, then X.  ValueError unless X has l
         coordinates, as wall values and a reduction need."""
         if len(X) != self.data.rank:
-            raise ValueError(f"{_point_str(X, self.D)} has {len(X)} coordinates, not {self.data.rank}")
+            raise ValueError(f"x = {list(X)} has {len(X)} coordinates, not {self.data.rank}")
         return [*_scaled_walls(self.data, X, self.D), *X]
 
     def _check_key(self, I: FaceIndex, X: tuple[int, ...]) -> Sequence[int]:
@@ -204,7 +205,7 @@ class OrbitComplex:
         try:
             start = self.ctx._vectors.get(X) or self._start(X)
             if any(start[i] <= 0 for i in range(l + 1) if i not in I):
-                raise ValueError(f"{_point_str(X, self.D)} is not interior to its cone")
+                raise ValueError(f"x = {list(X)} is not interior to its cone")
             self._length(X, start)
         except ValueError as exc:
             raise ValueError(f"key {list(I)}, {exc}") from None
@@ -341,26 +342,25 @@ class OrbitComplex:
     # -- truncated linear algebra ----------------------------------------------------
 
     def truncated(self, n: int) -> TruncatedComplex:
-        """Bases and boundary matrices of the subcomplex of keys with length
-        <= n; checks that consecutive matrices compose to zero.
+        """Bases and boundary maps of the subcomplex of keys with length
+        <= n; checks that consecutive maps compose to zero.
 
-        The result is built once per n and shared by later calls, so callers
-        must not mutate its bases or matrices.
+        d_p is the list of the stored faces (_faces) of the keys of degree
+        p, the same dicts, not copies; a key whose faces are stored already
+        is not recomputed.  The result is built once per n and shared by
+        later calls, so callers must not mutate its bases or matrices.
         """
         cached = self._truncations.get(n)
         if cached is not None:
             return cached
-        l, vectors = self.data.rank, self.ctx._vectors
+        l, vectors, stored = self.data.rank, self.ctx._vectors, self._faces
         bases = [self.basis_elements(p, n) for p in range(l + 1)]
-        index = [{key: idx for idx, key in enumerate(b)} for b in bases]
-        matrices: dict[int, list[list[tuple[int, int]]]] = {}
-        for p in range(1, l + 1):
-            # the boundary never raises lengths, so keys stay inside; basis
-            # pairs need no key check
-            faces = [self._store_faces(key, vectors[key[1]]) for key in bases[p]]
-            matrices[p] = [sorted((index[p - 1][f], sign) for f, sign in fs.items()) for fs in faces]
+        # the boundary never raises lengths, so faces stay inside; basis pairs
+        # need no key check
+        matrices = {p: [stored[key] if key in stored else self._store_faces(key, vectors[key[1]])
+                        for key in bases[p]] for p in range(1, l + 1)}
         for p in range(2, l + 1):
-            check_d_squared_zero(matrices[p - 1], matrices[p], p)
+            check_d_squared_zero(stored, zip(bases[p], matrices[p]), p)
         tc = TruncatedComplex(self.J, n, bases, matrices)
         self._truncations[n] = tc
         return tc
@@ -380,7 +380,9 @@ class OrbitComplex:
             # the kernel basis is computed densely, as the sampled cycles (and
             # so the certificates) depend on its exact vectors; callers must
             # not mutate it
-            ker = kernel_basis(to_dense(tc.matrices[p], len(tc.bases[p - 1])), len(basis))
+            row = {key: i for i, key in enumerate(tc.bases[p - 1])}
+            columns = [[(row[face], sign) for face, sign in faces.items()] for faces in tc.matrices[p]]
+            ker = kernel_basis(to_dense(columns, len(row)), len(basis))
             self._kernels[(n, p)] = ker
         vectors = rng.sample(ker, min(max_terms, len(ker)))
         scales = [rng.randint(-3, 3) for _ in vectors]
@@ -392,36 +394,33 @@ class OrbitComplex:
 
     def _matched_ranks(self, tc: TruncatedComplex) -> dict[int, int]:
         """rank d_p for p = 1..l, read off the matching that h_{e(x)} names
-        once it has passed its checks on tc.matrices (see homology_report);
-        CheckFailed with a witness otherwise."""
-        l, D = self.data.rank, self.D
+        once it has passed its checks on the boundaries tc.matrices (see
+        homology_report); CheckFailed with a witness otherwise."""
+        l = self.data.rank
         vectors, lengths, bases = self.ctx._vectors, self.ctx._length, tc.bases
+        cell = _cell_str
         # e(x), the least node with a positive wall value at x; one exists,
         # as the wall values of x weighted by the marks sum to D > 0
         first = {x: next(i for i, v in enumerate(vectors[x][: l + 1]) if v > 0)
                  for x, _ in self.ctx.points_up_to(tc.N)}
-
-        def cell(key: ChainKey) -> str:
-            return f"({list(key[0])}, {_point_str(key[1], D)})"
 
         def fail(p: int, witness: str):
             raise CheckFailed(f"Morse matching check failed in degree {p}: {witness}")
 
         ranks = {}
         for p in range(1, l + 1):
-            lower, pairs = bases[p - 1], 0
+            pairs = 0
             # each upper cell (U, x), e(x) in U, has its lower cell (K, x),
             # K = U - {e(x)}, among its faces with coefficient +-1; every
             # other face matched upward has a shorter point, so no gradient
             # path closes up
-            for (U, x), column in zip(bases[p], tc.matrices[p]):
+            for (U, x), faces in zip(bases[p], tc.matrices[p]):
                 e = first[x]
                 if e not in U:
                     continue
                 K = tuple(i for i in U if i != e)
                 length, matched = lengths[x], False
-                for row, coeff in column:
-                    F, y = lower[row]
+                for (F, y), coeff in faces.items():
                     if y == x and F == K:
                         if coeff not in (1, -1):
                             fail(p, f"the matched face {cell((K, x))} of {cell((U, x))} has coefficient {coeff}")
@@ -434,9 +433,9 @@ class OrbitComplex:
                 pairs += 1
             # distinct upper cells have distinct lower cells, so the count
             # shows that every cell matched upward has its upper cell
-            if pairs != sum(first[x] not in I for I, x in lower):
+            if pairs != sum(first[x] not in I for I, x in bases[p - 1]):
                 keys = set(bases[p])
-                I, x = next((I, x) for I, x in lower
+                I, x = next((I, x) for I, x in bases[p - 1]
                             if first[x] not in I and (tuple(sorted(I + (first[x],))), x) not in keys)
                 fail(p - 1, f"the upper cell of {cell((I, x))} is not in the basis")
             ranks[p] = pairs
@@ -457,7 +456,7 @@ class OrbitComplex:
         an elimination.  Let e(x) be the least node with a positive wall
         value at x; a basis pair (I, x) with e(x) not in I is matched with
         (I + {e(x)}, x), the pair h_{e(x)} sends it to.  _matched_ranks
-        checks the matching on the stored matrices before it is used:
+        checks the matching on the stored boundaries before it is used:
         every upper cell is in the basis, every matched coefficient is +-1,
         every other face of an upper cell that is itself matched upward has
         a strictly shorter point (so the matching is acyclic), and the
@@ -471,8 +470,8 @@ class OrbitComplex:
         sampled, and there is no second, eliminating route: a failed check
         raises CheckFailed naming the degree, the key and the coefficient
         or face, and the CLI exits 4 on it.  The H0 augmentation check reads
-        the sign (-1)^length of each row of d_1 from the orbit's length
-        table and tests every column against it."""
+        the sign (-1)^length of each degree-0 point from the orbit's length
+        table and tests the boundary of every degree-1 key against it."""
         if n < 1:
             raise ValueError("truncation bound must be >= 1")
         l = self.data.rank
@@ -490,12 +489,12 @@ class OrbitComplex:
                 verdict = "injective" if ok else "kernel"
             elif p == 0:
                 if self.J == self.full_face:
-                    # the augmentation kills every column of d_1; its sign
-                    # on a basis point depends on the row only
-                    eps = [(-1) ** self.length_of(x) for _, x in tc.bases[0]]
+                    # the augmentation kills the boundary of every degree-1
+                    # key; its sign on a basis pair depends on the point only
+                    eps = {x: (-1) ** self.length_of(x) for _, x in tc.bases[0]}
                     eps_on_boundaries = all(
-                        sum(coeff * eps[row] for row, coeff in column) == 0
-                        for column in tc.matrices[1]
+                        sum(coeff * eps[y] for (_, y), coeff in faces.items()) == 0
+                        for faces in tc.matrices[1]
                     )
                     ok = dims[0] - rank_above == 1 and eps_on_boundaries
                     verdict = "H0=Z" if ok else "H0!=Z"
@@ -527,36 +526,39 @@ class OrbitComplex:
         }
 
 
+def _cell_str(key: ChainKey) -> str:
+    """A chain key as a certificate writes its term: the nodes I and the
+    numerators x over D."""
+    return f"(I = {list(key[0])}, x = {list(key[1])})"
+
+
 def check_d_squared_zero(
-    lower: Sequence[Sequence[tuple[int, int]]],
-    upper: Sequence[Sequence[tuple[int, int]]],
+    lower: Mapping[Hashable, Mapping[Hashable, int]],
+    upper: Iterable[tuple[Hashable, Mapping[Hashable, int]]],
     p: int,
 ) -> None:
-    """Raise CheckFailed unless the product d_{p-1} d_p of the sparse
-    column matrices lower = d_{p-1} and upper = d_p is zero in every entry.
-
-    Column j of the product is the sum of the columns t of lower weighted by
-    the entries (t, b) of upper[j]; every entry of every such sum is tested.
-    """
-    for j, column in enumerate(upper):
-        total: dict[int, int] = {}
-        for t, b in column:
-            for i, a in lower[t]:
-                total[i] = total.get(i, 0) + a * b
-        for i, v in total.items():
-            if v:
-                raise CheckFailed(
-                    f"d composed with d is nonzero at degree {p}: entry ({i}, {j}) is {v}"
-                )
+    """Raise CheckFailed unless d_{p-1} d_p is zero on every key of degree
+    p: upper holds the pairs (key, boundary) of d_p, and lower maps each
+    face to its boundary.  Every entry of every d d key is tested, and the
+    witness names the key, a face key where d d key is nonzero, and the
+    value, each key written by _cell_str."""
+    for key, faces in upper:
+        total: dict = {}
+        for face, b in faces.items():
+            for low, a in lower[face].items():
+                # key hashes are most of the time: an entry that cancels is
+                # popped, not read and written back
+                value = total.pop(low, 0) + a * b
+                if value:
+                    total[low] = value
+        if total:
+            low, value = next(iter(total.items()))
+            raise CheckFailed(f"d composed with d is nonzero at degree {p}: the boundary of the boundary "
+                              f"of {_cell_str(key)} has coefficient {value} at {_cell_str(low)}")
 
 
 # ---------------------------------------------------------------------------
 # certificates
-
-
-def _point_str(X: Sequence[int], D: int) -> str:
-    """The point X / D as '(p/q, ...)'."""
-    return f"({', '.join(_frac_str(v, D) for v in X)})"
 
 
 def chain_to_json(c: ChainElt) -> list[dict]:

@@ -304,7 +304,7 @@ def test_verify_cert_far_point_exits_5(tmp_path, capsys):
     assert code == 5
     assert out == ""
     assert err == (
-        "certificate invalid: certificate key [0, 1], (1/3, 300000001/3) "
+        "certificate invalid: certificate key [0, 1], x = [1, 300000001] "
         "has length 400000000, above the limit 10000\n"
     )
 

@@ -67,6 +67,14 @@ def columns(A, ncols):
     return [[(i, row[j]) for i, row in enumerate(A) if row[j]] for j in range(ncols)]
 
 
+def index_columns(tc, p):
+    """d_p of the truncation tc as the (row, coeff) columns that
+    invariant_factors and to_dense take: one column per key of degree p, a
+    row per key of degree p - 1, both in basis order."""
+    row = {key: i for i, key in enumerate(tc.bases[p - 1])}
+    return [sorted((row[face], coeff) for face, coeff in faces.items()) for faces in tc.matrices[p]]
+
+
 def random_matrix(rng, rows, cols, entries):
     return [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
 
@@ -142,9 +150,12 @@ def test_boundary_matrices_match_dense_oracle(name, J, n):
     # many invariant factors as its rank over Q, and each is 1
     tc = OrbitComplex(build_lie_data(name), J).truncated(n)
     for p, M in tc.matrices.items():
-        dense = to_dense(M, len(tc.bases[p - 1]))
-        assert columns(dense, len(M)) == M
-        assert invariant_factors(M) == [1] * rational_rank(dense)
+        indexed = index_columns(tc, p)
+        dense = to_dense(indexed, len(tc.bases[p - 1]))
+        # the dense matrix holds each stored face coefficient, and no other
+        assert columns(dense, len(M)) == indexed
+        assert [{tc.bases[p - 1][i]: v for i, v in column} for column in indexed] == M
+        assert invariant_factors(indexed) == [1] * rational_rank(dense)
 
 
 def test_to_dense_places_each_entry():
