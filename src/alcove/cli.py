@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Each command builds one JSON document, and ``_output`` prints it in the
-chosen format: ``json.dumps(doc, indent=2)``, the one JSON encoder, which
-the certificates use too; a CSV of one list of rows in the document; or the
-command's text lines rendered from the same document.  ``fusion-table`` is
-the exception: in each format its rows are spliced from cells rendered
-once per basis weight, with the bytes that rendering its document would
-give (see cmd_fusion_table).  Domain errors are raised as ValueError and
+chosen format: ``json.dumps(doc, indent=2)``; a CSV of one list of rows
+in the document; or the command's text lines rendered from the same
+document.  ``fusion-table`` and ``contract`` are the exceptions: each
+prints the bytes that rendering its document would give, laid out from
+cells rendered once, per basis weight in each format of ``fusion-table``
+(see cmd_fusion_table) and per node tuple and point of a certificate,
+whose bytes are those of ``json.dumps(doc, indent=2)`` (see
+resolution.certificate_json).  Domain errors are raised as ValueError and
 reported by ``main``.  ``main`` builds the parser of the one command that
 its arguments name, not of all nine (see build_parser).
 

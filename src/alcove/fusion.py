@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import sys
 from fractions import Fraction
 from itertools import product as iter_product
 from operator import mul
@@ -54,6 +55,7 @@ from .lie import (
     LieData,
     Weight,
     _check_face_index,
+    _json_list,
     _scaled,
     _sharp_scaled,
     _walls_outside,
@@ -85,8 +87,11 @@ def _check_level(k: int) -> None:
 
 
 def level_weights(data: LieData, k: int) -> list[Weight]:
-    """The level-k weights, in lexicographic order."""
+    """The level-k weights, in lexicographic order.  ValueError for a level
+    whose search box has a side longer than any sequence (sys.maxsize)."""
     _check_level(k)
+    if k // min(data.comarks) >= sys.maxsize:
+        raise ValueError(f"level {k} is too large to list its weights")
     boxes = [range(k // c + 1) for c in data.comarks]
     return [w for w in iter_product(*boxes) if _weight_walls(data, w, k)[0] >= 0]
 
@@ -548,12 +553,12 @@ def fusion_table_json(data: LieData, k: int) -> str:
     """The fusion table as the text of json.dumps(doc, indent=2), where doc
     holds type, k, the basis and one {"a", "b", "c", "N"} dict per
     fusion_table row under "constants".  Each basis weight is rendered once,
-    re-indented to the depth of a row cell, and each row fills one row
+    at the depth of a row cell (lie._json_list), and each row fills one row
     template, so no row is a dict."""
     basis = level_weights(data, k)
-    cell = {w: json.dumps(list(w), indent=2).replace("\n", "\n      ") for w in basis}
+    cell = {w: _json_list(map(str, w), 3) for w in basis}
     row = '{\n      "a": %s,\n      "b": %s,\n      "c": %s,\n      "N": %d\n    }'
-    rows = [row % (cell[a], cell[b], cell[c], n) for a, b, c, n in fusion_table(data, k, basis)]
+    rows = (row % (cell[a], cell[b], cell[c], n) for a, b, c, n in fusion_table(data, k, basis))
     head = json.dumps({"type": str(data.lie_type), "k": k, "basis": [list(w) for w in basis]}, indent=2)
-    # the header ends in "\n}"; the constants, never empty, go before it
-    return head[:-2] + ',\n  "constants": [\n    ' + ",\n    ".join(rows) + "\n  ]\n}"
+    # the header ends in "\n}"; the constants go before it
+    return head[:-2] + ',\n  "constants": ' + _json_list(rows, 1) + "\n}"

@@ -46,7 +46,9 @@ path calls it: alternating sums over W_I walk signed orbits
 
 lie_data_to_json is the root datum as a document of ints and 'p/q'
 strings (_frac_str); the CLI prints it, like every document, with
-json.dumps(doc, indent=2).
+json.dumps(doc, indent=2).  _json_list is the one layout of a list at a
+depth of such a document, for the writers that splice cells rendered once
+into templates (fusion.fusion_table_json, resolution.certificate_json).
 """
 
 from __future__ import annotations
@@ -661,6 +663,16 @@ def _frac_str(x: Fraction | int, D: int = 1) -> str:
         x, D = x.numerator, x.denominator * D
     g = gcd(x, D)
     return str(x // g) if g == D else f"{x // g}/{D // g}"
+
+
+def _json_list(items: Iterable[str], depth: int) -> str:
+    """The text json.dumps(..., indent=2) gives a list nested depth levels
+    deep in a document, from its items rendered at depth + 1: one item per
+    line, two spaces deeper than the line that holds the list; "[]" when
+    there is none.  A list of ints v is _json_list(map(str, v), depth)."""
+    pad = "\n" + "  " * (depth + 1)
+    body = ("," + pad).join(items)
+    return "[" + pad + body + "\n" + "  " * depth + "]" if body else "[]"
 
 
 def lie_data_to_json(data: LieData) -> dict:

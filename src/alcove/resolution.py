@@ -72,6 +72,7 @@ from .lie import (
     LieData,
     LieType,
     _check_face_index,
+    _json_list,
     _scaled_walls,
     _walls_outside,
     build_lie_data,
@@ -598,14 +599,28 @@ def _is_int_list(v) -> bool:
 
 
 def certificate_json(complex_: OrbitComplex, cycle: ChainElt, bounding: ChainElt) -> str:
-    return json.dumps({
-        "group": str(complex_.data.lie_type),
-        "J": list(complex_.J),
-        "degree": cycle.degree,
-        "D": complex_.D,
-        "cycle": chain_to_json(cycle),
-        "bounding": chain_to_json(bounding),
-    }, indent=2)
+    """The contraction certificate of cycle = d bounding as the text of
+    json.dumps(doc, indent=2), doc = {group, J, degree, D, "cycle":
+    chain_to_json(cycle), "bounding": chain_to_json(bounding)}.  The text
+    is laid out, not encoded from doc: each distinct node tuple and
+    numerator tuple is rendered once (lie._json_list), and each chain term,
+    in chain_to_json's order, fills one term template."""
+    cells: dict[tuple[int, ...], str] = {}
+
+    def cell(v: tuple[int, ...]) -> str:
+        text = cells.get(v)
+        if text is None:
+            text = cells[v] = _json_list(map(str, v), 3)
+        return text
+
+    term = '{\n      "I": %s,\n      "x": %s,\n      "coeff": %d\n    }'
+
+    def chain(c: ChainElt) -> str:
+        return _json_list((term % (cell(I), cell(x), coeff) for (I, x), coeff in sorted(c.terms.items())), 1)
+
+    head = '{\n  "group": %s,\n  "J": %s,\n  "degree": %d,\n  "D": %d,\n  "cycle": %s,\n  "bounding": %s\n}'
+    return head % (json.dumps(str(complex_.data.lie_type)), _json_list(map(str, complex_.J), 1),
+                   cycle.degree, complex_.D, chain(cycle), chain(bounding))
 
 
 def verify_certificate(text: str) -> dict:

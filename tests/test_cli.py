@@ -383,6 +383,19 @@ def test_negative_level_and_samples_exit_3(capsys, argv, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
 
 
+HUGE_LEVEL = "99999999999999999999"  # above sys.maxsize
+
+
+@pytest.mark.parametrize("command,group", [("fusion-table", "A1"), ("prequant", "B2")])
+def test_level_too_large_to_list_its_weights_exits_3(capsys, command, group):
+    assert run(capsys, command, group, "-k", HUGE_LEVEL) == (
+        3, "", f"error: level {HUGE_LEVEL} is too large to list its weights\n")
+
+
+def test_fusion_at_a_huge_level_lists_no_weights(capsys):
+    assert run(capsys, "fusion", "A1", "-k", HUGE_LEVEL, "1", "1") == (0, "0: 1\n2: 1\n", "")
+
+
 def test_prequant_rows(capsys):
     code, out, _ = run(capsys, "prequant", "A1", "-k", "2", "--format", "json")
     assert code == 0

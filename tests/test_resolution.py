@@ -101,7 +101,7 @@ from alcove.lie import build_lie_data
 from alcove.resolution import ChainElt, OrbitComplex
 
 oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
-for key in [((0, 1), (1,)), ((0, 1), (1, 1, 1)), ((0, 7), (1, 1)), ((0, 1), (2, -1))]:
+for key in [((0, 1), (1,)), ((0, 1), (1, 1, 1)), ((0, 7), (1, 1)), ((0, 3), (1, 1)), ((0, 1), (2, -1))]:
     try:
         oc.boundary(ChainElt((0, 1, 2), 1, {key: 1}))
     except ValueError as exc:
@@ -122,8 +122,19 @@ def test_boundary_rejects_malformed_keys_before_any_reduction():
         "key [0, 1], x = [1] has 1 coordinates, not 2",
         "key [0, 1], x = [1, 1, 1] has 3 coordinates, not 2",
         "key [0, 7] has a node outside 0..2",
+        "key [0, 3] has a node outside 0..2",
         "key [0, 1], x = [2, -1] is not interior to its cone",
     ]
+
+
+def test_key_on_a_wall_outside_its_nodes_is_not_interior():
+    # the base point (1/3, 1/6) of the A2 face (0, 1) lies on wall 2, which
+    # the node set (0,) leaves out
+    oc = OrbitComplex(build_lie_data("A2"), (0, 1))
+    assert oc.D == 6 and oc.ctx.base == (2, 1)
+    with pytest.raises(ValueError, match=r"^key \[0\], x = \[2, 1\] is not interior to its cone$"):
+        oc.element((0,), (F(1, 3), F(1, 6)))
+    assert oc.element((0, 2), (F(1, 3), F(1, 6))).terms == {((0, 2), (2, 1)): 1}
 
 
 def test_boundary_checks_each_key_once(monkeypatch):
@@ -910,6 +921,22 @@ def test_matching_check_refuses_a_non_unit_matched_coefficient(monkeypatch):
     assert oc.homology_report(3)["all_ok"]
 
 
+def test_matching_check_refuses_matched_coefficient_2(monkeypatch):
+    # 2 and -2, not only values three away from zero
+    from alcove.resolution import CheckFailed
+
+    oc = OrbitComplex(build_lie_data("A2"), (0, 1, 2))
+    tc = oc.truncated(3)
+    p, j, face = next(matched_entries(oc, tc))
+    for bad in (2, -2):
+        matrix = list(tc.matrices[p])
+        matrix[j] = {**matrix[j], face: bad}
+        monkeypatch.setitem(tc.matrices, p, matrix)
+        with pytest.raises(CheckFailed, match=f"{re.escape(cell_str(face))} of .* has coefficient {bad}$"):
+            oc.homology_report(3)
+        monkeypatch.undo()
+
+
 def test_matching_check_refuses_a_dropped_matched_face(monkeypatch):
     from alcove.resolution import CheckFailed
 
@@ -1329,6 +1356,14 @@ def test_length_of_is_bounded_before_any_reduction():
     assert time.perf_counter() - start < 0.1
 
 
+def test_length_limit_is_inclusive_at_one_crossing_past_it():
+    # the A1 orbit point (2n+1)/4 has length n
+    oc = OrbitComplex(build_lie_data("A1"), (0, 1))
+    assert oc.D == 4 and oc.length_of((2 * 10_000 + 1,)) == 10_000 == CERT_MAX_LENGTH
+    with pytest.raises(ValueError, match=r"^x = \[20003\] has length 10001, above the limit 10000$"):
+        oc.length_of((2 * 10_001 + 1,))
+
+
 def test_length_of_keeps_each_placed_point(monkeypatch):
     # a point off the length table is bounded and reduced once per complex
     from alcove import resolution
@@ -1452,6 +1487,29 @@ def test_certificate_points_scale_by_the_orbit_denominator():
     assert list(doc) == ["group", "J", "degree", "D", "cycle", "bounding"] and doc["D"] == oc.D == 3
     assert [tuple(item["x"]) for item in doc["cycle"]] == [x for _, x in sorted(c.terms)]
     assert chain_from_json(oc.J, 1, doc["cycle"]) == c
+
+
+@pytest.mark.parametrize("name,J,N", [
+    ("A1", (0, 1), 4), ("A2", (0, 1, 2), 3), ("A2", (0, 1), 3), ("C2", (0, 1, 2), 2),
+    ("G2", (0, 1, 2), 2), ("A3", (0, 1, 2, 3), 2), ("B3", (0, 1, 2, 3), 2), ("A4", (0, 1, 2, 3, 4), 2),
+])
+def test_certificate_bytes_are_those_of_the_indenting_encoder(name, J, N):
+    # certificate_json lays its text out from cells; the stdlib encoder with
+    # indent=2 is the reference.  Seed 0 samples no terms, an empty cycle
+    oc = OrbitComplex(build_lie_data(name), J)
+    if oc.data.rank == 1:
+        # no interior degree, so no contraction: one-coordinate points over
+        # an empty bounding chain pin the layout all the same
+        keys = oc.basis_elements(1, N)
+        pairs = [(ChainElt(J, 1, {key: (-1) ** i * (i + 1) for i, key in enumerate(keys)}), ChainElt(J, 2))]
+    else:
+        pairs = [(c, oc.contract_cycle(c)) for p in range(1, oc.data.rank) for seed in range(6)
+                 for c in [oc.random_cycle(p, N, random.Random(seed), max_terms=min(seed, 4))]]
+        assert {bool(c) for c, _ in pairs} == {False, True}
+    for c, b in pairs:
+        doc = {"group": name, "J": list(J), "degree": c.degree, "D": oc.D,
+               "cycle": chain_to_json(c), "bounding": chain_to_json(b)}
+        assert certificate_json(oc, c, b) == json.dumps(doc, indent=2)
 
 
 # -- certificate round trip on random complexes ------------------------------------------
