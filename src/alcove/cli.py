@@ -42,7 +42,7 @@ from .lie import (
 )
 from .affine import orbit_up_to_length
 from .prequant import prequant_catalog
-from .resolution import CheckFailed, OrbitComplex, certificate_json, verify_certificate
+from .resolution import OrbitComplex, certificate_json, verify_certificate
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -405,7 +405,7 @@ def main(argv=None) -> int:
     except (InvalidLieTypeError, CliParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except CheckFailed as exc:
+    except AssertionError as exc:  # CheckFailed and the library's other checks
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_VERDICT
     except (ValueError, ZeroDivisionError) as exc:

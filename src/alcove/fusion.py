@@ -203,7 +203,7 @@ def _weyl_dimension(data: LieData, mu: Weight) -> int:
             num *= sum((a + 1) * b for a, b in zip(mu, root.coroot))
             den *= sum(root.coroot)
         dim, rem = divmod(num, den)
-        assert rem == 0 and dim > 0
+        assert rem == 0 and dim > 0, f"Weyl dimension of {mu} is not a positive integer"
         data._memo["dim", mu] = dim
     return dim
 
@@ -249,7 +249,7 @@ def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Wei
                 j += 1
         lam_rho = tuple(x + 1 for x in lam)
         denom = top_norm - ip(lam_rho, lam_rho)
-        assert denom > 0
+        assert denom > 0, f"Freudenthal denominator of {lam} in V_{mu} is not positive"
         val, rem = divmod(2 * total, denom)
         assert rem == 0 and val >= 0, (mu, lam, 2 * total, denom)
         if val:
@@ -322,7 +322,9 @@ def _tensor_decompose(data: LieData, lam: Weight, mu: Weight) -> dict[Weight, in
         out = dominantize_terms(data, _factor_weights(data, lam, mu), 0, range(1, data.rank + 1), 1)
         assert all(c > 0 for c in out.values()), "Klimyk produced a negative multiplicity"
         dim_check = sum(c * _weyl_dimension(data, w) for w, c in out.items())
-        assert dim_check == _weyl_dimension(data, lam) * _weyl_dimension(data, mu)
+        assert dim_check == _weyl_dimension(data, lam) * _weyl_dimension(data, mu), (
+            f"Klimyk dimension mismatch for {lam} (x) {mu}"
+        )
         data._memo[key] = out
     return out
 

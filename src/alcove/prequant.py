@@ -81,7 +81,7 @@ def _prequant_scaled(
     if any(x % den for x in scaled):
         return face, flat, None
     label = tuple(x // den for x in scaled)
-    assert in_level(data, label, k)
+    assert in_level(data, label, k), f"pre-quantization label {label} is not at level {k}"
     return face, flat, label
 
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -249,49 +250,75 @@ def test_verify_cert_unsorted_chain_key(tmp_path, capsys):
     assert "not strictly increasing" in err
 
 
-@pytest.mark.parametrize("edit", [
-    lambda doc: doc["cycle"][0]["x"].__setitem__(0, "1/7"),  # 'p/q' strings, not numerators
-    lambda doc: doc["cycle"][0]["x"].__setitem__(1, "1/0"),
-    lambda doc: doc["cycle"][0]["x"].append(0),
-    lambda doc: doc["cycle"][0].__setitem__("I", [0, 3]),
-], ids=["off-lattice", "zero-denominator", "coordinate-count", "node-out-of-range"])
-def test_verify_cert_rejects_malformed_points(tmp_path, capsys, edit):
-    code, text, _ = run(capsys, "contract", "A2", "-J", "0,1,2", "-N", "3", "--seed", "5")
+A2_SEED_1 = ("contract", "A2", "-J", "0,1,2", "-N", "3", "--seed", "1")
+A2_SEED_5 = ("contract", "A2", "-J", "0,1,2", "-N", "3", "--seed", "5")
+# the golden A3 certificate: points are numerators over D = 8, and the first
+# cycle term is I = [0, 1, 2], x = [1, 4, 3]
+A3_CERT = ("contract", "A3", "-J", "0,1,2,3", "-N", "2", "-p", "2", "--seed", "1")
+TERM_TYPES = "a chain term needs integer nodes I, integer numerators x and an integer coeff"
+FIELD_TYPES = "group must be a string, J a list of integers and degree an integer"
+
+
+def a3_first_cycle_point(doc):
+    assert doc["D"] == 8 and doc["cycle"][0]["I"] == [0, 1, 2] and doc["cycle"][0]["x"] == [1, 4, 3]
+    return doc["cycle"][0]["x"]
+
+
+@pytest.mark.parametrize("source, edit, message", [
+    # 'p/q' strings, not numerators
+    (A2_SEED_5, lambda doc: doc["cycle"][0]["x"].__setitem__(0, "1/7"), f"malformed certificate: {TERM_TYPES}"),
+    (A2_SEED_5, lambda doc: doc["cycle"][0]["x"].__setitem__(1, "1/0"), f"malformed certificate: {TERM_TYPES}"),
+    (A2_SEED_5, lambda doc: doc["cycle"][0]["x"].append(0),
+     "certificate key [0, 1], x = [-1, 0, 0] has 3 coordinates, not 2"),
+    (A2_SEED_5, lambda doc: doc["cycle"][0].__setitem__("I", [0, 3]),
+     "certificate key [0, 3] has a node outside 0..2"),
+    # translated by 10**6 times the coroot of node 3: on the orbit and
+    # interior to its cone, but far above CERT_MAX_LENGTH
+    (A3_CERT, lambda doc: a3_first_cycle_point(doc).__setitem__(2, 8000003),
+     "certificate key [0, 1, 2], x = [1, 4, 8000003] has length 6000001, above the limit 10000"),
+    # the coroot-lattice point (0, 0, 1): interior to its cone, but on the
+    # orbit of the origin
+    (A3_CERT, lambda doc: a3_first_cycle_point(doc).__setitem__(slice(None), [0, 0, 8]),
+     "certificate key [0, 1, 2], x = [0, 0, 8] is not on the orbit of [0, 1, 2, 3]"),
+], ids=["off-lattice", "zero-denominator", "coordinate-count", "node-out-of-range",
+        "a3-far", "a3-off-orbit"])
+def test_verify_cert_rejects_malformed_points(tmp_path, capsys, source, edit, message):
+    code, text, _ = run(capsys, *source)
     assert code == 0
     doc = json.loads(text)
     edit(doc)
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "verify-cert", str(cert))
-    assert code == 5
-    assert "certificate ok" not in out
-    assert err.startswith("certificate invalid:") and "Traceback" not in err
+    assert run(capsys, "verify-cert", str(cert)) == (5, "", f"certificate invalid: {message}\n")
 
 
 def coeffs_off_by_0_4(doc):
-    # the reported reproduction: fractional coefficients, J and degree not integers
     for chain in ("cycle", "bounding"):
         for item in doc[chain]:
             item["coeff"] += 0.4 if item["coeff"] > 0 else -0.4
-    doc["J"], doc["degree"] = [0.0, 1.9, 2.2], "1"
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("make", [
-    coeffs_off_by_0_4,
-    lambda doc: json.dumps({**doc, "J": "012"}),
-    lambda doc: json.dumps({**doc, "group": 5}),
-    lambda doc: "[" * 100_000,
-], ids=["fractional-coeffs", "string-face", "integer-group", "deep-nesting"])
-def test_verify_cert_malformed_fields_exit_5(tmp_path, capsys, make):
-    code, text, _ = run(capsys, "contract", "A2", "-J", "0,1,2", "-N", "3", "--seed", "1")
+@pytest.mark.parametrize("source, make, message", [
+    # the reported reproduction: fractional coefficients, J and degree not integers
+    (A2_SEED_1, lambda doc: coeffs_off_by_0_4({**doc, "J": [0.0, 1.9, 2.2], "degree": "1"}), FIELD_TYPES),
+    (A2_SEED_1, lambda doc: json.dumps({**doc, "J": "012"}), FIELD_TYPES),
+    (A2_SEED_1, lambda doc: json.dumps({**doc, "group": 5}), FIELD_TYPES),
+    (A2_SEED_1, lambda doc: "[" * 100_000, "maximum recursion depth exceeded"),
+    (A3_CERT, coeffs_off_by_0_4, TERM_TYPES),
+    (A3_CERT, lambda doc: json.dumps({**doc, "D": 16}),
+     "D must be 8, the denominator of the orbit of [0, 1, 2, 3]"),
+], ids=["fractional-coeffs", "string-face", "integer-group", "deep-nesting",
+        "a3-fractional-coeffs", "a3-wrong-D"])
+def test_verify_cert_malformed_fields_exit_5(tmp_path, capsys, source, make, message):
+    code, text, _ = run(capsys, *source)
     assert code == 0
     cert = tmp_path / "cert.json"
     cert.write_text(make(json.loads(text)))
     code, out, err = run(capsys, "verify-cert", str(cert))
-    assert code == 5
-    assert out == ""
-    assert err.startswith("certificate invalid: malformed certificate: ") and "Traceback" not in err
+    assert (code, out) == (5, "")
+    assert err.startswith(f"certificate invalid: malformed certificate: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_verify_cert_far_point_exits_5(tmp_path, capsys):
@@ -645,6 +672,19 @@ def test_deterministic_output(capsys):
     code2, out2, _ = run(capsys, "fusion-table", "G2", "-k", "1", "--format", "json")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_failed_library_check_exits_4(capsys, monkeypatch):
+    # negated tensor factors trip the Kac-Walton positivity check, on a datum
+    # with an empty memo, so that no cached product hides it
+    from alcove import cli, fusion
+
+    factor_weights = fusion._factor_weights
+    monkeypatch.setattr(fusion, "_factor_weights",
+                        lambda *args: {w: -m for w, m in factor_weights(*args).items()})
+    monkeypatch.setattr(cli, "build_lie_data", lambda name: replace(build_lie_data(name), _memo={}))
+    assert run(capsys, "fusion", "A1", "-k", "2", "1", "1") == (
+        4, "", "check failed: negative fusion coefficient\n")
 
 
 def test_resolution_verdict_mismatch_exit_code(capsys, monkeypatch):

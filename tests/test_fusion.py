@@ -414,6 +414,36 @@ def cold(name):
     return replace(build_lie_data(name), _memo={})
 
 
+def a1_box_squared():
+    box = FusionElt(cold("A1"), 2, {(1,): 1})
+    return fusion_product(box, box)
+
+
+def negated(factor_weights):
+    return lambda *args: {w: -m for w, m in factor_weights(*args).items()}
+
+
+def with_5_5(factor_weights):
+    return lambda *args: {**factor_weights(*args), (5, 5): 1}
+
+
+@pytest.mark.parametrize("corrupt, product, message", [
+    (negated, a1_box_squared, "negative fusion coefficient"),
+    (negated, lambda: tensor_decompose(cold("A2"), (1, 0), (0, 1)),
+     "Klimyk produced a negative multiplicity"),
+    (with_5_5, lambda: tensor_decompose(cold("A2"), (1, 0), (0, 1)),
+     r"Klimyk dimension mismatch for \(1, 0\) \(x\) \(0, 1\)"),
+], ids=["kac-walton-positivity", "klimyk-positivity", "klimyk-dimension"])
+def test_corrupted_factor_weights_fail_their_check(monkeypatch, corrupt, product, message):
+    # each of the three checks on the reflected terms fires, with its own
+    # message, on a datum with an empty memo: no cached product hides it
+    from alcove import fusion
+
+    monkeypatch.setattr(fusion, "_factor_weights", corrupt(fusion._factor_weights))
+    with pytest.raises(AssertionError, match=rf"^{message}$"):
+        product()
+
+
 def test_quotient_map_property_rank_three():
     # seeded: on A3, B3 and C3 at k <= 3 the quotient map is a ring
     # homomorphism, and on a datum with an empty memo it agrees with a

@@ -1418,30 +1418,33 @@ def empty_certificate(group):
 
 
 AT_THE_RANK_BOUND = """
+import sys
+from alcove.cli import main
 from alcove.lie import build_lie_data
-from alcove.resolution import OrbitComplex, verify_certificate
+from alcove.resolution import OrbitComplex
 
-doc = '{"group": "A20", "J": [0, 1], "degree": 1, "D": 42, "cycle": [], "bounding": []}'
-print(verify_certificate(doc)["ok"])
+print(main(["verify-cert", sys.argv[1]]))
 data = build_lie_data("A20")
 OrbitComplex(data, (0, 1))
 print(sorted(key[1] for key in data._memo if key[0] == "walls"))
 """
 
 
-def test_certificate_at_the_rank_bound_verifies():
+def test_certificate_at_the_rank_bound_verifies(tmp_path):
     # A20 has 2**21 - 1 node sets; a wall table built for all of them took
     # 620 MB, so the check runs in a child process that a timeout ends
     assert CERT_MAX_RANK == 20
+    cert = tmp_path / "a20.json"
+    cert.write_text('{"group": "A20", "J": [0, 1], "degree": 1, "D": 42, "cycle": [], "bounding": []}')
     proc = subprocess.run(
-        [sys.executable, "-c", AT_THE_RANK_BOUND],
+        [sys.executable, "-c", AT_THE_RANK_BOUND, str(cert)],
         capture_output=True, text=True, timeout=30,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
     )
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    # verified, and the wall table holds the one node set face_data named
-    # for the face: no boundary reduced into any other
-    assert proc.stdout.splitlines() == ["True", "[(0, 1)]"]
+    # verify-cert exits 0, and the wall table holds the one node set
+    # face_data named for the face: no boundary reduced into any other
+    assert proc.stdout.splitlines() == ["certificate ok: A20 J=[0, 1] degree 1", "0", "[(0, 1)]"]
 
 
 def test_certificate_above_the_rank_bound_builds_no_root_data(monkeypatch):
