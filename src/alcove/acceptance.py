@@ -1,8 +1,8 @@
 """The acceptance suite: executable end-to-end checks of the package's
 mathematical contracts, shared by the test suite and the `selftest` command.
 
-Each criterion returns a detail string and raises AssertionError on failure;
-the runner turns that into one pass/fail line per criterion.
+Each criterion returns a detail string and raises CheckFailed (lie.check)
+on failure; the runner turns that into one pass/fail line per criterion.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .lie import (
     b_sharp,
     basic_pairing,
     build_lie_data,
+    check,
     face_data,
     pairing,
 )
@@ -86,7 +87,7 @@ def criterion_1_su2_closed_form(seed: int) -> str:
                     if parity_ok and abs(a - b) <= c <= min(a + b, 2 * k - a - b)
                     else 0
                 )
-                assert prod.terms.get((c,), 0) == expect, (k, a, b, c)
+                check(prod.terms.get((c,), 0) == expect, f"A1 k={k}: N_{a},{b}^{c} is not {expect}")
                 checked += 1
     return f"{checked} structure constants"
 
@@ -105,7 +106,7 @@ def criterion_2_exact_numeric_agreement(seed: int) -> str:
                 for i, nu in enumerate(basis):
                     lhs = sum(c * values[w][i] for w, c in prod.terms.items())
                     rhs = values[lam][i] * values[mu][i]
-                    assert abs(lhs - rhs) < 1e-7, (name, k, lam, mu, nu)
+                    check(abs(lhs - rhs) < 1e-7, f"{name} k={k}: {lam} * {mu} is off at t_{nu}")
                     checked += 1
     return f"{checked} point evaluations"
 
@@ -117,14 +118,14 @@ def criterion_3_ring_axioms(seed: int) -> str:
         d = build_lie_data(name)
         basis, products = pair_products(d, k)
         unit = fusion_unit(d, k)
-        for a in basis.values():
-            assert fusion_product(a, unit) == a
+        for w, a in basis.items():
+            check(fusion_product(a, unit) == a, f"{name} k={k}: the unit does not fix {w}")
         for a, b in products:
-            assert products[a, b] == products[b, a]
+            check(products[a, b] == products[b, a], f"{name} k={k}: {a} * {b} is not commutative")
         for a, b, c in itertools.product(basis, repeat=3):
-            assert fusion_product(products[a, b], basis[c]) == fusion_product(
-                basis[a], products[b, c]
-            )
+            lhs = fusion_product(products[a, b], basis[c])
+            rhs = fusion_product(basis[a], products[b, c])
+            check(lhs == rhs, f"{name} k={k}: the product of {a}, {b} and {c} is not associative")
             checked += 1
     return f"{checked} associativity triples"
 
@@ -150,7 +151,7 @@ def criterion_4_quotient_ring_hom(seed: int) -> str:
             a, b = rand_char(), rand_char()
             lhs = quotient_map(a * b, k)
             rhs = fusion_product(quotient_map(a, k), quotient_map(b, k))
-            assert lhs == rhs, (name, k, a.terms, b.terms)
+            check(lhs == rhs, f"{name} k={k}: the quotient map fails on {a.terms}, {b.terms}")
             pairs += 1
     return f"{pairs} random pairs"
 
@@ -166,8 +167,8 @@ def criterion_5_resolution_exactness(seed: int) -> str:
     with no torsion, top boundary injective, and H_0 as expected."""
     for name, J, n in RESOLUTION_CONFIGS:
         oc = OrbitComplex(build_lie_data(name), J)
-        report = oc.homology_report(n)  # truncated() inside asserts d^2 = 0
-        assert report["all_ok"], (name, J, report)
+        report = oc.homology_report(n)  # truncated() inside checks d^2 = 0
+        check(report["all_ok"], f"{name} J={J}: a homology verdict fails: {report}")
     return f"{len(RESOLUTION_CONFIGS)} (group, face) configurations"
 
 
@@ -185,17 +186,18 @@ def criterion_6_homotopy_machinery(seed: int) -> str:
             for key in oc.basis_elements(p, n):
                 c = ChainElt(oc.J, p, {key: 1})
                 for i in range(data.rank + 1):
-                    assert oc.boundary(oc.deform(i, c)) == oc.deform(i, oc.boundary(c))
+                    check(oc.boundary(oc.deform(i, c)) == oc.deform(i, oc.boundary(c)),
+                          f"{name}: A_{i} does not commute with d at {key}")
         for p in range(1, data.rank):
             for key in oc.basis_elements(p, n):
                 c = ChainElt(oc.J, p, {key: 1})
                 bound = oc.length_of(key[1])
                 for (_, x), _ in oc.deform_all(c).terms.items():
-                    assert oc.length_of(x) < bound
+                    check(oc.length_of(x) < bound, f"{name}: A does not lower the length of {key}")
         for _ in range(100):
             c = oc.random_cycle(1, n, rng)
             b = oc.contract_cycle(c)
-            assert oc.boundary(b) == c
+            check(oc.boundary(b) == c, f"{name}: a contraction does not bound its cycle")
             contracted += 1
     return f"{contracted} contracted cycles"
 
@@ -218,7 +220,8 @@ def criterion_7_induction_coherence(seed: int) -> str:
                     except ValueError:
                         continue
                     via = holomorphic_induction(holomorphic_induction(phi, J), K)
-                    assert via == holomorphic_induction(phi, K)
+                    check(via == holomorphic_induction(phi, K),
+                          f"A2: induction from {I} to {K} through {J} fails at {mu}")
                 chains += 1
     matched = 0
     for I in nonempty_faces(nodes):
@@ -231,9 +234,8 @@ def criterion_7_induction_coherence(seed: int) -> str:
                     continue
                 ind = holomorphic_induction(phi, J)
                 res = reskew_to(anti, J)
-                assert {
-                    tuple(x - 1 for x in w): c for w, c in res.terms.items()
-                } == ind.terms
+                shifted = {tuple(x - 1 for x in w): c for w, c in res.terms.items()}
+                check(shifted == ind.terms, f"A2: induction {I} -> {J} is not the re-skew at {mu}")
                 matched += 1
     return f"{chains} chains, {matched} rho-shift agreements"
 
@@ -247,10 +249,10 @@ def criterion_8_prequantization(seed: int) -> str:
         for k in (1, 2, 3, 4):
             classes = enumerate_prequantized(d, k)
             labels = [quantize(d, c.xi, k) for c in classes]
-            assert labels == level_weights(d, k)
+            check(labels == level_weights(d, k), f"{name} k={k}: labels are not the level weights")
             for mu in level_weights(d, k):
                 xi = tuple(x / k for x in b_sharp(d, mu))
-                assert quantize(d, xi, k) == mu
+                check(quantize(d, xi, k) == mu, f"{name} k={k}: {mu} does not quantize back")
         bound = max(max(v) for v in d.alcove_vertices) + 1
         rng_coords = [Fraction(numer, 6) for numer in range(0, int(bound * 6) + 1)]
         for coords in itertools.product(rng_coords, repeat=d.rank):
@@ -259,9 +261,8 @@ def criterion_8_prequantization(seed: int) -> str:
             except ValueError:
                 continue
             for k in (1, 2, 3, 4):
-                assert prequantizable(d, coords, k) == extension_power_trivial(
-                    d, coords, face, k
-                )
+                check(prequantizable(d, coords, k) == extension_power_trivial(d, coords, face, k),
+                      f"{name} k={k}: the tests disagree at {list(map(str, coords))}")
                 checked += 1
     return f"{checked} grid checks"
 
@@ -278,9 +279,9 @@ def criterion_9_phase_identities(seed: int) -> str:
             diff = tuple(Fraction(r) - ri for r, ri in zip(d.rho, f.rho_I))
             for lam in f.coroot_lattice_basis:
                 val = pairing(diff, lam)
-                assert val.denominator == 1
-                assert spinc_phase(d, I, lam) == 0
-            assert coxeter_power_identity_check(d, I)
+                check(val.denominator == 1, f"{name}: rho - rho_{I} is not integral on {lam}")
+                check(spinc_phase(d, I, lam) == 0, f"{name}: Spin_c phase of {I} at {lam} is not 0")
+            check(coxeter_power_identity_check(d, I), f"{name}: dual Coxeter power fails at {I}")
             faces += 1
     return f"{faces} faces"
 
@@ -306,23 +307,22 @@ def criterion_10_lie_structural(seed: int) -> str:
     faces, and the rho-shift lemma holds for rank <= 2."""
     for name in RANK_LE_8:
         d = build_lie_data(name)
-        assert 1 + pairing(d.highest_root.weight, d.rho_sharp) == d.dual_coxeter
-        assert 1 + sum(d.comarks) == d.dual_coxeter
+        check(1 + pairing(d.highest_root.weight, d.rho_sharp) == d.dual_coxeter,
+              f"{name}: h_vee is not 1 + <theta, rho_sharp>")
+        check(1 + sum(d.comarks) == d.dual_coxeter, f"{name}: h_vee is not 1 + sum(comarks)")
         # search bound shrinks with the rank to stay inside the time budget;
         # every simple coroot is checked exactly at any rank
         bound = 3 if d.rank <= 4 else (2 if d.rank <= 6 else 1)
-        assert _min_coroot_norm(d, bound) == 2, name
+        check(_min_coroot_norm(d, bound) == 2, f"{name}: the least coroot lattice norm is not 2")
         for root in d.positive_roots:
             norm = basic_pairing(d, root.coroot, root.coroot)
-            assert norm >= 2 and norm == 2 / root.half_norm
-        if d.rank <= 4:
-            for I in nonempty_faces(range(d.rank + 1)):
-                f = face_data(d, I)
-                assert alcove_face_of(d, f.nu_I_sharp) == I
-        else:
-            for i in range(d.rank + 1):
-                f = face_data(d, (i,))
-                assert alcove_face_of(d, f.nu_I_sharp) == (i,)
+            check(norm >= 2 and norm == 2 / root.half_norm, f"{name}: coroot norm {norm} at {root.coeffs}")
+        nodes = range(d.rank + 1)
+        # every face up to rank 4, and above it the vertices only
+        faces = nonempty_faces(nodes) if d.rank <= 4 else itertools.combinations(nodes, 1)
+        for I in faces:
+            f = face_data(d, I)
+            check(alcove_face_of(d, f.nu_I_sharp) == I, f"{name}: nu_I_sharp is off the face {I}")
     for name in RANK_LE_2:
         d = build_lie_data(name)
         for k in range(0, 5):
@@ -333,7 +333,8 @@ def criterion_10_lie_structural(seed: int) -> str:
                     values = _weight_walls(d, mu, k)
                     shifted = _weight_walls(d, tuple(x + 1 for x in mu), m)
                     in_cone = all(values[i] >= 0 for i in walls)
-                    assert in_cone == all(shifted[i] >= 1 for i in walls)
+                    check(in_cone == all(shifted[i] >= 1 for i in walls),
+                          f"{name} k={k}: the rho-shift lemma fails at {mu} for the face {I}")
     return f"{len(RANK_LE_8)} types"
 
 

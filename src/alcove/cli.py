@@ -14,7 +14,7 @@ its arguments name, not of all nine (see build_parser).
 
 Exit codes: 0 success / verified, 2 parse error or an unwritable ``--out``
 file, 3 domain precondition violated, 4 mathematical verdict mismatch, a
-failed exact check of the complex (its witness on stderr) or a selftest
+failed internal check (lie.CheckFailed, its witness on stderr) or a selftest
 criterion skipped by ``--budget``, 5 invalid certificate.  Output cut
 short by a reader that closes the pipe early still exits 0, quietly.
 ``main`` checks the ``--out`` file before the command runs; when the
@@ -405,7 +405,7 @@ def main(argv=None) -> int:
     except (InvalidLieTypeError, CliParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except AssertionError as exc:  # CheckFailed and the library's other checks
+    except AssertionError as exc:  # lie.CheckFailed, from every internal check
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_VERDICT
     except (ValueError, ZeroDivisionError) as exc:

@@ -27,7 +27,7 @@ template per row.
 The dominant weights of V_mu come from a downward search from mu that
 subtracts positive roots; Freudenthal multiplicities and Weyl dimensions
 are computed in integer arithmetic (the Gram matrix of LieData scaled to
-integers, exact divisibility asserted).  The Weyl orbit of each dominant
+integers, exact divisibility checked).  The Weyl orbit of each dominant
 weight is affine.weyl_orbit at the walls 1..l and level 0, a downward walk
 that reads the wall values off the coordinates.
 
@@ -59,6 +59,7 @@ from .lie import (
     _scaled,
     _sharp_scaled,
     _walls_outside,
+    check,
 )
 from .sparse import SparseElt, combine
 
@@ -203,7 +204,7 @@ def _weyl_dimension(data: LieData, mu: Weight) -> int:
             num *= sum((a + 1) * b for a, b in zip(mu, root.coroot))
             den *= sum(root.coroot)
         dim, rem = divmod(num, den)
-        assert rem == 0 and dim > 0, f"Weyl dimension of {mu} is not a positive integer"
+        check(rem == 0 and dim > 0, f"Weyl dimension of {mu} is not a positive integer")
         data._memo["dim", mu] = dim
     return dim
 
@@ -249,9 +250,10 @@ def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Wei
                 j += 1
         lam_rho = tuple(x + 1 for x in lam)
         denom = top_norm - ip(lam_rho, lam_rho)
-        assert denom > 0, f"Freudenthal denominator of {lam} in V_{mu} is not positive"
+        check(denom > 0, f"Freudenthal denominator of {lam} in V_{mu} is not positive")
         val, rem = divmod(2 * total, denom)
-        assert rem == 0 and val >= 0, (mu, lam, 2 * total, denom)
+        check(rem == 0 and val >= 0,
+              f"Freudenthal multiplicity of {lam} in V_{mu} is not a natural number: {2 * total} / {denom}")
         if val:
             mults[lam] = val
     return mults
@@ -278,9 +280,7 @@ def _weight_multiplicities(data: LieData, mu: Weight) -> dict[Weight, int]:
     for lam, m in dominant_weight_multiplicities(data, mu).items():
         for w in sorted(weyl_orbit(data, lam, 0, walls)):
             out[w] = m
-    assert sum(out.values()) == _weyl_dimension(data, mu), (
-        f"Freudenthal/Weyl dimension mismatch for {mu}"
-    )
+    check(sum(out.values()) == _weyl_dimension(data, mu), f"Freudenthal/Weyl dimension mismatch for {mu}")
     data._memo["weights", mu] = out
     return out
 
@@ -320,11 +320,10 @@ def _tensor_decompose(data: LieData, lam: Weight, mu: Weight) -> dict[Weight, in
         # V_lam (x) V_mu = sum over the weights tau of V_mu of chi(lam + tau),
         # each reduced by the classical Weyl group in the rho-shifted action
         out = dominantize_terms(data, _factor_weights(data, lam, mu), 0, range(1, data.rank + 1), 1)
-        assert all(c > 0 for c in out.values()), "Klimyk produced a negative multiplicity"
+        check(all(c > 0 for c in out.values()), "Klimyk produced a negative multiplicity")
         dim_check = sum(c * _weyl_dimension(data, w) for w, c in out.items())
-        assert dim_check == _weyl_dimension(data, lam) * _weyl_dimension(data, mu), (
-            f"Klimyk dimension mismatch for {lam} (x) {mu}"
-        )
+        check(dim_check == _weyl_dimension(data, lam) * _weyl_dimension(data, mu),
+              f"Klimyk dimension mismatch for {lam} (x) {mu}")
         data._memo[key] = out
     return out
 
@@ -350,7 +349,7 @@ def _kac_walton(data: LieData, k: int, l: Weight, m: Weight) -> dict[Weight, int
     unchecked and uncached (see fusion_product)."""
     level, walls = k + data.dual_coxeter, range(data.rank + 1)
     terms = dominantize_terms(data, _factor_weights(data, l, m), level, walls, 1)
-    assert all(c > 0 for c in terms.values()), "negative fusion coefficient"
+    check(all(c > 0 for c in terms.values()), "negative fusion coefficient")
     return terms
 
 
@@ -431,15 +430,12 @@ def ideal_membership(chi: CharacterElt, k: int) -> bool:
     """Whether chi lies in the level-k fusion ideal.
 
     Decided exactly by the quotient map; the numeric vanishing test at all
-    special points must agree, and any disagreement raises.
+    special points must agree, and any disagreement raises CheckFailed.
     """
     exact = not quotient_map(chi, k)
     numeric = all(abs(v) < VANISH_TOL for v in _special_values(chi.data, chi.terms, k))
-    if exact != numeric:
-        raise ArithmeticError(
-            f"exact and numeric ideal tests disagree for k={k}: "
-            f"exact={exact}, numeric={numeric}"
-        )
+    check(exact == numeric,
+          f"exact and numeric ideal tests disagree for k={k}: exact={exact}, numeric={numeric}")
     return exact
 
 
@@ -494,14 +490,13 @@ def _centre(
     """The centre Z(G) acting on the level-k basis: the distinct simple
     currents of the nodes with mark 1, node 0 (the identity) first.  There
     is one element of Z(G) per special node of the alcove, so these are
-    closed under composition; that is asserted.  At k = 0 all are the
+    closed under composition; that is checked.  At k = 0 all are the
     identity."""
     special = [0] + [j for j, mark in enumerate(data.marks, 1) if mark == 1]
     centre = list(dict.fromkeys(_simple_current(data, basis, index, k, j) for j in special))
     members = set(centre)
-    assert all(
-        tuple([s[i] for i in t]) in members for s in centre for t in centre
-    ), "the simple currents are not a group"
+    check(all(tuple([s[i] for i in t]) in members for s in centre for t in centre),
+          "the simple currents are not a group")
     return centre
 
 
@@ -542,7 +537,7 @@ def fusion_table(
                 for t in centre:
                     terms = {s[t[c]]: N for c, N in rep_terms}
                     key = tuple(sorted((s[r], t[q])))
-                    assert products.setdefault(key, terms) == terms, "centre symmetry broken"
+                    check(products.setdefault(key, terms) == terms, "centre symmetry broken")
     return [
         (basis[a], basis[b], basis[c], N)
         for a in range(n)

@@ -79,8 +79,8 @@ def column_reduce(A: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int
     that each column operation is one loop over it; row operations and the
     pivot search read only the first m rows.
     """
-    for row in A:
-        assert len(row) == ncols
+    if any(len(row) != ncols for row in A):
+        raise ValueError(f"every row must have ncols = {ncols} entries")
     m, n = len(A), ncols
     M = [list(row) for row in A] + [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

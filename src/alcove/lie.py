@@ -82,6 +82,20 @@ class OutsideAlcoveError(ValueError):
         super().__init__(f"point violates alcove wall {wall}: value {value} < 0")
 
 
+class CheckFailed(AssertionError):
+    """An exact internal check failed: a derived invariant of the library,
+    such as d o d = 0, the Morse matching, Freudenthal integrality or the
+    centre fold, or an acceptance criterion.  The message names the check
+    and its witness."""
+
+
+def check(ok: bool, message: str) -> None:
+    """Raise CheckFailed(message) unless ok: the one way library code fails
+    an internal check.  Unlike assert, python -O does not remove it."""
+    if not ok:
+        raise CheckFailed(message)
+
+
 _TYPE_RE = re.compile(r"^([A-Ga-g])\s*(\d+)$")
 
 
@@ -326,12 +340,12 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
         # q = coeffs S coeffs = L (beta, beta), and beta_vee = 2 beta / (beta, beta)
         q = sum(c * x * w for c, x, w in zip(coeffs, e, weight))
         coroot = tuple(2 * c * x for c, x in zip(coeffs, e))
-        assert all(c % q == 0 for c in coroot), coeffs
+        check(all(c % q == 0 for c in coroot), f"the coroot of the root {coeffs} is not integral")
         return Root(coeffs, weight, tuple(c // q for c in coroot), Fraction(q, 2 * L))
 
     roots = tuple(root_record(c) for c in positive_roots_of_cartan(A))
     theta = roots[-1]
-    assert theta.half_norm == 1, "highest root must be long under B"
+    check(theta.half_norm == 1, "highest root must be long under B")
     marks = theta.coeffs
     comarks = theta.coroot
 
@@ -347,7 +361,7 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
     gram, D = gram_weight_scaled
     R = [sum(row) for row in gram]
     h_vee = 1 + sum(comarks)
-    assert sum(map(mul, theta.weight, R)) == D * (h_vee - 1), "dual Coxeter number mismatch"
+    check(sum(map(mul, theta.weight, R)) == D * (h_vee - 1), "dual Coxeter number mismatch")
 
     node_root = (tuple(-w for w in theta.weight),) + tuple(
         tuple(A[r][s] for r in range(n)) for s in range(n)
@@ -535,10 +549,10 @@ def face_data(data: LieData, I: Sequence[int]) -> FaceData:
     # nu_I_sharp = B_sharp(rho - rho_I) / h_vee must expose exactly the walls
     # in I; this validates the subsystem enumeration behind rho_I
     X, D = _sharp_scaled(data, shift, 2 * h_vee)
-    assert _scaled_face(data, X, D) == I, (data.lie_type, I)
+    check(_scaled_face(data, X, D) == I, f"{data.lie_type}: nu_I_sharp is not interior to the face {I}")
     # rho - rho_I pairs integrally with the coroot lattice
     for lam in basis:
-        assert sum(map(mul, shift, lam)) % 2 == 0, (I, lam)
+        check(sum(map(mul, shift, lam)) % 2 == 0, f"{data.lie_type}: rho - rho_I of {I} is not integral on {lam}")
 
     face = FaceData(
         I=I,
@@ -643,7 +657,7 @@ def weyl_elements(data: LieData, I: Sequence[int]) -> tuple[WeylElt, ...]:
                 new.append(cand)
         frontier = new
     elements = tuple(sorted(seen.values(), key=lambda e: (e.length, e.word)))
-    assert len(elements) == order, (data.lie_type, I)
+    check(len(elements) == order, f"{data.lie_type}: W_{I} has {len(elements)} elements, not {order}")
     data._memo["weyl", I] = elements
     return elements
 

@@ -38,6 +38,7 @@ from .lie import (
     _sharp_scaled,
     alcove_face_of,
     basic_pairing,
+    check,
     face_data,
     pairing,
 )
@@ -81,7 +82,7 @@ def _prequant_scaled(
     if any(x % den for x in scaled):
         return face, flat, None
     label = tuple(x // den for x in scaled)
-    assert in_level(data, label, k), f"pre-quantization label {label} is not at level {k}"
+    check(in_level(data, label, k), f"pre-quantization label {label} is not at level {k}")
     return face, flat, label
 
 
@@ -169,7 +170,7 @@ def prequant_catalog(data: LieData, k: int) -> list[dict]:
     rows = []
     for mu, X, D in _level_points(data, k):
         face, flat, label = _prequant_scaled(data, X, D, k)
-        assert label == mu, (mu, k)
+        check(label == mu, f"catalog label {label} is not the weight {mu} of its level-{k} class")
         den = data.gram_coroot_scaled[1] * D
         rows.append(
             {

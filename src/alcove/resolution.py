@@ -68,6 +68,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 from .affine import OrbitContext, _reduce, _scaled_crossing_length
 from .intlinalg import kernel_basis, to_dense
 from .lie import (
+    CheckFailed,
     FaceIndex,
     LieData,
     LieType,
@@ -76,6 +77,7 @@ from .lie import (
     _scaled_walls,
     _walls_outside,
     build_lie_data,
+    check,
 )
 from .sparse import SparseElt, combine
 
@@ -95,12 +97,6 @@ CERT_MAX_LENGTH = 10_000
 # certificate takes about 0.25 s at rank 20 as a whole process, and 0.8 s at
 # rank 40 and 17 s at rank 100 in process (A_l, single runs, 2-core host).
 CERT_MAX_RANK = 20
-
-
-class CheckFailed(AssertionError):
-    """An exact check of a truncated complex failed: d o d = 0, or the Morse
-    matching behind homology_report.  The message is the witness: the
-    degree and the entry, key or face that failed."""
 
 
 class ChainElt(SparseElt):
@@ -315,8 +311,8 @@ class OrbitComplex:
         """Produce b with boundary(b) = c for a cycle c in an interior
         degree, by accumulating the homotopies along c, Ac, A^2 c, ...
 
-        The result is re-checked exactly; failure raises instead of
-        returning an uncertified chain.
+        The result is re-checked exactly; failure raises CheckFailed instead
+        of returning an uncertified chain.
         """
         if not 0 < c.degree < self.data.rank:
             raise ValueError("contraction needs degree strictly between 0 and rank")
@@ -328,16 +324,14 @@ class OrbitComplex:
         # the longest key of c bounds the passes
         limit = 2 + max((self.length_of(x) for _, x in c.terms), default=0)
         while current:
-            if passes > limit:
-                raise RuntimeError("contraction failed to terminate")
+            check(passes <= limit, "contraction failed to terminate")
             for i in range(self.data.rank, -1, -1):
                 hc = self.homotopy(i, current)
                 bounding = bounding + hc
                 if hc:
                     current = current - self.boundary(hc)
             passes += 1
-        if self.boundary(bounding) != c:
-            raise RuntimeError("contraction certificate failed verification")
+        check(self.boundary(bounding) == c, "contraction certificate failed verification")
         return bounding
 
     # -- truncated linear algebra ----------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from alcove.cli import COMMANDS, build_parser, main
 from alcove.fusion import fusion_table, level_weights
 from alcove.lie import build_lie_data
-from alcove.resolution import CheckFailed, OrbitComplex
+from alcove.resolution import ChainElt, CheckFailed, OrbitComplex
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -674,7 +674,7 @@ def test_deterministic_output(capsys):
     assert out1 == out2
 
 
-def test_failed_library_check_exits_4(capsys, monkeypatch):
+def negated_factor_weights(monkeypatch):
     # negated tensor factors trip the Kac-Walton positivity check, on a datum
     # with an empty memo, so that no cached product hides it
     from alcove import cli, fusion
@@ -683,8 +683,39 @@ def test_failed_library_check_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(fusion, "_factor_weights",
                         lambda *args: {w: -m for w, m in factor_weights(*args).items()})
     monkeypatch.setattr(cli, "build_lie_data", lambda name: replace(build_lie_data(name), _memo={}))
-    assert run(capsys, "fusion", "A1", "-k", "2", "1", "1") == (
-        4, "", "check failed: negative fusion coefficient\n")
+
+
+def homotopy_contracts_nothing(monkeypatch):
+    monkeypatch.setattr(OrbitComplex, "homotopy", lambda self, i, c: ChainElt._trusted({}, c.J, c.degree + 1))
+
+
+def subtraction_cancels_everything(monkeypatch):
+    # the contraction loop then stops at once, with a chain that bounds nothing
+    monkeypatch.setattr(ChainElt, "__sub__", lambda self, other: ChainElt._trusted({}, self.J, self.degree))
+
+
+def reversed_catalog_labels(monkeypatch):
+    from alcove import prequant
+
+    level_points = prequant._level_points
+    monkeypatch.setattr(prequant, "_level_points",
+                        lambda *args: [(mu[::-1], X, D) for mu, X, D in level_points(*args)])
+
+
+@pytest.mark.parametrize("corrupt, argv, message", [
+    (negated_factor_weights, ["fusion", "A1", "-k", "2", "1", "1"], "negative fusion coefficient"),
+    (homotopy_contracts_nothing, ["contract", "A2", "-J", "0,1,2", "-N", "3", "--seed", "5"],
+     "contraction failed to terminate"),
+    (subtraction_cancels_everything, ["contract", "A2", "-J", "0,1,2", "-N", "3", "--seed", "5"],
+     "contraction certificate failed verification"),
+    (reversed_catalog_labels, ["prequant", "A2", "-k", "2"],
+     "catalog label (0, 1) is not the weight (1, 0) of its level-2 class"),
+], ids=["kac-walton", "contraction", "contraction-verification", "catalog-label"])
+def test_failed_library_check_exits_4(capsys, monkeypatch, corrupt, argv, message):
+    # each internal check fails through CheckFailed: exit 4, its message on
+    # stderr, no traceback and no output
+    corrupt(monkeypatch)
+    assert run(capsys, *argv) == (4, "", f"check failed: {message}\n")
 
 
 def test_resolution_verdict_mismatch_exit_code(capsys, monkeypatch):

@@ -34,6 +34,7 @@ from alcove.affine import dominantize_terms, weight_wall_value, weyl_orbit
 from alcove.groupring import AntiInvariant, GroupRingElt, reskew_to
 from alcove.intlinalg import mat_inv
 from alcove.lie import (
+    CheckFailed,
     _check_face_index,
     alcove_face_of,
     apply_weight,
@@ -846,6 +847,17 @@ def test_ideal_membership_examples():
     assert ideal_membership(
         CharacterElt.chi(a1, (3,)) + CharacterElt.chi(a1, (1,)), 1
     )
+
+
+def test_ideal_membership_disagreement_fails_its_check(monkeypatch):
+    # chi_2 lies in the level-1 ideal of A1; a nonzero value at a special
+    # point makes the numeric route disagree with the exact one
+    from alcove import fusion
+
+    monkeypatch.setattr(fusion, "_special_values", lambda data, terms, k: iter([1.0]))
+    message = "exact and numeric ideal tests disagree for k=1: exact=True, numeric=False"
+    with pytest.raises(CheckFailed, match=rf"^{message}$"):
+        ideal_membership(CharacterElt.chi(build_lie_data("A1"), (2,)), 1)
 
 
 def test_ideal_membership_random_corpus():

@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from alcove.intlinalg import invariant_factors, to_dense
+from alcove.intlinalg import column_reduce, invariant_factors, to_dense
 from alcove.lie import build_lie_data
 from alcove.resolution import OrbitComplex
 
@@ -140,6 +140,11 @@ def test_sparse_factors_keep_torsion():
 ])
 def test_sparse_factors_small_cases(A, ncols):
     check(A, ncols)
+
+
+def test_column_reduce_refuses_a_row_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"^every row must have ncols = 2 entries$"):
+        column_reduce([[1, 2], [3]], 2)
 
 
 @pytest.mark.parametrize("name, J, n", [
