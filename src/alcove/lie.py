@@ -285,8 +285,9 @@ class LieData:
                       point's wall values and numerators move by -c times it
       alcove_vertices vertex i of the fundamental alcove, i = 0..l
       _memo           every result cached for this type, keyed (kind, *args),
-                      as ("face", I), ("walls", I) or ("fusion", k, lam, mu);
-                      not compared
+                      as ("face", I), ("walls", I), ("fusion", k, lam, mu) or
+                      ("complex", J), the orbit complex that
+                      resolution.verify_certificate keeps; not compared
     """
 
     lie_type: LieType

@@ -38,17 +38,20 @@ only in element(), which takes a rational point and refuses one off
 (1/D) Z^l; a certificate states D once and writes each point as its
 numerators X, JSON integers.
 
-The homology path does no repeated work.  The bases and faces of a
-truncation read each orbit point's wall values and start vector off the
-orbit walk (OrbitContext._vectors), and so does _check_key, so only a key
-at a point the walk has not reached has its start vector computed, by
-_start.  Each key's boundary is stored once per complex (_faces), as the
-chain face -> sign, and each length truncation is built once per complex
-and shared: its d_p is the list of the stored boundaries of the degree-p
-keys, the same dicts.  d o d = 0 is checked on every entry on these
-chains: the boundaries of the faces of each key combine to zero.  Checks
-and witnesses name keys, never matrix rows; a key is written as a
-certificate writes it, its nodes I and numerators x over D.
+The homology path and the verifier do no repeated work.  The bases and
+faces of a truncation read each orbit point's wall values and start
+vector off the orbit walk (OrbitContext._vectors), and so does
+_check_key, so only a key at a point the walk has not reached has its
+start vector computed, by _start.  Each key's boundary is stored once per
+complex (_faces), as the chain face -> sign, and each length truncation
+is built once per complex and shared: its d_p is the list of the stored
+boundaries of the degree-p keys, the same dicts.  verify_certificate
+keeps one complex per (group, J) in the memo of the LieData, so it checks
+each key, and reduces its boundary, once per process.  d o d = 0 is
+checked on every entry on these chains: the boundaries of the faces of
+each key combine to zero.  Checks and witnesses name keys, never
+matrix rows; a key is written as a certificate writes it, its nodes I
+and numerators x over D.
 
 The ranks of the boundary maps come from a checked algebraic Morse
 matching, not from an elimination; homology_report gives the argument.
@@ -623,7 +626,13 @@ def verify_certificate(text: str) -> dict:
     point over D.  ValueError on any defect: a field of the wrong JSON type
     (every node, numerator and coeff must be an integer), a D other than
     that of the orbit of J, a key that is no basis pair, or a bounding
-    chain whose boundary is not the cycle."""
+    chain whose boundary is not the cycle.
+
+    The group, rank, J, degree and D are checked on every call.  The
+    complex is the one of (group, canonical J) in data._memo, made on the
+    first call for it: a key it has stored passed _check_key when it came
+    in, so each key is checked, and its boundary reduced, once per process;
+    both boundaries are still taken in full and compared."""
     try:
         doc = json.loads(text)
         group, J, degree = doc["group"], doc["J"], doc["degree"]
@@ -638,7 +647,11 @@ def verify_certificate(text: str) -> dict:
             raise ValueError(f"face {list(J)} repeats a node")
         if not 0 < degree < data.rank:
             raise ValueError(f"degree {degree} is not strictly between 0 and {data.rank}")
-        complex_ = OrbitComplex(data, J)
+        J = _check_face_index(data, J)
+        # a key the complex has stored passed _check_key when it came in
+        complex_ = data._memo.get(("complex", J))
+        if complex_ is None:
+            complex_ = data._memo["complex", J] = OrbitComplex(data, J)
         # every point is read as numerators over D, so any other D misreads them
         D = doc["D"]
         if type(D) is not int or D != complex_.D:

@@ -524,11 +524,22 @@ def test_certificate_non_canonical_chain_key_rejected(I):
         verify_certificate(_json.dumps(doc))
 
 
-def test_verify_certificate_checks_each_key_once(monkeypatch):
-    import json as _json
+def cold_a2(monkeypatch):
+    """One A2 datum with an empty memo, which verify_certificate builds its
+    complex on: no complex that an earlier test stored takes part."""
+    from alcove import resolution
 
+    cold = dataclasses.replace(build_lie_data("A2"), _memo={})
+    monkeypatch.setattr(resolution, "build_lie_data", lambda lie_type: cold)
+    return cold
+
+
+def test_verify_certificate_checks_each_key_once(monkeypatch):
+    # the first verification checks every key once; the second finds them
+    # all stored in the one complex of (A2, J) and checks none
     text = contract_certificate_a2()
-    doc = _json.loads(text)
+    doc = json.loads(text)
+    cold_a2(monkeypatch)
     calls = []
     original = OrbitComplex._check_key
 
@@ -538,18 +549,23 @@ def test_verify_certificate_checks_each_key_once(monkeypatch):
 
     monkeypatch.setattr(OrbitComplex, "_check_key", counting)
     assert verify_certificate(text)["ok"]
-    assert len(calls) == len(set(calls)) == len(doc["cycle"]) + len(doc["bounding"])
+    assert len(calls) == len(set(calls)) == len(doc["cycle"]) + len(doc["bounding"]) == 18
+    calls.clear()
+    assert verify_certificate(text)["ok"]
+    assert calls == []
 
 
 def test_verify_certificate_computes_each_key_wall_vector_once(monkeypatch):
     # the key check's start vector serves the interior test, the orbit
-    # reduction and the key's faces; it is computed once for each key whose
-    # point the orbit walk has not reached, which in the fresh complex of
-    # verify_certificate is every key off the base point
+    # reduction and the key's faces; the first verification computes it once
+    # for each key whose point the orbit walk has not reached, which in a
+    # new complex is every key off the base point, and the second, whose
+    # keys are all stored, computes none
     from alcove import resolution
 
     text = contract_certificate_a2()
     doc = json.loads(text)
+    cold_a2(monkeypatch)
     calls = []
     original = resolution._scaled_walls
 
@@ -565,6 +581,37 @@ def test_verify_certificate_computes_each_key_wall_vector_once(monkeypatch):
     off_base = [X for _, X in keys if X != ctx.base]
     assert (len(keys), len(off_base)) == (18, 14)
     assert sorted(map(tuple, calls)) == sorted(off_base)
+    calls.clear()
+    assert verify_certificate(text)["ok"]
+    assert calls == []
+
+
+def test_one_memo_complex_per_canonical_face(monkeypatch):
+    # J written as [2, 0, 1] and as [0, 1, 2] names one face, so one complex
+    text = contract_certificate_a2()
+    cold = cold_a2(monkeypatch)
+    doc = json.loads(text)
+    for J in ([2, 0, 1], [0, 1, 2], [1, 2, 0]):
+        assert verify_certificate(json.dumps({**doc, "J": J}))["J"] == [0, 1, 2]
+    complexes = [key for key in cold._memo if key[0] == "complex"]
+    assert complexes == [("complex", (0, 1, 2))]
+    assert cold._memo["complex", (0, 1, 2)].J == (0, 1, 2)
+
+
+@pytest.mark.parametrize("J, message", [
+    ([0, 0, 1], "face [0, 0, 1] repeats a node"),
+    ([2, 1, 2], "face [2, 1, 2] repeats a node"),
+    ([0, 3], "face index (0, 3) out of range 0..2"),
+    ([-1, 0], "face index (-1, 0) out of range 0..2"),
+    ([], "face index must be nonempty"),
+])
+def test_refused_face_stores_no_complex(monkeypatch, J, message):
+    cold = cold_a2(monkeypatch)
+    doc = {**json.loads(contract_certificate_a2()), "J": J}
+    with pytest.raises(ValueError) as exc:
+        verify_certificate(json.dumps(doc))
+    assert str(exc.value) == f"malformed certificate: {message}"
+    assert not [key for key in cold._memo if key[0] == "complex"]
 
 
 @pytest.mark.parametrize("I", [[1, 0], [0, 0, 1], [2, 2]])
@@ -1448,6 +1495,7 @@ def test_certificate_at_the_rank_bound_verifies(tmp_path):
 
 
 def test_certificate_above_the_rank_bound_builds_no_root_data(monkeypatch):
+    # and so no memo that could keep an orbit complex
     from alcove import resolution
 
     def refuse(lie_type):
@@ -1618,9 +1666,28 @@ def mutate(doc, path, rng):
     return doc, False
 
 
-def test_verify_certificate_fuzz_raises_only_value_error():
+def verify_outcome(text):
+    """verify_certificate's result, or the text of the ValueError it raised."""
+    try:
+        return verify_certificate(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def cold_outcome(monkeypatch, text):
+    """verify_outcome on a datum with an empty memo, so in a new complex."""
+    from alcove import resolution
+
+    with monkeypatch.context() as m:
+        m.setattr(resolution, "build_lie_data",
+                  lambda lie_type: dataclasses.replace(build_lie_data(lie_type), _memo={}))
+        return verify_outcome(text)
+
+
+def test_verify_certificate_fuzz_raises_only_value_error(monkeypatch):
     # each mutated certificate verifies or raises ValueError, nothing else;
-    # an ill-typed field never verifies
+    # an ill-typed field never verifies; and the outcome is the same on the
+    # complex that earlier verifications filled as on a new one
     import json as _json
 
     rng = random.Random(15)
@@ -1632,14 +1699,40 @@ def test_verify_certificate_fuzz_raises_only_value_error():
         for _ in range(120):
             mutated, must_fail = mutate(doc, rng.choice(paths), rng)
             text = _json.dumps(mutated).replace('"DEEP"', "[" * 100_000 + "]" * 100_000)
-            try:
-                result = verify_certificate(text)
-            except ValueError:
+            result = verify_outcome(text)
+            assert result == cold_outcome(monkeypatch, text), mutated
+            if isinstance(result, str):
                 outcomes["rejected"] += 1
             else:
                 assert result["ok"] is True and not must_fail, mutated
                 outcomes["ok"] += 1
     assert outcomes["ok"] > 0 and outcomes["rejected"] > 300, outcomes
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"coeff": -2}, "certificate cycle is not a cycle"),
+    ({"x": [3, 3]}, "certificate key [0, 1], x = [3, 3] is not on the orbit of [0, 1, 2]"),
+    # [-1, -1] is on the orbit, and the bounding chain's key ([0, 1, 2],
+    # [-1, -1]) is stored, but the point lies on the wall of node 2
+    ({"x": [-1, -1]}, "certificate key [0, 1], x = [-1, -1] is not interior to its cone"),
+    ({"I": [0, 3]}, "certificate key [0, 3] has a node outside 0..2"),
+    ({"D": 6}, "malformed certificate: D must be 3, the denominator of the orbit of [0, 1, 2]"),
+], ids=["coeff", "off-orbit", "not-interior", "node-l+1", "wrong-D"])
+def test_tampered_certificate_fails_after_a_good_one(monkeypatch, edit, message):
+    # the complex of (A2, J) holds every key of the good certificate when
+    # the tampered copy comes in, and refuses it as a new complex does; D
+    # is a field of the certificate, every other edit one of its first term
+    text = contract_certificate_a2()
+    doc = json.loads(text)
+    assert (doc["D"], doc["cycle"][0]) == (3, {"I": [0, 1], "x": [-1, 0], "coeff": -3})
+    (doc if "D" in edit else doc["cycle"][0]).update(edit)
+    bad = json.dumps(doc)
+    assert cold_outcome(monkeypatch, bad) == f"ValueError: {message}"
+    cold_a2(monkeypatch)
+    for _ in range(2):
+        assert verify_certificate(text)["ok"]
+        assert verify_outcome(bad) == f"ValueError: {message}"
+    assert verify_certificate(text)["ok"]
 
 
 def test_fractional_or_boolean_certificate_fields_never_verify():
