@@ -16,7 +16,8 @@ values at nodes 0..l have one owner, _weight_walls: nu[i-1] at node i >= 1
 and m - <nu, theta_vee> at node 0.  Every level, cone and dominance test
 reads them there, and a non-weight is refused there with ValueError.  Only
 the trusted loops over weights the library built (dominantize_terms,
-fusion's dominant-weight search) read coordinates themselves.  The walls of
+fusion's dominant-weight search and its wall vectors) read coordinates
+themselves.  The walls of
 the cone of a face index I, the nodes outside I, are lie._walls_outside; a
 caller's wall list is checked by _wall_list.
 
@@ -29,8 +30,9 @@ extended Cartan matrix; a point X / D (integer numerators over one
 denominator) enters _reduce_scaled as lie._scaled_walls(X, D) followed by X
 and reflects by point_table, the rows followed by the coroot.  The image is
 the tail of the vector, and D never changes.  dominantize_terms builds the
-start once per term, with an optional rho shift, for every weight-side map
-of the library; dominantize_walls reduces one weight.
+start once per term, with an optional rho shift, for the weight-side maps
+of the library; fusion's Klimyk and Kac-Walton kernel adds cached wall
+vectors instead; dominantize_walls reduces one weight.
 
 One walk, _walk, goes the other way, for weights and points alike: it
 yields an orbit one layer at a time, as vectors in the form of _reduce,

@@ -4,39 +4,19 @@ independent numeric oracle through character values at the special points
 
     t_nu = B_sharp(nu + rho) / (k + h_vee),   nu a level-k weight.
 
-Products are computed exactly by the Kac-Walton formula: each weight of
-the smaller factor is added to the other factor and reflected, rho-shifted,
-into the level alcove at level k + h_vee in one reduction.  The Klimyk rule
-followed by the quotient map computes the same constants in two passes; it
-serves CharacterElt products and the ring-homomorphism checks.  The numeric
-evaluation is retained purely as a second, independent check and never
-decides a value.  Kac-Walton, the Klimyk rule, the quotient map, induction
-and the projection to the fusion ring are one operation,
-affine.dominantize_terms, at different walls and levels; the element classes
-are alcove.sparse.SparseElt subclasses.  Every cached result lives in the
-memo of its LieData; the quotient map and the projection share its quotient
-table of each level, weight -> image.  Results are built trusted, never over
-a cached dict itself.
-
-fusion_table folds the table by the centre Z(G) (the fold is explained
-there); fusion_product itself stays per pair.
-fusion_table_json writes the table as json.dumps(doc, indent=2) would, with
-a dict per row, but renders each basis weight once and fills one row
-template per row.
-
-The dominant weights of V_mu come from a downward search from mu that
-subtracts positive roots; Freudenthal multiplicities and Weyl dimensions
-are computed in integer arithmetic (the Gram matrix of LieData scaled to
-integers, exact divisibility checked).  The Weyl orbit of each dominant
-weight is affine.weyl_orbit at the walls 1..l and level 0, a downward walk
-that reads the wall values off the coordinates.
-
-The numeric oracle works on integer numerators too.  A special point is
-X / D with X = N_w (nu + rho) and D = D_w (k + h_vee), where
-gram_weight_scaled = (N_w, D_w); the phase of a weight tau there is
-<tau, X> mod D, exact, and only that residue is divided in floating point.
-_special_values is the one evaluation at all the special points, for
-ideal_membership and acceptance criterion 2.
+The weight system of V_mu is cached once, as the wall vector
+(-<tau, theta_vee>, *tau) of each weight tau with its multiplicity, the
+form in which affine._reduce walks a weight.  One kernel, _product_terms,
+adds these vectors of the smaller factor to the wall vector of the other
+factor plus rho and reduces each sum: the Kac-Walton formula at all walls
+and level k + h_vee, the Klimyk rule at the walls 1..l.  The quotient map,
+induction and the projection to the fusion ring are dominantize_terms.
+Every cached result lives in the memo of its LieData; results are built
+trusted, never over a cached dict.  fusion_table folds the table by the
+centre Z(G) and by charge conjugation, N_{a*b*}^{c*} = N_ab^c.
+Freudenthal, Weyl dimensions and the phases of the numeric oracle are exact
+integer arithmetic; the oracle is an independent check, never deciding a
+value.
 """
 
 from __future__ import annotations
@@ -46,10 +26,10 @@ import json
 import sys
 from fractions import Fraction
 from itertools import product as iter_product
-from operator import mul
+from operator import add, mul
 from typing import Iterator, Mapping, Sequence
 
-from .affine import _weight_walls, dominantize_terms, dominantize_walls, weyl_orbit
+from .affine import _reduce, _wall_list, _weight_walls, dominantize_terms, dominantize_walls, weyl_orbit
 from .lie import (
     CartanPoint,
     LieData,
@@ -211,45 +191,41 @@ def _weyl_dimension(data: LieData, mu: Weight) -> int:
 
 def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Weight, int]:
     """Multiplicities of the dominant weights of V_mu, by the Freudenthal
-    recursion, cross-checked against the Weyl dimension formula.
-
-    Inner products are taken with the integer-scaled Gram matrix; the scale
-    cancels in the recursion and in the norm cut-off.  Not cached: its one
-    library caller, _weight_multiplicities, caches its own result."""
+    recursion in the integer-scaled Gram matrix G (the scale cancels).  Each
+    positive root beta enters as its wall vector and its form G beta, so tau
+    = lam + j beta is a vector sum, reduced to its dominant weight by
+    affine._reduce over walls checked once per call.  Not cached: its one
+    library caller, _weight_multiplicities, caches its result."""
     mu = tuple(mu)
     _check_dominant(data, mu)
+    (gram, _), rows = data.gram_weight_scaled, data.weight_table
+    walls = _wall_list(data, range(1, data.rank + 1), 0)
 
-    # the Gram matrix on the fundamental weights, scaled to integers
-    gram, _ = data.gram_weight_scaled
+    def form(a: Sequence[int]) -> list[int]:
+        return [sum(map(mul, row, a)) for row in gram]
 
-    def ip(a: Sequence[int], b: Sequence[int]) -> int:
-        return sum(x * sum(g * y for g, y in zip(row, b)) for x, row in zip(a, gram))
+    def norm(a: Sequence[int]) -> int:
+        return sum(map(mul, a, form(a)))
 
-    # each positive root with its scaled squared length
-    roots = [(root.weight, ip(root.weight, root.weight)) for root in data.positive_roots]
-    mu_rho = tuple(x + 1 for x in mu)
-    top_norm = ip(mu_rho, mu_rho)
-    mu_norm = ip(mu, mu)
-    walls = range(1, data.rank + 1)
+    roots = [(_wall_vector(data, r.weight), form(r.weight), norm(r.weight)) for r in data.positive_roots]
+    top_norm, mu_norm = norm([x + 1 for x in mu]), norm(mu)
     mults: dict[Weight, int] = {}
     for lam in _dominant_weights_below(data, mu):
         if lam == mu:
             mults[lam] = 1
             continue
-        lam_norm = ip(lam, lam)
-        total = 0
-        for beta, beta_norm in roots:
-            lam_beta = ip(lam, beta)
-            j = 1
-            # tau = lam + j*beta; ip(tau, tau) and ip(tau, beta) by expansion
+        lam_norm, lam_vec, total = norm(lam), _wall_vector(data, lam), 0
+        for beta, g, beta_norm in roots:
+            lam_beta = sum(map(mul, lam, g))
+            tau, j = lam_vec, 1
+            # <tau, tau> and <tau, beta> by expansion
             while lam_norm + j * (2 * lam_beta + j * beta_norm) <= mu_norm:
-                tau = tuple(x + j * r for x, r in zip(lam, beta))
-                m_tau = mults.get(dominantize_walls(data, tau, 0, walls).weight, 0)
+                tau = [*map(add, tau, beta)]
+                m_tau = mults.get(tuple(_reduce(tau, rows, walls)[0][1:]), 0)
                 if m_tau:
                     total += m_tau * (lam_beta + j * beta_norm)
                 j += 1
-        lam_rho = tuple(x + 1 for x in lam)
-        denom = top_norm - ip(lam_rho, lam_rho)
+        denom = top_norm - norm([x + 1 for x in lam])
         check(denom > 0, f"Freudenthal denominator of {lam} in V_{mu} is not positive")
         val, rem = divmod(2 * total, denom)
         check(rem == 0 and val >= 0,
@@ -259,27 +235,32 @@ def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Wei
     return mults
 
 
+def _wall_vector(data: LieData, w: Sequence[int]) -> tuple[int, ...]:
+    """(-<w, theta_vee>, *w), the wall values at level 0 (see affine._reduce)."""
+    return (-sum(map(mul, data.comarks, w)), *w)
+
+
 def weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Weight, int]:
-    """Multiplicities of all weights of V_mu, cross-checked against the Weyl
-    dimension formula: the Freudenthal multiplicities spread over the Weyl
-    orbits of the dominant weights must add up to dim V_mu.  ValueError
-    unless mu is a dominant weight, checked before the cache."""
+    """Multiplicities of all weights of V_mu, whose sum is checked against
+    the Weyl dimension; ValueError unless mu is a dominant weight, checked
+    before the cache."""
     mu = tuple(mu)
     _check_dominant(data, mu)
-    return dict(_weight_multiplicities(data, mu))  # a copy
+    return {vec[1:]: m for vec, m in _weight_multiplicities(data, mu).items()}
 
 
-def _weight_multiplicities(data: LieData, mu: Weight) -> dict[Weight, int]:
-    """weight_multiplicities of a dominant weight the library built,
-    unchecked and cached as ("weights", mu)."""
+def _weight_multiplicities(data: LieData, mu: Weight) -> dict[tuple[int, ...], int]:
+    """The weight system of V_mu for a dominant weight the library built,
+    unchecked and cached as ("weights", mu): the wall vector of each weight
+    tau with its multiplicity, by dominant weight and then by tau."""
     cached = data._memo.get(("weights", mu))
     if cached is not None:
         return cached
     walls = range(1, data.rank + 1)
-    out: dict[Weight, int] = {}
+    out: dict[tuple[int, ...], int] = {}
     for lam, m in dominant_weight_multiplicities(data, mu).items():
-        for w in sorted(weyl_orbit(data, lam, 0, walls)):
-            out[w] = m
+        for tau in sorted(weyl_orbit(data, lam, 0, walls)):
+            out[_wall_vector(data, tau)] = m
     check(sum(out.values()) == _weyl_dimension(data, mu), f"Freudenthal/Weyl dimension mismatch for {mu}")
     data._memo["weights", mu] = out
     return out
@@ -289,16 +270,25 @@ def _weight_multiplicities(data: LieData, mu: Weight) -> dict[Weight, int]:
 # tensor products and the quotient map
 
 
-def _factor_weights(data: LieData, lam: Weight, mu: Weight) -> dict[Weight, int]:
-    """lam + tau with the multiplicity of tau, over the weights tau of V_mu,
-    after swapping the factors so that V_mu has the smaller dimension: the
-    terms that the Klimyk rule and the Kac-Walton formula reflect."""
+def _product_terms(data: LieData, lam: Weight, mu: Weight, level: int, walls: range) -> dict[Weight, int]:
+    """The Klimyk rule (walls 1..l, level 0) or Kac-Walton (all walls, level
+    k + h_vee): sign * m at rep - rho over the weights tau of V_mu with
+    multiplicity m, (rep, sign) the reduction of lam + tau + rho into the
+    cone of the walls; terms on a wall drop out.  V_mu is the smaller factor
+    after a swap.  A term starts as the wall vector of lam + rho at the level
+    plus that of tau."""
     if _weyl_dimension(data, mu) > _weyl_dimension(data, lam):
         lam, mu = mu, lam
-    return {
-        tuple(a + b for a, b in zip(lam, tau)): m
-        for tau, m in _weight_multiplicities(data, mu).items()
-    }
+    walls, rows = _wall_list(data, walls, level), data.weight_table
+    base = [*_wall_vector(data, [x + 1 for x in lam])]
+    base[0] += level
+    out: dict[Weight, int] = {}
+    for tau, m in _weight_multiplicities(data, mu).items():
+        vec, word, on_wall = _reduce([*map(add, base, tau)], rows, walls)
+        if not on_wall:
+            key = tuple([x - 1 for x in vec[1:]])
+            out[key] = out.get(key, 0) + (-m if len(word) & 1 else m)
+    return {w: c for w, c in out.items() if c}
 
 
 def tensor_decompose(data: LieData, lam: Sequence[int], mu: Sequence[int]) -> CharacterElt:
@@ -317,9 +307,7 @@ def _tensor_decompose(data: LieData, lam: Weight, mu: Weight) -> dict[Weight, in
     key = ("tensor", frozenset((lam, mu)))
     out = data._memo.get(key)
     if out is None:
-        # V_lam (x) V_mu = sum over the weights tau of V_mu of chi(lam + tau),
-        # each reduced by the classical Weyl group in the rho-shifted action
-        out = dominantize_terms(data, _factor_weights(data, lam, mu), 0, range(1, data.rank + 1), 1)
+        out = _product_terms(data, lam, mu, 0, range(1, data.rank + 1))
         check(all(c > 0 for c in out.values()), "Klimyk produced a negative multiplicity")
         dim_check = sum(c * _weyl_dimension(data, w) for w, c in out.items())
         check(dim_check == _weyl_dimension(data, lam) * _weyl_dimension(data, mu),
@@ -347,8 +335,7 @@ def quotient_map(chi: CharacterElt, k: int) -> FusionElt:
 def _kac_walton(data: LieData, k: int, l: Weight, m: Weight) -> dict[Weight, int]:
     """The terms of the level-k fusion product of two level-k weights,
     unchecked and uncached (see fusion_product)."""
-    level, walls = k + data.dual_coxeter, range(data.rank + 1)
-    terms = dominantize_terms(data, _factor_weights(data, l, m), level, walls, 1)
+    terms = _product_terms(data, l, m, k + data.dual_coxeter, range(data.rank + 1))
     check(all(c > 0 for c in terms.values()), "negative fusion coefficient")
     return terms
 
@@ -358,9 +345,8 @@ def fusion_product(a: FusionElt, b: FusionElt) -> FusionElt:
 
     N_lm^c is the signed count of the weights tau of V_m, with multiplicity,
     for which l + tau + rho reduces to c + rho under the affine Weyl group at
-    level k + h_vee.  That is the Klimyk rule followed by quotient_map in one
-    reduction: the finite Weyl group lies in the affine one and the sign is
-    multiplicative.  The terms are cached per pair of weights."""
+    level k + h_vee: the Klimyk rule and quotient_map in one reduction, as
+    the sign is multiplicative.  The terms are cached per pair of weights."""
     a._check(b)
     data, k, memo = a.data, a.k, a.data._memo
     parts = []
@@ -403,6 +389,7 @@ def _irreducible_value_scaled(data: LieData, mu: Weight, X: Sequence[int], D: in
     multiplicities of the weights tau of V_mu are summed by the exact phase
     <tau, X> mod D, and each phase is turned into a float by one division."""
     by_phase: dict[int, int] = {}
+    X = (0, *X)  # against a wall vector (c0, *tau)
     for tau, m in _weight_multiplicities(data, mu).items():
         p = sum(map(mul, tau, X)) % D
         by_phase[p] = by_phase.get(p, 0) + m
@@ -430,8 +417,7 @@ def ideal_membership(chi: CharacterElt, k: int) -> bool:
     """Whether chi lies in the level-k fusion ideal.
 
     Decided exactly by the quotient map; the numeric vanishing test at all
-    special points must agree, and any disagreement raises CheckFailed.
-    """
+    special points must agree, or CheckFailed is raised."""
     exact = not quotient_map(chi, k)
     numeric = all(abs(v) < VANISH_TOL for v in _special_values(chi.data, chi.terms, k))
     check(exact == numeric,
@@ -471,8 +457,7 @@ def _simple_current(
     data: LieData, basis: list[Weight], index: Mapping[Weight, int], k: int, j: int
 ) -> tuple[int, ...]:
     """The simple current sigma_j of node j (see fusion_table) as the images
-    of the level-k basis, by index (index maps each basis weight to its
-    position); sigma_0 is the identity."""
+    of the level-k basis, by index; sigma_0 is the identity."""
     m, walls = k + data.dual_coxeter, range(data.rank + 1)
     images = []
     for lam in basis:
@@ -488,10 +473,9 @@ def _centre(
     data: LieData, basis: list[Weight], index: Mapping[Weight, int], k: int
 ) -> list[tuple[int, ...]]:
     """The centre Z(G) acting on the level-k basis: the distinct simple
-    currents of the nodes with mark 1, node 0 (the identity) first.  There
-    is one element of Z(G) per special node of the alcove, so these are
-    closed under composition; that is checked.  At k = 0 all are the
-    identity."""
+    currents of the nodes with mark 1, node 0 (the identity) first, one per
+    special node, so closed under composition, which is checked.  At k = 0
+    all are the identity."""
     special = [0] + [j for j, mark in enumerate(data.marks, 1) if mark == 1]
     centre = list(dict.fromkeys(_simple_current(data, basis, index, k, j) for j in special))
     members = set(centre)
@@ -500,44 +484,55 @@ def _centre(
     return centre
 
 
+def _conjugation(data: LieData, basis: list[Weight], index: Mapping[Weight, int]) -> tuple[int, ...]:
+    """lam* = -w_0 lam, the dominant weight of -lam, on the basis by index."""
+    walls = range(1, data.rank + 1)
+    return tuple([index[dominantize_walls(data, [-x for x in w], 0, walls).weight] for w in basis])
+
+
 def fusion_table(
     data: LieData, k: int, basis: list[Weight] | None = None
 ) -> list[tuple[Weight, Weight, Weight, int]]:
     """All nonzero structure constants (a, b, c, N) at level k, with a <= b,
-    by row pair and then by c.  A caller that holds level_weights(data, k)
-    passes it as basis, so that the basis is enumerated once per table.
+    by row pair and then by c; basis, if given, is level_weights(data, k).
 
-    The table is folded by the centre Z(G).  It acts on level-k weights by
-    the simple currents of the nodes j with mark 1,
+    The table is folded by symmetries.  The centre Z(G) acts on level-k
+    weights by the simple currents of the nodes j with mark 1,
 
         sigma_j(lam) = rep - rho,  rep the alcove representative at level
         k + h_vee of lam + rho + (k + h_vee) omega_j,
 
     a weight walk with no fusion product, and N_{sa, tb}^{stc} = N_ab^c for
-    s, t in Z(G) (Schellekens-Yankielowicz 1990; Fuchs 1991).  So the
-    uncached Kac-Walton product runs once per orbit of pairs {a, b} under
-    Z x Z, on the pair whose smaller factor has the least Weyl dimension,
-    and its terms are carried to the rest of the orbit; pairs an orbit
-    reaches twice must get the same terms; a trivial centre leaves one pair."""
+    s, t in Z(G) (Schellekens-Yankielowicz 1990; Fuchs 1991).  Charge
+    conjugation, not the identity for A_n (n >= 2), D_n (n odd) and E6,
+    gives N_{a*b*}^{c*} = N_ab^c (Fuchs, Affine Lie algebras and quantum
+    groups, 1992).  The uncached Kac-Walton product runs once per orbit of
+    pairs {a, b}, on the pair whose smaller factor has the least Weyl
+    dimension, and its terms are carried to the rest of the orbit; pairs an
+    orbit reaches twice must get the same terms."""
     if basis is None:
         basis = level_weights(data, k)
     n = len(basis)
     index = {w: i for i, w in enumerate(basis)}
     centre = _centre(data, basis, index, k)
+    # the identity and charge conjugation, once if they agree
+    conjugations = dict.fromkeys([centre[0], _conjugation(data, basis, index)])
     dims = [_weyl_dimension(data, w) for w in basis]
     products: dict[tuple[int, int], dict[int, int]] = {}
     for a in range(n):
         for b in range(a, n):
             if (a, b) in products:
                 continue
-            orbit = {tuple(sorted((s[a], t[b]))) for s in centre for t in centre}
+            orbit = {tuple(sorted((g[s[a]], g[t[b]]))) for g in conjugations for s in centre for t in centre}
             r, q = min(orbit, key=lambda p: (min(dims[p[0]], dims[p[1]]), p))
             rep_terms = [(index[c], N) for c, N in _kac_walton(data, k, basis[r], basis[q]).items()]
-            for s in centre:
-                for t in centre:
-                    terms = {s[t[c]]: N for c, N in rep_terms}
-                    key = tuple(sorted((s[r], t[q])))
-                    check(products.setdefault(key, terms) == terms, "centre symmetry broken")
+            # N_{g s r, g t q}^{g s t c} = N_rq^c
+            for g in conjugations:
+                for s in centre:
+                    for t in centre:
+                        terms = {g[s[t[c]]]: N for c, N in rep_terms}
+                        key = tuple(sorted((g[s[r]], g[t[q]])))
+                        check(products.setdefault(key, terms) == terms, "centre symmetry broken")
     return [
         (basis[a], basis[b], basis[c], N)
         for a in range(n)
@@ -547,11 +542,10 @@ def fusion_table(
 
 
 def fusion_table_json(data: LieData, k: int) -> str:
-    """The fusion table as the text of json.dumps(doc, indent=2), where doc
-    holds type, k, the basis and one {"a", "b", "c", "N"} dict per
-    fusion_table row under "constants".  Each basis weight is rendered once,
-    at the depth of a row cell (lie._json_list), and each row fills one row
-    template, so no row is a dict."""
+    """The text of json.dumps(doc, indent=2), doc holding type, k, the basis
+    and one {"a", "b", "c", "N"} dict per fusion_table row under
+    "constants"; each basis weight is rendered once, as a row cell
+    (lie._json_list), and each row fills one template."""
     basis = level_weights(data, k)
     cell = {w: _json_list(map(str, w), 3) for w in basis}
     row = '{\n      "a": %s,\n      "b": %s,\n      "c": %s,\n      "N": %d\n    }'

@@ -675,13 +675,14 @@ def test_deterministic_output(capsys):
 
 
 def negated_factor_weights(monkeypatch):
-    # negated tensor factors trip the Kac-Walton positivity check, on a datum
-    # with an empty memo, so that no cached product hides it
+    # a negated weight system of the tensor factor trips the Kac-Walton
+    # positivity check, on a datum with an empty memo, so that no cached
+    # product hides it
     from alcove import cli, fusion
 
-    factor_weights = fusion._factor_weights
-    monkeypatch.setattr(fusion, "_factor_weights",
-                        lambda *args: {w: -m for w, m in factor_weights(*args).items()})
+    weight_system = fusion._weight_multiplicities
+    monkeypatch.setattr(fusion, "_weight_multiplicities",
+                        lambda *args: {vec: -m for vec, m in weight_system(*args).items()})
     monkeypatch.setattr(cli, "build_lie_data", lambda name: replace(build_lie_data(name), _memo={}))
 
 

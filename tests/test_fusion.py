@@ -30,7 +30,7 @@ from alcove.fusion import (
     weight_multiplicities,
     weyl_dimension,
 )
-from alcove.affine import dominantize_terms, weight_wall_value, weyl_orbit
+from alcove.affine import dominantize_terms, dominantize_walls, weight_wall_value, weyl_orbit
 from alcove.groupring import AntiInvariant, GroupRingElt, reskew_to
 from alcove.intlinalg import mat_inv
 from alcove.lie import (
@@ -180,7 +180,7 @@ def test_weyl_dimension_checks_survive_a_warm_cache():
 
 def test_weyl_dimension_kernel_skips_checks(monkeypatch):
     """The public weyl_dimension checks its weight on a cache hit too; the
-    private kernels that fusion_table, _factor_weights and the dimension
+    private kernels that fusion_table, _product_terms and the dimension
     assertions call check nothing."""
     from alcove import fusion
 
@@ -218,18 +218,22 @@ def test_tensor_decompose_checks_survive_a_warm_cache():
 
 
 def test_product_factors_skip_checks(monkeypatch):
-    """The factor weights that fusion_product reflects, and the tensor
+    """The weight systems that fusion_product reflects, and the tensor
     product terms that CharacterElt products combine, are read through the
-    unchecked kernels, while a tensor_decompose hit checks both factors."""
+    unchecked kernels, while a tensor_decompose hit checks both factors.
+    The product kernel swaps its factors, so either order gives the same
+    terms, at the Klimyk walls and at the Kac-Walton walls."""
     from alcove import fusion
 
     a2 = build_lie_data("A2")
     expect = tensor_decompose(a2, (2, 1), (0, 1))
-    factors = fusion._factor_weights(a2, (2, 1), (0, 1))
+    klimyk, kac_walton = (0, range(1, 3)), (3 + a2.dual_coxeter, range(3))
+    fused = fusion._product_terms(a2, (2, 1), (0, 1), *kac_walton)
     calls = []
     for name in ("_check_dominant", "is_dominant", "_weight_walls"):
         monkeypatch.setattr(fusion, name, lambda *a, name=name: calls.append(name))
-    assert fusion._factor_weights(a2, (0, 1), (2, 1)) == factors
+    assert fusion._product_terms(a2, (0, 1), (2, 1), *klimyk) == expect.terms
+    assert fusion._product_terms(a2, (0, 1), (2, 1), *kac_walton) == fused == {(1, 1): 1, (3, 0): 1}
     assert fusion._tensor_decompose(a2, (0, 1), (2, 1)) == expect.terms
     assert calls == []
     assert tensor_decompose(a2, (0, 1), (2, 1)) == expect
@@ -352,6 +356,87 @@ def test_weyl_orbit_rejects_non_dominant():
     assert weyl_orbit(a2, [1, 0], 0, (1, 2)) == {(1, 0): 1, (-1, 1): -1, (0, -1): 1}
 
 
+def freudenthal_oracle(data, mu):
+    """Oracle: the Freudenthal recursion as alcove.fusion ran it before each
+    positive root entered as a wall vector, moved here unchanged but for its
+    checks, which are asserts: inner products by the scaled Gram matrix,
+    and each tau = lam + j beta reduced on its own by dominantize_walls."""
+    gram, _ = data.gram_weight_scaled
+
+    def ip(a, b):
+        return sum(x * sum(g * y for g, y in zip(row, b)) for x, row in zip(a, gram))
+
+    roots = [(root.weight, ip(root.weight, root.weight)) for root in data.positive_roots]
+    mu_rho = tuple(x + 1 for x in mu)
+    top_norm = ip(mu_rho, mu_rho)
+    mu_norm = ip(mu, mu)
+    walls = range(1, data.rank + 1)
+    mults = {}
+    for lam in _dominant_weights_below(data, mu):
+        if lam == mu:
+            mults[lam] = 1
+            continue
+        lam_norm = ip(lam, lam)
+        total = 0
+        for beta, beta_norm in roots:
+            lam_beta = ip(lam, beta)
+            j = 1
+            while lam_norm + j * (2 * lam_beta + j * beta_norm) <= mu_norm:
+                tau = tuple(x + j * r for x, r in zip(lam, beta))
+                m_tau = mults.get(dominantize_walls(data, tau, 0, walls).weight, 0)
+                if m_tau:
+                    total += m_tau * (lam_beta + j * beta_norm)
+                j += 1
+        lam_rho = tuple(x + 1 for x in lam)
+        denom = top_norm - ip(lam_rho, lam_rho)
+        assert denom > 0
+        val, rem = divmod(2 * total, denom)
+        assert rem == 0 and val >= 0
+        if val:
+            mults[lam] = val
+    return mults
+
+
+def fundamental_weights(d):
+    return [tuple(int(i == j) for j in range(d.rank)) for i in range(d.rank)]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "F4", "E6", "E7"])
+def test_freudenthal_matches_the_per_weight_oracle(name):
+    """Every dominant mu with coordinate sum <= 3 for the types of rank <=
+    3, the fundamental weights of F4, E6 and E7: the same multiplicities in
+    the same order as the oracle."""
+    d = build_lie_data(name)
+    if d.rank <= 3:
+        weights = [mu for mu in itertools.product(range(4), repeat=d.rank) if sum(mu) <= 3]
+    else:
+        weights = fundamental_weights(d)
+    for mu in weights:
+        got = dominant_weight_multiplicities(d, mu)
+        assert list(got.items()) == list(freudenthal_oracle(d, mu).items()), mu
+
+
+def test_weight_system_is_one_memo_entry_of_wall_vectors():
+    """Each weight system is cached once, under ("weights", mu), as wall
+    vectors (-<tau, theta_vee>, *tau) that weight_multiplicities reads; a
+    tensor product, a fusion product and a character value all share it."""
+    from alcove import fusion
+
+    d = cold("A2")
+    tensor_decompose(d, (2, 1), (1, 0))
+    fusion_product(FusionElt(d, 3, {(2, 1): 1}), FusionElt(d, 3, {(1, 0): 1}))
+    character_value(CharacterElt.chi(d, (1, 0)), (F(1, 5), F(1, 7)))
+    assert sorted(key for key in d._memo if key[0] == "weights") == [("weights", (1, 0))]
+    cached = d._memo["weights", (1, 0)]
+    assert cached == {(-1, 1, 0): 1, (0, -1, 1): 1, (1, 0, -1): 1}
+    assert weight_multiplicities(d, (1, 0)) == {vec[1:]: m for vec, m in cached.items()}
+    for name in ["B3", "G2", "F4"]:
+        e = build_lie_data(name)
+        for mu in fundamental_weights(e):
+            for vec in fusion._weight_multiplicities(e, mu):
+                assert vec[0] == weight_wall_value(e, vec[1:], 0, 0)
+
+
 # -- tensor products -----------------------------------------------------------------
 
 def test_tensor_examples():
@@ -420,12 +505,16 @@ def a1_box_squared():
     return fusion_product(box, box)
 
 
-def negated(factor_weights):
-    return lambda *args: {w: -m for w, m in factor_weights(*args).items()}
+# Corruptions of the cached weight system, the wall vectors of the weights
+# of the smaller factor that the product kernel reflects.
+def negated(weight_system):
+    return lambda *args: {vec: -m for vec, m in weight_system(*args).items()}
 
 
-def with_5_5(factor_weights):
-    return lambda *args: {**factor_weights(*args), (5, 5): 1}
+def with_5_5(weight_system):
+    from alcove import fusion
+
+    return lambda data, mu: {**weight_system(data, mu), fusion._wall_vector(data, (5, 5)): 1}
 
 
 @pytest.mark.parametrize("corrupt, product, message", [
@@ -440,7 +529,7 @@ def test_corrupted_factor_weights_fail_their_check(monkeypatch, corrupt, product
     # message, on a datum with an empty memo: no cached product hides it
     from alcove import fusion
 
-    monkeypatch.setattr(fusion, "_factor_weights", corrupt(fusion._factor_weights))
+    monkeypatch.setattr(fusion, "_weight_multiplicities", corrupt(fusion._weight_multiplicities))
     with pytest.raises(AssertionError, match=rf"^{message}$"):
         product()
 
@@ -753,6 +842,85 @@ def test_folded_table_rejects_a_current_outside_the_centre(monkeypatch, name, k,
         folded = fusion_table(d, k)
     except AssertionError as exc:
         assert "simple currents are not a group" in str(exc) or "centre symmetry" in str(exc)
+    else:
+        assert folded != expected
+
+
+def unfolded_fusion_table(d, k):
+    """Oracle: the fusion table with no fold, one uncached Kac-Walton
+    product per pair a <= b."""
+    from alcove import fusion
+
+    basis = level_weights(d, k)
+    return [
+        (a, b, c, n)
+        for i, a in enumerate(basis)
+        for b in basis[i:]
+        for c, n in sorted(fusion._kac_walton(d, k, a, b).items())
+    ]
+
+
+# the types with a nontrivial charge conjugation, and G2, where it is trivial
+CONJUGATION_CASES = [("A2", 9), ("A3", 3), ("A4", 2), ("D5", 2), ("E6", 2), ("G2", 3)]
+
+
+@pytest.mark.parametrize("name,top", CONJUGATION_CASES)
+def test_fold_by_centre_and_conjugation_matches_unfolded_oracle(name, top):
+    """At every level k <= top the folded table equals the unfolded oracle,
+    and charge conjugation is the identity exactly at k = 0 and for G2."""
+    from alcove import fusion
+
+    d = build_lie_data(name)
+    for k in range(top + 1):
+        basis = level_weights(d, k)
+        conj = fusion._conjugation(d, basis, {w: i for i, w in enumerate(basis)})
+        assert (conj == tuple(range(len(basis)))) == (k == 0 or name == "G2"), k
+        assert sorted(conj) == list(range(len(basis))), k
+        assert fusion_table(d, k) == unfolded_fusion_table(d, k), k
+
+
+def test_conjugation_fold_runs_fewer_kac_walton_products(monkeypatch):
+    """The pairs {a, b} of the basis against the uncached Kac-Walton
+    products that fusion_table runs, folded by the centre alone and by the
+    centre and charge conjugation."""
+    from alcove import fusion
+
+    calls = []
+    honest = fusion._kac_walton
+    monkeypatch.setattr(fusion, "_kac_walton", lambda *args: calls.append(args) or honest(*args))
+    for name, k, pairs, centre_only, folded in [("A2", 9, 1540, 190, 106), ("A3", 3, 210, 15, 11)]:
+        d = build_lie_data(name)
+        assert len(level_weights(d, k)) * (len(level_weights(d, k)) + 1) // 2 == pairs
+        for conjugation, count in [(fusion._conjugation, folded),
+                                   (lambda data, basis, index: tuple(range(len(basis))), centre_only)]:
+            with monkeypatch.context() as m:
+                m.setattr(fusion, "_conjugation", conjugation)
+                calls.clear()
+                fusion_table(d, k)
+                assert len(calls) == count, (name, k)
+
+
+@pytest.mark.parametrize("name,k", [("A2", 1), ("A2", 3), ("A3", 2), ("A4", 2), ("D5", 1), ("E6", 2)])
+def test_fold_rejects_a_wrong_conjugation(monkeypatch, name, k):
+    """Swapping the images of the first two basis weights under charge
+    conjugation gives a permutation that is no symmetry of the table: the
+    fold then fails its symmetry check or differs from the oracle."""
+    from alcove import fusion
+
+    d = build_lie_data(name)
+    honest = fusion._conjugation
+
+    def swapped(data, basis, index):
+        images = list(honest(data, basis, index))
+        images[0], images[1] = images[1], images[0]
+        return tuple(images)
+
+    expected = unfolded_fusion_table(d, k)
+    monkeypatch.setattr(fusion, "_conjugation", swapped)
+    try:
+        folded = fusion_table(d, k)
+    except CheckFailed as exc:
+        assert str(exc) == "centre symmetry broken"
     else:
         assert folded != expected
 
