@@ -25,7 +25,6 @@ import cmath
 import json
 import sys
 from fractions import Fraction
-from itertools import product as iter_product
 from operator import add, mul
 from typing import Iterator, Mapping, Sequence
 
@@ -68,13 +67,19 @@ def _check_level(k: int) -> None:
 
 
 def level_weights(data: LieData, k: int) -> list[Weight]:
-    """The level-k weights, in lexicographic order.  ValueError for a level
-    whose search box has a side longer than any sequence (sys.maxsize)."""
+    """The level-k weights, in lexicographic order, built directly: each
+    prefix (w, left) of weights with level left still to spend takes every
+    next coordinate x with comark * x <= left, so no point is built and then
+    dropped and the work is linear in the output.  ValueError for a level
+    with k // a >= sys.maxsize at the least comark a: it has more weights
+    than sys.maxsize, too many to list."""
     _check_level(k)
     if k // min(data.comarks) >= sys.maxsize:
         raise ValueError(f"level {k} is too large to list its weights")
-    boxes = [range(k // c + 1) for c in data.comarks]
-    return [w for w in iter_product(*boxes) if _weight_walls(data, w, k)[0] >= 0]
+    prefixes = [((), k)]
+    for a in data.comarks:
+        prefixes = [(w + (x,), left - a * x) for w, left in prefixes for x in range(left // a + 1)]
+    return [w for w, _ in prefixes]
 
 
 class CharacterElt(SparseElt):

@@ -54,7 +54,9 @@ matrix rows; a key is written as a certificate writes it, its nodes I
 and numerators x over D.
 
 The ranks of the boundary maps come from a checked algebraic Morse
-matching, not from an elimination; homology_report gives the argument.
+matching, not from an elimination, and the homology verdicts follow from
+that checked matching, so no rank is compared after it; homology_report
+gives the argument.  The H0 augmentation is the one check a verdict adds.
 random_cycle computes the dense kernel basis of each d_p of a truncation
 once, from (row, coeff) columns over the basis order of degree p - 1.
 """
@@ -467,53 +469,42 @@ class OrbitComplex:
         of degree p-1 cells matched upward.  The ranks are proved, not
         sampled, and there is no second, eliminating route: a failed check
         raises CheckFailed naming the degree, the key and the coefficient
-        or face, and the CLI exits 4 on it.  The H0 augmentation check reads
-        the sign (-1)^length of each degree-0 point from the orbit's length
-        table and tests the boundary of every degree-1 key against it."""
+        or face, and the CLI exits 4 on it.
+
+        So each verdict follows from its degree once the matching has
+        passed: rank_ker - rank_im_above is the number of critical cells of
+        degree p, 1 at p = 0 for the full face and 0 everywhere else (at
+        0 < p < l by the pair counts, at p = l as no top cell is matched
+        upward, at p = 0 by the critical-cell check).  The one check left
+        here is the H0 augmentation: it reads the sign (-1)^length of each
+        degree-0 point from the orbit's length table and tests the boundary
+        of every degree-1 key against it; only it can make a verdict fail."""
         if n < 1:
             raise ValueError("truncation bound must be >= 1")
-        l = self.data.rank
         tc = self.truncated(n)
-        dims = [len(b) for b in tc.bases]
         # rank d_p for p = 1..l; d_0 is zero
         ranks = self._matched_ranks(tc)
-        degrees = []
-        all_ok = True
-        for p in range(l + 1):
-            rank_above = ranks.get(p + 1, 0)
-            rank_ker = dims[p] - ranks.get(p, 0)
-            if p == l:
-                ok = rank_ker == 0
-                verdict = "injective" if ok else "kernel"
-            elif p == 0:
-                if self.J == self.full_face:
-                    # the augmentation kills the boundary of every degree-1
-                    # key; its sign on a basis pair depends on the point only
-                    eps = {x: (-1) ** self.length_of(x) for _, x in tc.bases[0]}
-                    eps_on_boundaries = all(
-                        sum(coeff * eps[y] for (_, y), coeff in faces.items()) == 0
-                        for faces in tc.matrices[1]
-                    )
-                    ok = dims[0] - rank_above == 1 and eps_on_boundaries
-                    verdict = "H0=Z" if ok else "H0!=Z"
-                else:
-                    ok = dims[0] == rank_above
-                    verdict = "H0=0" if ok else "H0!=0"
-            else:
-                ok = rank_ker == rank_above
-                verdict = "exact" if ok else "homology"
-            all_ok = all_ok and ok
-            degrees.append(
-                {
-                    "p": p,
-                    "dim": dims[p],
-                    "rank_ker": rank_ker,
-                    "rank_im_above": rank_above,
-                    # the checked matching leaves no torsion
-                    "torsion": [],
-                    "verdict": verdict,
-                }
-            )
+        all_ok, h0 = True, "H0=0"
+        if self.J == self.full_face:
+            # the augmentation kills the boundary of every degree-1 key; its
+            # sign on a basis pair depends on the point only
+            eps = {x: (-1) ** self.length_of(x) for _, x in tc.bases[0]}
+            all_ok = all(sum(coeff * eps[y] for (_, y), coeff in faces.items()) == 0
+                         for faces in tc.matrices[1])
+            h0 = "H0=Z" if all_ok else "H0!=Z"
+        verdicts = [h0] + ["exact"] * (self.data.rank - 1) + ["injective"]
+        degrees = [
+            {
+                "p": p,
+                "dim": len(basis),
+                "rank_ker": len(basis) - ranks.get(p, 0),
+                "rank_im_above": ranks.get(p + 1, 0),
+                # the checked matching leaves no torsion
+                "torsion": [],
+                "verdict": verdict,
+            }
+            for p, (basis, verdict) in enumerate(zip(tc.bases, verdicts))
+        ]
         return {
             "group": str(self.data.lie_type),
             "J": list(self.J),

@@ -22,6 +22,7 @@ from alcove.fusion import (
     fusion_unit,
     holomorphic_induction,
     ideal_membership,
+    in_level,
     level_weights,
     project_to_fusion,
     quotient_map,
@@ -131,6 +132,47 @@ def test_level_weights_counts():
     assert len(level_weights(build_lie_data("A2"), 3)) == 10
     assert len(level_weights(build_lie_data("G2"), 1)) == 2
     assert len(level_weights(build_lie_data("C2"), 1)) == 3
+
+
+def box_level_weights(data, k):
+    """Oracle for the order: every point of the box prod_i range(k // a_i + 1)
+    over the comarks a_i, in lexicographic order, kept when it is at level k."""
+    boxes = [range(k // a + 1) for a in data.comarks]
+    return [w for w in itertools.product(*boxes) if in_level(data, w, k)]
+
+
+def level_weight_count(data, k):
+    """Oracle for the number: the x^k coefficient of
+    1 / ((1 - x) prod_i (1 - x^{a_i})) over the comarks a_i (Kac,
+    Infinite-dimensional Lie algebras, 12.4), by a dynamic program over k."""
+    coeffs = [1] * (k + 1)
+    for a in data.comarks:
+        for m in range(a, k + 1):
+            coeffs[m] += coeffs[m - a]
+    return coeffs[k]
+
+
+RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name, top", [(name, 6) for name in RANK_LE_4] + [("E6", 3), ("E7", 3), ("E8", 3)])
+def test_level_weights_match_the_box_and_the_count(name, top):
+    d = build_lie_data(name)
+    for k in range(top + 1):
+        weights = level_weights(d, k)
+        assert weights == box_level_weights(d, k), k
+        assert len(weights) == level_weight_count(d, k), k
+
+
+def test_level_weights_reads_no_wall_values(monkeypatch):
+    # the weights are built at level k, never filtered by their wall values
+    from alcove import fusion
+
+    def refuse(*args):
+        raise AssertionError("level_weights tested a point")
+
+    monkeypatch.setattr(fusion, "_weight_walls", refuse)
+    assert level_weights(build_lie_data("A2"), 2) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
 
 
 # -- multiplicities ----------------------------------------------------------------
@@ -923,6 +965,21 @@ def test_fold_rejects_a_wrong_conjugation(monkeypatch, name, k):
         assert str(exc) == "centre symmetry broken"
     else:
         assert folded != expected
+
+
+def test_centre_check_rejects_currents_that_are_not_a_group(monkeypatch):
+    """A transposition in place of the simple current of node 1 of A2 at
+    k = 2 is not closed under composition with that of node 2."""
+    from alcove import fusion
+
+    honest = fusion._simple_current
+
+    def transposed(data, basis, index, k, j):
+        return (1, 0, *range(2, len(basis))) if j == 1 else honest(data, basis, index, k, j)
+
+    monkeypatch.setattr(fusion, "_simple_current", transposed)
+    with pytest.raises(CheckFailed, match=r"^the simple currents are not a group$"):
+        fusion_table(cold("A2"), 2)
 
 
 # -- special points and numeric values -------------------------------------------------

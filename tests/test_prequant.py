@@ -1,7 +1,13 @@
+import dataclasses
+import hashlib
 import inspect
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +15,7 @@ from alcove import prequant
 from alcove.acceptance import run_criteria, select_criteria
 from alcove.fusion import in_level, level_weights
 from alcove.lie import (
+    CheckFailed,
     OutsideAlcoveError,
     _frac_str,
     alcove_face_of,
@@ -174,6 +181,31 @@ def test_catalog_rows():
     assert rows[1]["mu"] == [1]
     assert rows[1]["xi"] == ["1/4"]
     assert rows[1]["phases"] == ["1/2"]
+
+
+def test_catalog_label_check_fires_off_level():
+    """With the Gram matrix doubled, b_flat(k xi) of a level-1 class lands at
+    level 2, which the label check refuses."""
+    d = build_lie_data("A2")
+    rows, den = d.gram_coroot_scaled
+    doubled = dataclasses.replace(
+        d, gram_coroot_scaled=(tuple(tuple(2 * x for x in row) for row in rows), den), _memo={})
+    with pytest.raises(CheckFailed, match=r"^pre-quantization label \(0, 2\) is not at level 1$"):
+        prequant_catalog(doubled, 1)
+
+
+def test_prequant_a12_level_3_lists_its_455_classes_in_seconds():
+    # 455 weights in a search box of 4^12 points: a filter over the box took
+    # over 20 s, so the command runs in a child process that a timeout ends
+    proc = subprocess.run(
+        [sys.executable, "-m", "alcove", "prequant", "A12", "-k", "3", "--format", "json"],
+        capture_output=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+    assert len(json.loads(proc.stdout)["classes"]) == 455
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "62a67399545abf905ea502e6c5eb52150c264705791a612a2d72eb6b63abc808")
 
 
 # -- the integer route against the Fraction route it replaced --------------------

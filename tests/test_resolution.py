@@ -907,6 +907,19 @@ def test_homology_exact_on_every_face_of_rank_4(name):
         ], (name, J)
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3"])
+def test_checked_matching_leaves_one_critical_cell_on_the_full_face(name):
+    # homology_report compares no ranks: once the matching has passed,
+    # rank_ker - rank_im_above counts the critical cells of each degree,
+    # the base point in degree 0 of the full face and nothing else
+    data = build_lie_data(name)
+    for J in all_faces(data):
+        for n in range(1, 5):
+            rep = OrbitComplex(data, J).homology_report(n)
+            excess = [d["rank_ker"] - d["rank_im_above"] for d in rep["degrees"]]
+            assert excess == [int(J == tuple(range(data.rank + 1)))] + [0] * data.rank, (name, J, n)
+
+
 def test_homology_exact_on_random_faces_of_rank_5_and_above():
     # a seeded sample of faces, with the full face of each type, at N = 3
     rng = random.Random(55)
