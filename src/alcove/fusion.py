@@ -1,6 +1,6 @@
 """The level-k fusion ring: level weights, the quotient map from the
-representation ring, fusion products, holomorphic induction, and an
-independent numeric oracle through character values at the special points
+representation ring, fusion products and tables, holomorphic induction, and
+an independent numeric oracle through character values at the special points
 
     t_nu = B_sharp(nu + rho) / (k + h_vee),   nu a level-k weight.
 
@@ -9,11 +9,18 @@ The weight system of V_mu is cached once, as the wall vector
 form in which affine._reduce walks a weight.  One kernel, _product_terms,
 adds these vectors of the smaller factor to the wall vector of the other
 factor plus rho and reduces each sum: the Kac-Walton formula at all walls
-and level k + h_vee, the Klimyk rule at the walls 1..l.  The quotient map,
-induction and the projection to the fusion ring are dominantize_terms.
-Every cached result lives in the memo of its LieData; results are built
-trusted, never over a cached dict.  fusion_table folds the table by the
-centre Z(G) and by charge conjugation, N_{a*b*}^{c*} = N_ab^c.
+and level k + h_vee, the Klimyk rule at the walls 1..l.  The quotient map
+and induction are dominantize_terms.  Every cached result lives in the memo
+of its LieData; results are built trusted, never over a cached dict.
+
+fusion_table folds the table by the centre Z(G), by charge conjugation,
+N_{a*b*}^{c*} = N_ab^c, and by the S3 symmetry of N_{abc} = N_ab^{c*}.  The
+basis is split into two parts, each a union of classes under the centre and
+conjugation; Kac-Walton runs once per orbit of pairs within a part, and
+every pair across the parts is filled from those rows by N_ab^c =
+N_{a c*}^{b*} = N_{b c*}^{a*}.  An entry reached twice must agree ("centre
+symmetry broken", "S3 symmetry broken").
+
 Freudenthal, Weyl dimensions and the phases of the numeric oracle are exact
 integer arithmetic; the oracle is an independent check, never deciding a
 value.
@@ -24,18 +31,15 @@ from __future__ import annotations
 import cmath
 import json
 import sys
-from fractions import Fraction
 from operator import add, mul
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .affine import _reduce, _wall_list, _weight_walls, dominantize_terms, dominantize_walls, weyl_orbit
 from .lie import (
-    CartanPoint,
     LieData,
     Weight,
     _check_face_index,
     _json_list,
-    _scaled,
     _sharp_scaled,
     _walls_outside,
     check,
@@ -373,22 +377,6 @@ def fusion_unit(data: LieData, k: int) -> FusionElt:
 # special points and the numeric oracle
 
 
-def special_point(data: LieData, nu: Sequence[int], k: int) -> CartanPoint:
-    """t_nu = B_sharp(nu + rho)/(k + h_vee), interior to the alcove."""
-    X, D = _special_scaled(data, nu, k)
-    return tuple(Fraction(x, D) for x in X)
-
-
-def _special_scaled(data: LieData, nu: Sequence[int], k: int) -> tuple[list[int], int]:
-    """t_nu = B_sharp(nu + rho) / (k + h_vee) as integer numerators X over
-    one denominator D."""
-    _check_level(k)
-    nu = tuple(nu)
-    if not in_level(data, nu, k):
-        raise ValueError(f"{nu} is not a level-{k} weight")
-    return _sharp_scaled(data, [a + 1 for a in nu], k + data.dual_coxeter)
-
-
 def _irreducible_value_scaled(data: LieData, mu: Weight, X: Sequence[int], D: int) -> complex:
     """chi_mu(exp(X / D)) for a dominant weight mu, unchecked: the
     multiplicities of the weights tau of V_mu are summed by the exact phase
@@ -405,17 +393,13 @@ def _value_scaled(data: LieData, terms: Mapping[Weight, int], X: Sequence[int], 
     return sum(c * _irreducible_value_scaled(data, mu, X, D) for mu, c in terms.items())
 
 
-def character_value(chi: CharacterElt, xi: Sequence) -> complex:
-    """chi(exp xi) as a sum over the weights of each V_mu of chi."""
-    return _value_scaled(chi.data, chi.terms, *_scaled(chi.data, xi))
-
-
 def _special_values(data: LieData, terms: Mapping[Weight, int], k: int) -> Iterator[complex]:
-    """sum c chi_mu(t_nu) over the terms c mu, at the special point t_nu of
-    each level-k weight nu in level_weights order; lazy, so that a caller
-    can stop at the first value it needs."""
+    """sum c chi_mu(t_nu) over the terms c mu, at the special point t_nu =
+    B_sharp(nu + rho) / (k + h_vee), as integer numerators over one
+    denominator, of each level-k weight nu in level_weights order; lazy, so
+    that a caller can stop at the first value it needs."""
     for nu in level_weights(data, k):
-        yield _value_scaled(data, terms, *_special_scaled(data, nu, k))
+        yield _value_scaled(data, terms, *_sharp_scaled(data, [a + 1 for a in nu], k + data.dual_coxeter))
 
 
 def ideal_membership(chi: CharacterElt, k: int) -> bool:
@@ -431,7 +415,7 @@ def ideal_membership(chi: CharacterElt, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# holomorphic induction and the maps to the fusion ring
+# holomorphic induction
 
 
 def holomorphic_induction(phi: LevelRepElt, J: Sequence[int]) -> LevelRepElt:
@@ -444,14 +428,6 @@ def holomorphic_induction(phi: LevelRepElt, J: Sequence[int]) -> LevelRepElt:
         raise ValueError(f"{J} is not a subset of {phi.I}")
     out = dominantize_terms(data, phi.terms, phi.k + data.dual_coxeter, _walls_outside(data, J), 1)
     return LevelRepElt._trusted(out, data, J, phi.k)
-
-
-def project_to_fusion(phi: LevelRepElt) -> FusionElt:
-    """The map into the fusion ring for a singleton face (full affine
-    skew-symmetrization on basis characters)."""
-    if len(phi.I) != 1:
-        raise ValueError("projection to the fusion ring needs a singleton face")
-    return _to_level(phi.data, phi.terms, phi.k)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +471,20 @@ def _conjugation(data: LieData, basis: list[Weight], index: Mapping[Weight, int]
     return tuple([index[dominantize_walls(data, [-x for x in w], 0, walls).weight] for w in basis])
 
 
+def _split(dims: list[int], centre: list[tuple[int, ...]], conjugations: Iterable[tuple[int, ...]]) -> list[int]:
+    """The part, 1 or 0, of each basis weight in fusion_table's S3 fold: the
+    classes under the centre and conjugation, taken in the order of the
+    least Weyl dimension of a member, are dealt out alternately."""
+    part, side = [-1] * len(dims), 0
+    for i in sorted(range(len(dims)), key=dims.__getitem__):
+        if part[i] < 0:
+            side ^= 1
+            for g in conjugations:
+                for s in centre:
+                    part[g[s[i]]] = side
+    return part
+
+
 def fusion_table(
     data: LieData, k: int, basis: list[Weight] | None = None
 ) -> list[tuple[Weight, Weight, Weight, int]]:
@@ -511,22 +501,39 @@ def fusion_table(
     s, t in Z(G) (Schellekens-Yankielowicz 1990; Fuchs 1991).  Charge
     conjugation, not the identity for A_n (n >= 2), D_n (n odd) and E6,
     gives N_{a*b*}^{c*} = N_ab^c (Fuchs, Affine Lie algebras and quantum
-    groups, 1992).  The uncached Kac-Walton product runs once per orbit of
-    pairs {a, b}, on the pair whose smaller factor has the least Weyl
-    dimension, and its terms are carried to the rest of the orbit; pairs an
-    orbit reaches twice must get the same terms."""
+    groups, 1992).  And N_{abc} = N_ab^{c*} is symmetric in all three
+    indices (Di Francesco-Mathieu-Senechal, Conformal Field Theory, 16.1),
+    so N_xy^z = N_{x z*}^{y*} = N_{y z*}^{x*}.
+
+    The basis is split into two parts, each a union of classes under the
+    centre and conjugation (_split, checked).  The uncached Kac-Walton
+    product runs once per orbit of pairs {a, b} within a part, on the pair
+    whose smaller factor has the least Weyl dimension, and its terms are
+    carried to the rest of the orbit, which stays within the part; pairs an
+    orbit reaches twice must get the same terms.  A pair across the parts is
+    filled from the computed rows, one step per nonzero entry N_xy^z,
+    through the identity above: every entry N_ab^c of it is reached from the
+    row {a, c*} or {b, c*}, whichever lies within a part.  An entry the fill
+    reaches within a part is compared with the computed row, never written
+    ("S3 symmetry broken").  No product of two basis weights is zero, so
+    every pair gets a row ("S3 fill left a pair empty")."""
     if basis is None:
         basis = level_weights(data, k)
     n = len(basis)
     index = {w: i for i, w in enumerate(basis)}
     centre = _centre(data, basis, index, k)
+    conj = _conjugation(data, basis, index)
     # the identity and charge conjugation, once if they agree
-    conjugations = dict.fromkeys([centre[0], _conjugation(data, basis, index)])
+    conjugations = dict.fromkeys([centre[0], conj])
     dims = [_weyl_dimension(data, w) for w in basis]
+    part = _split(dims, centre, conjugations)
+    # so no orbit below leaves its part, and the fill writes no computed row
+    check(all(part[g[s[i]]] == part[i] for g in conjugations for s in centre for i in range(n)),
+          "the parts of the S3 fold are not unions of classes")
     products: dict[tuple[int, int], dict[int, int]] = {}
     for a in range(n):
         for b in range(a, n):
-            if (a, b) in products:
+            if part[a] != part[b] or (a, b) in products:
                 continue
             orbit = {tuple(sorted((g[s[a]], g[t[b]]))) for g in conjugations for s in centre for t in centre}
             r, q = min(orbit, key=lambda p: (min(dims[p[0]], dims[p[1]]), p))
@@ -536,8 +543,23 @@ def fusion_table(
                 for s in centre:
                     for t in centre:
                         terms = {g[s[t[c]]]: N for c, N in rep_terms}
-                        key = tuple(sorted((g[s[r]], g[t[q]])))
-                        check(products.setdefault(key, terms) == terms, "centre symmetry broken")
+                        row = products.setdefault(tuple(sorted((g[s[r]], g[t[q]]))), terms)
+                        check(row == terms, "centre symmetry broken")
+    # N_xy^z = N_{u z*}^{v*} for (u, v) = (x, y) and (y, x), from each
+    # computed row {x, y}; a pair within a part is compared, never written
+    broken = False
+    for x, y in list(products):
+        terms = products[x, y]
+        for u, c in (x, conj[y]), (y, conj[x]):
+            for z, N in terms.items():
+                w = conj[z]
+                key = (u, w) if u <= w else (w, u)
+                if part[u] != part[w]:
+                    products.setdefault(key, {})[c] = N
+                elif products[key].get(c) != N:
+                    broken = True
+    check(not broken, "S3 symmetry broken")
+    check(len(products) == n * (n + 1) // 2, "S3 fill left a pair empty")
     return [
         (basis[a], basis[b], basis[c], N)
         for a in range(n)

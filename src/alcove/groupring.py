@@ -8,9 +8,9 @@ LevelMismatchError.  Anti-invariants are stored by their regular cone
 representatives, never by full expansion, and re-skewed between faces by
 affine.dominantize_terms.
 
-No element of W_I is ever listed.  Skew-symmetrization reduces each term
-into the cone with its sign, and a term on a wall drops out, because its
-stabilizer contains a reflection; expansion sums the signed orbit walk
+No element of W_I is ever listed.  Re-skewing reduces each term into the
+cone with its sign, and a term on a wall drops out, because its stabilizer
+contains a reflection; expansion sums the signed orbit walk
 affine.weyl_orbit of each regular representative.
 """
 
@@ -68,16 +68,6 @@ class GroupRingElt(SparseElt):
             for w1, c1 in self.terms.items()
         )
         return self._new(out)
-
-
-def skew_symmetrize(phi: GroupRingElt, I: Sequence[int]) -> GroupRingElt:
-    """Alternating sum of phi over W_I at the element's level (Sk over the
-    face I): each term is reduced into the cone with its sign, terms on a
-    wall drop out, and the cone representatives are expanded."""
-    I = _check_face_index(phi.data, I)
-    walls = _walls_outside(phi.data, I)
-    reps = dominantize_terms(phi.data, phi.terms, phi.level, walls, 0)
-    return expand(AntiInvariant._trusted(reps, phi.data, phi.level, I))
 
 
 class AntiInvariant(SparseElt):
@@ -161,20 +151,3 @@ def reskew_to(anti: AntiInvariant, J: Sequence[int]) -> AntiInvariant:
     walls = _walls_outside(anti.data, J)
     out = dominantize_terms(anti.data, anti.terms, anti.level, walls, 0)
     return AntiInvariant._trusted(out, anti.data, anti.level, J)
-
-
-def check_w_invariant(chi: GroupRingElt) -> None:
-    """Verify invariance under the classical (linear) Weyl group action."""
-    for i in range(1, chi.data.rank + 1):  # linear reflections, any level
-        if _reflect(chi, i) != chi:
-            raise ValueError(f"element is not W-invariant: reflection {i} fails")
-
-
-def act_invariant(chi: GroupRingElt, anti: AntiInvariant) -> AntiInvariant:
-    """Module action of a W-invariant element on an anti-invariant:
-    expand, multiply, re-express in the cone basis."""
-    if chi.data.lie_type != anti.data.lie_type or chi.level != anti.level:
-        raise LevelMismatchError("context mismatch")
-    check_w_invariant(chi)
-    product = chi * expand(anti)
-    return to_cone_basis(product, anti.I)

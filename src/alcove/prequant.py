@@ -119,13 +119,6 @@ def enumerate_prequantized(data: LieData, k: int) -> list[ConjClass]:
     ]
 
 
-def central_phase(data: LieData, xi: Sequence, lam: Sequence) -> Fraction:
-    """Phase of the holonomy homomorphism of exp(xi) on a lattice vector:
-    B(xi, lam) mod 1."""
-    lam = _check_integral(data, lam)
-    return phase(basic_pairing(data, xi, lam))
-
-
 def extension_power_trivial(data: LieData, xi: Sequence, I: Sequence[int], k: int) -> bool:
     """Whether the k-th power of the central extension attached to the face
     of xi is trivial: k B(xi, .) must be integral on the lattice."""

@@ -12,10 +12,12 @@ from alcove.fusion import (
     FusionElt,
     LevelRepElt,
     _centre,
+    _check_level,
     _dominant_weights_below,
     _simple_current,
     _special_values,
-    character_value,
+    _to_level,
+    _value_scaled,
     dominant_weight_multiplicities,
     fusion_product,
     fusion_table,
@@ -24,9 +26,7 @@ from alcove.fusion import (
     ideal_membership,
     in_level,
     level_weights,
-    project_to_fusion,
     quotient_map,
-    special_point,
     tensor_decompose,
     weight_multiplicities,
     weyl_dimension,
@@ -37,6 +37,8 @@ from alcove.intlinalg import mat_inv
 from alcove.lie import (
     CheckFailed,
     _check_face_index,
+    _scaled,
+    _sharp_scaled,
     alcove_face_of,
     apply_weight,
     b_sharp,
@@ -52,6 +54,35 @@ RANK_LE_2 = ["A1", "A2", "B2", "C2", "G2"]
 # Oracles used only by these tests, moved here from alcove.fusion with their
 # bodies unchanged: the Weyl character formula, exhaustive induction, and the
 # character value with Fraction phases.
+
+
+# Used only by the tests (test_resolution imports project_to_fusion); moved
+# from alcove.fusion with their bodies unchanged, special_point with that of
+# the former fusion._special_scaled, which checked its weight for it.
+
+
+def special_point(data, nu, k):
+    """t_nu = B_sharp(nu + rho)/(k + h_vee), interior to the alcove;
+    ValueError unless nu is a level-k weight."""
+    _check_level(k)
+    nu = tuple(nu)
+    if not in_level(data, nu, k):
+        raise ValueError(f"{nu} is not a level-{k} weight")
+    X, D = _sharp_scaled(data, [a + 1 for a in nu], k + data.dual_coxeter)
+    return tuple(F(x, D) for x in X)
+
+
+def character_value(chi, xi):
+    """chi(exp xi) as a sum over the weights of each V_mu of chi."""
+    return _value_scaled(chi.data, chi.terms, *_scaled(chi.data, xi))
+
+
+def project_to_fusion(phi):
+    """The map into the fusion ring for a singleton face (full affine
+    skew-symmetrization on basis characters)."""
+    if len(phi.I) != 1:
+        raise ValueError("projection to the fusion ring needs a singleton face")
+    return _to_level(phi.data, phi.terms, phi.k)
 
 
 def _exp2pi(t):
@@ -237,6 +268,46 @@ def test_weyl_dimension_kernel_skips_checks(monkeypatch):
     assert calls == []
     assert weyl_dimension(a2, (2, 1)) == 15
     assert calls == ["_check_dominant"]
+
+
+# Each check of the Weyl dimension and of Freudenthal fires on a copy of the
+# A2 root datum corrupted where that check reads it.
+
+
+def test_weyl_dimension_check_fires_on_a_corrupted_coroot():
+    """With the coroot of the highest root read as (2, 1), the Weyl formula
+    gives 10/3 for V_(1, 0)."""
+    a2 = build_lie_data("A2")
+    roots = [*a2.positive_roots[:2], a2.positive_roots[2]._replace(coroot=(2, 1))]
+    bad = replace(a2, positive_roots=tuple(roots), _memo={})
+    with pytest.raises(CheckFailed, match=r"^Weyl dimension of \(1, 0\) is not a positive integer$"):
+        weyl_dimension(bad, (1, 0))
+
+
+def test_freudenthal_denominator_check_fires_on_a_corrupted_form():
+    """Under the form diag(1, 3) in place of the Gram matrix, (0, 1) + rho is
+    longer than (2, 0) + rho."""
+    bad = replace(build_lie_data("A2"), gram_weight_scaled=(((1, 0), (0, 3)), 1), _memo={})
+    with pytest.raises(CheckFailed, match=r"^Freudenthal denominator of \(0, 1\) in V_\(2, 0\) is not positive$"):
+        dominant_weight_multiplicities(bad, (2, 0))
+
+
+def test_freudenthal_integrality_check_fires_on_a_corrupted_form():
+    """Under the identity form in place of the Gram matrix, the zero weight
+    of the adjoint V_(1, 1) gets multiplicity 4/6."""
+    bad = replace(build_lie_data("A2"), gram_weight_scaled=(((1, 0), (0, 1)), 1), _memo={})
+    with pytest.raises(CheckFailed, match=r"^Freudenthal multiplicity of \(0, 0\) in V_\(1, 1\) "
+                                          r"is not a natural number: 4 / 6$"):
+        dominant_weight_multiplicities(bad, (1, 1))
+
+
+def test_freudenthal_weyl_dimension_check_fires_on_a_corrupted_dimension():
+    """A memo that holds 9 as the Weyl dimension of the adjoint V_(1, 1) of
+    A2 disagrees with its 8 weights counted by Freudenthal."""
+    d = cold("A2")
+    d._memo["dim", (1, 1)] = 9
+    with pytest.raises(CheckFailed, match=r"^Freudenthal/Weyl dimension mismatch for \(1, 1\)$"):
+        weight_multiplicities(d, (1, 1))
 
 
 def test_tensor_decompose_checks_survive_a_warm_cache():
@@ -883,7 +954,8 @@ def test_folded_table_rejects_a_current_outside_the_centre(monkeypatch, name, k,
     try:
         folded = fusion_table(d, k)
     except AssertionError as exc:
-        assert "simple currents are not a group" in str(exc) or "centre symmetry" in str(exc)
+        assert str(exc) in ("the simple currents are not a group", "centre symmetry broken",
+                            "S3 fill left a pair empty")
     else:
         assert folded != expected
 
@@ -902,51 +974,75 @@ def unfolded_fusion_table(d, k):
     ]
 
 
-# the types with a nontrivial charge conjugation, and G2, where it is trivial
-CONJUGATION_CASES = [("A2", 9), ("A3", 3), ("A4", 2), ("D5", 2), ("E6", 2), ("G2", 3)]
+# the types with a nontrivial charge conjugation, and G2, B3, C3 and F4, where
+# it is the identity
+CONJUGATION_CASES = [("A2", 9), ("A3", 3), ("A4", 2), ("D5", 2), ("E6", 2), ("G2", 3),
+                     ("B3", 2), ("C3", 3), ("F4", 2)]
+SELF_CONJUGATE = ("G2", "B3", "C3", "F4")
 
 
 @pytest.mark.parametrize("name,top", CONJUGATION_CASES)
 def test_fold_by_centre_and_conjugation_matches_unfolded_oracle(name, top):
-    """At every level k <= top the folded table equals the unfolded oracle,
-    and charge conjugation is the identity exactly at k = 0 and for G2."""
+    """At every level k <= top the table folded by the centre, conjugation
+    and the S3 symmetry equals the unfolded oracle, and charge conjugation
+    is the identity exactly at k = 0 and for the self-conjugate types."""
     from alcove import fusion
 
     d = build_lie_data(name)
     for k in range(top + 1):
         basis = level_weights(d, k)
         conj = fusion._conjugation(d, basis, {w: i for i, w in enumerate(basis)})
-        assert (conj == tuple(range(len(basis)))) == (k == 0 or name == "G2"), k
+        assert (conj == tuple(range(len(basis)))) == (k == 0 or name in SELF_CONJUGATE), k
         assert sorted(conj) == list(range(len(basis))), k
         assert fusion_table(d, k) == unfolded_fusion_table(d, k), k
 
 
+def pair_orbits(d, k, conjugate):
+    """The orbits of pairs {a, b} of level-k weights under Z(G), and under
+    charge conjugation too if conjugate."""
+    from alcove import fusion
+
+    basis = level_weights(d, k)
+    index = {w: i for i, w in enumerate(basis)}
+    centre = _centre(d, basis, index, k)
+    maps = [centre[0], fusion._conjugation(d, basis, index)] if conjugate else [centre[0]]
+    n = len(basis)
+    return len({
+        frozenset(tuple(sorted((g[s[a]], g[t[b]]))) for g in maps for s in centre for t in centre)
+        for a in range(n) for b in range(a, n)
+    })
+
+
 def test_conjugation_fold_runs_fewer_kac_walton_products(monkeypatch):
-    """The pairs {a, b} of the basis against the uncached Kac-Walton
-    products that fusion_table runs, folded by the centre alone and by the
-    centre and charge conjugation."""
+    """The pairs {a, b} of the basis, their orbits under the centre alone
+    and under the centre and charge conjugation, against the uncached
+    Kac-Walton products that fusion_table runs with the S3 fold: one per
+    orbit of pairs within a part, about half the orbits.  The last five
+    tables are the fusion-tables benchmark jobs."""
     from alcove import fusion
 
     calls = []
     honest = fusion._kac_walton
     monkeypatch.setattr(fusion, "_kac_walton", lambda *args: calls.append(args) or honest(*args))
-    for name, k, pairs, centre_only, folded in [("A2", 9, 1540, 190, 106), ("A3", 3, 210, 15, 11)]:
+    for name, k, pairs, centre_only, conjugate, folded in [
+        ("A3", 3, 210, 15, 11, 7), ("A2", 9, 1540, 190, 106, 58), ("G2", 6, 136, 136, 136, 72),
+        ("C3", 3, 210, 55, 55, 30), ("E6", 2, 45, 6, 6, 4), ("E7", 2, 21, 10, 10, 6),
+    ]:
         d = build_lie_data(name)
-        assert len(level_weights(d, k)) * (len(level_weights(d, k)) + 1) // 2 == pairs
-        for conjugation, count in [(fusion._conjugation, folded),
-                                   (lambda data, basis, index: tuple(range(len(basis))), centre_only)]:
-            with monkeypatch.context() as m:
-                m.setattr(fusion, "_conjugation", conjugation)
-                calls.clear()
-                fusion_table(d, k)
-                assert len(calls) == count, (name, k)
+        n = len(level_weights(d, k))
+        assert n * (n + 1) // 2 == pairs
+        assert (pair_orbits(d, k, False), pair_orbits(d, k, True)) == (centre_only, conjugate), name
+        calls.clear()
+        fusion_table(d, k)
+        assert len(calls) == folded, name
 
 
 @pytest.mark.parametrize("name,k", [("A2", 1), ("A2", 3), ("A3", 2), ("A4", 2), ("D5", 1), ("E6", 2)])
 def test_fold_rejects_a_wrong_conjugation(monkeypatch, name, k):
     """Swapping the images of the first two basis weights under charge
     conjugation gives a permutation that is no symmetry of the table: the
-    fold then fails its symmetry check or differs from the oracle."""
+    fold then fails its symmetry check, or the check that the parts of the
+    S3 fold are unions of classes, or differs from the oracle."""
     from alcove import fusion
 
     d = build_lie_data(name)
@@ -962,9 +1058,62 @@ def test_fold_rejects_a_wrong_conjugation(monkeypatch, name, k):
     try:
         folded = fusion_table(d, k)
     except CheckFailed as exc:
-        assert str(exc) == "centre symmetry broken"
+        assert str(exc) in ("centre symmetry broken", "the parts of the S3 fold are not unions of classes")
     else:
         assert folded != expected
+
+
+@pytest.mark.parametrize("name,k", [("A2", 1), ("A2", 3), ("A3", 2), ("A3", 3), ("A4", 2), ("D5", 2), ("E6", 2)])
+def test_s3_fill_rejects_the_identity_for_conjugation(monkeypatch, name, k):
+    """The identity in place of charge conjugation is still a symmetry of
+    the centre fold, so only the S3 fill goes wrong: it then reads N_xy^z
+    as N_{x z}^{y}, and an entry it reaches on a computed row differs."""
+    from alcove import fusion
+
+    monkeypatch.setattr(fusion, "_conjugation", lambda data, basis, index: tuple(range(len(basis))))
+    with pytest.raises(CheckFailed, match=r"^S3 symmetry broken$"):
+        fusion_table(cold(name), k)
+
+
+@pytest.mark.parametrize("name,k", [("A1", 3), ("A2", 3), ("A3", 3), ("B3", 2), ("C3", 2), ("D4", 2),
+                                    ("E6", 2), ("E7", 2)])
+@pytest.mark.parametrize("moved", ["unit", "current"])
+def test_s3_fold_rejects_parts_that_are_not_closed(monkeypatch, name, k, moved):
+    """Moving the unit, or its image under a simple current, to the other
+    part splits the class of the unit, so the parts are not unions of
+    classes under the centre and conjugation.  An orbit of pairs within a
+    part would then leave it, and the fill would write over rows the
+    products wrote; the fold refuses such parts."""
+    from alcove import fusion
+
+    honest = fusion._split
+
+    def moved_split(dims, centre, conjugations):
+        part = honest(dims, centre, conjugations)
+        part[0 if moved == "unit" else centre[-1][0]] ^= 1
+        return part
+
+    monkeypatch.setattr(fusion, "_split", moved_split)
+    with pytest.raises(CheckFailed, match=r"^the parts of the S3 fold are not unions of classes$"):
+        fusion_table(cold(name), k)
+
+
+def test_s3_fill_check_rejects_a_table_with_an_empty_pair(monkeypatch):
+    """The transposition of the weights 1 and 2 of A1 at k = 3, in place of
+    the simple current of node 1, is a group with the identity but no
+    symmetry of the table.  The centre fold carries rows by it that agree
+    with each other, and the fill from them reaches no entry of the pairs
+    {1, 3} and {2, 3}."""
+    from alcove import fusion
+
+    honest = fusion._simple_current
+
+    def transposed(data, basis, index, k, j):
+        return (0, 2, 1, 3) if j == 1 else honest(data, basis, index, k, j)
+
+    monkeypatch.setattr(fusion, "_simple_current", transposed)
+    with pytest.raises(CheckFailed, match=r"^S3 fill left a pair empty$"):
+        fusion_table(cold("A1"), 3)
 
 
 def test_centre_check_rejects_currents_that_are_not_a_group(monkeypatch):

@@ -3,21 +3,49 @@ import random
 
 import pytest
 
+from alcove.affine import dominantize_terms
 from alcove.groupring import (
     AntiInvariant,
     GroupRingElt,
     LevelMismatchError,
     NotAntiInvariantError,
-    act_invariant,
+    _reflect,
     expand,
     reskew_to,
-    skew_symmetrize,
     to_cone_basis,
 )
-from alcove.lie import apply_weight, build_lie_data, face_data, weyl_elements
+from alcove.lie import _check_face_index, _walls_outside, apply_weight, build_lie_data, face_data, weyl_elements
 
 
-# Used only here; moved from alcove.groupring with their bodies unchanged.
+# Used only by the tests (test_sparse imports skew_symmetrize); moved from
+# alcove.groupring with their bodies unchanged.
+
+
+def skew_symmetrize(phi: GroupRingElt, I) -> GroupRingElt:
+    """Alternating sum of phi over W_I at the element's level (Sk over the
+    face I): each term is reduced into the cone with its sign, terms on a
+    wall drop out, and the cone representatives are expanded."""
+    I = _check_face_index(phi.data, I)
+    walls = _walls_outside(phi.data, I)
+    reps = dominantize_terms(phi.data, phi.terms, phi.level, walls, 0)
+    return expand(AntiInvariant._trusted(reps, phi.data, phi.level, I))
+
+
+def check_w_invariant(chi: GroupRingElt) -> None:
+    """Verify invariance under the classical (linear) Weyl group action."""
+    for i in range(1, chi.data.rank + 1):  # linear reflections, any level
+        if _reflect(chi, i) != chi:
+            raise ValueError(f"element is not W-invariant: reflection {i} fails")
+
+
+def act_invariant(chi: GroupRingElt, anti: AntiInvariant) -> AntiInvariant:
+    """Module action of a W-invariant element on an anti-invariant:
+    expand, multiply, re-express in the cone basis."""
+    if chi.data.lie_type != anti.data.lie_type or chi.level != anti.level:
+        raise LevelMismatchError("context mismatch")
+    check_w_invariant(chi)
+    product = chi * expand(anti)
+    return to_cone_basis(product, anti.I)
 
 
 def gr_multiply(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:

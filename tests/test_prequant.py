@@ -21,12 +21,13 @@ from alcove.lie import (
     alcove_face_of,
     b_flat,
     b_sharp,
+    basic_pairing,
     build_lie_data,
     face_data,
 )
 from alcove.prequant import (
     ConjClass,
-    central_phase,
+    _check_integral,
     coxeter_power_identity_check,
     enumerate_prequantized,
     extension_power_trivial,
@@ -39,6 +40,14 @@ from alcove.prequant import (
 
 RANK_LE_2 = ["A1", "A2", "B2", "C2", "G2"]
 RANK_LE_4 = RANK_LE_2 + ["A3", "A4", "B3", "B4", "C3", "C4", "D4", "F4"]
+
+
+def central_phase(data, xi, lam):
+    """Phase of the holonomy homomorphism of exp(xi) on a lattice vector:
+    B(xi, lam) mod 1; moved from alcove.prequant with its body unchanged,
+    used only here."""
+    lam = _check_integral(data, lam)
+    return phase(basic_pairing(data, xi, lam))
 
 
 def alcove_grid(data, max_den):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from alcove.fusion import LevelRepElt, level_weights, project_to_fusion
+from alcove.fusion import LevelRepElt, level_weights
 from alcove.intlinalg import invariant_factors, to_dense
 from alcove.lie import b_flat, b_sharp, build_lie_data
 from alcove.affine import _scaled_crossing_length
@@ -28,6 +28,7 @@ from alcove.resolution import (
     check_d_squared_zero,
     verify_certificate,
 )
+from test_fusion import project_to_fusion
 from test_intlinalg import index_columns
 
 
