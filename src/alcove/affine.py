@@ -12,14 +12,15 @@ and on Cartan points (standard action on t)
     xi -> xi - (<alpha_i, xi> + delta_{i,0}) * alpha_i_vee.
 
 A weight is a tuple of l ints, its fundamental-weight coordinates.  Its wall
-values at nodes 0..l have one owner, _weight_walls: nu[i-1] at node i >= 1
-and m - <nu, theta_vee> at node 0.  Every level, cone and dominance test
-reads them there, and a non-weight is refused there with ValueError.  Only
-the trusted loops over weights the library built (dominantize_terms,
-fusion's dominant-weight search and its wall vectors) read coordinates
-themselves.  The walls of
-the cone of a face index I, the nodes outside I, are lie._walls_outside; a
-caller's wall list is checked by _wall_list.
+values at nodes 0..l, nu[i-1] at node i >= 1 and m - <nu, theta_vee> at
+node 0, have one owner, _wall_vector, which builds the vector every
+reduction and walk of a weight starts from.  _weight_walls refuses a
+non-weight with ValueError and then calls it; every level, cone and
+dominance test reads the values there.  Weights the library built go to
+_wall_vector unchecked: dominantize_terms, and fusion's Freudenthal
+recursion, weight systems and product kernel.  The walls of the cone of a
+face index I, the nodes outside I, are lie._walls_outside; a caller's wall
+list is checked by _wall_list.
 
 One greedy loop, _reduce, does every reduction ("reflect at the lowest
 violated listed wall").  It walks a vector that starts with the l+1 wall
@@ -31,16 +32,18 @@ denominator) enters _reduce_scaled as lie._scaled_walls(X, D) followed by X
 and reflects by point_table, the rows followed by the coroot.  The image is
 the tail of the vector, and D never changes.  dominantize_terms builds the
 start once per term, with an optional rho shift, for the weight-side maps
-of the library; fusion's Klimyk and Kac-Walton kernel adds cached wall
-vectors instead; dominantize_walls reduces one weight.
+of the library and fusion's simple currents; fusion's Klimyk and
+Kac-Walton kernel adds cached wall vectors instead; dominantize_walls
+reduces one weight.
 
 One walk, _walk, goes the other way, for weights and points alike: it
 yields an orbit one layer at a time, as vectors in the form of _reduce,
 reflecting each vector at every listed wall whose value is positive, so
 each image is one step longer.  weyl_orbit is this walk from (c0, *nu), a
 weight in the closed cone of at most l listed walls (so the group is
-finite), and signs each point by its depth.  Every alternating sum over a
-W_I is this walk, so no group element is ever listed.
+finite), and signs each point by its depth; a fusion weight system keeps
+the walk's vectors themselves.  Every alternating sum over a W_I is this
+walk, so no group element is ever listed.
 
 Orbits live entirely in these integers.  An OrbitContext fixes D as the lcm
 of the base point's denominators, and every point of the orbit lies in
@@ -95,6 +98,13 @@ class OrbitPoint(NamedTuple):
     length: int
 
 
+def _wall_vector(data: LieData, nu: Sequence[int], m: int = 0) -> tuple[int, ...]:
+    """(m - <nu, theta_vee>, *nu), the wall values of a weight at level m at
+    nodes 0..l: the vector _reduce and _walk start from.  Unchecked, for
+    weights the library built; _weight_walls checks a caller's weight."""
+    return (m - sum(map(mul, data.comarks, nu)), *nu)
+
+
 def _weight_walls(data: LieData, nu: Sequence[int], m: int) -> tuple[int, ...]:
     """<nu, alpha_i_vee> + m * delta_{i,0} at nodes 0..l; ValueError unless nu has l
     coordinates, each an int and none a bool.  c0 is an int when every
@@ -103,10 +113,10 @@ def _weight_walls(data: LieData, nu: Sequence[int], m: int) -> tuple[int, ...]:
     and hashes like (0, 1), and would reach that weight's cache entries."""
     if len(nu) != data.rank:
         raise ValueError(f"weight {tuple(nu)} has {len(nu)} coordinates, not {data.rank}")
-    c0 = m - sum(map(mul, data.comarks, nu))
-    if type(c0) is not int or bool in map(type, nu):
+    vec = _wall_vector(data, nu, m)
+    if type(vec[0]) is not int or bool in map(type, nu):
         raise ValueError(f"weight {tuple(nu)} has a coordinate that is not an int")
-    return (c0, *nu)
+    return vec
 
 
 def weight_wall_value(data: LieData, nu: Sequence[int], i: int, m: int) -> int:
@@ -191,14 +201,10 @@ def dominantize_terms(
     terms landing on a wall drop out.  shift is 1 for the rho-shifted action
     (quotient map, induction, Klimyk) and 0 for the level-m action.  The
     walls are checked as in dominantize_walls."""
-    walls = _wall_list(data, walls, m)
-    rows, comarks = data.weight_table, data.comarks
-    # <rho, theta_vee> = h_vee - 1
-    m0 = m - shift * (data.dual_coxeter - 1)
+    walls, rows = _wall_list(data, walls, m), data.weight_table
     out: dict[Weight, int] = {}
     for nu, c in terms.items():
-        start = [m0 - sum(map(mul, comarks, nu)), *[x + shift for x in nu]]
-        vec, word, on_wall = _reduce(start, rows, walls)
+        vec, word, on_wall = _reduce(_wall_vector(data, [x + shift for x in nu], m), rows, walls)
         if not on_wall:
             key = tuple([x - shift for x in vec[1:]] if shift else vec[1:])
             out[key] = out.get(key, 0) + (-1) ** len(word) * c

@@ -6,12 +6,14 @@ an independent numeric oracle through character values at the special points
 
 The weight system of V_mu is cached once, as the wall vector
 (-<tau, theta_vee>, *tau) of each weight tau with its multiplicity, the
-form in which affine._reduce walks a weight.  One kernel, _product_terms,
+form in which affine._reduce walks a weight; the orbit walk (affine._walk)
+of each dominant weight yields these vectors.  One kernel, _product_terms,
 adds these vectors of the smaller factor to the wall vector of the other
 factor plus rho and reduces each sum: the Kac-Walton formula at all walls
-and level k + h_vee, the Klimyk rule at the walls 1..l.  The quotient map
-and induction are dominantize_terms.  Every cached result lives in the memo
-of its LieData; results are built trusted, never over a cached dict.
+and level k + h_vee, the Klimyk rule at the walls 1..l.  The quotient map,
+induction and the simple currents are dominantize_terms.  Every cached
+result lives in the memo of its LieData; results are built trusted, never
+over a cached dict.
 
 fusion_table folds the table by the centre Z(G), by charge conjugation,
 N_{a*b*}^{c*} = N_ab^c, and by the S3 symmetry of N_{abc} = N_ab^{c*}.  The
@@ -34,7 +36,7 @@ import sys
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .affine import _reduce, _wall_list, _weight_walls, dominantize_terms, dominantize_walls, weyl_orbit
+from .affine import _reduce, _walk, _wall_list, _wall_vector, _weight_walls, dominantize_terms, dominantize_walls
 from .lie import (
     LieData,
     Weight,
@@ -244,11 +246,6 @@ def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Wei
     return mults
 
 
-def _wall_vector(data: LieData, w: Sequence[int]) -> tuple[int, ...]:
-    """(-<w, theta_vee>, *w), the wall values at level 0 (see affine._reduce)."""
-    return (-sum(map(mul, data.comarks, w)), *w)
-
-
 def weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Weight, int]:
     """Multiplicities of all weights of V_mu, whose sum is checked against
     the Weyl dimension; ValueError unless mu is a dominant weight, checked
@@ -261,15 +258,16 @@ def weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Weight, int]
 def _weight_multiplicities(data: LieData, mu: Weight) -> dict[tuple[int, ...], int]:
     """The weight system of V_mu for a dominant weight the library built,
     unchecked and cached as ("weights", mu): the wall vector of each weight
-    tau with its multiplicity, by dominant weight and then by tau."""
+    tau with its multiplicity, by dominant weight and then in walk order,
+    the vectors of the orbit walk (affine._walk) from each dominant weight."""
     cached = data._memo.get(("weights", mu))
     if cached is not None:
         return cached
-    walls = range(1, data.rank + 1)
+    rows, walls = data.weight_table, range(1, data.rank + 1)
     out: dict[tuple[int, ...], int] = {}
     for lam, m in dominant_weight_multiplicities(data, mu).items():
-        for tau in sorted(weyl_orbit(data, lam, 0, walls)):
-            out[_wall_vector(data, tau)] = m
+        for layer in _walk(_wall_vector(data, lam), rows, walls):
+            out.update(dict.fromkeys(layer, m))
     check(sum(out.values()) == _weyl_dimension(data, mu), f"Freudenthal/Weyl dimension mismatch for {mu}")
     data._memo["weights", mu] = out
     return out
@@ -289,8 +287,7 @@ def _product_terms(data: LieData, lam: Weight, mu: Weight, level: int, walls: ra
     if _weyl_dimension(data, mu) > _weyl_dimension(data, lam):
         lam, mu = mu, lam
     walls, rows = _wall_list(data, walls, level), data.weight_table
-    base = [*_wall_vector(data, [x + 1 for x in lam])]
-    base[0] += level
+    base = _wall_vector(data, [x + 1 for x in lam], level)
     out: dict[Weight, int] = {}
     for tau, m in _weight_multiplicities(data, mu).items():
         vec, word, on_wall = _reduce([*map(add, base, tau)], rows, walls)
@@ -442,11 +439,11 @@ def _simple_current(
     m, walls = k + data.dual_coxeter, range(data.rank + 1)
     images = []
     for lam in basis:
-        nu = [x + 1 for x in lam]
+        nu = [*lam]
         if j:
             nu[j - 1] += m
-        rep = dominantize_walls(data, nu, m, walls).weight
-        images.append(index[tuple([x - 1 for x in rep])])
+        [rep] = dominantize_terms(data, {tuple(nu): 1}, m, walls, 1)
+        images.append(index[rep])
     return tuple(images)
 
 

@@ -77,7 +77,9 @@ def column_reduce(A: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int
 
     D and T are kept stacked in one list of rows, the m rows of D first, so
     that each column operation is one loop over it; row operations and the
-    pivot search read only the first m rows.
+    pivot search read only the first m rows.  Each step t improves against
+    the pivot a = M[t][t], which the pivot swap makes nonzero and each gcd
+    step keeps nonzero.
     """
     if any(len(row) != ncols for row in A):
         raise ValueError(f"every row must have ncols = {ncols} entries")
@@ -87,9 +89,6 @@ def column_reduce(A: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int
     def row_improve(i1: int, i2: int, j: int) -> None:
         a, b = M[i1][j], M[i2][j]
         if b == 0:
-            return
-        if a == 0:
-            M[i1], M[i2] = M[i2], M[i1]
             return
         if b % a == 0:
             q = -(b // a)
@@ -104,10 +103,6 @@ def column_reduce(A: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int
     def col_improve(j1: int, j2: int, i: int) -> None:
         a, b = M[i][j1], M[i][j2]
         if b == 0:
-            return
-        if a == 0:
-            for row in M:
-                row[j1], row[j2] = row[j2], row[j1]
             return
         if b % a == 0:
             q = -(b // a)

@@ -240,9 +240,9 @@ def _scaled_matrix(M: Sequence[Sequence[Fraction]]) -> ScaledMatrix:
     return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in M), den
 
 
-def _weyl_order(roots: Iterable[Sequence[int]]) -> int:
-    """Order of the Weyl group of a root system from its positive roots, as
-    coefficient vectors over the simple roots.
+def _weyl_order(heights: Iterable[int]) -> int:
+    """Order of the Weyl group of a root system from the heights of its
+    positive roots over its simple roots.
 
     |W| is the product of e + 1 over the exponents e, and exactly as many
     exponents are >= h as there are positive roots of height h (Kostant,
@@ -250,7 +250,7 @@ def _weyl_order(roots: Iterable[Sequence[int]]) -> int:
     height counts of a reducible system give its order too, and no
     classification table is needed.
     """
-    count = Counter(sum(b) for b in roots)
+    count = Counter(heights)
     order = 1
     for h, n in count.items():
         order *= (h + 1) ** (n - count.get(h + 1, 0))
@@ -538,17 +538,23 @@ def face_data(data: LieData, I: Sequence[int]) -> FaceData:
         return cached
 
     n, h_vee = data.rank, data.dual_coxeter
-    comp = _walls_outside(data, I)
-    roots = [data.node_root[a] for a in comp]
-    basis = tuple(data.node_coroot[a] for a in comp)
-    sub = [[sum(map(mul, root, coroot)) for root in roots] for coroot in basis]
-    sub_roots = positive_roots_of_cartan(sub)
-    # 2 rho_I, the sum of the positive roots of the subsystem, and 2 (rho - rho_I)
-    totals = [sum(col) for col in zip(*sub_roots)]
-    two_rho_I = [sum(t * root[r] for t, root in zip(totals, roots)) for r in range(n)]
+    basis = tuple(data.node_coroot[a] for a in _walls_outside(data, I))
+    # the positive roots of the subsystem, as (weight, height over its simple
+    # roots), read off those of G: the roots with no simple root of I, and
+    # when node 0 is outside I, alpha_0 + theta - gamma of weight -gamma for
+    # each gamma that agrees with theta on I
+    nodes, theta = [i - 1 for i in I if i], data.highest_root
+    sub = [(r.weight, sum(r.coeffs)) for r in data.positive_roots if not any(r.coeffs[i] for i in nodes)]
+    if I[0]:
+        top = 1 + sum(theta.coeffs)
+        sub += [([-x for x in r.weight], top - sum(r.coeffs)) for r in data.positive_roots
+                if all(r.coeffs[i] == theta.coeffs[i] for i in nodes)]
+    # 2 rho_I, the sum of the positive roots of the subsystem (a zero row
+    # keeps it l long when there is none), and 2 (rho - rho_I)
+    two_rho_I = [*map(sum, zip([0] * n, *[w for w, _ in sub]))]
     shift = [2 * r - x for r, x in zip(data.rho, two_rho_I)]
     # nu_I_sharp = B_sharp(rho - rho_I) / h_vee must expose exactly the walls
-    # in I; this validates the subsystem enumeration behind rho_I
+    # in I; this validates the root filter behind rho_I
     X, D = _sharp_scaled(data, shift, 2 * h_vee)
     check(_scaled_face(data, X, D) == I, f"{data.lie_type}: nu_I_sharp is not interior to the face {I}")
     # rho - rho_I pairs integrally with the coroot lattice
@@ -561,7 +567,7 @@ def face_data(data: LieData, I: Sequence[int]) -> FaceData:
         nu_I=tuple(Fraction(x, 2 * h_vee) for x in shift),
         nu_I_sharp=tuple(Fraction(x, D) for x in X),
         coroot_lattice_basis=basis,
-        weyl_order=_weyl_order(sub_roots),
+        weyl_order=_weyl_order(h for _, h in sub),
     )
     data._memo["face", I] = face
     return face

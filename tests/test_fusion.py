@@ -450,13 +450,21 @@ def bfs_weyl_orbit(data, lam):
 def test_weyl_orbit_walk_matches_bfs(name, top):
     """Every dominant weight with coordinate sum <= top: the downward walk
     of affine.weyl_orbit at walls 1..l and level 0, the classical Weyl
-    orbit, lists the same orbit as the breadth-first search."""
+    orbit, lists the same orbit as the breadth-first search; and the weight
+    system that fusion builds from the walk's vectors, on a cold copy, is
+    the breadth-first orbits of the oracle's dominant weights, as wall
+    vectors (-<tau, theta_vee>, *tau)."""
+    from alcove import fusion
+
     d = build_lie_data(name)
     walls = range(1, d.rank + 1)
     for lam in itertools.product(range(top + 1), repeat=d.rank):
         if sum(lam) > top:
             continue
         assert sorted(weyl_orbit(d, lam, 0, walls)) == bfs_weyl_orbit(d, lam), lam
+        expect = {(-sum(a * t for a, t in zip(d.comarks, tau)), *tau): m
+                  for nu, m in freudenthal_oracle(d, lam).items() for tau in bfs_weyl_orbit(d, nu)}
+        assert fusion._weight_multiplicities(cold(name), lam) == expect, lam
 
 
 def test_weyl_orbit_rejects_non_dominant():

@@ -4,14 +4,18 @@ import json
 import math
 import pickle
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import alcove
+from alcove import lie
 from alcove.cli import main
 from alcove.lie import (
+    CheckFailed,
     InvalidLieTypeError,
     LieType,
     OutsideAlcoveError,
@@ -514,7 +518,7 @@ def fraction_face_fields(data, I):
     for lam in basis:
         assert pairing(tuple(F(r) - ri for r, ri in zip(data.rho, rho_I)), lam).denominator == 1
     return {"I": I, "rho_I": rho_I, "nu_I": nu_I, "nu_I_sharp": nu_sharp,
-            "coroot_lattice_basis": basis, "weyl_order": _weyl_order(sub_roots)}
+            "coroot_lattice_basis": basis, "weyl_order": _weyl_order(map(sum, sub_roots))}
 
 
 def typed(value):
@@ -543,6 +547,80 @@ def test_integer_root_and_face_data_match_fraction_oracle(name):
     for size in sizes:
         for I in itertools.combinations(range(d.rank + 1), size):
             assert_fields_match(face_data(d, I), fraction_face_fields(d, I))
+
+
+def test_face_data_reads_the_roots_of_the_type(monkeypatch):
+    # every face of A5, D5, E6 and F4: the subsystem's roots are read off
+    # data.positive_roots, never enumerated again from a sub-Cartan matrix
+    datas = [replace(build_lie_data(name), _memo={}) for name in ["A5", "D5", "E6", "F4"]]
+
+    def refuse(A):
+        raise AssertionError("face_data enumerated the roots of a subsystem")
+
+    monkeypatch.setattr(lie, "positive_roots_of_cartan", refuse)
+    for d in datas:
+        for I in nonempty_faces(d):
+            face_data(d, I)
+
+
+# Seams for the checks of the root datum, the face data and the order of a
+# W_I: each corrupts one input, a helper of build_lie_data (with the type
+# cache emptied, so that the corrupted datum is built and not kept) or one
+# field of a copy of the root datum with an empty memo, and returns the call
+# whose check must fire.
+def simply_laced_b2(monkeypatch):
+    # with every d_i = 1, the coroot of alpha_1 + 2 alpha_2 is (1/2, 1)
+    monkeypatch.setattr(lie, "_DATA_CACHE", {})
+    monkeypatch.setattr(lie, "_symmetrizer", lambda A: (1,) * len(A))
+    return lambda: build_lie_data("B2")
+
+
+def doubled_norms(monkeypatch):
+    symmetrizer = lie._symmetrizer
+    monkeypatch.setattr(lie, "_DATA_CACHE", {})
+    monkeypatch.setattr(lie, "_symmetrizer", lambda A: tuple(2 * d for d in symmetrizer(A)))
+    return lambda: build_lie_data("A2")
+
+
+def doubled_inverse(monkeypatch):
+    inverse = lie.mat_inv
+    monkeypatch.setattr(lie, "_DATA_CACHE", {})
+    monkeypatch.setattr(lie, "mat_inv", lambda M: tuple(tuple(2 * x for x in row) for row in inverse(M)))
+    return lambda: build_lie_data("A2")
+
+
+def b2_without_highest_short_root(monkeypatch):
+    # rho_I then misses alpha_1 + alpha_2, and nu_I_sharp leaves the vertex
+    d = build_lie_data("B2")
+    roots = tuple(r for r in d.positive_roots if r.coeffs != (1, 1))
+    return lambda: face_data(replace(d, positive_roots=roots, _memo={}), (0,))
+
+
+def a2_with_odd_coroot(monkeypatch):
+    # 2 (rho - rho_I) = (3, 3) on face (1, 2) pairs oddly with (-1, 0)
+    d = build_lie_data("A2")
+    return lambda: face_data(replace(d, node_coroot=((-1, 0), *d.node_coroot[1:]), _memo={}), (1, 2))
+
+
+def a2_with_wrong_order(monkeypatch):
+    d = replace(build_lie_data("A2"), _memo={})
+    d._memo["face", (0,)] = replace(face_data(d, (0,)), weyl_order=5)
+    return lambda: weyl_elements(d, (0,))
+
+
+@pytest.mark.parametrize("seam, message", [
+    (simply_laced_b2, "the coroot of the root (1, 2) is not integral"),
+    (doubled_norms, "highest root must be long under B"),
+    (doubled_inverse, "dual Coxeter number mismatch"),
+    (b2_without_highest_short_root, "B2: nu_I_sharp is not interior to the face (0,)"),
+    (a2_with_odd_coroot, "A2: rho - rho_I of (1, 2) is not integral on (-1, 0)"),
+    (a2_with_wrong_order, "A2: W_(0,) has 6 elements, not 5"),
+], ids=["coroot-integral", "long-highest-root", "dual-coxeter", "face-interior", "rho-integral",
+        "weyl-order"])
+def test_root_data_check_fires(monkeypatch, seam, message):
+    call = seam(monkeypatch)
+    with pytest.raises(CheckFailed, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_type_string_is_parsed_once(monkeypatch):
