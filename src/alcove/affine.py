@@ -28,13 +28,15 @@ values: a reflection at node i with wall value c subtracts c times row i of
 a LieData table, so no wall value is recomputed inside the loop.  A weight
 enters as (c0, *nu) and reflects by weight_table, the columns of the
 extended Cartan matrix; a point X / D (integer numerators over one
-denominator) enters _reduce_scaled as lie._scaled_walls(X, D) followed by X
-and reflects by point_table, the rows followed by the coroot.  The image is
-the tail of the vector, and D never changes.  dominantize_terms builds the
-start once per term, with an optional rho shift, for the weight-side maps
-of the library and fusion's simple currents; fusion's Klimyk and
-Kac-Walton kernel adds cached wall vectors instead; dominantize_walls
-reduces one weight.
+denominator) enters as _point_vector, lie._scaled_walls(X, D) followed by
+X, and reflects by point_table, the rows followed by the coroot.  The image
+is the tail of the vector, and D never changes.  One loop, _shifted_images,
+reduces a sum of terms with signs: each level-0 wall vector is added to
+one base vector, which carries the level and the rho shift, and the images
+are unshifted and accumulated.  dominantize_terms runs it for the
+weight-side maps of the library and fusion's simple currents, and fusion's
+Klimyk and Kac-Walton kernel runs it over a cached weight system;
+dominantize_walls reduces one weight.
 
 One walk, _walk, goes the other way, for weights and points alike: it
 yields an orbit one layer at a time, as vectors in the form of _reduce,
@@ -55,13 +57,12 @@ hyperplanes (_scaled_crossing_length) reads numerators too.  Fraction
 appears only at the edges: orbit_up_to_length returns Fraction points, and
 cone_position, reduce_point_to_cone, reduce_point_to_alcove and
 crossing_length are thin wrappers that scale a Fraction point once with
-lie._scaled.
+lie._scaled and return Fraction points by lie._unscaled.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .lie import (
@@ -72,6 +73,7 @@ from .lie import (
     _scaled,
     _scaled_face,
     _scaled_walls,
+    _unscaled,
     _walls_outside,
     face_data,
 )
@@ -193,6 +195,23 @@ def dominantize_walls(
     return SignedWeight(tuple(vec[1:]), 0 if on_wall else (-1) ** count, count)
 
 
+def _shifted_images(
+    data: LieData, base: Sequence[int], vectors: Mapping[tuple[int, ...], int], walls: Sequence[int], shift: int
+) -> dict[Weight, int]:
+    """The signed term reduction: sum of sign * c at rep - shift * rho over
+    the level-0 wall vectors tau -> c, where (rep, sign) reduces base + tau
+    into the cone of the checked walls; terms landing on a wall drop out.
+    base is the wall vector of the weight every term is moved by, at the
+    level of the reduction."""
+    rows, out = data.weight_table, {}
+    for tau, c in vectors.items():
+        vec, word, on_wall = _reduce([*map(add, base, tau)], rows, walls)
+        if not on_wall:
+            key = tuple([x - shift for x in vec[1:]] if shift else vec[1:])
+            out[key] = out.get(key, 0) + (-c if len(word) & 1 else c)
+    return {w: c for w, c in out.items() if c}
+
+
 def dominantize_terms(
     data: LieData, terms: Mapping[Weight, int], m: int, walls: Iterable[int], shift: int
 ) -> dict[Weight, int]:
@@ -201,14 +220,9 @@ def dominantize_terms(
     terms landing on a wall drop out.  shift is 1 for the rho-shifted action
     (quotient map, induction, Klimyk) and 0 for the level-m action.  The
     walls are checked as in dominantize_walls."""
-    walls, rows = _wall_list(data, walls, m), data.weight_table
-    out: dict[Weight, int] = {}
-    for nu, c in terms.items():
-        vec, word, on_wall = _reduce(_wall_vector(data, [x + shift for x in nu], m), rows, walls)
-        if not on_wall:
-            key = tuple([x - shift for x in vec[1:]] if shift else vec[1:])
-            out[key] = out.get(key, 0) + (-1) ** len(word) * c
-    return {w: c for w, c in out.items() if c}
+    walls = _wall_list(data, walls, m)
+    vectors = {_wall_vector(data, nu): c for nu, c in terms.items()}
+    return _shifted_images(data, _wall_vector(data, [shift] * data.rank, m), vectors, walls, shift)
 
 
 def _walk(
@@ -270,6 +284,13 @@ def weyl_orbit(
 # standard affine action on t, cones, orbit enumeration
 
 
+def _point_vector(data: LieData, X: Sequence[int], D: int) -> list[int]:
+    """D times the wall values of the point X / D at nodes 0..l, then X: the
+    vector _reduce and _walk start from for a point, as _wall_vector is for
+    a weight."""
+    return [*_scaled_walls(data, X, D), *X]
+
+
 def _reduce_scaled(
     data: LieData, X: Sequence[int], D: int, walls: Sequence[int]
 ) -> tuple[tuple[int, ...], list[int], bool]:
@@ -281,7 +302,7 @@ def _reduce_scaled(
     reflection xi -> xi - (c / D) * coroot is X -> X - c * coroot on
     numerators, so the denominator D never changes.
     """
-    vec, word, on_wall = _reduce([*_scaled_walls(data, X, D), *X], data.point_table, walls)
+    vec, word, on_wall = _reduce(_point_vector(data, X, D), data.point_table, walls)
     return tuple(vec[data.rank + 1 :]), word, on_wall
 
 
@@ -325,7 +346,7 @@ def reduce_point_to_cone(
     I = _check_face_index(data, I)
     X, D = _scaled(data, xi)
     X, word, _ = _reduce_scaled(data, X, D, _walls_outside(data, I))
-    return tuple(word), tuple(Fraction(x, D) for x in X), (-1) ** len(word)
+    return tuple(word), _unscaled(X, D), (-1) ** len(word)
 
 
 def reduce_point_to_alcove(data: LieData, xi: Sequence) -> tuple[tuple[int, ...], CartanPoint]:
@@ -334,7 +355,7 @@ def reduce_point_to_alcove(data: LieData, xi: Sequence) -> tuple[tuple[int, ...]
     separating hyperplanes crossed."""
     X, D = _scaled(data, xi)
     X, word, _ = _reduce_scaled(data, X, D, range(data.rank + 1))
-    return tuple(word), tuple(Fraction(x, D) for x in X)
+    return tuple(word), _unscaled(X, D)
 
 
 def crossing_length(data: LieData, x: Sequence) -> int:
@@ -373,7 +394,7 @@ class OrbitContext:
             if _scaled_face(data, X, self.D) != self.J:
                 raise ValueError("base point is not interior to the face")
         self.base: tuple[int, ...] = tuple(X)
-        self._walk = _walk([*_scaled_walls(data, X, self.D), *X], data.point_table, range(data.rank + 1))
+        self._walk = _walk(_point_vector(data, X, self.D), data.point_table, range(data.rank + 1))
         [start] = next(self._walk)
         self._layers: list[list[tuple[int, ...]]] = [[self.base]]
         self._length: dict[tuple[int, ...], int] = {self.base: 0}
@@ -408,7 +429,4 @@ def orbit_up_to_length(data: LieData, J: Sequence[int], n: int) -> list[OrbitPoi
     """All orbit points of length <= n, with Fraction coordinates, ordered
     lexicographically by coordinates."""
     ctx = OrbitContext(data, J)
-    return [
-        OrbitPoint(tuple(Fraction(x, ctx.D) for x in op.point), op.length)
-        for op in sorted(ctx.points_up_to(n))
-    ]
+    return [OrbitPoint(_unscaled(X, ctx.D), length) for X, length in sorted(ctx.points_up_to(n))]

@@ -9,11 +9,11 @@ The weight system of V_mu is cached once, as the wall vector
 form in which affine._reduce walks a weight; the orbit walk (affine._walk)
 of each dominant weight yields these vectors.  One kernel, _product_terms,
 adds these vectors of the smaller factor to the wall vector of the other
-factor plus rho and reduces each sum: the Kac-Walton formula at all walls
-and level k + h_vee, the Klimyk rule at the walls 1..l.  The quotient map,
-induction and the simple currents are dominantize_terms.  Every cached
-result lives in the memo of its LieData; results are built trusted, never
-over a cached dict.
+factor plus rho and reduces each sum (affine._shifted_images): the
+Kac-Walton formula at all walls and level k + h_vee, the Klimyk rule at the
+walls 1..l.  The quotient map, induction and the simple currents are
+dominantize_terms.  Every cached result lives in the memo of its LieData;
+results are built trusted, never over a cached dict.
 
 fusion_table folds the table by the centre Z(G), by charge conjugation,
 N_{a*b*}^{c*} = N_ab^c, and by the S3 symmetry of N_{abc} = N_ab^{c*}.  The
@@ -36,7 +36,9 @@ import sys
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .affine import _reduce, _walk, _wall_list, _wall_vector, _weight_walls, dominantize_terms, dominantize_walls
+from .affine import (_reduce, _shifted_images, _walk, _wall_list, _wall_vector, _weight_walls,
+                     dominantize_terms, dominantize_walls)
+from .intlinalg import mat_vec
 from .lie import (
     LieData,
     Weight,
@@ -212,13 +214,11 @@ def dominant_weight_multiplicities(data: LieData, mu: Sequence[int]) -> dict[Wei
     (gram, _), rows = data.gram_weight_scaled, data.weight_table
     walls = _wall_list(data, range(1, data.rank + 1), 0)
 
-    def form(a: Sequence[int]) -> list[int]:
-        return [sum(map(mul, row, a)) for row in gram]
-
     def norm(a: Sequence[int]) -> int:
-        return sum(map(mul, a, form(a)))
+        return sum(map(mul, a, mat_vec(gram, a)))
 
-    roots = [(_wall_vector(data, r.weight), form(r.weight), norm(r.weight)) for r in data.positive_roots]
+    roots = [(_wall_vector(data, r.weight), mat_vec(gram, r.weight), norm(r.weight))
+             for r in data.positive_roots]
     top_norm, mu_norm = norm([x + 1 for x in mu]), norm(mu)
     mults: dict[Weight, int] = {}
     for lam in _dominant_weights_below(data, mu):
@@ -283,18 +283,11 @@ def _product_terms(data: LieData, lam: Weight, mu: Weight, level: int, walls: ra
     multiplicity m, (rep, sign) the reduction of lam + tau + rho into the
     cone of the walls; terms on a wall drop out.  V_mu is the smaller factor
     after a swap.  A term starts as the wall vector of lam + rho at the level
-    plus that of tau."""
+    plus that of tau (affine._shifted_images)."""
     if _weyl_dimension(data, mu) > _weyl_dimension(data, lam):
         lam, mu = mu, lam
-    walls, rows = _wall_list(data, walls, level), data.weight_table
     base = _wall_vector(data, [x + 1 for x in lam], level)
-    out: dict[Weight, int] = {}
-    for tau, m in _weight_multiplicities(data, mu).items():
-        vec, word, on_wall = _reduce([*map(add, base, tau)], rows, walls)
-        if not on_wall:
-            key = tuple([x - 1 for x in vec[1:]])
-            out[key] = out.get(key, 0) + (-m if len(word) & 1 else m)
-    return {w: c for w, c in out.items() if c}
+    return _shifted_images(data, base, _weight_multiplicities(data, mu), _wall_list(data, walls, level), 1)
 
 
 def tensor_decompose(data: LieData, lam: Sequence[int], mu: Sequence[int]) -> CharacterElt:

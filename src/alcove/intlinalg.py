@@ -14,13 +14,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 FracMatrix = tuple[tuple[Fraction, ...], ...]
 
 
-def mat_vec(M: Sequence[Sequence], v: Sequence) -> tuple:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in M)
+def mat_vec(M: Sequence[Sequence], v: Sequence) -> list:
+    """The product M v, one entry per row of M."""
+    return [sum(map(mul, row, v)) for row in M]
 
 
 def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> FracMatrix:

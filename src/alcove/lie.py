@@ -7,7 +7,9 @@ numerators over one denominator.  Fraction values are built only for the
 rational fields (Root.half_norm, rho_sharp, alcove_vertices and the points
 of FaceData) and at the public edges (pairing, basic_pairing, b_flat,
 b_sharp, wall_value, alcove_face_of), where b_flat and b_sharp divide once
-per coordinate.
+per coordinate.  Numerators X over D become Fractions in one place,
+_unscaled, the inverse of _scaled; every matrix-vector product is
+intlinalg.mat_vec.
 
 Conventions, fixed once and used everywhere:
 
@@ -178,26 +180,24 @@ def positive_roots_of_cartan(A: Sequence[Sequence[int]]) -> list[tuple[int, ...]
     over the simple roots, ordered by height.
 
     Each root b carries its weight coordinates A b, whose entry i is the
-    pairing <b, alpha_i_vee>.  b + alpha_i (add column i of A) is a root iff
-    the depth p of the alpha_i-string below b exceeds that pairing."""
-    n = len(A)
-    columns = [tuple(row[i] for row in A) for i in range(n)]
-    seen = {tuple(int(j == i) for j in range(n)): columns[i] for i in range(n)}
-    frontier = sorted(seen)
+    pairing c = <b, alpha_i_vee>.  When c < 0, s_i b = b - c alpha_i (column
+    i of A moves the weight) is a higher positive root, and every positive
+    root that is not simple arises so from a lower one (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, 10.2)."""
+    columns = [*zip(*A)]
+    seen = {tuple(int(j == i) for j in range(len(A))): column for i, column in enumerate(columns)}
+    frontier = [*seen]
     while frontier:
         new = []
         for b in frontier:
             weight = seen[b]
-            for i in range(n):
-                p = 0  # the depth: b - (p + 1) alpha_i is a root
-                while p < b[i] and b[:i] + (b[i] - p - 1,) + b[i + 1 :] in seen:
-                    p += 1
-                if p > weight[i]:
-                    up = b[:i] + (b[i] + 1,) + b[i + 1 :]
+            for i, c in enumerate(weight):
+                if c < 0:
+                    up = b[:i] + (b[i] - c,) + b[i + 1 :]
                     if up not in seen:
-                        seen[up] = tuple([x + c for x, c in zip(weight, columns[i])])
+                        seen[up] = tuple([x - c * y for x, y in zip(weight, columns[i])])
                         new.append(up)
-        frontier = sorted(new)
+        frontier = new
     return sorted(seen, key=lambda b: (sum(b), b))
 
 
@@ -337,7 +337,7 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
     (e,), L = _scaled_matrix([_symmetrizer(A)])
 
     def root_record(coeffs: tuple[int, ...]) -> Root:
-        weight = tuple(sum(A[r][j] * coeffs[j] for j in range(n)) for r in range(n))
+        weight = tuple(mat_vec(A, coeffs))
         # q = coeffs S coeffs = L (beta, beta), and beta_vee = 2 beta / (beta, beta)
         q = sum(c * x * w for c, x, w in zip(coeffs, e, weight))
         coroot = tuple(2 * c * x for c, x in zip(coeffs, e))
@@ -360,7 +360,7 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
     rho = (1,) * n
     # rho_sharp = B_sharp(rho) = R / D, and h_vee = 1 + <theta, rho_sharp>
     gram, D = gram_weight_scaled
-    R = [sum(row) for row in gram]
+    R = mat_vec(gram, rho)
     h_vee = 1 + sum(comarks)
     check(sum(map(mul, theta.weight, R)) == D * (h_vee - 1), "dual Coxeter number mismatch")
 
@@ -371,11 +371,11 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
         tuple(1 if j == s else 0 for j in range(n)) for s in range(n)
     )
     # the extended Cartan matrix, [i][j] = <alpha_j, alpha_i_vee> at nodes 0..l
-    ext = [tuple([sum(map(mul, root, coroot)) for root in node_root]) for coroot in node_coroot]
+    ext = [tuple(mat_vec(node_root, coroot)) for coroot in node_coroot]
 
     vertices = [(Fraction(0),) * n]
     for s in range(n):
-        vertices.append(tuple(Fraction(x, inv_den * marks[s]) for x in inv[s]))
+        vertices.append(_unscaled(inv[s], inv_den * marks[s]))
 
     data = LieData(
         lie_type=lie_type,
@@ -385,7 +385,7 @@ def build_lie_data(lie_type: LieType | str) -> LieData:
         marks=marks,
         comarks=comarks,
         rho=rho,
-        rho_sharp=tuple(Fraction(x, D) for x in R),
+        rho_sharp=_unscaled(R, D),
         dual_coxeter=h_vee,
         gram_coroot_scaled=gram_coroot_scaled,
         gram_weight_scaled=gram_weight_scaled,
@@ -424,8 +424,7 @@ def _gram_apply(scaled: ScaledMatrix, v: Sequence) -> tuple[Fraction, ...]:
     gram, den = scaled
     if len(v) != len(gram):
         raise ValueError("rank mismatch")
-    v = [Fraction(x) for x in v]
-    return tuple(sum(map(mul, row, v)) / den for row in gram)
+    return _unscaled(mat_vec(gram, [Fraction(x) for x in v]), den)
 
 
 def b_flat(data: LieData, xi: Sequence) -> RationalWeight:
@@ -451,9 +450,14 @@ def _scaled(data: LieData, xi: Sequence) -> tuple[list[int], int]:
     return [c.numerator * (D // c.denominator) for c in coords], D
 
 
+def _unscaled(X: Iterable, D: int) -> tuple[Fraction, ...]:
+    """The point X / D as Fractions: the inverse of _scaled."""
+    return tuple([Fraction(x, D) for x in X])
+
+
 def _scaled_walls(data: LieData, X: Sequence[int], D: int) -> list[int]:
     """D times the wall values at X / D, nodes 0..l: root * X, plus D at node 0."""
-    values = [sum(map(mul, root, X)) for root in data.node_root]
+    values = mat_vec(data.node_root, X)
     values[0] += D
     return values
 
@@ -474,7 +478,7 @@ def _sharp_scaled(data: LieData, w: Sequence[int], level: int) -> tuple[list[int
     """B_sharp(w) / level as integer numerators X over one denominator D:
     with gram_weight_scaled = (N_w, D_w), X = N_w w and D = D_w level."""
     gram, den = data.gram_weight_scaled
-    return [sum(map(mul, row, w)) for row in gram], den * level
+    return mat_vec(gram, w), den * level
 
 
 def wall_value(data: LieData, i: int, xi: Sequence) -> Fraction:
@@ -563,9 +567,9 @@ def face_data(data: LieData, I: Sequence[int]) -> FaceData:
 
     face = FaceData(
         I=I,
-        rho_I=tuple(Fraction(x, 2) for x in two_rho_I),
-        nu_I=tuple(Fraction(x, 2 * h_vee) for x in shift),
-        nu_I_sharp=tuple(Fraction(x, D) for x in X),
+        rho_I=_unscaled(two_rho_I, 2),
+        nu_I=_unscaled(shift, 2 * h_vee),
+        nu_I_sharp=_unscaled(X, D),
         coroot_lattice_basis=basis,
         weyl_order=_weyl_order(h for _, h in sub),
     )

@@ -23,10 +23,10 @@ computation, so the acceptance suite compares two routes.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from .fusion import _check_level, in_level, level_weights
+from .intlinalg import mat_vec
 from .lie import (
     CartanPoint,
     FaceIndex,
@@ -36,6 +36,7 @@ from .lie import (
     _scaled,
     _scaled_face,
     _sharp_scaled,
+    _unscaled,
     alcove_face_of,
     basic_pairing,
     check,
@@ -77,7 +78,7 @@ def _prequant_scaled(
     _check_level(k)
     gram, den = data.gram_coroot_scaled
     den *= D
-    flat = [sum(map(mul, row, X)) for row in gram]
+    flat = mat_vec(gram, X)
     scaled = [k * x for x in flat]
     if any(x % den for x in scaled):
         return face, flat, None
@@ -114,7 +115,7 @@ def enumerate_prequantized(data: LieData, k: int) -> list[ConjClass]:
     """All level-k pre-quantized conjugacy classes; quantize maps them
     bijectively onto the level-k weights, in order."""
     return [
-        ConjClass(tuple(Fraction(x, D) for x in X), _prequant_scaled(data, X, D, k)[0])
+        ConjClass(_unscaled(X, D), _prequant_scaled(data, X, D, k)[0])
         for _, X, D in _level_points(data, k)
     ]
 

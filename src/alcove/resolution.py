@@ -70,7 +70,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .affine import OrbitContext, _reduce, _scaled_crossing_length
+from .affine import OrbitContext, _point_vector, _reduce, _scaled_crossing_length
 from .intlinalg import kernel_basis, to_dense
 from .lie import (
     CheckFailed,
@@ -79,7 +79,6 @@ from .lie import (
     LieType,
     _check_face_index,
     _json_list,
-    _scaled_walls,
     _walls_outside,
     build_lie_data,
     check,
@@ -193,7 +192,7 @@ class OrbitComplex:
         coordinates, as wall values and a reduction need."""
         if len(X) != self.data.rank:
             raise ValueError(f"x = {list(X)} has {len(X)} coordinates, not {self.data.rank}")
-        return [*_scaled_walls(self.data, X, self.D), *X]
+        return _point_vector(self.data, X, self.D)
 
     def _check_key(self, I: FaceIndex, X: tuple[int, ...]) -> Sequence[int]:
         """The start vector of the key (I, X), I sorted and nonempty: the

@@ -55,16 +55,16 @@ class SparseElt:
     def _new(self, terms: dict) -> "SparseElt":
         return self._trusted(terms, *[getattr(self, name) for name in self._fields])
 
-    def _context(self) -> tuple:
-        values = (getattr(self, name) for name in self._fields)
-        return tuple(getattr(value, "lie_type", value) for value in values)
-
     def _head(self) -> str:
-        return ", ".join(f"{name}={value}" for name, value in zip(self._fields, self._context()))
+        """The context as name=value, a Lie datum by its Lie type."""
+        values = (getattr(self, name) for name in self._fields)
+        return ", ".join(
+            f"{name}={getattr(value, 'lie_type', value)}" for name, value in zip(self._fields, values)
+        )
 
     def _same_context(self, other: "SparseElt") -> bool:
-        """_context() == other._context(), read slot by slot without building
-        either tuple; a shared Lie datum is the same object."""
+        """Whether the context slots agree, a Lie datum compared by its Lie
+        type; a shared Lie datum is the same object."""
         for name in self._fields:
             mine, theirs = getattr(self, name), getattr(other, name)
             if mine is not theirs and getattr(mine, "lie_type", mine) != getattr(theirs, "lie_type", theirs):

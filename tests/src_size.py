@@ -11,8 +11,11 @@ every one nested in its constants, as compile() builds them: one per
 function, class body, lambda, comprehension and generator expression.
 
 --root names another checkout, so a parent commit can be measured the same
-way.  The script is not a test module (its name does not match test_*.py),
-so pytest does not collect it.  Stdlib only.
+way.  The first line names the Python version that compiled the code
+objects: from 3.12 on a list, dict or set comprehension is inlined into its
+function (PEP 709) and builds none, so counts from different versions cannot
+be compared.  The script is not a test module (its name does not match
+test_*.py), so pytest does not collect it.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import ast
 import io
+import platform
 import sys
 import tokenize
 from pathlib import Path
@@ -68,6 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     rows = [(p.name, measure(p)) for p in sorted((args.root / "src" / "alcove").glob("*.py"))]
     rows.append(("total", tuple(map(sum, zip(*(r for _, r in rows))))))
+    print(f"python {platform.python_version()}")
     print(f"{'module':<16}{'raw':>8}{'code':>8}{'nodes':>8}{'objects':>9}")
     for name, (raw, code, nodes, objects) in rows:
         print(f"{name:<16}{raw:>8}{code:>8}{nodes:>8}{objects:>9}")

@@ -36,6 +36,7 @@ from alcove.fusion import CharacterElt, FusionElt, LevelRepElt, in_level, is_dom
 from alcove.groupring import AntiInvariant, GroupRingElt, expand, to_cone_basis
 from alcove.lie import (
     _scaled_walls,
+    _unscaled,
     apply_weight,
     build_lie_data,
     face_data,
@@ -484,10 +485,6 @@ def head_orbit_layers(data, X, D, n):
     return layers
 
 
-def unscaled(X, D):
-    return tuple(F(x, D) for x in X)
-
-
 class OracleOrbitContext(OrbitContext):
     """OrbitContext with the orbit-point lookup and cone reduction."""
 
@@ -504,7 +501,7 @@ class OracleOrbitContext(OrbitContext):
 
         The image never has larger length than x, so the search is bounded.
         """
-        word, image, parity = reduce_point_to_cone(self.data, unscaled(x.point, self.D), I)
+        word, image, parity = reduce_point_to_cone(self.data, _unscaled(x.point, self.D), I)
         assert all((v * self.D).denominator == 1 for v in image)
         img = self.orbit_point(tuple(int(v * self.D) for v in image), x.length)
         assert img.length <= x.length
@@ -635,7 +632,7 @@ def test_reduce_to_cone_unique_and_idempotent():
             for size in (1, 2):
                 for I in itertools.combinations(range(d.rank + 1), size):
                     word, image, parity = ctx.reduce_to_cone(p, I)
-                    position = cone_position(d, unscaled(image.point, ctx.D), I)
+                    position = cone_position(d, _unscaled(image.point, ctx.D), I)
                     assert position in ("interior", "boundary")
                     assert image.length <= p.length
                     word2, image2, parity2 = ctx.reduce_to_cone(image, I)
@@ -744,17 +741,17 @@ def test_integer_orbit_matches_fraction_bfs(name):
     d = build_lie_data(name)
     for J in all_faces(d):
         ctx = OrbitContext(d, J)
-        assert unscaled(ctx.base, ctx.D) == face_data(d, J).nu_I_sharp
+        assert _unscaled(ctx.base, ctx.D) == face_data(d, J).nu_I_sharp
         assert ctx.D == math.lcm(*(v.denominator for v in face_data(d, J).nu_I_sharp))
         got = ctx.points_up_to(4)
         assert all(type(v) is int for op in got for v in op.point)
         layers = fraction_orbit(d, J, 4)
         # same points, same lengths, and the same order within each layer
-        assert [(unscaled(op.point, ctx.D), op.length) for op in got] == [
+        assert [(_unscaled(op.point, ctx.D), op.length) for op in got] == [
             (x, length) for length, layer in enumerate(layers) for x in layer
         ]
         for op in got:
-            x = unscaled(op.point, ctx.D)
+            x = _unscaled(op.point, ctx.D)
             assert _scaled_crossing_length(d, op.point, ctx.D) == op.length
             assert fraction_crossing_length(d, x) == op.length
             assert crossing_length(d, x) == op.length
@@ -775,7 +772,7 @@ def test_integer_interior_test_matches_cone_position(name):
         # lattice points of (1/D) Z^l, most of them off the orbit
         lattice = [tuple(rng.randint(-4 * D, 4 * D) for _ in range(d.rank)) for _ in range(12)]
         for X in on_orbit + lattice:
-            x = unscaled(X, D)
+            x = _unscaled(X, D)
             # the integer wall values are D times the Fraction ones
             assert _scaled_walls(d, X, D) == [
                 D * fraction_wall_value(d, i, x) for i in range(d.rank + 1)
@@ -807,7 +804,7 @@ def test_reduce_scaled_on_wall_flag_matches_a_fresh_interior_test(name):
     for X, D in points:
         for I in all_faces(d):
             image, word, on_wall = _reduce_scaled(d, X, D, _walls_outside(d, I))
-            position = fraction_cone_position(d, unscaled(image, D), I)
+            position = fraction_cone_position(d, _unscaled(image, D), I)
             assert position != "outside"
             assert on_wall == (position == "boundary")
             flags.add(on_wall)

@@ -687,7 +687,18 @@ def negated_factor_weights(monkeypatch):
 
 
 def homotopy_contracts_nothing(monkeypatch):
-    monkeypatch.setattr(OrbitComplex, "homotopy", lambda self, i, c: ChainElt._trusted({}, c.J, c.degree + 1))
+    # the contraction guard stops the loop within a few dozen calls; past
+    # 1,000 the homotopy stops it instead, so that a contraction with no
+    # guard fails this test rather than hanging it
+    calls = []
+
+    def contracts_nothing(self, i, c):
+        calls.append(i)
+        if len(calls) > 1000:
+            raise RuntimeError("the contraction loop ran past its guard")
+        return ChainElt._trusted({}, c.J, c.degree + 1)
+
+    monkeypatch.setattr(OrbitComplex, "homotopy", contracts_nothing)
 
 
 def subtraction_cancels_everything(monkeypatch):

@@ -1262,6 +1262,13 @@ def test_induction_identity():
     assert holomorphic_induction(phi, (0, 1)) == phi
 
 
+def test_induction_refuses_a_face_outside_the_source():
+    phi = LevelRepElt(build_lie_data("A2"), (0, 1), 1, {(0, 0): 1})
+    for J, text in [((0, 2), r"\(0, 2\)"), ((2,), r"\(2,\)")]:
+        with pytest.raises(ValueError, match=rf"^{text} is not a subset of \(0, 1\)$"):
+            holomorphic_induction(phi, J)
+
+
 def test_induction_frozen_values():
     # frozen by the exhaustive W_J search oracle
     a1 = build_lie_data("A1")

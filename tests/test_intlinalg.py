@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from alcove.intlinalg import column_reduce, invariant_factors, to_dense
+from alcove.intlinalg import column_reduce, invariant_factors, mat_inv, rank, to_dense
 from alcove.lie import build_lie_data
 from alcove.resolution import OrbitComplex
 
@@ -145,6 +145,25 @@ def test_sparse_factors_small_cases(A, ncols):
 def test_column_reduce_refuses_a_row_of_the_wrong_length():
     with pytest.raises(ValueError, match=r"^every row must have ncols = 2 entries$"):
         column_reduce([[1, 2], [3]], 2)
+
+
+def test_rank_is_the_number_of_invariant_factors():
+    # rank has no library caller; it must count the nonzero invariant
+    # factors, which is the rank over Q, empty shapes included
+    rng = random.Random(63)
+    for trial in range(300):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        if trial % 2:
+            A = with_torsion(rng, rows, cols)
+        else:
+            A = random_matrix(rng, rows, cols, (0, 0, 0, -2, -1, 1, 3))
+        assert rank(A, cols) == len(invariant_factors(columns(A, cols))) == rational_rank(A), A
+
+
+def test_mat_inv_refuses_a_singular_matrix():
+    for M in ([[0]], [[1, 2], [2, 4]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+        with pytest.raises(ValueError, match=r"^matrix is singular$"):
+            mat_inv(M)
 
 
 @pytest.mark.parametrize("name, J, n", [

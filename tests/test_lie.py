@@ -156,6 +156,14 @@ def test_flat_sharp_examples():
     assert b_flat(a1, (F(1, 4),)) == (F(1, 2),)
 
 
+def test_flat_sharp_refuse_a_vector_of_the_wrong_rank():
+    a2 = build_lie_data("A2")
+    for apply in (b_flat, b_sharp):
+        for v in ((1,), (1, 0, 0)):
+            with pytest.raises(ValueError, match=r"^rank mismatch$"):
+                apply(a2, v)
+
+
 def test_flat_sharp_inverse():
     import random
 

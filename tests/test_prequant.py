@@ -183,6 +183,25 @@ def test_coxeter_power_identity(name):
             assert coxeter_power_identity_check(d, I)
 
 
+def test_coxeter_power_identity_check_reports_a_mismatch(monkeypatch):
+    # a Spin_c phase off by 1/2 on every lattice vector must make the check
+    # answer False, not True or an error
+    original = prequant.spinc_phase
+    monkeypatch.setattr(prequant, "spinc_phase", lambda data, I, lam: phase(original(data, I, lam) + F(1, 2)))
+    d = build_lie_data("A2")
+    for I in [(0,), (1, 2), (0, 1, 2)]:
+        assert coxeter_power_identity_check(d, I) is False
+
+
+def test_spinc_phase_refuses_a_vector_of_the_wrong_rank():
+    d = build_lie_data("A2")
+    for lam in [(1,), (1, 0, 0)]:
+        with pytest.raises(ValueError, match=r"^rank mismatch$"):
+            spinc_phase(d, (0,), lam)
+        with pytest.raises(ValueError, match=r"^rank mismatch$"):
+            _check_integral(d, lam)
+
+
 def test_catalog_rows():
     d = build_lie_data("A1")
     rows = prequant_catalog(d, 2)

@@ -14,7 +14,7 @@ import pytest
 
 from alcove.fusion import LevelRepElt, level_weights
 from alcove.intlinalg import invariant_factors, to_dense
-from alcove.lie import b_flat, b_sharp, build_lie_data
+from alcove.lie import _unscaled, b_flat, b_sharp, build_lie_data
 from alcove.affine import _scaled_crossing_length
 from alcove.resolution import (
     CERT_MAX_LENGTH,
@@ -39,10 +39,6 @@ def all_faces(data):
 
 
 # -- bases ---------------------------------------------------------------------
-
-def unscaled(X, D):
-    return tuple(F(x, D) for x in X)
-
 
 def test_basis_examples():
     oc = OrbitComplex(build_lie_data("A1"), (0, 1))
@@ -176,6 +172,13 @@ def test_augmentation_zero_map_off_full_face():
         assert oc.augmentation(ChainElt(oc.J, 0, {key: 1})) == 0
 
 
+def test_augmentation_refuses_a_chain_of_positive_degree():
+    oc = OrbitComplex(build_lie_data("A1"), (0, 1))
+    for c in (oc.element((0, 1), (F(1, 4),)), ChainElt(oc.J, 1, {})):
+        with pytest.raises(ValueError, match=r"^augmentation needs degree 0$"):
+            oc.augmentation(c)
+
+
 # -- homotopy and the chain maps ----------------------------------------------------
 
 def test_homotopy_examples():
@@ -186,6 +189,14 @@ def test_homotopy_examples():
     assert oc.homotopy(1, oc.element((0,), x)).terms == {((0, 1), X): -1}
     assert oc.homotopy(0, oc.element((1,), x)).terms == {((0, 1), X): 1}
     assert not oc.homotopy(0, oc.element((0,), x))
+
+
+def test_homotopy_refuses_a_node_out_of_range():
+    oc = OrbitComplex(build_lie_data("A1"), (0, 1))
+    c = oc.element((0,), (F(1, 4),))
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match=rf"^node {i} out of range$"):
+            oc.homotopy(i, c)
 
 
 def test_homotopy_preserves_lengths():
@@ -239,7 +250,7 @@ def test_deform_case_split():
                 sub = tuple(j for j in I if j != i)
                 if not sub:
                     continue
-                if cone_position(data, unscaled(x, oc.D), sub) == "interior":
+                if cone_position(data, _unscaled(x, oc.D), sub) == "interior":
                     continue
                 c = ChainElt(oc.J, p, {(I, x): 1})
                 diff = oc.deform(i, c) - c
@@ -359,7 +370,7 @@ def test_augmentation_matches_fusion_projection():
             base = tuple(x / m for x in b_sharp(data, shifted))
             oc = OrbitComplex(data, full, base=base)
             for I, x in oc.basis_elements(0, 3):
-                nu = tuple(m * v for v in b_flat(data, unscaled(x, oc.D)))
+                nu = tuple(m * v for v in b_flat(data, _unscaled(x, oc.D)))
                 assert all(v.denominator == 1 for v in nu)
                 nu = tuple(int(v) for v in nu)
                 phi = LevelRepElt(data, I, k, {tuple(a - 1 for a in nu): 1})
@@ -568,13 +579,13 @@ def test_verify_certificate_computes_each_key_wall_vector_once(monkeypatch):
     doc = json.loads(text)
     cold_a2(monkeypatch)
     calls = []
-    original = resolution._scaled_walls
+    original = resolution._point_vector
 
     def counting(data, X, D):
         calls.append(X)
         return original(data, X, D)
 
-    monkeypatch.setattr(resolution, "_scaled_walls", counting)
+    monkeypatch.setattr(resolution, "_point_vector", counting)
     assert verify_certificate(text)["ok"]
     keys = [(tuple(item["I"]), tuple(item["x"])) for chain in ("cycle", "bounding") for item in doc[chain]]
     assert len(keys) == len(set(keys))
@@ -874,13 +885,13 @@ def test_homology_report_reads_wall_values_off_the_orbit_walk(monkeypatch):
 
     calls = []
     for module in (affine, resolution):
-        original = module._scaled_walls
+        original = module._point_vector
 
         def counting(data, X, D, original=original):
             calls.append(X)
             return original(data, X, D)
 
-        monkeypatch.setattr(module, "_scaled_walls", counting)
+        monkeypatch.setattr(module, "_point_vector", counting)
     oc = OrbitComplex(build_lie_data("A3"), (0, 1, 2, 3))
     assert oc.homology_report(5)["all_ok"]
     assert len(oc.ctx._length) == 121
@@ -1157,7 +1168,7 @@ def test_homology_report_computes_each_row_sign_once(monkeypatch):
     # every row sign is read from the length table of the orbit search
     assert calls == []
     assert all(
-        oc.length_of(x) == crossing_length(oc.data, unscaled(x, oc.D))
+        oc.length_of(x) == crossing_length(oc.data, _unscaled(x, oc.D))
         for _, x in oc.truncated(4).bases[0]
     )
     # a point beyond the table is what reaches the patched crossing count

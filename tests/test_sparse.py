@@ -157,7 +157,7 @@ def test_arithmetic_matches_public_constructor(name):
         assert not (a - a)
         for elt in (a + b, a - b, -a, 3 * a, 0 * a):
             assert all(elt.terms.values())
-            assert type(elt) is type(a) and elt._context() == a._context()
+            assert type(elt) is type(a) and elt._same_context(a)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -239,3 +239,20 @@ def test_subclasses_share_one_base():
         assert isinstance(elt, SparseElt)
         for op in ("__add__", "__sub__", "__neg__", "__rmul__", "__eq__", "__bool__", "__repr__"):
             assert getattr(type(elt), op) is getattr(SparseElt, op)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_scalar_that_is_not_an_int_is_refused(name):
+    make, pool, _, _, _ = CASES[name]
+    elt = make({pool[0]: 2})
+    assert elt.__rmul__(F(1, 2)) is NotImplemented
+    with pytest.raises(TypeError):
+        1.5 * elt
+    with pytest.raises(TypeError):
+        F(1, 2) * elt
+
+
+def test_repr_names_the_context_and_the_sorted_terms():
+    assert repr(FusionElt(A2, 3, {(1, 0): 2, (0, 0): -1})) == "FusionElt(data=A2, k=3: -1*(0, 0) + 2*(1, 0))"
+    assert repr(LevelRepElt(A2, (0,), 3)) == "LevelRepElt(data=A2, I=(0,), k=3: 0)"
+    assert repr(ChainElt((0, 1, 2), 0, {((0,), (1, 2)): 3})) == "ChainElt(J=(0, 1, 2), degree=0: 3*((0,), (1, 2)))"
