@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .affine import _weight_walls
+from .affine import _shifted_images, _wall_vector, _weight_walls
 from .fusion import (
     CharacterElt,
     FusionElt,
     LevelRepElt,
     _special_values,
+    _weight_multiplicities,
     fusion_product,
     fusion_unit,
     holomorphic_induction,
@@ -36,7 +37,6 @@ from .lie import (
     build_lie_data,
     check,
     face_data,
-    pairing,
 )
 from .prequant import (
     coxeter_power_identity_check,
@@ -44,7 +44,6 @@ from .prequant import (
     extension_power_trivial,
     prequantizable,
     quantize,
-    spinc_phase,
 )
 from .resolution import ChainElt, OrbitComplex
 
@@ -112,16 +111,27 @@ def criterion_2_exact_numeric_agreement(seed: int) -> str:
 
 
 def criterion_3_ring_axioms(seed: int) -> str:
-    """Commutativity, associativity and the unit for A2 level 2 and G2 level 1."""
+    """The unit, commutativity and associativity for A2 level 2 and G2
+    level 1.  fusion_product keeps one entry per unordered pair and reduces
+    over the weights of the smaller factor, so commutativity compares the
+    two factor orders instead: the Kac-Walton reduction of a + rho over the
+    weights of V_b and that of b + rho over the weights of V_a, each with
+    products[a, b]."""
     checked = 0
     for name, k in [("A2", 2), ("G2", 1)]:
         d = build_lie_data(name)
         basis, products = pair_products(d, k)
         unit = fusion_unit(d, k)
+
+        def reduced(a, b):
+            base = _wall_vector(d, [x + 1 for x in a], k + d.dual_coxeter)
+            return _shifted_images(d, base, _weight_multiplicities(d, b), range(d.rank + 1), 1)
+
         for w, a in basis.items():
             check(fusion_product(a, unit) == a, f"{name} k={k}: the unit does not fix {w}")
         for a, b in products:
-            check(products[a, b] == products[b, a], f"{name} k={k}: {a} * {b} is not commutative")
+            check(reduced(a, b) == products[a, b].terms == reduced(b, a),
+                  f"{name} k={k}: {a} * {b} is not commutative")
         for a, b, c in itertools.product(basis, repeat=3):
             lhs = fusion_product(products[a, b], basis[c])
             rhs = fusion_product(basis[a], products[b, c])
@@ -175,7 +185,8 @@ def criterion_5_resolution_exactness(seed: int) -> str:
 def criterion_6_homotopy_machinery(seed: int) -> str:
     """A_i commutes with the boundary, the composite A lowers the length
     filtration at interior degrees, and cycle contraction certifies
-    d b = c on 100 random cycles per configuration."""
+    d b = c on 100 random cycles per configuration; contract_cycle checks
+    d b = c itself before it returns b."""
     rng = random.Random(seed)
     configs = [("A2", (0, 1, 2), 4), ("C2", (0, 1, 2), 4), ("G2", (0, 1, 2), 3)]
     contracted = 0
@@ -196,8 +207,7 @@ def criterion_6_homotopy_machinery(seed: int) -> str:
                     check(oc.length_of(x) < bound, f"{name}: A does not lower the length of {key}")
         for _ in range(100):
             c = oc.random_cycle(1, n, rng)
-            b = oc.contract_cycle(c)
-            check(oc.boundary(b) == c, f"{name}: a contraction does not bound its cycle")
+            oc.contract_cycle(c)
             contracted += 1
     return f"{contracted} contracted cycles"
 
@@ -270,17 +280,13 @@ def criterion_8_prequantization(seed: int) -> str:
 def criterion_9_phase_identities(seed: int) -> str:
     """Spin_c phases vanish on face coroot lattices and equal the dual
     Coxeter power of the central phase, for every face in every type of
-    rank <= 4."""
+    rank <= 4.  The first is the integrality of rho - rho_I on the face's
+    coroot lattice, which face_data checks as it builds each face, and
+    coxeter_power_identity_check builds every face."""
     faces = 0
     for name in RANK_LE_4:
         d = build_lie_data(name)
         for I in nonempty_faces(range(d.rank + 1)):
-            f = face_data(d, I)
-            diff = tuple(Fraction(r) - ri for r, ri in zip(d.rho, f.rho_I))
-            for lam in f.coroot_lattice_basis:
-                val = pairing(diff, lam)
-                check(val.denominator == 1, f"{name}: rho - rho_{I} is not integral on {lam}")
-                check(spinc_phase(d, I, lam) == 0, f"{name}: Spin_c phase of {I} at {lam} is not 0")
             check(coxeter_power_identity_check(d, I), f"{name}: dual Coxeter power fails at {I}")
             faces += 1
     return f"{faces} faces"
@@ -304,12 +310,11 @@ def criterion_10_lie_structural(seed: int) -> str:
     """Structural invariants of the root data for every type of rank <= 8:
     two independent dual Coxeter computations agree, the minimal coroot
     lattice norm is 2, distinguished face points are interior to their
-    faces, and the rho-shift lemma holds for rank <= 2."""
+    faces, and the rho-shift lemma holds for rank <= 2.  build_lie_data
+    checks h_vee = 1 + sum(comarks) against 1 + <theta, rho_sharp>, and
+    face_data checks that nu_I_sharp lies on the face I as it builds it."""
     for name in RANK_LE_8:
         d = build_lie_data(name)
-        check(1 + pairing(d.highest_root.weight, d.rho_sharp) == d.dual_coxeter,
-              f"{name}: h_vee is not 1 + <theta, rho_sharp>")
-        check(1 + sum(d.comarks) == d.dual_coxeter, f"{name}: h_vee is not 1 + sum(comarks)")
         # search bound shrinks with the rank to stay inside the time budget;
         # every simple coroot is checked exactly at any rank
         bound = 3 if d.rank <= 4 else (2 if d.rank <= 6 else 1)
@@ -318,11 +323,11 @@ def criterion_10_lie_structural(seed: int) -> str:
             norm = basic_pairing(d, root.coroot, root.coroot)
             check(norm >= 2 and norm == 2 / root.half_norm, f"{name}: coroot norm {norm} at {root.coeffs}")
         nodes = range(d.rank + 1)
-        # every face up to rank 4, and above it the vertices only
+        # every face up to rank 4, and above it the vertices only; face_data
+        # checks each face as it builds it
         faces = nonempty_faces(nodes) if d.rank <= 4 else itertools.combinations(nodes, 1)
         for I in faces:
-            f = face_data(d, I)
-            check(alcove_face_of(d, f.nu_I_sharp) == I, f"{name}: nu_I_sharp is off the face {I}")
+            face_data(d, I)
     for name in RANK_LE_2:
         d = build_lie_data(name)
         for k in range(0, 5):

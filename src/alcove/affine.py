@@ -16,11 +16,11 @@ values at nodes 0..l, nu[i-1] at node i >= 1 and m - <nu, theta_vee> at
 node 0, have one owner, _wall_vector, which builds the vector every
 reduction and walk of a weight starts from.  _weight_walls refuses a
 non-weight with ValueError and then calls it; every level, cone and
-dominance test reads the values there.  Weights the library built go to
-_wall_vector unchecked: dominantize_terms, and fusion's Freudenthal
-recursion, weight systems and product kernel.  The walls of the cone of a
-face index I, the nodes outside I, are lie._walls_outside; a caller's wall
-list is checked by _wall_list.
+dominance test, and each term of dominantize_terms, reads the values there.
+Weights the library built go to _wall_vector unchecked: fusion's
+Freudenthal recursion, weight systems and product kernel.  The walls of the
+cone of a face index I, the nodes outside I, are lie._walls_outside; a
+caller's wall list is checked by _wall_list.
 
 One greedy loop, _reduce, does every reduction ("reflect at the lowest
 violated listed wall").  It walks a vector that starts with the l+1 wall
@@ -219,9 +219,9 @@ def dominantize_terms(
     reduces nu + shift * rho into the cone of the listed walls at level m;
     terms landing on a wall drop out.  shift is 1 for the rho-shifted action
     (quotient map, induction, Klimyk) and 0 for the level-m action.  The
-    walls are checked as in dominantize_walls."""
+    walls and each term's weight are checked as in dominantize_walls."""
     walls = _wall_list(data, walls, m)
-    vectors = {_wall_vector(data, nu): c for nu, c in terms.items()}
+    vectors = {_weight_walls(data, nu, 0): c for nu, c in terms.items()}
     return _shifted_images(data, _wall_vector(data, [shift] * data.rank, m), vectors, walls, shift)
 
 

@@ -12,8 +12,9 @@ adds these vectors of the smaller factor to the wall vector of the other
 factor plus rho and reduces each sum (affine._shifted_images): the
 Kac-Walton formula at all walls and level k + h_vee, the Klimyk rule at the
 walls 1..l.  The quotient map, induction and the simple currents are
-dominantize_terms.  Every cached result lives in the memo of its LieData;
-results are built trusted, never over a cached dict.
+dominantize_terms, and the simple currents read the quotient map's table.
+Every cached result lives in the memo of its LieData; results are built
+trusted, never over a cached dict.
 
 fusion_table folds the table by the centre Z(G), by charge conjugation,
 N_{a*b*}^{c*} = N_ab^c, and by the S3 symmetry of N_{abc} = N_ab^{c*}.  The
@@ -319,7 +320,7 @@ def _to_level(data: LieData, terms: Mapping[Weight, int], k: int) -> FusionElt:
     """The terms reflected, rho-shifted, into the alcove at level k + h_vee
     with their signs, one weight at a time through the quotient table."""
     table = data._memo.setdefault(("quotient", k), {})
-    for w in terms.keys() - table.keys():
+    for w in set(terms).difference(table):
         table[w] = dominantize_terms(data, {w: 1}, k + data.dual_coxeter, range(data.rank + 1), 1)
     return FusionElt._trusted(combine((c, table[w]) for w, c in terms.items()), data, k)
 
@@ -429,13 +430,13 @@ def _simple_current(
 ) -> tuple[int, ...]:
     """The simple current sigma_j of node j (see fusion_table) as the images
     of the level-k basis, by index; sigma_0 is the identity."""
-    m, walls = k + data.dual_coxeter, range(data.rank + 1)
+    m = k + data.dual_coxeter
     images = []
     for lam in basis:
         nu = [*lam]
         if j:
             nu[j - 1] += m
-        [rep] = dominantize_terms(data, {tuple(nu): 1}, m, walls, 1)
+        [rep] = _to_level(data, {tuple(nu): 1}, k).terms
         images.append(index[rep])
     return tuple(images)
 

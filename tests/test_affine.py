@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -347,6 +348,19 @@ def test_dominantize_terms_needs_positive_level_on_all_walls():
         dominantize_terms(d, {(1, 0): 1}, 0, range(3), 1)
     # a proper wall subset at level 0 is the finite linear action
     assert dominantize_terms(d, {(1, 0): 1}, 0, (1, 2), 1) == {(1, 0): 1}
+
+
+@pytest.mark.parametrize("nu, message", [
+    ((0.5, 0), "weight (0.5, 0) has a coordinate that is not an int"),
+    ((1, 0, 5), "weight (1, 0, 5) has 3 coordinates, not 2"),
+], ids=["float", "length"])
+def test_dominantize_terms_refuses_a_term_that_is_not_a_weight(nu, message):
+    # as dominantize_walls does: not the term unchanged, nor a term lost
+    d = build_lie_data("A2")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dominantize_terms(d, {nu: 1}, 3, range(3), 1)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dominantize_walls(d, nu, 3, range(3))
 
 
 # -- the signed orbit walk against enumerated W_I -------------------------------
